@@ -18,9 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .dataio import (
+    MANIFEST_NAME,
     DataFormatError,
     append_manifest,
     ensure_out_dir,
+    read_manifest,
     read_net,
     read_split,
     write_curve,
@@ -32,6 +34,7 @@ from .dataio import (
     write_summary,
 )
 from .evaluation import (
+    NUMERIC_FAILURES,
     EvalReport,
     ExperimentConfig,
     TRUE_VARIANT,
@@ -42,12 +45,10 @@ from .evaluation import (
     run_experiment,
     true_model,
 )
-from .model import DegenerateDistributionError, ZeroLikelihoodError
-from .proclivity import DegenerateRatioError, ExpDecayProclivity, LearnedProclivity, by_name
+from .proclivity import ExpDecayProclivity, LearnedProclivity, by_name
 from .synthgen import SynthConfig, generate_dataset
 from .training import (
     FitConfig,
-    FitDivergenceError,
     LEARNABLE_VARIANTS,
     ModelBundle,
     TrainingSet,
@@ -292,8 +293,28 @@ def _load_checkpoint(variant: str, directory, config: ExperimentConfig) -> Model
     return ModelBundle(variant=variant, proclivity=prox, f_net=f_net, g_net=g_net)
 
 
+def _with_dataset_proclivity(settings: dict, data) -> dict:
+    """Take the generating proclivity from the dataset's manifest.
+
+    The last ``generate`` block of the manifest names the proclivity the
+    true scores were sampled under. An explicit setting must agree with it;
+    without a recorded value the setting (or its default) stands.
+    """
+    generated = [b for b in read_manifest(data) if b.get("command") == "generate"]
+    recorded = generated[-1].get("proclivity") if generated else None
+    if recorded is None:
+        return settings
+    explicit = settings.get("proclivity")
+    if explicit is not None and explicit != recorded:
+        raise ConfigError(
+            f"proclivity={explicit} conflicts with proclivity={recorded} "
+            f"recorded for the dataset in {Path(data) / MANIFEST_NAME}"
+        )
+    return {**settings, "proclivity": recorded}
+
+
 def cmd_eval(args) -> int:
-    config = experiment_config(resolve_settings(args))
+    config = experiment_config(_with_dataset_proclivity(resolve_settings(args), args.data))
     checkpoints = {}
     for item in args.checkpoint or []:
         variant, sep, directory = item.partition("=")
@@ -461,13 +482,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        FitDivergenceError,
-        ZeroLikelihoodError,
-        DegenerateDistributionError,
-        DegenerateRatioError,
-        FloatingPointError,
-    ) as exc:
+    except NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -49,6 +49,7 @@ def _open_writer(path):
 
 
 def _read_rows(path, expected_header):
+    """Yield (line number, fields) per data row, streaming the file."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -58,7 +59,6 @@ def _read_rows(path, expected_header):
                     f"{path}: expected header {','.join(expected_header)}, "
                     f"got {','.join(header) if header else 'empty file'}"
                 )
-            rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -66,8 +66,7 @@ def _read_rows(path, expected_header):
                     raise DataFormatError(
                         f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(row)}"
                     )
-                rows.append((lineno, row))
-            return rows
+                yield lineno, row
     except csv.Error as exc:
         raise DataFormatError(f"{path}: malformed CSV ({exc})") from exc
 
@@ -432,6 +431,28 @@ def append_manifest(directory, entries: dict) -> Path:
         for key, value in entries.items():
             handle.write(f"{key}={value}\n")
     return path
+
+
+def read_manifest(directory) -> list:
+    """Run blocks of a directory's manifest, oldest first, as key -> value dicts.
+
+    Values stay strings. A directory without a manifest has no blocks.
+    """
+    path = Path(directory) / MANIFEST_NAME
+    if not path.is_file():
+        return []
+    blocks = []
+    with open(path, encoding="utf-8", newline="") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if line.startswith("# run "):
+                blocks.append({})
+                continue
+            key, sep, value = line.partition("=")
+            if not sep or not blocks:
+                raise DataFormatError(f"{path}:{lineno}: expected key=value inside a run block")
+            blocks[-1][key] = value
+    return blocks
 
 
 def ensure_out_dir(directory) -> Path:

@@ -9,8 +9,9 @@ learned variants come to the ceiling.
 run_experiment drives the full protocol: per trial, generate a synthetic
 dataset, fit the learnable variants on the train/validation splits,
 evaluate every variant on the test groups, and compute rescaled proclivity
-curves. Individual fit failures are recorded and skipped rather than
-aborting the experiment.
+curves. Numeric failures of individual fits (see ``NUMERIC_FAILURES``) are
+recorded and skipped rather than aborting the experiment; any other error
+propagates.
 """
 
 from __future__ import annotations
@@ -21,11 +22,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Roster, ScoreParams, likelihood_sequence, nll_loss, weighted_loss
+from .model import (
+    DegenerateDistributionError,
+    Roster,
+    ScoreParams,
+    ZeroLikelihoodError,
+    likelihood_sequence,
+    nll_loss,
+    weighted_loss,
+)
 from .proclivity import (
     CURVE_DELTA_MAX,
     CURVE_DELTA_MIN,
     DEFAULT_DELTA_SCALE,
+    DegenerateRatioError,
     ProclivityCurve,
     by_name,
     default_trait_grid,
@@ -54,6 +64,17 @@ log = logging.getLogger(__name__)
 
 METRICS = ("nll", "nll_turn")
 TRUE_VARIANT = "true"
+
+# Numeric failures of a fit or an evaluation: a trial records them per
+# variant, and the CLI maps them to its numeric-failure exit code. Anything
+# else is a bug and propagates.
+NUMERIC_FAILURES = (
+    FitDivergenceError,
+    ZeroLikelihoodError,
+    DegenerateDistributionError,
+    DegenerateRatioError,
+    FloatingPointError,
+)
 
 # Slot in the seed-stream path reserved for per-variant fit seeds; group ids
 # occupy the same slot but only with the traits/conversation purposes.
@@ -271,7 +292,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                 bundle = fit(bundle, training_set, config.fit).bundle
             result.losses[variant] = evaluate(bundle, dataset.test)
             result.curves[variant] = model_curve(bundle, gaps=gaps)
-        except (FitDivergenceError, FloatingPointError, ValueError) as exc:
+        except NUMERIC_FAILURES as exc:
             log.warning("trial %d variant %s failed: %s", trial, variant, exc)
             result.failures[variant] = str(exc)
     return result

@@ -181,13 +181,14 @@ def gap_matrix(conversation: Conversation, horizon: int | None = None) -> np.nda
     H = T if horizon is None else horizon
     if not 1 <= H <= T + 1:
         raise ValueError(f"horizon {H} outside 1..{T + 1}")
-    state = GapState.fresh(conversation.group_size)
-    out = np.empty((H, conversation.group_size), dtype=int)
-    for t in range(1, H + 1):
-        out[t - 1] = state.gaps(t)
-        if t <= T:
-            state.record(t, int(conversation.speakers[t - 1]))
-    return out
+    # Row r holds the gaps at turn r + 1, so turn j is recorded from row j
+    # on: scatter j into its speaker's column, then carry the latest turn
+    # down each column.
+    last = np.zeros((H, conversation.group_size), dtype=int)
+    recorded = np.arange(1, H)
+    last[recorded, conversation.speakers[: H - 1] - 1] = recorded
+    last = np.maximum.accumulate(last, axis=0)
+    return np.where(last > 0, np.arange(1, H + 1)[:, None] - last, NEVER)
 
 
 def speaking_scores(params: ScoreParams, proclivity, gaps: np.ndarray) -> np.ndarray:

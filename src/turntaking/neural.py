@@ -161,11 +161,6 @@ def _forward_cached(net: DenseNet, x):
     return out, (pre, acts)
 
 
-def forward(net: DenseNet, x):
-    """Module-level alias for ``net.forward``."""
-    return net.forward(x)
-
-
 def backward(net: DenseNet, x, upstream) -> GradientSet:
     """Gradients of ``sum(upstream * net(x))`` w.r.t. every parameter.
 
@@ -192,14 +187,18 @@ def backward(net: DenseNet, x, upstream) -> GradientSet:
 
 
 def apply_update(net: DenseNet, grads: GradientSet, step: float) -> DenseNet:
-    """One plain gradient-descent step; returns a new network."""
+    """One plain gradient-descent step; returns a new network.
+
+    Raises FloatingPointError when the step leaves a parameter non-finite,
+    so a diverging fit is told apart from invalid input.
+    """
     if not np.isfinite(step):
         raise ValueError("step size must be finite")
-    return DenseNet(
-        weights=tuple(W - step * dW for W, dW in zip(net.weights, grads.weights)),
-        biases=tuple(b - step * db for b, db in zip(net.biases, grads.biases)),
-        activation=net.activation,
-    )
+    weights = tuple(W - step * dW for W, dW in zip(net.weights, grads.weights))
+    biases = tuple(b - step * db for b, db in zip(net.biases, grads.biases))
+    if not all(np.isfinite(p).all() for p in weights + biases):
+        raise FloatingPointError("gradient step produced non-finite parameters")
+    return DenseNet(weights=weights, biases=biases, activation=net.activation)
 
 
 def clip_gradients(grad_sets: list, max_norm: float) -> list:

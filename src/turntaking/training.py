@@ -161,18 +161,62 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # Vectorized likelihood engine. Conversations sharing a (turns, members)
 # shape are stacked into one tensor so an epoch over all groups is a handful
-# of numpy calls.
+# of numpy calls. Stacks are stored member-major, (B, N, T), so the sum over
+# members (turn totals) and the sums over turns (score gradients) both run
+# along contiguous rows of length T.
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Stack:
+    """Fit invariants of the conversations sharing one (turns, members) shape.
+
+    Cells are addressed by flat indices into the raveled (B, N, T) arrays.
+    Each turn has exactly one observed-speaker cell and, from turn 2 on,
+    exactly one ineligible cell (the previous speaker), so both are stored
+    as indices rather than as full masks.
+    """
+
     traits: np.ndarray  # (B, N)
-    gaps: np.ndarray  # (B, T, N), 0 marks never-spoken
-    eligible: np.ndarray  # (B, T, N) bool, False for the previous speaker
-    s_idx: np.ndarray  # (B, T) 0-indexed observed speakers
+    gaps: np.ndarray  # (B, N, T), 0 marks never-spoken
+    observed: np.ndarray  # (B, T) flat index of each turn's speaker cell
+    ineligible: np.ndarray  # (B, T - 1) flat index of the previous speaker, turns 2..T
+
+    @property
+    def shape(self) -> tuple:
+        """Logical (conversations, turns, members) shape."""
+        B, N, T = self.gaps.shape
+        return B, T, N
 
 
-def _build_stacks(pairs) -> list[_Stack]:
+class _Stacks:
+    """The stacks of one data split, plus the proclivity gathered onto them.
+
+    ``gather`` builds the proclivity table and ``W = table[gaps]`` per stack
+    and reuses them for as long as the same proclivity object comes back.
+    Proclivities are immutable values, and the cache holds a reference to
+    the one it was built from, so identity is a safe key.
+    """
+
+    def __init__(self, stacks: list):
+        self.stacks = stacks
+        self.max_gap = max(int(s.gaps.max(initial=0)) for s in stacks)
+        self.turns = sum(s.gaps.shape[0] * s.gaps.shape[2] for s in stacks)
+        self._proclivity = None
+        self._w: list = []
+
+    def __iter__(self):
+        return iter(self.stacks)
+
+    def gather(self, proclivity) -> list:
+        """``table[gaps]`` for every stack, under the given proclivity."""
+        if proclivity is not self._proclivity:
+            table = proclivity.table(self.max_gap)
+            self._w = [table[s.gaps] for s in self.stacks]
+            self._proclivity = proclivity
+        return self._w
+
+
+def _build_stacks(pairs) -> _Stacks:
     by_shape: dict = {}
     for roster, conv in pairs:
         if roster.size != conv.group_size:
@@ -180,13 +224,21 @@ def _build_stacks(pairs) -> list[_Stack]:
         by_shape.setdefault((len(conv), conv.group_size), []).append((roster, conv))
     stacks = []
     for (T, N), members in by_shape.items():
-        traits = np.stack([r.traits for r, _ in members])
-        gaps = np.stack([gap_matrix(c) for _, c in members])
-        s_idx = np.stack([c.speakers - 1 for _, c in members])
+        speakers = np.stack([c.speakers - 1 for _, c in members])
+        # Flat index of member 0's cell at each turn; member n sits n*T on.
+        base = np.arange(len(members))[:, None] * (N * T) + np.arange(T)
+        # The copy is C-ordered: the flat indices, and the in-place writes
+        # through reshape(-1) views in _batch_nll, rely on it.
+        gaps = np.stack([gap_matrix(c) for _, c in members]).transpose(0, 2, 1).copy()
         stacks.append(
-            _Stack(traits=traits, gaps=gaps, eligible=gaps != 1, s_idx=s_idx)
+            _Stack(
+                traits=np.stack([r.traits for r, _ in members]),
+                gaps=gaps,
+                observed=base + speakers * T,
+                ineligible=base[:, 1:] + speakers[:, :-1] * T,
+            )
         )
-    return stacks
+    return _Stacks(stacks)
 
 
 def _stack_scores(bundle: ModelBundle, stack: _Stack):
@@ -201,72 +253,83 @@ def _stack_scores(bundle: ModelBundle, stack: _Stack):
     return pi, d
 
 
-def _batch_nll(bundle: ModelBundle, stacks, eps: float, block: str | None):
+def _batch_nll(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str | None):
     """Total NLL, total turns, and (optionally) gradients for one block.
 
     Gradients come back as a dict keyed by component name ("f", "g", "nu"),
     already scaled to the mean-per-turn objective; the dict is empty when the
     active block holds no learnable parameters.
     """
-    max_gap = max(int(s.gaps.max(initial=0)) for s in stacks)
-    table = bundle.proclivity.table(max_gap)
+    ws = stacks.gather(bundle.proclivity)
 
     total_nll = 0.0
-    total_turns = 0
     want_scores = block == BLOCK_SCORES and bundle.variant in LEARNABLE_VARIANTS
     want_proclivity = block == BLOCK_PROCLIVITY and bundle.learns_proclivity
     per_stack_dpi = []
     per_stack_dd = []
-    dtable = np.zeros_like(table)
+    dtable = np.zeros(stacks.max_gap + 1)
 
-    for stack in stacks:
-        B, T, N = stack.gaps.shape
+    for stack, w in zip(stacks, ws):
+        B, N, T = stack.gaps.shape
         pi, d = _stack_scores(bundle, stack)
-        w = table[stack.gaps]
-        u = np.where(stack.eligible, pi[:, None, :] + d[:, None, :] * w, 0.0)
-        floored = np.where(stack.eligible, np.maximum(u, eps), 0.0)
-        totals = floored.sum(axis=2)
-        observed = np.take_along_axis(floored, stack.s_idx[..., None], axis=2)[..., 0]
+        # Work on (B*N, T) rows: numpy broadcasts and reduces these much
+        # faster than the same memory viewed as (B, N, T).
+        w = w.reshape(B * N, T)
+        floored = w * d.reshape(-1, 1)
+        floored += pi.reshape(-1, 1)
+        np.maximum(floored, eps, out=floored)
+        cells = floored.reshape(-1)
+        cells[stack.ineligible] = 0.0
+        # Members are added one at a time in index order: a fixed summation
+        # order, and faster than sum(axis=1) over the (B, N, T) view.
+        by_member = floored.reshape(B, N, T)
+        totals = by_member[:, 0] + by_member[:, 1]
+        for n in range(2, N):
+            totals += by_member[:, n]
+        observed = cells[stack.observed]
         total_nll += float(np.log(totals).sum() - np.log(observed).sum())
-        total_turns += B * T
 
         if not (want_scores or want_proclivity):
             continue
-        dfl = stack.eligible / totals[..., None]
-        at_obs = np.take_along_axis(dfl, stack.s_idx[..., None], axis=2)
-        np.put_along_axis(dfl, stack.s_idx[..., None], at_obs - (1.0 / observed)[..., None], axis=2)
-        du = dfl * (u > eps)
+        # d(nll)/du: 1/total on every cell the floor leaves differentiable
+        # (which excludes the zeroed previous speaker), minus 1/observed on
+        # the observed speaker's cell.
+        inv_totals = 1.0 / totals
+        du = np.where(by_member > eps, inv_totals[:, None, :], 0.0).reshape(B * N, T)
+        du.reshape(-1)[stack.observed] = np.where(
+            observed > eps, inv_totals - 1.0 / observed, 0.0
+        )
         if want_scores:
             per_stack_dpi.append(du.sum(axis=1))
-            per_stack_dd.append((du * w).sum(axis=1))
+            per_stack_dd.append(np.einsum("ij,ij->i", du, w))
         if want_proclivity:
-            spoken = stack.gaps >= 1
+            # Bin 0 gathers the never-spoken cells; it is dropped below.
             dtable += np.bincount(
-                stack.gaps[spoken].ravel(),
-                weights=(du * d[:, None, :])[spoken].ravel(),
-                minlength=table.size,
+                stack.gaps.ravel(),
+                weights=(du * d.reshape(-1, 1)).ravel(),
+                minlength=dtable.size,
             )
 
     grads: dict = {}
-    scale = 1.0 / total_turns
+    scale = 1.0 / stacks.turns
     if want_scores:
         gf = GradientSet.zeros_like(bundle.f_net)
         gg = GradientSet.zeros_like(bundle.g_net)
         for stack, dpi, dd in zip(stacks, per_stack_dpi, per_stack_dd):
             flat = stack.traits.ravel()
-            gf.add(backward(bundle.f_net, flat, dpi.ravel() * scale))
-            gg.add(backward(bundle.g_net, flat, dd.ravel() * scale))
+            gf.add(backward(bundle.f_net, flat, dpi * scale))
+            gg.add(backward(bundle.g_net, flat, dd * scale))
         grads = {"f": gf, "g": gg}
     elif want_proclivity:
         prox = bundle.proclivity
-        if table.size > 1:
-            inputs = np.arange(1, table.size) / prox.delta_scale
+        if dtable.size > 1:
+            inputs = np.arange(1, dtable.size) / prox.delta_scale
             gnu = backward(prox.net, inputs, dtable[1:] * scale)
         else:
             gnu = GradientSet.zeros_like(prox.net)
         grads = {"nu": gnu}
 
-    return total_nll, total_turns, grads
+    return total_nll, stacks.turns, grads
 
 
 def _mean_nll(bundle: ModelBundle, stacks, eps: float) -> float:

@@ -161,6 +161,7 @@ def test_ac2_gradients_match_finite_differences():
 # --------------------------------------------------------------------- AC-3
 
 
+@pytest.mark.slow
 def test_ac3_exponential_world_recovery(exp_report):
     hm_nll = median(exp_report, "hm", "nll")
     nm_nll = median(exp_report, "nm", "nll")
@@ -189,6 +190,7 @@ def test_ac3_exponential_world_recovery(exp_report):
 # --------------------------------------------------------------------- AC-4
 
 
+@pytest.mark.slow
 def test_ac4_sigmoid_world_separation(sig_report):
     checks = []
     wins = {}
@@ -229,6 +231,7 @@ def test_ac4_sigmoid_world_separation(sig_report):
 # --------------------------------------------------------------------- AC-5
 
 
+@pytest.mark.slow
 def test_ac5_proclivity_curve_recovery(sig_report):
     mean_pro = sig_report.mean_curve("pro").values
     smoothed = np.convolve(mean_pro, np.ones(3) / 3.0, mode="valid")

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from turntaking import __version__
+from turntaking import ExpDecayProclivity, SigmoidProclivity, __version__, evaluate, true_model
 from turntaking.cli import main
 from turntaking.dataio import read_curve, read_history, read_report, read_split
 
@@ -258,6 +258,30 @@ def test_eval_without_scores_file_skips_true_variant(capsys, tmp_path, tiny_conf
     assert code == 0
     variants = {r[1] for r in read_report(out / "report.csv")}
     assert variants == {"nm", "hm"}
+
+
+def test_eval_scores_truth_under_the_dataset_proclivity(capsys, tmp_path, tiny_config):
+    # Without --config, `true` must use the proclivity the dataset was
+    # generated with, not the exp default.
+    data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
+    out = tmp_path / "eval"
+    code, _, _ = run(capsys, "eval", "--data", data, "--variants", "nm", "--out", out)
+    assert code == 0
+    rows = read_report(out / "report.csv")
+    (got,) = [r[4] for r in rows if r[1] == "true" and r[2] == "nll" and r[3] == "all"]
+    test = read_split(data, "test")
+    assert got == pytest.approx(evaluate(true_model(test, SigmoidProclivity()), test).nll, abs=1e-12)
+    assert got != pytest.approx(evaluate(true_model(test, ExpDecayProclivity()), test).nll, abs=1e-6)
+
+
+def test_eval_proclivity_conflicting_with_dataset_is_usage_error(capsys, tmp_path, tiny_config):
+    data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("proclivity=exp\n", encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--config", cfg, "--data", data,
+                       "--variants", "nm", "--out", tmp_path / "eval")
+    assert code == 2
+    assert "conflicts" in err
 
 
 def test_eval_learnable_without_checkpoint_is_usage_error(capsys, tmp_path, tiny_config):

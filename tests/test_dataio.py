@@ -21,6 +21,7 @@ from turntaking.dataio import (
     DataFormatError,
     MANIFEST_NAME,
     append_manifest,
+    read_manifest,
     ensure_out_dir,
     read_conversations,
     read_curve,
@@ -336,6 +337,11 @@ def test_manifest_appends_timestamped_blocks(tmp_path):
     assert "command=generate" in text
     assert "command=fit" in text
     assert text.index("command=generate") < text.index("command=fit")
+    assert read_manifest(tmp_path) == [
+        {"command": "generate", "seed": "1"},
+        {"command": "fit", "seed": "2"},
+    ]
+    assert read_manifest(tmp_path / "elsewhere") == []
 
 
 def test_ensure_out_dir_creates_nested(tmp_path):

@@ -278,6 +278,19 @@ def test_failed_variant_is_recorded_not_fatal(monkeypatch):
     assert not result.failed
 
 
+def test_programming_error_in_fit_propagates(monkeypatch):
+    # Only numeric failures are recorded per variant; a plain ValueError,
+    # such as a broadcasting bug, must not be mistaken for a failed fit.
+    import turntaking.evaluation as ev
+
+    def broken_fit(bundle, training_set, config=None):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(ev, "fit", broken_fit)
+    with pytest.raises(ValueError, match="broadcast"):
+        _run_trial(tiny_experiment_config(variants=("exp",)), trial=1)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(variants=())

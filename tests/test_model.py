@@ -166,6 +166,8 @@ def test_gap_matrix_stacks_compute_gaps():
             assert M[t - 1].tolist() == compute_gaps(c, t).tolist()
         ahead = gap_matrix(c, horizon=len(c) + 1)
         assert ahead[-1].tolist() == compute_gaps(c, len(c) + 1).tolist()
+        assert np.array_equal(ahead[:-1], M)
+        assert gap_matrix(c, horizon=1).tolist() == [compute_gaps(c, 1).tolist()]
 
 
 def test_gap_state_incremental():

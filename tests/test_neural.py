@@ -11,7 +11,6 @@ from turntaking import (
     apply_update,
     backward,
     clip_gradients,
-    forward,
     init_net,
     sigmoid,
 )
@@ -166,7 +165,6 @@ def test_batched_forward_matches_scalar_forward():
     assert batched.shape == (12,)
     for x, y in zip(xs, batched):
         assert net.forward(float(x)) == pytest.approx(y, abs=1e-15)
-    assert forward(net, 0.3) == net.forward(0.3)
 
 
 def test_dense_net_validation():
@@ -286,6 +284,14 @@ def test_apply_update_rejects_non_finite_step():
     net = random_net(np.random.default_rng(30), (1, 2, 1))
     with pytest.raises(ValueError):
         apply_update(net, GradientSet.zeros_like(net), math.inf)
+
+
+def test_apply_update_reports_divergence_as_floating_point_error():
+    net = random_net(np.random.default_rng(31), (1, 2, 1))
+    grads = GradientSet.zeros_like(net)
+    grads.weights[0][0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        apply_update(net, grads, 0.1)
 
 
 # ------------------------------------------------------------------ clipping

@@ -24,6 +24,7 @@ from turntaking.neural import DenseNet
 from turntaking.training import (
     BLOCK_PROCLIVITY,
     BLOCK_SCORES,
+    _batch_nll,
     _build_stacks,
     _descend_proclivity,
     _descend_scores,
@@ -219,6 +220,75 @@ def test_batched_loss_matches_public_path():
     assert _mean_nll(bundle, stacks, 1e-8) == pytest.approx(np.mean(per_group), abs=1e-12)
 
 
+def mixed_shape_pairs(rng):
+    """Two groups of one shape plus one of another: two stacks, one with B = 2."""
+    return [
+        make_pair(rng, members=3, turns=10),
+        make_pair(rng, members=3, turns=10),
+        make_pair(rng, members=4, turns=7),
+    ]
+
+
+def test_batched_gradients_match_finite_differences_across_stacks():
+    from dataclasses import replace
+
+    rng = np.random.default_rng(56)
+    h = 1e-5
+    bundle = warmed_bundle(rng)
+    stacks = _build_stacks(mixed_shape_pairs(rng))
+    assert sorted(s.shape[0] for s in stacks) == [1, 2]
+
+    def loss(b):
+        return _mean_nll(b, stacks, 1e-8)
+
+    attach = {
+        "f": lambda n: replace(bundle, f_net=n),
+        "g": lambda n: replace(bundle, g_net=n),
+        "nu": lambda n: replace(bundle, proclivity=bundle.proclivity.with_net(n)),
+    }
+    nets = {"f": bundle.f_net, "g": bundle.g_net, "nu": bundle.proclivity.net}
+    for block, names in ((BLOCK_SCORES, ("f", "g")), (BLOCK_PROCLIVITY, ("nu",))):
+        _, _, grads = _batch_nll(bundle, stacks, 1e-8, block)
+        assert set(grads) == set(names)
+        for name in names:
+            net = nets[name]
+            for l in range(len(net.weights)):
+                for kind, params, got in (
+                    ("w", net.weights[l], grads[name].weights[l]),
+                    ("b", net.biases[l], grads[name].biases[l]),
+                ):
+                    for idx in np.ndindex(params.shape):
+                        hi = loss(attach[name](perturbed_net(net, l, idx, kind, h)))
+                        lo = loss(attach[name](perturbed_net(net, l, idx, kind, -h)))
+                        fd = (hi - lo) / (2 * h)
+                        assert got[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def test_reused_stacks_follow_a_changed_proclivity():
+    rng = np.random.default_rng(57)
+    bundle = warmed_bundle(rng)
+    pairs = mixed_shape_pairs(rng)
+    stacks = _build_stacks(pairs)
+    before = _mean_nll(bundle, stacks, 1e-8)
+
+    moved = _descend_proclivity(bundle, stacks, FitConfig(step=0.5))
+    assert moved.proclivity is not bundle.proclivity
+    assert stacks.gather(moved.proclivity) is stacks.gather(moved.proclivity)
+    fresh = _build_stacks(pairs)
+    for block in (None, BLOCK_SCORES, BLOCK_PROCLIVITY):
+        nll, turns, grads = _batch_nll(moved, stacks, 1e-8, block)
+        ref_nll, ref_turns, ref_grads = _batch_nll(moved, fresh, 1e-8, block)
+        assert (nll, turns) == (ref_nll, ref_turns)
+        assert set(grads) == set(ref_grads)
+        for name in grads:
+            for got, ref in zip(
+                grads[name].weights + grads[name].biases,
+                ref_grads[name].weights + ref_grads[name].biases,
+            ):
+                assert np.array_equal(got, ref)
+    assert nll / turns != before
+
+
 def test_stacks_group_mixed_shapes():
     rng = np.random.default_rng(46)
     pairs = [
@@ -227,7 +297,7 @@ def test_stacks_group_mixed_shapes():
         make_pair(rng, members=4, turns=6),
     ]
     stacks = _build_stacks(pairs)
-    assert sorted(s.gaps.shape for s in stacks) == [(1, 6, 4), (2, 8, 3)]
+    assert sorted(s.shape for s in stacks) == [(1, 6, 4), (2, 8, 3)]
     bundle = ModelBundle.make("exp", seed=1)
     per_group = [bundle_loss(bundle, r, c) for r, c in pairs]
     turns = [len(c) for _, c in pairs]

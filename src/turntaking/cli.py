@@ -170,16 +170,12 @@ def resolve_settings(args) -> dict:
 
 
 def experiment_config(settings: dict) -> ExperimentConfig:
-    seed = settings.get("seed", 0)
     try:
         synth = SynthConfig(
-            master_seed=seed,
+            master_seed=settings.get("seed", 0),
             **{k: settings[k] for k in _SYNTH_KEYS if k in settings},
         )
-        fit_cfg = FitConfig(
-            seed=seed,
-            **{k: settings[k] for k in _FIT_KEYS if k in settings},
-        )
+        fit_cfg = FitConfig(**{k: settings[k] for k in _FIT_KEYS if k in settings})
         return ExperimentConfig(
             synth=synth,
             fit=fit_cfg,

@@ -209,6 +209,11 @@ def read_split(directory, split: str) -> list:
     groups = []
     for gid in sorted(rosters):
         roster = rosters[gid]
+        if gid in scores and scores[gid].size != roster.size:
+            raise DataFormatError(
+                f"{paths['scores']}: group {gid} has scores for {scores[gid].size} "
+                f"members, its roster {roster.size}"
+            )
         groups.append(
             Group(
                 group_id=gid,

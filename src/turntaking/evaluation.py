@@ -17,19 +17,17 @@ propagates.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (
     DegenerateDistributionError,
+    EPS_FLOOR,
     Roster,
     ScoreParams,
     ZeroLikelihoodError,
-    likelihood_sequence,
-    nll_loss,
-    weighted_loss,
+    class_weights,
 )
 from .proclivity import (
     CURVE_DELTA_MAX,
@@ -56,6 +54,8 @@ from .training import (
     ModelBundle,
     TrainingSet,
     VARIANTS,
+    _build_stacks,
+    _likelihood_pass,
     fit,
     predict_scores,
 )
@@ -137,7 +137,8 @@ class EvalSummary:
 def evaluate(model, groups) -> EvalSummary:
     """Both losses per group, aggregated by turn-weighted mean.
 
-    ``model`` is a ModelBundle or TrueModel. The raw sums add up per-group
+    ``model`` is a ModelBundle or TrueModel. Each group is scored by the
+    likelihood pass that ``fit`` minimises. The raw sums add up per-group
     mean losses without turn weighting; with equal-length conversations the
     weighted mean is exactly the plain mean of the per-group values.
     """
@@ -146,13 +147,30 @@ def evaluate(model, groups) -> EvalSummary:
     rows = []
     for group in groups:
         scores = _scores_for(model, group)
-        likelihoods = likelihood_sequence(scores, model.proclivity, group.conversation)
+        conversation = group.conversation
+        if scores.size != conversation.group_size:
+            raise ValueError(
+                f"group {group.group_id}: {scores.size} scores for "
+                f"{conversation.group_size} members"
+            )
+        # One stack per group: a stack of the whole split would hold every
+        # group's cells in memory at once.
+        stacks = _build_stacks([(group.roster, conversation)])
+        (stack,) = stacks
+        (w,) = stacks.gather(model.proclivity)
+        _, totals, observed = _likelihood_pass(
+            stack, w, scores.inherent[None], scores.memory[None], EPS_FLOOR
+        )
+        turn_nll = np.log(totals[0]) - np.log(observed[0])
+        nll = float(turn_nll.mean())
+        if not np.isfinite(nll):
+            raise ZeroLikelihoodError(f"group {group.group_id}: non-finite loss {nll}")
         rows.append(
             GroupLoss(
                 group_id=group.group_id,
-                nll=nll_loss(likelihoods, group.conversation),
-                nll_turn=weighted_loss(likelihoods, group.conversation),
-                turns=len(group.conversation),
+                nll=nll,
+                nll_turn=float((class_weights(conversation) * turn_nll).mean()),
+                turns=len(conversation),
             )
         )
     turns = np.array([r.turns for r in rows], dtype=float)
@@ -306,6 +324,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> EvalReport:
     """
     trials = range(1, config.synth.trials + 1)
     if parallel > 1:
+        # Imported here: the process pool costs import time and memory that
+        # sequential runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_run_trial, [config] * len(trials), trials))
     else:

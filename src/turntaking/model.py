@@ -1,4 +1,4 @@
-"""Core turn-taking model: speaking scores, probabilities, losses, sampling.
+"""Core turn-taking model: gaps, speaking scores, turn classes, sampling.
 
 A group of N members takes turns speaking. At every turn each member i has a
 nonnegative speaking score
@@ -12,6 +12,10 @@ excluded because a turn only ends when somebody else starts. Members who have
 not yet spoken keep their inherent score, so the very first turn is governed
 by ``pi`` alone. The next speaker is distributed as ``u / sum(u)``.
 
+The per-turn negative log-likelihood of observed conversations, which
+``fit`` minimises and ``evaluate`` reports, is computed in one batched pass
+in ``training.py``.
+
 Members are labeled 1..N in all public inputs and outputs; vectors are plain
 numpy arrays where position k belongs to member k+1. Gaps are positive
 integers, with the sentinel ``NEVER`` (0) marking members who have not spoken.
@@ -19,16 +23,17 @@ integers, with the sentinel ``NEVER`` (0) marking members who have not spoken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 NEVER = 0  # gap sentinel: the member has not spoken yet
 
-# Floor applied to eligible scores inside the losses only, so a model that
-# assigns (numerically) zero mass to an observed speaker yields a large but
-# finite loss instead of -log 0. Sampling never uses it.
+# Floor applied to eligible scores inside the likelihood pass only
+# (training._likelihood_pass), so a model that assigns (numerically) zero
+# mass to an observed speaker yields a large but finite loss instead of
+# -log 0. Sampling never uses it.
 EPS_FLOOR = 1e-8
 
 
@@ -37,7 +42,11 @@ class DegenerateDistributionError(ValueError):
 
 
 class ZeroLikelihoodError(ValueError):
-    """An observed speaker has zero probability even after flooring."""
+    """A group's loss is not finite even after flooring.
+
+    The floor keeps every observed speaker's score positive, so this means
+    finite scores overflowed the turn totals.
+    """
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -131,50 +140,6 @@ class TurnClass(IntEnum):
     NONFLOOR = 3
 
 
-@dataclass
-class GapState:
-    """Tracks, per member, the most recent turn at which they spoke.
-
-    ``last_spoke`` holds 1-indexed turn numbers, 0 while a member has not
-    spoken. Querying at turn t yields gap ``t - last_spoke`` (or NEVER).
-    """
-
-    last_spoke: np.ndarray
-
-    @classmethod
-    def fresh(cls, group_size: int) -> "GapState":
-        return cls(np.zeros(group_size, dtype=int))
-
-    def gaps(self, t: int) -> np.ndarray:
-        return np.where(self.last_spoke > 0, t - self.last_spoke, NEVER)
-
-    def record(self, t: int, speaker: int) -> None:
-        self.last_spoke[speaker - 1] = t
-
-
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class turn counts and the per-turn weights T / (4 * T_k)."""
-
-    counts: np.ndarray  # indexed by TurnClass, length 4
-    per_turn: np.ndarray  # weight for each turn, length T
-
-
-def compute_gaps(conversation: Conversation, t: int) -> np.ndarray:
-    """Per-member gap at turn t: turns since each member last spoke.
-
-    t may run to T+1 so the state feeding a prediction of the next turn
-    needs no special case. Members yet to speak get ``NEVER``.
-    """
-    T = len(conversation)
-    if not 1 <= t <= T + 1:
-        raise ValueError(f"turn index {t} outside 1..{T + 1}")
-    state = GapState.fresh(conversation.group_size)
-    for j in range(1, t):
-        state.record(j, int(conversation.speakers[j - 1]))
-    return state.gaps(t)
-
-
 def gap_matrix(conversation: Conversation, horizon: int | None = None) -> np.ndarray:
     """Stacked gaps for turns 1..horizon (default T), shape (horizon, N)."""
     T = len(conversation)
@@ -214,114 +179,43 @@ def speaking_probabilities(u: np.ndarray) -> np.ndarray:
     return u / total
 
 
-def next_speaker(u: np.ndarray) -> int:
-    """Most likely next speaker (1-indexed); ties go to the lowest member."""
-    u = np.asarray(u, dtype=float)
-    if np.all(u <= 0.0):
-        raise DegenerateDistributionError("all speaking scores are zero")
-    return int(np.argmax(u)) + 1
-
-
-def classify_turn(conversation: Conversation, t: int) -> TurnClass:
-    """Classify turn t by its floor pattern.
+def classify_turns(conversation: Conversation) -> np.ndarray:
+    """TurnClass value for every turn, as an int array of length T.
 
     FLOOR: the speaker from two turns ago retakes the turn. BROKEN_FLOOR:
     someone else interrupts an ongoing two-person exchange. REGAIN: the
     speaker from three turns back recovers the floor after a one-turn
     interruption of an exchange. Everything else, including early turns whose
-    look-back indices do not exist, is NONFLOOR.
+    look-back turns do not exist, is NONFLOOR. The first class that applies
+    wins.
     """
-    T = len(conversation)
-    if not 1 <= t <= T:
-        raise ValueError(f"turn index {t} outside 1..{T}")
+    s = conversation.speakers
 
-    def s(j: int) -> int | None:
-        return int(conversation.speakers[j - 1]) if j >= 1 else None
+    def back(k: int) -> np.ndarray:
+        # Speaker k turns back; a missing turn gets the sentinel -k, which
+        # equals no label and no other look-back's sentinel.
+        shifted = np.full(s.size, -k)
+        shifted[k:] = s[:-k]
+        return shifted
 
-    s0, s1, s2, s3, s4 = s(t), s(t - 1), s(t - 2), s(t - 3), s(t - 4)
-    if s2 is not None and s0 == s2:
-        return TurnClass.FLOOR
-    if s3 is not None and s0 != s2 and s1 == s3:
-        return TurnClass.BROKEN_FLOOR
-    if s4 is not None and s0 == s3 and s3 != s1 and s2 == s4:
-        return TurnClass.REGAIN
-    return TurnClass.NONFLOOR
-
-
-def classify_turns(conversation: Conversation) -> np.ndarray:
-    """TurnClass value for every turn, as an int array of length T."""
-    return np.array(
-        [classify_turn(conversation, t) for t in range(1, len(conversation) + 1)],
-        dtype=int,
+    s1, s2, s3, s4 = back(1), back(2), back(3), back(4)
+    return np.select(
+        [s == s2, s1 == s3, (s == s3) & (s3 != s1) & (s2 == s4)],
+        [TurnClass.FLOOR, TurnClass.BROKEN_FLOOR, TurnClass.REGAIN],
+        default=TurnClass.NONFLOOR,
     )
 
 
-def class_weights(conversation: Conversation) -> ClassWeights:
-    """Inverse-frequency weights equalizing the four turn classes.
+def class_weights(conversation: Conversation) -> np.ndarray:
+    """Per-turn inverse-frequency weights equalizing the four turn classes.
 
     A turn in class k gets weight T / (4 * T_k); empty classes contribute no
     turns and define no weight. When all four classes occur, the weights sum
     to T exactly.
     """
     classes = classify_turns(conversation)
-    T = len(conversation)
     counts = np.bincount(classes, minlength=len(TurnClass))
-    weights = np.empty(T, dtype=float)
-    for k in range(len(TurnClass)):
-        if counts[k]:
-            weights[classes == k] = T / (len(TurnClass) * counts[k])
-    return ClassWeights(counts=counts, per_turn=weights)
-
-
-def _floored_observed_probabilities(
-    U: np.ndarray, conversation: Conversation, eps: float
-) -> np.ndarray:
-    """Probability assigned to each observed speaker, after the eps floor."""
-    U = np.asarray(U, dtype=float)
-    T = len(conversation)
-    if U.shape != (T, conversation.group_size):
-        raise ValueError(f"likelihood array must have shape ({T}, {conversation.group_size})")
-    s_idx = conversation.speakers - 1
-    eligible = np.ones_like(U, dtype=bool)
-    eligible[np.arange(1, T), s_idx[:-1]] = False
-    floored = np.where(eligible, np.maximum(U, eps), U)
-    totals = floored.sum(axis=1)
-    observed = floored[np.arange(T), s_idx]
-    if np.any(totals <= 0.0):
-        raise DegenerateDistributionError("a turn has no positive speaking score")
-    p = observed / totals
-    if np.any(p <= 0.0):
-        raise ZeroLikelihoodError("observed speaker has zero probability")
-    return p
-
-
-def nll_loss(U: np.ndarray, conversation: Conversation, eps: float = EPS_FLOOR) -> float:
-    """Mean per-turn negative log-likelihood of the conversation under U.
-
-    U stacks the score vectors u(t) row by row, shape (T, N). Scores of
-    eligible members are floored at ``eps`` before normalizing.
-    """
-    p = _floored_observed_probabilities(U, conversation, eps)
-    return float(-np.log(p).mean())
-
-
-def weighted_loss(U: np.ndarray, conversation: Conversation, eps: float = EPS_FLOOR) -> float:
-    """Class-weighted mean per-turn negative log-likelihood.
-
-    Each turn's -log p is scaled by the inverse-frequency weight of its turn
-    class, so rare patterns count as much as the ubiquitous floor turns.
-    """
-    p = _floored_observed_probabilities(U, conversation, eps)
-    gamma = class_weights(conversation).per_turn
-    return float((gamma * -np.log(p)).mean())
-
-
-def likelihood_sequence(params: ScoreParams, proclivity, conversation: Conversation) -> np.ndarray:
-    """Score vectors u(t) for every turn of a conversation, shape (T, N)."""
-    gaps = gap_matrix(conversation)
-    table = proclivity.table(int(gaps.max(initial=0)))
-    u = params.inherent + params.memory * table[gaps]
-    return np.where(gaps != 1, u, 0.0)
+    return len(conversation) / (len(TurnClass) * counts[classes])
 
 
 def sample_speaker(u: np.ndarray, rng: np.random.Generator) -> int:
@@ -343,11 +237,11 @@ def sample_conversation(
     if length < 1:
         raise ValueError("length must be at least 1")
     N = params.size
-    state = GapState.fresh(N)
+    last_spoke = np.zeros(N, dtype=int)  # 1-indexed turn, 0 before a first turn
     speakers = np.empty(length, dtype=int)
     for t in range(1, length + 1):
-        u = speaking_scores(params, proclivity, state.gaps(t))
-        speaker = sample_speaker(u, rng)
+        gaps = np.where(last_spoke > 0, t - last_spoke, NEVER)
+        speaker = sample_speaker(speaking_scores(params, proclivity, gaps), rng)
         speakers[t - 1] = speaker
-        state.record(t, speaker)
+        last_spoke[speaker - 1] = t
     return Conversation(speakers=speakers, group_size=N)

@@ -126,7 +126,6 @@ class FitConfig:
     patience: int = 20
     eps: float = EPS_FLOOR
     clip_norm: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.step, self.max_outer, self.score_epochs, self.proclivity_epochs) <= 0:
@@ -253,6 +252,33 @@ def _stack_scores(bundle: ModelBundle, stack: _Stack):
     return pi, d
 
 
+def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray, eps: float):
+    """Floored scores, turn totals and observed cells of one stack.
+
+    The one place the likelihood is computed: every cell scores
+    ``pi + d * w``, floored at ``eps``, and the previous speaker's cell is
+    zeroed. ``pi`` and ``d`` are (B, N) and ``w`` is ``table[gaps]``.
+    Returns the (B, N, T) floored scores, the (B, T) turn totals and the
+    (B, T) observed-speaker cells, so a turn's NLL is
+    ``log(total) - log(observed)``.
+    """
+    B, N, T = stack.gaps.shape
+    # Work on (B*N, T) rows: numpy broadcasts and reduces these much
+    # faster than the same memory viewed as (B, N, T).
+    floored = w.reshape(B * N, T) * d.reshape(-1, 1)
+    floored += pi.reshape(-1, 1)
+    np.maximum(floored, eps, out=floored)
+    cells = floored.reshape(-1)
+    cells[stack.ineligible] = 0.0
+    # Members are added one at a time in index order: a fixed summation
+    # order, and faster than sum(axis=1) over the (B, N, T) view.
+    by_member = floored.reshape(B, N, T)
+    totals = by_member[:, 0] + by_member[:, 1]
+    for n in range(2, N):
+        totals += by_member[:, n]
+    return by_member, totals, cells[stack.observed]
+
+
 def _batch_nll(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str | None):
     """Total NLL, total turns, and (optionally) gradients for one block.
 
@@ -272,21 +298,7 @@ def _batch_nll(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str | No
     for stack, w in zip(stacks, ws):
         B, N, T = stack.gaps.shape
         pi, d = _stack_scores(bundle, stack)
-        # Work on (B*N, T) rows: numpy broadcasts and reduces these much
-        # faster than the same memory viewed as (B, N, T).
-        w = w.reshape(B * N, T)
-        floored = w * d.reshape(-1, 1)
-        floored += pi.reshape(-1, 1)
-        np.maximum(floored, eps, out=floored)
-        cells = floored.reshape(-1)
-        cells[stack.ineligible] = 0.0
-        # Members are added one at a time in index order: a fixed summation
-        # order, and faster than sum(axis=1) over the (B, N, T) view.
-        by_member = floored.reshape(B, N, T)
-        totals = by_member[:, 0] + by_member[:, 1]
-        for n in range(2, N):
-            totals += by_member[:, n]
-        observed = cells[stack.observed]
+        by_member, totals, observed = _likelihood_pass(stack, w, pi, d, eps)
         total_nll += float(np.log(totals).sum() - np.log(observed).sum())
 
         if not (want_scores or want_proclivity):
@@ -301,7 +313,7 @@ def _batch_nll(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str | No
         )
         if want_scores:
             per_stack_dpi.append(du.sum(axis=1))
-            per_stack_dd.append(np.einsum("ij,ij->i", du, w))
+            per_stack_dd.append(np.einsum("ij,ij->i", du, w.reshape(B * N, T)))
         if want_proclivity:
             # Bin 0 gathers the never-spoken cells; it is dropped below.
             dtable += np.bincount(

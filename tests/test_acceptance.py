@@ -18,6 +18,7 @@ from turntaking import (
     ExperimentConfig,
     FitConfig,
     GradientSet,
+    Group,
     ModelBundle,
     Roster,
     ScoreParams,
@@ -26,15 +27,14 @@ from turntaking import (
     TurnClass,
     classify_turns,
     class_weights,
-    compute_gaps,
+    evaluate,
+    gap_matrix,
     generate_dataset,
-    likelihood_sequence,
-    nll_loss,
     run_experiment,
     sample_speaker,
     speaking_probabilities,
     speaking_scores,
-    weighted_loss,
+    true_model,
 )
 from turntaking.cli import main
 from turntaking.training import BLOCK_PROCLIVITY, BLOCK_SCORES, conversation_nll_gradients
@@ -55,7 +55,7 @@ def report_line(name, checks):
 @pytest.fixture(scope="module")
 def exp_report():
     config = ExperimentConfig(
-        synth=SynthConfig(proclivity="exp", master_seed=0), fit=FitConfig(seed=0)
+        synth=SynthConfig(proclivity="exp", master_seed=0), fit=FitConfig()
     )
     return run_experiment(config)
 
@@ -63,7 +63,7 @@ def exp_report():
 @pytest.fixture(scope="module")
 def sig_report():
     config = ExperimentConfig(
-        synth=SynthConfig(proclivity="sigmoid", master_seed=0), fit=FitConfig(seed=0)
+        synth=SynthConfig(proclivity="sigmoid", master_seed=0), fit=FitConfig()
     )
     return run_experiment(config)
 
@@ -85,9 +85,10 @@ def test_ac1_uniform_baseline_loss_is_analytic():
     round_robin = Conversation(
         speakers=np.arange(800) % 5 + 1, group_size=5
     )
+    roster = Roster(np.linspace(0.1, 1.0, 5))
     for label, conversation in (("sampled", synthetic), ("round robin", round_robin)):
-        params = ScoreParams(np.ones(5), np.zeros(5))
-        loss = nll_loss(likelihood_sequence(params, nm.proclivity, conversation), conversation)
+        group = Group(group_id=1, roster=roster, scores=None, conversation=conversation)
+        loss = evaluate(nm, [group]).nll
         checks.append(
             (f"{label} loss {loss!r} != ln4 + (ln5 - ln4)/800 within 1e-9",
              abs(loss - expected) < 1e-9)
@@ -269,6 +270,7 @@ def test_ac6_exhaustive_oracle_equivalence():
         (ExpDecayProclivity(), lambda g: math.exp(-g / 2)),
         (SigmoidProclivity(), lambda g: 0.95 / (1 + math.exp(-(10 - g / 2)))),
     ]
+    roster = Roster(np.array([0.2, 0.5, 0.8]))
     sequences = oracle.enumerate_all(3, 6)
     worst = 0.0
     classes_ok = True
@@ -277,23 +279,22 @@ def test_ac6_exhaustive_oracle_equivalence():
         conversation = Conversation(speakers=np.array(speakers), group_size=3)
         got_labels = [TurnClass(k).name.lower() for k in classify_turns(conversation)]
         classes_ok &= got_labels == oracle.class_labels(speakers)
-        gamma = class_weights(conversation).per_turn
+        gamma = class_weights(conversation)
         wmap = oracle.class_weight_map(speakers)
         expect_gamma = [float(wmap[c]) for c in oracle.class_labels(speakers)]
         worst = max(worst, float(np.max(np.abs(gamma - expect_gamma))))
+        group = Group(group_id=1, roster=roster, scores=params, conversation=conversation)
         for kind, w in kinds:
-            U = likelihood_sequence(params, kind, conversation)
+            U = speaking_scores(params, kind, gap_matrix(conversation))
             for t in range(1, len(speakers) + 1):
                 got_p = speaking_probabilities(U[t - 1])
                 expect_p = oracle.probabilities_at(pi, d, w, speakers, 3, t)
                 worst = max(worst, float(np.max(np.abs(got_p - expect_p))))
+            loss = evaluate(true_model([group], kind), [group])
             worst = max(
                 worst,
-                abs(nll_loss(U, conversation) - oracle.nll(pi, d, w, speakers, 3)),
-                abs(
-                    weighted_loss(U, conversation)
-                    - oracle.weighted_nll(pi, d, w, speakers, 3)
-                ),
+                abs(loss.nll - oracle.nll(pi, d, w, speakers, 3)),
+                abs(loss.nll_turn - oracle.weighted_nll(pi, d, w, speakers, 3)),
             )
     report_line(
         "AC-6",
@@ -315,7 +316,7 @@ def test_ac7_sampler_matches_analytic_probabilities():
         np.array([0.3, 0.6, 0.45, 0.2, 0.9]),
         np.array([1.5, 0.8, 2.0, 3.0, 0.5]),
     )
-    u = speaking_scores(params, ExpDecayProclivity(), compute_gaps(conversation, 5))
+    u = speaking_scores(params, ExpDecayProclivity(), gap_matrix(conversation, horizon=5)[-1])
     p = speaking_probabilities(u)
     draws = 100_000
     rng = np.random.default_rng(77)

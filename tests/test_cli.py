@@ -274,6 +274,18 @@ def test_eval_scores_truth_under_the_dataset_proclivity(capsys, tmp_path, tiny_c
     assert got != pytest.approx(evaluate(true_model(test, ExpDecayProclivity()), test).nll, abs=1e-6)
 
 
+def test_eval_truth_scores_for_too_few_members_is_usage_error(capsys, tmp_path, tiny_config):
+    data = make_data(capsys, tmp_path, tiny_config, members="4")
+    scores = data / "scores_test.csv"
+    header, *rows = scores.read_text(encoding="utf-8").splitlines()
+    kept = [row for row in rows if row.split(",")[1] == "1"]
+    scores.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm",
+                       "--out", tmp_path / "eval")
+    assert code == 2
+    assert "scores for 1 members, its roster 4" in err
+
+
 def test_eval_proclivity_conflicting_with_dataset_is_usage_error(capsys, tmp_path, tiny_config):
     data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
     cfg = tmp_path / "exp.cfg"

@@ -1,6 +1,8 @@
 """Evaluation summaries, true-model ceilings, curves, and experiment runs."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -311,3 +313,11 @@ def test_parallel_trials_match_sequential():
         for variant in ts.losses:
             assert ts.losses[variant].nll == tp.losses[variant].nll
             assert ts.losses[variant].nll_turn == tp.losses[variant].nll_turn
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    # Only parallel runs pay for importing the process pool.
+    code = "import sys, turntaking; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,8 @@
-"""Core model: gaps, scores, probabilities, turn classes, losses, sampling."""
+"""Core model: gaps, scores, probabilities, turn classes, losses, sampling.
+
+Losses are checked through ``evaluate`` with fixed ground-truth scores, the
+public entry to the one likelihood pass.
+"""
 
 import math
 
@@ -7,30 +11,27 @@ import pytest
 
 import oracle
 from turntaking import (
+    EPS_FLOOR,
     NEVER,
-    ClassWeights,
     Conversation,
     DegenerateDistributionError,
     ExpDecayProclivity,
-    GapState,
+    Group,
     Roster,
     ScoreParams,
     SigmoidProclivity,
     TurnClass,
     ZeroLikelihoodError,
+    ZeroProclivity,
     class_weights,
-    classify_turn,
     classify_turns,
-    compute_gaps,
+    evaluate,
     gap_matrix,
-    likelihood_sequence,
-    next_speaker,
-    nll_loss,
     sample_conversation,
     sample_speaker,
     speaking_probabilities,
     speaking_scores,
-    weighted_loss,
+    true_model,
 )
 
 W_EXP = ExpDecayProclivity()
@@ -50,6 +51,23 @@ def random_conversation(rng, group_size, length):
         choices = [m for m in range(1, group_size + 1) if m != speakers[-1]]
         speakers.append(int(rng.choice(choices)))
     return conv(speakers, group_size)
+
+
+def gaps_at(c, t):
+    """Per-member gaps at turn t, which may run to T + 1."""
+    return gap_matrix(c, horizon=t)[-1]
+
+
+def losses(params, proclivity, c):
+    """(nll, nll_turn) of one conversation under fixed scores, via evaluate."""
+    group = Group(
+        group_id=1,
+        roster=Roster(np.linspace(0.1, 1.0, c.group_size)),
+        scores=params,
+        conversation=c,
+    )
+    row = evaluate(true_model([group], proclivity), [group]).groups[0]
+    return row.nll, row.nll_turn
 
 
 def random_params(rng, size):
@@ -119,27 +137,27 @@ def test_score_params_scaled():
 
 def test_compute_gaps_hand_example():
     c = conv([1, 2, 1, 3, 2], 3)
-    assert compute_gaps(c, 6).tolist() == [3, 1, 2]
+    assert gaps_at(c, 6).tolist() == [3, 1, 2]
 
 
 def test_compute_gaps_never_spoken_sentinel():
     c = conv([1, 2], 3)
-    gaps = compute_gaps(c, 3)
+    gaps = gaps_at(c, 3)
     assert gaps.tolist() == [2, 1, NEVER]
 
 
 def test_compute_gaps_first_turn_all_never():
     c = conv([1, 2], 4)
-    assert compute_gaps(c, 1).tolist() == [NEVER] * 4
+    assert gaps_at(c, 1).tolist() == [NEVER] * 4
 
 
 def test_compute_gaps_allows_t_after_last_turn():
     c = conv([1, 2, 3], 3)
-    assert compute_gaps(c, 4).tolist() == [3, 2, 1]
+    assert gaps_at(c, 4).tolist() == [3, 2, 1]
     with pytest.raises(ValueError):
-        compute_gaps(c, 5)
+        gaps_at(c, 5)
     with pytest.raises(ValueError):
-        compute_gaps(c, 0)
+        gaps_at(c, 0)
 
 
 def test_gaps_match_oracle_on_random_conversations():
@@ -153,30 +171,26 @@ def test_gaps_match_oracle_on_random_conversations():
                 g if g is not None else NEVER
                 for g in oracle.gaps_at(c.speakers.tolist(), N, t)
             ]
-            assert compute_gaps(c, t).tolist() == expected
+            assert gaps_at(c, t).tolist() == expected
 
 
 def test_gap_matrix_stacks_compute_gaps():
     rng = np.random.default_rng(2)
     for _ in range(20):
         c = random_conversation(rng, 4, int(rng.integers(1, 12)))
+        speakers = c.speakers.tolist()
+
+        def expected(t):
+            return [g if g is not None else NEVER for g in oracle.gaps_at(speakers, 4, t)]
+
         M = gap_matrix(c)
         assert M.shape == (len(c), 4)
         for t in range(1, len(c) + 1):
-            assert M[t - 1].tolist() == compute_gaps(c, t).tolist()
+            assert M[t - 1].tolist() == expected(t)
         ahead = gap_matrix(c, horizon=len(c) + 1)
-        assert ahead[-1].tolist() == compute_gaps(c, len(c) + 1).tolist()
+        assert ahead[-1].tolist() == expected(len(c) + 1)
         assert np.array_equal(ahead[:-1], M)
-        assert gap_matrix(c, horizon=1).tolist() == [compute_gaps(c, 1).tolist()]
-
-
-def test_gap_state_incremental():
-    state = GapState.fresh(3)
-    assert state.gaps(1).tolist() == [NEVER] * 3
-    state.record(1, 2)
-    assert state.gaps(2).tolist() == [NEVER, 1, NEVER]
-    state.record(2, 3)
-    assert state.gaps(3).tolist() == [NEVER, 2, 1]
+        assert gap_matrix(c, horizon=1).tolist() == [expected(1)]
 
 
 # ------------------------------------------------------------------- scores
@@ -195,7 +209,7 @@ def test_previous_speaker_scores_zero():
         c = random_conversation(rng, N, int(rng.integers(2, 12)))
         params = random_params(rng, N)
         for t in range(2, len(c) + 1):
-            u = speaking_scores(params, W_EXP, compute_gaps(c, t))
+            u = speaking_scores(params, W_EXP, gaps_at(c, t))
             assert u[c.speakers[t - 2] - 1] == 0.0
 
 
@@ -212,7 +226,7 @@ def test_scores_match_oracle_on_random_conversations():
         c = random_conversation(rng, N, int(rng.integers(1, 12)))
         params = random_params(rng, N)
         for t in range(1, len(c) + 1):
-            u = speaking_scores(params, W_EXP, compute_gaps(c, t))
+            u = speaking_scores(params, W_EXP, gaps_at(c, t))
             expected = oracle.scores_at(
                 params.inherent.tolist(),
                 params.memory.tolist(),
@@ -241,7 +255,7 @@ def test_probabilities_sum_to_one_and_nonnegative():
         N = int(rng.integers(2, 7))
         c = random_conversation(rng, N, int(rng.integers(1, 20)))
         params = random_params(rng, N)
-        U = likelihood_sequence(params, W_SIG, c)
+        U = speaking_scores(params, W_SIG, gap_matrix(c))
         for row in U:
             p = speaking_probabilities(row)
             assert np.all(p >= 0)
@@ -265,23 +279,16 @@ def test_scale_invariance_of_probabilities_and_losses():
         c = random_conversation(rng, N, int(rng.integers(2, 15)))
         params = random_params(rng, N)
         factor = float(rng.uniform(0.1, 40.0))
-        U = likelihood_sequence(params, W_EXP, c)
-        V = likelihood_sequence(params.scaled(factor), W_EXP, c)
+        U = speaking_scores(params, W_EXP, gap_matrix(c))
+        V = speaking_scores(params.scaled(factor), W_EXP, gap_matrix(c))
         for a, b in zip(U, V):
             assert speaking_probabilities(a) == pytest.approx(
                 speaking_probabilities(b), abs=1e-10
             )
-        assert nll_loss(U, c, eps=0.0) == pytest.approx(nll_loss(V, c, eps=0.0), abs=1e-10)
-        assert weighted_loss(U, c, eps=0.0) == pytest.approx(
-            weighted_loss(V, c, eps=0.0), abs=1e-10
+        # Every score is at least 0.2 * 0.1, so the eps floor never binds.
+        assert losses(params, W_EXP, c) == pytest.approx(
+            losses(params.scaled(factor), W_EXP, c), abs=1e-10
         )
-
-
-def test_next_speaker_breaks_ties_at_lowest_member():
-    assert next_speaker(np.array([0.2, 0.7, 0.7])) == 2
-    assert next_speaker(np.array([0.7, 0.2, 0.7])) == 1
-    with pytest.raises(DegenerateDistributionError):
-        next_speaker(np.zeros(4))
 
 
 # ------------------------------------------------------------- turn classes
@@ -296,7 +303,6 @@ def test_classify_hand_example():
         TurnClass.BROKEN_FLOOR,
         TurnClass.REGAIN,
     ]
-    assert [classify_turn(c, t) for t in range(1, 6)] == expected
     assert classify_turns(c).tolist() == [int(k) for k in expected]
 
 
@@ -304,8 +310,7 @@ def test_first_two_turns_are_always_nonfloor():
     rng = np.random.default_rng(7)
     for _ in range(20):
         c = random_conversation(rng, 4, int(rng.integers(2, 10)))
-        assert classify_turn(c, 1) is TurnClass.NONFLOOR
-        assert classify_turn(c, 2) is TurnClass.NONFLOOR
+        assert classify_turns(c)[:2].tolist() == [TurnClass.NONFLOOR] * 2
 
 
 def test_classification_matches_oracle_exhaustively():
@@ -316,28 +321,18 @@ def test_classification_matches_oracle_exhaustively():
         assert got == expected, f"sequence {seq}"
 
 
-def test_classify_turn_rejects_out_of_range():
-    c = conv([1, 2], 3)
-    with pytest.raises(ValueError):
-        classify_turn(c, 0)
-    with pytest.raises(ValueError):
-        classify_turn(c, 3)
-
-
 def test_class_weights_hand_example():
     c = conv([1, 2, 1, 3, 2], 3)
-    cw = class_weights(c)
-    assert isinstance(cw, ClassWeights)
-    assert cw.counts.tolist() == [1, 1, 1, 2]
-    assert cw.per_turn == pytest.approx([0.625, 0.625, 1.25, 1.25, 1.25], abs=1e-12)
-    assert cw.per_turn.sum() == pytest.approx(len(c), abs=1e-12)
+    assert np.bincount(classify_turns(c), minlength=4).tolist() == [1, 1, 1, 2]
+    gamma = class_weights(c)
+    assert gamma == pytest.approx([0.625, 0.625, 1.25, 1.25, 1.25], abs=1e-12)
+    assert gamma.sum() == pytest.approx(len(c), abs=1e-12)
 
 
 def test_class_weights_single_class():
     c = conv([1, 2, 3, 1, 2, 3, 1, 2], 3)
-    cw = class_weights(c)
-    assert cw.counts.tolist() == [0, 0, 0, 8]
-    assert np.all(cw.per_turn == 0.25)
+    assert np.bincount(classify_turns(c), minlength=4).tolist() == [0, 0, 0, 8]
+    assert np.all(class_weights(c) == 0.25)
 
 
 def test_class_weights_match_oracle_exhaustively():
@@ -346,7 +341,7 @@ def test_class_weights_match_oracle_exhaustively():
         weights = oracle.class_weight_map(list(seq))
         labels = oracle.class_labels(list(seq))
         expected = [float(weights[name]) for name in labels]
-        assert class_weights(c).per_turn == pytest.approx(expected, abs=1e-12)
+        assert class_weights(c) == pytest.approx(expected, abs=1e-12)
 
 
 # -------------------------------------------------------------------- losses
@@ -358,10 +353,9 @@ def test_uniform_scores_give_analytic_loss():
     for N, T in ((5, 10), (3, 7), (4, 1)):
         rng = np.random.default_rng(N * 100 + T)
         c = random_conversation(rng, N, T)
-        U = np.ones((T, N))
-        U[np.arange(1, T), c.speakers[:-1] - 1] = 0.0
+        params = ScoreParams(inherent=np.ones(N), memory=np.zeros(N))
         expected = math.log(N - 1) + (math.log(N) - math.log(N - 1)) / T
-        assert nll_loss(U, c) == pytest.approx(expected, abs=1e-12)
+        assert losses(params, ZeroProclivity(), c)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_losses_match_oracle_exhaustively():
@@ -370,11 +364,9 @@ def test_losses_match_oracle_exhaustively():
     params = ScoreParams(inherent=np.array(pi), memory=np.array(d))
     for seq in oracle.enumerate_all(3, 5):
         c = conv(list(seq), 3)
-        U = likelihood_sequence(params, W_EXP, c)
-        assert nll_loss(U, c, eps=0.0) == pytest.approx(
-            oracle.nll(pi, d, ORACLE_EXP, list(seq), 3), abs=1e-12
-        )
-        assert weighted_loss(U, c, eps=0.0) == pytest.approx(
+        nll, nll_turn = losses(params, W_EXP, c)
+        assert nll == pytest.approx(oracle.nll(pi, d, ORACLE_EXP, list(seq), 3), abs=1e-12)
+        assert nll_turn == pytest.approx(
             oracle.weighted_nll(pi, d, ORACLE_EXP, list(seq), 3), abs=1e-12
         )
 
@@ -385,13 +377,13 @@ def test_losses_match_oracle_on_random_sigmoid_instances():
         N = int(rng.integers(2, 6))
         c = random_conversation(rng, N, int(rng.integers(1, 20)))
         params = random_params(rng, N)
-        U = likelihood_sequence(params, W_SIG, c)
+        nll, nll_turn = losses(params, W_SIG, c)
         speakers = c.speakers.tolist()
-        assert nll_loss(U, c, eps=0.0) == pytest.approx(
+        assert nll == pytest.approx(
             oracle.nll(params.inherent.tolist(), params.memory.tolist(), ORACLE_SIG, speakers, N),
             abs=1e-12,
         )
-        assert weighted_loss(U, c, eps=0.0) == pytest.approx(
+        assert nll_turn == pytest.approx(
             oracle.weighted_nll(
                 params.inherent.tolist(), params.memory.tolist(), ORACLE_SIG, speakers, N
             ),
@@ -400,37 +392,33 @@ def test_losses_match_oracle_on_random_sigmoid_instances():
 
 
 def test_eps_floor_keeps_observed_zero_finite():
-    # Member 2 speaks at turn 2 with score zero; flooring the eligible scores
+    # Member 2 scores zero and speaks at turn 2; flooring the eligible scores
     # turns -log 0 into a large but finite penalty with a closed form.
     c = conv([1, 2], 3)
-    U = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    for eps in (1e-8, 1e-6):
-        expected = (math.log(3) - math.log(eps / (1 + eps))) / 2
-        assert nll_loss(U, c, eps=eps) == pytest.approx(expected, rel=1e-12)
+    params = ScoreParams(inherent=np.array([1.0, 0.0, 1.0]), memory=np.zeros(3))
+    eps = EPS_FLOOR
+    expected = (math.log(2 + eps) + math.log(1 + eps) - math.log(eps)) / 2
+    nll, nll_turn = losses(params, W_EXP, c)
+    assert nll == pytest.approx(expected, rel=1e-12)
     # Both turns are NONFLOOR, so the weights are uniform at 2 / (4 * 2).
-    assert weighted_loss(U, c, eps=1e-8) == pytest.approx(
-        0.25 * nll_loss(U, c, eps=1e-8), rel=1e-12
-    )
+    assert nll_turn == pytest.approx(0.25 * nll, rel=1e-12)
 
 
-def test_zero_eps_raises_on_zero_observed():
-    c = conv([1, 2], 3)
-    U = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+def test_overflowing_scores_raise_zero_likelihood():
+    # Finite scores whose turn totals overflow leave no finite likelihood.
+    c = conv([1, 2, 3], 3)
+    params = ScoreParams(inherent=np.full(3, 1e308), memory=np.zeros(3))
     with pytest.raises(ZeroLikelihoodError):
-        nll_loss(U, c, eps=0.0)
-
-
-def test_loss_raises_when_all_scores_zero_without_floor():
-    c = conv([1, 2], 2)
-    U = np.zeros((2, 2))
-    with pytest.raises(DegenerateDistributionError):
-        nll_loss(U, c, eps=0.0)
+        losses(params, W_EXP, c)
 
 
 def test_loss_shape_mismatch_rejected():
-    c = conv([1, 2], 3)
-    with pytest.raises(ValueError):
-        nll_loss(np.ones((2, 2)), c)
+    # Scores for fewer (or more) members than the group must not broadcast.
+    c = conv([1, 2, 3, 1], 3)
+    for size in (1, 2, 4):
+        params = ScoreParams(inherent=np.ones(size), memory=np.ones(size))
+        with pytest.raises(ValueError, match="scores for 3 members"):
+            losses(params, W_EXP, c)
 
 
 def test_likelihood_sequence_matches_per_turn_scores():
@@ -439,9 +427,9 @@ def test_likelihood_sequence_matches_per_turn_scores():
         N = int(rng.integers(2, 6))
         c = random_conversation(rng, N, int(rng.integers(1, 15)))
         params = random_params(rng, N)
-        U = likelihood_sequence(params, W_SIG, c)
+        U = speaking_scores(params, W_SIG, gap_matrix(c))
         for t in range(1, len(c) + 1):
-            u = speaking_scores(params, W_SIG, compute_gaps(c, t))
+            u = speaking_scores(params, W_SIG, gaps_at(c, t))
             assert U[t - 1] == pytest.approx(u, abs=1e-15)
 
 

@@ -8,13 +8,13 @@ import pytest
 from turntaking import (
     SynthConfig,
     d_of_trait,
+    evaluate,
     generate_dataset,
-    likelihood_sequence,
-    nll_loss,
     pi_of_trait,
     sample_traits,
     substream,
     traits_to_scores,
+    true_model,
 )
 from turntaking.synthgen import STREAM_CONV, STREAM_TRAITS, make_group
 
@@ -201,10 +201,7 @@ def test_ground_truth_loss_sits_in_plausible_band():
     config = SynthConfig()
     data = generate_dataset(config, trial=1)
     prox = by_name(config.proclivity)
-    losses = [
-        nll_loss(likelihood_sequence(g.scores, prox, g.conversation), g.conversation)
-        for g in data.test
-    ]
+    losses = [row.nll for row in evaluate(true_model(data.test, prox), data.test).groups]
     assert 0.85 <= float(np.mean(losses)) <= 1.35
 
 

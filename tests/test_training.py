@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
+import oracle
 from turntaking import (
     Conversation,
     ExpDecayProclivity,
     FitConfig,
+    Group,
     LearnedProclivity,
     ModelBundle,
     Roster,
     TrainingSet,
     ZeroProclivity,
     conversation_nll_gradients,
+    evaluate,
     fit,
-    likelihood_sequence,
-    nll_loss,
     predict_scores,
     sample_conversation,
     traits_to_scores,
@@ -32,11 +33,10 @@ from turntaking.training import (
 )
 
 
-def bundle_loss(bundle, roster, conversation, eps=1e-8):
-    """Mean per-turn NLL through the public single-conversation path."""
-    params = predict_scores(bundle, roster)
-    U = likelihood_sequence(params, bundle.proclivity, conversation)
-    return nll_loss(U, conversation, eps=eps)
+def bundle_loss(bundle, roster, conversation):
+    """Mean per-turn NLL of one conversation through the public ``evaluate``."""
+    group = Group(group_id=1, roster=roster, scores=None, conversation=conversation)
+    return evaluate(bundle, [group]).nll
 
 
 def make_pair(rng, members=3, turns=12):
@@ -212,11 +212,23 @@ def test_first_turn_only_conversation_trains_inherent_scores_only():
 
 
 def test_batched_loss_matches_public_path():
+    # Checked against the oracle, not evaluate: evaluate runs the same pass.
     rng = np.random.default_rng(45)
     bundle = warmed_bundle(rng)
     pairs = [make_pair(rng, members=3, turns=8) for _ in range(3)]
     stacks = _build_stacks(pairs)
-    per_group = [bundle_loss(bundle, r, c) for r, c in pairs]
+    per_group = []
+    for roster, conversation in pairs:
+        params = predict_scores(bundle, roster)
+        per_group.append(
+            oracle.nll(
+                params.inherent.tolist(),
+                params.memory.tolist(),
+                bundle.proclivity,
+                conversation.speakers.tolist(),
+                roster.size,
+            )
+        )
     assert _mean_nll(bundle, stacks, 1e-8) == pytest.approx(np.mean(per_group), abs=1e-12)
 
 

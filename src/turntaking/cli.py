@@ -261,12 +261,17 @@ def cmd_fit(args) -> int:
         out,
         _manifest_entries(
             "fit", config,
-            {"variant": args.variant, "data": args.data, "best_outer": result.best_outer},
+            {
+                "variant": args.variant,
+                "data": args.data,
+                "best_outer": result.best_outer,
+                "stop_reason": result.stop_reason,
+            },
         ),
     )
     log.info(
-        "fit %s: %d outer iterations, best validation loss %.6f at iteration %d",
-        args.variant, len(result.history) - 1,
+        "fit %s: %d outer iterations (stopped on %s), best validation loss %.6f at iteration %d",
+        args.variant, len(result.history) - 1, result.stop_reason,
         min(row[2] for row in result.history), result.best_outer,
     )
     return EXIT_OK

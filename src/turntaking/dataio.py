@@ -8,6 +8,7 @@ turns, layers) are 1-based in files regardless of internal representation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import os
@@ -43,9 +44,25 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+@contextlib.contextmanager
 def _open_writer(path):
-    handle = open(path, "w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+    """A CSV writer whose file replaces ``path`` only once it is complete.
+
+    Rows go to a temp file in the same directory, which ``os.replace``
+    moves into place when the block exits normally. If the block raises,
+    the temp file is removed and any previous file at ``path`` is left
+    as it was, so an interrupted run never leaves a truncated artifact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    handle = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            yield csv.writer(handle, lineterminator="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_rows(path, expected_header):
@@ -84,8 +101,7 @@ def _parse(path, lineno, raw, kind):
 
 
 def write_rosters(path, groups) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(ROSTER_HEADER)
         for group in groups:
             for member, trait in enumerate(group.roster.traits, start=1):
@@ -112,8 +128,7 @@ def read_rosters(path) -> dict:
 
 
 def write_conversations(path, groups) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(CONVERSATION_HEADER)
         for group in groups:
             for turn, speaker in enumerate(group.conversation.speakers, start=1):
@@ -140,8 +155,7 @@ def read_conversations(path) -> dict:
 
 
 def write_true_scores(path, groups) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(SCORES_HEADER)
         for group in groups:
             if group.scores is None:
@@ -237,8 +251,7 @@ def read_dataset(directory) -> SynthDataset:
 
 
 def write_net(path, net: DenseNet) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(NET_HEADER)
         for layer, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
             for r in range(w.shape[0]):
@@ -289,8 +302,7 @@ def read_net(path, activation: str = "tanh") -> DenseNet:
 
 
 def write_history(path, history) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(HISTORY_HEADER)
         for outer, train_loss, val_loss in history:
             writer.writerow([int(outer), _fmt(train_loss), _fmt(val_loss)])
@@ -323,8 +335,7 @@ def write_report(path, report: EvalReport) -> None:
     metric names plus raw across-group sums under *_sum. Failed cells get a
     single row with metric "failed" and the diagnostic as the value.
     """
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(REPORT_HEADER)
         for trial_result in report.trials:
             for variant in _report_variants(report):
@@ -358,8 +369,7 @@ def write_report(path, report: EvalReport) -> None:
 
 def write_summary(path, report: EvalReport) -> None:
     """Boxplot statistics over trial aggregates, failures excluded."""
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(SUMMARY_HEADER)
         for variant in _report_variants(report):
             for metric in ("nll", "nll_turn"):
@@ -388,8 +398,7 @@ def read_report(path) -> list:
 
 
 def write_curve(path, curve: ProclivityCurve) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as writer:
         writer.writerow(CURVE_HEADER)
         for delta, value in zip(curve.gaps, curve.values):
             writer.writerow([int(delta), _fmt(value)])

@@ -158,10 +158,14 @@ def evaluate(model, groups) -> EvalSummary:
         stacks = _build_stacks([(group.roster, conversation)])
         (stack,) = stacks
         (w,) = stacks.gather(model.proclivity)
-        _, totals, observed = _likelihood_pass(
-            stack, w, scores.inherent[None], scores.memory[None], EPS_FLOOR
-        )
-        turn_nll = np.log(totals[0]) - np.log(observed[0])
+        # Finite scores can still overflow the turn totals; the loss check
+        # below reports that as ZeroLikelihoodError, so numpy's own warning
+        # would only be noise ahead of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, totals, observed = _likelihood_pass(
+                stack, w, scores.inherent[None], scores.memory[None], EPS_FLOOR
+            )
+            turn_nll = np.log(totals[0]) - np.log(observed[0])
         nll = float(turn_nll.mean())
         if not np.isfinite(nll):
             raise ZeroLikelihoodError(f"group {group.group_id}: non-finite loss {nll}")

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 def sigmoid(z):
-    """Logistic function, evaluated piecewise to stay finite for large |z|."""
+    """Logistic function, evaluated piecewise to stay finite for large |z|.
+
+    Both branches use ``e = exp(-|z|)``, which never overflows: 1/(1+e) for
+    z >= 0 and e/(1+e) below.
+    """
     arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    e = np.exp(-np.abs(arr))
+    denom = 1.0 + e
+    out = np.where(arr >= 0, 1.0 / denom, e / denom)
+    return float(out) if arr.ndim == 0 else out
 
 
 _ACTIVATIONS = {
@@ -48,7 +48,7 @@ class DenseNet:
         for W, b in zip(self.weights, self.biases):
             if W.shape[0] != b.shape[0]:
                 raise ValueError("bias length must match the layer's output size")
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
                 raise ValueError("parameters must be finite")
 
     @property
@@ -153,7 +153,7 @@ def _forward_cached(net: DenseNet, x):
         a = sigmoid(z) if l == last else act(z)
         pre.append(z)
         acts.append(a)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise FloatingPointError("non-finite value in forward pass")
     out = a[:, 0] if a.shape[1] == 1 else a
     if scalar:
@@ -167,7 +167,16 @@ def backward(net: DenseNet, x, upstream) -> GradientSet:
     ``upstream`` carries d(loss)/d(output) per input row; the result is the
     exact chain-ruled loss gradient accumulated over the batch.
     """
-    _, (pre, acts) = _forward_cached(net, x)
+    return _backward_cached(net, _forward_cached(net, x)[1], upstream)
+
+
+def _backward_cached(net: DenseNet, cache, upstream) -> GradientSet:
+    """``backward`` from the ``(pre, acts)`` a ``_forward_cached`` call kept.
+
+    Lets a caller that already ran the forward pass on ``x`` differentiate
+    without running it again.
+    """
+    pre, acts = cache
     up = np.asarray(upstream, dtype=float)
     B = acts[0].shape[0]
     out_dim = net.weights[-1].shape[0]
@@ -176,14 +185,16 @@ def backward(net: DenseNet, x, upstream) -> GradientSet:
 
     y = acts[-1]
     dz = up * y * (1.0 - y)  # sigmoid head
-    grads = GradientSet.zeros_like(net)
-    for l in range(len(net.weights) - 1, -1, -1):
-        grads.weights[l][...] = dz.T @ acts[l]
-        grads.biases[l][...] = dz.sum(axis=0)
+    layers = len(net.weights)
+    weights = [None] * layers
+    biases = [None] * layers
+    for l in range(layers - 1, -1, -1):
+        weights[l] = dz.T @ acts[l]
+        biases[l] = dz.sum(axis=0)
         if l > 0:
             da = dz @ net.weights[l]
             dz = da * act_prime(pre[l - 1], acts[l])
-    return grads
+    return GradientSet(weights=weights, biases=biases)
 
 
 def apply_update(net: DenseNet, grads: GradientSet, step: float) -> DenseNet:

@@ -27,7 +27,16 @@ from .model import (
     ScoreParams,
     gap_matrix,
 )
-from .neural import DenseNet, GradientSet, apply_update, backward, clip_gradients, init_net
+from .neural import (
+    DenseNet,
+    GradientSet,
+    _backward_cached,
+    _forward_cached,
+    apply_update,
+    backward,
+    clip_gradients,
+    init_net,
+)
 from .proclivity import (
     DEFAULT_DELTA_SCALE,
     ExpDecayProclivity,
@@ -150,11 +159,17 @@ class TrainingSet:
 
 @dataclass
 class FitResult:
-    """Fitted bundle plus (outer_iter, train_loss, val_loss) history rows."""
+    """Fitted bundle plus (outer_iter, train_loss, val_loss) history rows.
+
+    ``stop_reason`` says why the fit ended: ``"patience"`` when validation
+    stopped improving, ``"max_outer"`` at the iteration cap, and ``None``
+    for the variants that have nothing to fit.
+    """
 
     bundle: ModelBundle
     history: list
     best_outer: int = 0
+    stop_reason: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +203,14 @@ class _Stack:
 
 
 class _Stacks:
-    """The stacks of one data split, plus the proclivity gathered onto them.
+    """The stacks of one data split, plus the model outputs cached on them.
 
     ``gather`` builds the proclivity table and ``W = table[gaps]`` per stack
     and reuses them for as long as the same proclivity object comes back.
-    Proclivities are immutable values, and the cache holds a reference to
-    the one it was built from, so identity is a safe key.
+    ``scores`` does the same for the score nets' outputs and activations,
+    keyed on the ``f_net``/``g_net`` pair. Proclivities and nets are
+    immutable values, and each cache holds a reference to what it was built
+    from, so identity is a safe key.
     """
 
     def __init__(self, stacks: list):
@@ -202,6 +219,8 @@ class _Stacks:
         self.turns = sum(s.gaps.shape[0] * s.gaps.shape[2] for s in stacks)
         self._proclivity = None
         self._w: list = []
+        self._nets = None
+        self._scores: list = []
 
     def __iter__(self):
         return iter(self.stacks)
@@ -213,6 +232,22 @@ class _Stacks:
             self._w = [table[s.gaps] for s in self.stacks]
             self._proclivity = proclivity
         return self._w
+
+    def scores(self, bundle: ModelBundle) -> list:
+        """``(pi, d, f activations, g activations)`` for every stack.
+
+        Learnable variants reuse the last result while their nets stay the
+        same objects, so the nets run once per parameter value. ``nm`` and
+        ``hm`` both have no nets; their constant scores are never cached,
+        so the two can never share an entry.
+        """
+        if bundle.variant not in LEARNABLE_VARIANTS:
+            return [_stack_scores(bundle, s) for s in self.stacks]
+        nets = (bundle.f_net, bundle.g_net)
+        if self._nets is None or nets[0] is not self._nets[0] or nets[1] is not self._nets[1]:
+            self._scores = [_stack_scores(bundle, s) for s in self.stacks]
+            self._nets = nets
+        return self._scores
 
 
 def _build_stacks(pairs) -> _Stacks:
@@ -227,7 +262,7 @@ def _build_stacks(pairs) -> _Stacks:
         # Flat index of member 0's cell at each turn; member n sits n*T on.
         base = np.arange(len(members))[:, None] * (N * T) + np.arange(T)
         # The copy is C-ordered: the flat indices, and the in-place writes
-        # through reshape(-1) views in _batch_nll, rely on it.
+        # through reshape(-1) views in the likelihood pass, rely on it.
         gaps = np.stack([gap_matrix(c) for _, c in members]).transpose(0, 2, 1).copy()
         stacks.append(
             _Stack(
@@ -241,15 +276,16 @@ def _build_stacks(pairs) -> _Stacks:
 
 
 def _stack_scores(bundle: ModelBundle, stack: _Stack):
+    """(B, N) scores of one stack, plus the activations backward needs."""
     B, N = stack.traits.shape
     if bundle.variant == "nm":
-        return np.full((B, N), NM_INHERENT), np.full((B, N), NM_MEMORY)
+        return np.full((B, N), NM_INHERENT), np.full((B, N), NM_MEMORY), None, None
     if bundle.variant == "hm":
-        return np.full((B, N), HM_INHERENT), np.full((B, N), HM_MEMORY)
+        return np.full((B, N), HM_INHERENT), np.full((B, N), HM_MEMORY), None, None
     flat = stack.traits.ravel()
-    pi = np.asarray(bundle.f_net.forward(flat)).reshape(B, N)
-    d = np.asarray(bundle.g_net.forward(flat)).reshape(B, N)
-    return pi, d
+    pi, f_cache = _forward_cached(bundle.f_net, flat)
+    d, g_cache = _forward_cached(bundle.g_net, flat)
+    return pi.reshape(B, N), d.reshape(B, N), f_cache, g_cache
 
 
 def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray, eps: float):
@@ -279,42 +315,53 @@ def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray
     return by_member, totals, cells[stack.observed]
 
 
-def _batch_nll(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str | None):
-    """Total NLL, total turns, and (optionally) gradients for one block.
+def _mean_nll(bundle: ModelBundle, stacks: _Stacks, eps: float) -> float:
+    """Mean per-turn NLL over every stack of a split; no gradients."""
+    total_nll = 0.0
+    ws = stacks.gather(bundle.proclivity)
+    for stack, w, (pi, d, _, _) in zip(stacks, ws, stacks.scores(bundle)):
+        _, totals, observed = _likelihood_pass(stack, w, pi, d, eps)
+        total_nll += float(np.log(totals).sum() - np.log(observed).sum())
+    return total_nll / stacks.turns
+
+
+def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str) -> dict:
+    """Gradients of the mean per-turn NLL for one block; no loss.
 
     Gradients come back as a dict keyed by component name ("f", "g", "nu"),
     already scaled to the mean-per-turn objective; the dict is empty when the
-    active block holds no learnable parameters.
+    active block holds no learnable parameters. The score nets are
+    differentiated from the activations their cached forward pass kept.
     """
-    ws = stacks.gather(bundle.proclivity)
-
-    total_nll = 0.0
     want_scores = block == BLOCK_SCORES and bundle.variant in LEARNABLE_VARIANTS
     want_proclivity = block == BLOCK_PROCLIVITY and bundle.learns_proclivity
-    per_stack_dpi = []
-    per_stack_dd = []
-    dtable = np.zeros(stacks.max_gap + 1)
+    if not (want_scores or want_proclivity):
+        return {}
+    scale = 1.0 / stacks.turns
+    if want_scores:
+        gf = GradientSet.zeros_like(bundle.f_net)
+        gg = GradientSet.zeros_like(bundle.g_net)
+    else:
+        dtable = np.zeros(stacks.max_gap + 1)
 
-    for stack, w in zip(stacks, ws):
+    ws = stacks.gather(bundle.proclivity)
+    for stack, w, (pi, d, f_cache, g_cache) in zip(stacks, ws, stacks.scores(bundle)):
         B, N, T = stack.gaps.shape
-        pi, d = _stack_scores(bundle, stack)
         by_member, totals, observed = _likelihood_pass(stack, w, pi, d, eps)
-        total_nll += float(np.log(totals).sum() - np.log(observed).sum())
-
-        if not (want_scores or want_proclivity):
-            continue
         # d(nll)/du: 1/total on every cell the floor leaves differentiable
         # (which excludes the zeroed previous speaker), minus 1/observed on
-        # the observed speaker's cell.
+        # the observed speaker's cell. inv_totals is finite and nonnegative,
+        # so the masked product is exactly inv_totals or 0.0.
         inv_totals = 1.0 / totals
-        du = np.where(by_member > eps, inv_totals[:, None, :], 0.0).reshape(B * N, T)
+        du = ((by_member > eps) * inv_totals[:, None, :]).reshape(B * N, T)
         du.reshape(-1)[stack.observed] = np.where(
             observed > eps, inv_totals - 1.0 / observed, 0.0
         )
         if want_scores:
-            per_stack_dpi.append(du.sum(axis=1))
-            per_stack_dd.append(np.einsum("ij,ij->i", du, w.reshape(B * N, T)))
-        if want_proclivity:
+            gf.add(_backward_cached(bundle.f_net, f_cache, du.sum(axis=1) * scale))
+            dd = np.einsum("ij,ij->i", du, w.reshape(B * N, T))
+            gg.add(_backward_cached(bundle.g_net, g_cache, dd * scale))
+        else:
             # Bin 0 gathers the never-spoken cells; it is dropped below.
             dtable += np.bincount(
                 stack.gaps.ravel(),
@@ -322,31 +369,13 @@ def _batch_nll(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str | No
                 minlength=dtable.size,
             )
 
-    grads: dict = {}
-    scale = 1.0 / stacks.turns
     if want_scores:
-        gf = GradientSet.zeros_like(bundle.f_net)
-        gg = GradientSet.zeros_like(bundle.g_net)
-        for stack, dpi, dd in zip(stacks, per_stack_dpi, per_stack_dd):
-            flat = stack.traits.ravel()
-            gf.add(backward(bundle.f_net, flat, dpi * scale))
-            gg.add(backward(bundle.g_net, flat, dd * scale))
-        grads = {"f": gf, "g": gg}
-    elif want_proclivity:
-        prox = bundle.proclivity
-        if dtable.size > 1:
-            inputs = np.arange(1, dtable.size) / prox.delta_scale
-            gnu = backward(prox.net, inputs, dtable[1:] * scale)
-        else:
-            gnu = GradientSet.zeros_like(prox.net)
-        grads = {"nu": gnu}
-
-    return total_nll, stacks.turns, grads
-
-
-def _mean_nll(bundle: ModelBundle, stacks, eps: float) -> float:
-    nll, turns, _ = _batch_nll(bundle, stacks, eps, block=None)
-    return nll / turns
+        return {"f": gf, "g": gg}
+    prox = bundle.proclivity
+    if dtable.size > 1:
+        inputs = np.arange(1, dtable.size) / prox.delta_scale
+        return {"nu": backward(prox.net, inputs, dtable[1:] * scale)}
+    return {"nu": GradientSet.zeros_like(prox.net)}
 
 
 def conversation_nll_gradients(
@@ -364,14 +393,12 @@ def conversation_nll_gradients(
     """
     if block not in (BLOCK_SCORES, BLOCK_PROCLIVITY):
         raise ValueError(f"unknown block {block!r}")
-    stacks = _build_stacks([(roster, conversation)])
-    _, _, grads = _batch_nll(bundle, stacks, eps, block)
-    return grads
+    return _nll_gradients(bundle, _build_stacks([(roster, conversation)]), eps, block)
 
 
 def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
     for _ in range(cfg.score_epochs):
-        _, _, grads = _batch_nll(bundle, stacks, cfg.eps, BLOCK_SCORES)
+        grads = _nll_gradients(bundle, stacks, cfg.eps, BLOCK_SCORES)
         gf, gg = clip_gradients([grads["f"], grads["g"]], cfg.clip_norm)
         bundle = replace(
             bundle,
@@ -383,7 +410,7 @@ def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
 
 def _descend_proclivity(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
     for _ in range(cfg.proclivity_epochs):
-        _, _, grads = _batch_nll(bundle, stacks, cfg.eps, BLOCK_PROCLIVITY)
+        grads = _nll_gradients(bundle, stacks, cfg.eps, BLOCK_PROCLIVITY)
         (gnu,) = clip_gradients([grads["nu"]], cfg.clip_norm)
         prox = bundle.proclivity.with_net(apply_update(bundle.proclivity.net, gnu, cfg.step))
         bundle = replace(bundle, proclivity=prox)
@@ -416,6 +443,7 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     history = [(0, train_loss, val_loss)]
     best_bundle, best_val, best_outer = bundle, val_loss, 0
     stall = 0
+    stop_reason = "max_outer"
 
     for outer in range(1, cfg.max_outer + 1):
         bundle = _descend_scores(bundle, train_stacks, cfg)
@@ -434,6 +462,9 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
         else:
             stall += 1
             if stall >= cfg.patience:
+                stop_reason = "patience"
                 break
 
-    return FitResult(bundle=best_bundle, history=history, best_outer=best_outer)
+    return FitResult(
+        bundle=best_bundle, history=history, best_outer=best_outer, stop_reason=stop_reason
+    )

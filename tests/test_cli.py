@@ -8,7 +8,7 @@ import pytest
 
 from turntaking import ExpDecayProclivity, SigmoidProclivity, __version__, evaluate, true_model
 from turntaking.cli import main
-from turntaking.dataio import read_curve, read_history, read_report, read_split
+from turntaking.dataio import read_curve, read_history, read_manifest, read_report, read_split
 
 TINY_DATA = """
 groups_total=3
@@ -182,6 +182,7 @@ def test_fit_writes_checkpoints_and_history(capsys, tmp_path, tiny_config):
     history = read_history(out / "history.csv")
     assert len(history) == 5  # row 0 plus max_outer=4 iterations
     assert history[0][0] == 0
+    assert read_manifest(out)[-1]["stop_reason"] == "max_outer"
 
 
 def test_fit_exp_has_no_proclivity_checkpoint(capsys, tmp_path, tiny_config):

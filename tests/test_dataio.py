@@ -134,6 +134,21 @@ def test_net_round_trip_is_exact(tmp_path):
     assert relu.activation == "relu"
 
 
+def test_failed_write_keeps_the_previous_file(tmp_path, dataset):
+    path = tmp_path / "rosters.csv"
+    write_rosters(path, dataset.train)
+    before = path.read_bytes()
+
+    def groups_then_failure():
+        yield dataset.train[0]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_rosters(path, groups_then_failure())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_history_round_trip_is_exact(tmp_path):
     history = [(0, 1.25, 1.5), (1, 1.0 / 3.0, 0.1234567890123456789)]
     path = tmp_path / "history.csv"

@@ -406,10 +406,18 @@ def test_eps_floor_keeps_observed_zero_finite():
 
 def test_overflowing_scores_raise_zero_likelihood():
     # Finite scores whose turn totals overflow leave no finite likelihood.
+    # It is reported as ZeroLikelihoodError, with no numpy RuntimeWarning
+    # ahead of it; the last case overflows the observed cell too, so its
+    # turn NLL is inf - inf.
+    import warnings
+
     c = conv([1, 2, 3], 3)
-    params = ScoreParams(inherent=np.full(3, 1e308), memory=np.zeros(3))
-    with pytest.raises(ZeroLikelihoodError):
-        losses(params, W_EXP, c)
+    for inherent, memory in ((1e308, 0.0), (1e308, 1e308), (1.5e308, 1e308)):
+        params = ScoreParams(inherent=np.full(3, inherent), memory=np.full(3, memory))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroLikelihoodError):
+                losses(params, W_EXP, c)
 
 
 def test_loss_shape_mismatch_rejected():

@@ -84,6 +84,32 @@ def test_sigmoid_array_input():
     assert out[0] == pytest.approx(1 - out[2], abs=1e-15)
 
 
+def piecewise_sigmoid(z):
+    """Reference: 1/(1+exp(-z)) on z >= 0 and exp(z)/(1+exp(z)) below."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_piecewise_form():
+    rng = np.random.default_rng(27)
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+    z = np.concatenate([special, rng.normal(scale=30.0, size=100_000)])
+    with np.errstate(over="raise", invalid="raise"):
+        got = sigmoid(z)
+    want = piecewise_sigmoid(z)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    for x in special[:-1]:
+        assert sigmoid(x) == piecewise_sigmoid([x])[0]
+    assert math.isnan(sigmoid(np.nan))
+
+
 # -------------------------------------------------------------------- init
 
 
@@ -204,6 +230,24 @@ def test_backward_matches_finite_differences_relu():
         x = rng.normal(size=4) + 3.0
         upstream = rng.normal(size=4)
         assert_close_gradients(backward(net, x, upstream), fd_gradients(net, x, upstream))
+
+
+def test_backward_from_kept_activations_is_bit_identical():
+    from turntaking.neural import _backward_cached, _forward_cached
+
+    rng = np.random.default_rng(28)
+    for activation in ("tanh", "relu"):
+        for sizes in ((1, 1), (1, 16, 16, 1), (2, 5, 3, 1)):
+            net = random_net(rng, sizes, activation=activation)
+            x = rng.normal(size=(7, sizes[0])) if sizes[0] > 1 else rng.normal(size=7)
+            up = rng.normal(size=7)
+            out, cache = _forward_cached(net, x)
+            assert np.array_equal(out, net.forward(x))
+            got = _backward_cached(net, cache, up)
+            want = backward(net, x, up)
+            for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+                assert g.shape == w.shape
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_backward_single_weight_closed_form():

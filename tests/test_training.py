@@ -25,11 +25,11 @@ from turntaking.neural import DenseNet
 from turntaking.training import (
     BLOCK_PROCLIVITY,
     BLOCK_SCORES,
-    _batch_nll,
     _build_stacks,
     _descend_proclivity,
     _descend_scores,
     _mean_nll,
+    _nll_gradients,
 )
 
 
@@ -260,7 +260,7 @@ def test_batched_gradients_match_finite_differences_across_stacks():
     }
     nets = {"f": bundle.f_net, "g": bundle.g_net, "nu": bundle.proclivity.net}
     for block, names in ((BLOCK_SCORES, ("f", "g")), (BLOCK_PROCLIVITY, ("nu",))):
-        _, _, grads = _batch_nll(bundle, stacks, 1e-8, block)
+        grads = _nll_gradients(bundle, stacks, 1e-8, block)
         assert set(grads) == set(names)
         for name in names:
             net = nets[name]
@@ -276,6 +276,22 @@ def test_batched_gradients_match_finite_differences_across_stacks():
                         assert got[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+def assert_same_on_fresh_stacks(bundle, stacks, pairs):
+    """Loss and both blocks' gradients on ``stacks`` equal those on a fresh build."""
+    fresh = _build_stacks(pairs)
+    assert _mean_nll(bundle, stacks, 1e-8) == _mean_nll(bundle, fresh, 1e-8)
+    for block in (BLOCK_SCORES, BLOCK_PROCLIVITY):
+        grads = _nll_gradients(bundle, stacks, 1e-8, block)
+        ref_grads = _nll_gradients(bundle, fresh, 1e-8, block)
+        assert set(grads) == set(ref_grads)
+        for name in grads:
+            for got, ref in zip(
+                grads[name].weights + grads[name].biases,
+                ref_grads[name].weights + ref_grads[name].biases,
+            ):
+                assert np.array_equal(got, ref)
+
+
 def test_reused_stacks_follow_a_changed_proclivity():
     rng = np.random.default_rng(57)
     bundle = warmed_bundle(rng)
@@ -286,19 +302,48 @@ def test_reused_stacks_follow_a_changed_proclivity():
     moved = _descend_proclivity(bundle, stacks, FitConfig(step=0.5))
     assert moved.proclivity is not bundle.proclivity
     assert stacks.gather(moved.proclivity) is stacks.gather(moved.proclivity)
-    fresh = _build_stacks(pairs)
-    for block in (None, BLOCK_SCORES, BLOCK_PROCLIVITY):
-        nll, turns, grads = _batch_nll(moved, stacks, 1e-8, block)
-        ref_nll, ref_turns, ref_grads = _batch_nll(moved, fresh, 1e-8, block)
-        assert (nll, turns) == (ref_nll, ref_turns)
-        assert set(grads) == set(ref_grads)
-        for name in grads:
-            for got, ref in zip(
-                grads[name].weights + grads[name].biases,
-                ref_grads[name].weights + ref_grads[name].biases,
-            ):
-                assert np.array_equal(got, ref)
-    assert nll / turns != before
+    assert_same_on_fresh_stacks(moved, stacks, pairs)
+    assert stacks.turns == _build_stacks(pairs).turns
+    assert _mean_nll(moved, stacks, 1e-8) != before
+
+
+def test_reused_stacks_follow_changed_score_nets():
+    # The score cache must be rebuilt whenever either net changes, and only
+    # the pair of nets it was built from may hit it.
+    from dataclasses import replace
+
+    rng = np.random.default_rng(58)
+    bundle = warmed_bundle(rng)
+    pairs = mixed_shape_pairs(rng)
+    stacks = _build_stacks(pairs)
+    before = _mean_nll(bundle, stacks, 1e-8)
+
+    moved = _descend_scores(bundle, stacks, FitConfig(step=0.5))
+    assert moved.f_net is not bundle.f_net and moved.g_net is not bundle.g_net
+    assert stacks.scores(moved) is stacks.scores(moved)
+    # After the first, each step changes one net from the step before: f, f, g, f.
+    for variant in (
+        moved,
+        replace(moved, f_net=bundle.f_net),
+        moved,
+        replace(moved, g_net=bundle.g_net),
+        bundle,
+    ):
+        assert_same_on_fresh_stacks(variant, stacks, pairs)
+    assert _mean_nll(moved, stacks, 1e-8) != before
+
+
+def test_nm_and_hm_do_not_share_cached_scores():
+    # Both variants have (None, None) nets; each must still score as itself.
+    rng = np.random.default_rng(59)
+    pairs = mixed_shape_pairs(rng)
+    stacks = _build_stacks(pairs)
+    nm, hm = ModelBundle.make("nm"), ModelBundle.make("hm")
+    nm_loss = _mean_nll(nm, stacks, 1e-8)
+    hm_loss = _mean_nll(hm, stacks, 1e-8)
+    assert nm_loss == _mean_nll(nm, _build_stacks(pairs), 1e-8)
+    assert hm_loss == _mean_nll(hm, _build_stacks(pairs), 1e-8)
+    assert nm_loss != hm_loss
 
 
 def test_stacks_group_mixed_shapes():
@@ -340,6 +385,7 @@ def test_fit_returns_nm_and_hm_unchanged():
         assert result.bundle is bundle
         assert result.history == []
         assert result.best_outer == 0
+        assert result.stop_reason is None
 
 
 def test_fit_training_loss_non_increasing_with_small_step():
@@ -350,6 +396,7 @@ def test_fit_training_loss_non_increasing_with_small_step():
     train = [row[1] for row in result.history]
     assert len(train) == 16
     assert np.all(np.diff(train) <= 1e-6)
+    assert result.stop_reason == "max_outer"
 
 
 def test_fit_history_is_reproducible():
@@ -435,6 +482,7 @@ def test_fit_early_stopping_truncates_history():
     tail = [row[2] for row in result.history[result.best_outer + 1 :]]
     assert len(tail) == 3
     assert all(v >= best_val for v in tail)
+    assert result.stop_reason == "patience"
 
 
 def test_fit_config_validation():

@@ -112,7 +112,7 @@ def _scores_for(model, group: Group) -> ScoreParams:
     return model.scores_for(group)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupLoss:
     group_id: int
     nll: float

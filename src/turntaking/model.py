@@ -14,7 +14,8 @@ by ``pi`` alone. The next speaker is distributed as ``u / sum(u)``.
 
 The per-turn negative log-likelihood of observed conversations, which
 ``fit`` minimises and ``evaluate`` reports, is computed in one batched pass
-in ``training.py``.
+in ``training.py``. Sampling, in ``sample_conversations``, advances every
+group of a batch of equal-sized groups by one turn per step.
 
 Members are labeled 1..N in all public inputs and outputs; vectors are plain
 numpy arrays where position k belongs to member k+1. Gaps are positive
@@ -56,7 +57,7 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Roster:
     """Scalar trait per member of one group."""
 
@@ -76,11 +77,14 @@ class Roster:
         return int(self.traits.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conversation:
     """Ordered speaker labels s(1..T), each in 1..group_size.
 
     Consecutive entries never repeat: a turn ends when another member speaks.
+    Labels are stored in the smallest unsigned dtype that holds group_size
+    (uint8 up to 255 members); cast to a wide integer before arithmetic that
+    can leave that range.
     """
 
     speakers: np.ndarray
@@ -96,6 +100,8 @@ class Conversation:
             raise ValueError("speaker labels must lie in 1..group_size")
         if np.any(arr[1:] == arr[:-1]):
             raise ValueError("consecutive turns cannot share a speaker")
+        # Cast only now that every label is known to lie in 1..group_size.
+        arr = arr.astype(np.min_scalar_type(self.group_size))
         arr.flags.writeable = False
         object.__setattr__(self, "speakers", arr)
 
@@ -103,7 +109,7 @@ class Conversation:
         return int(self.speakers.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreParams:
     """Per-member inherent scores ``pi`` and memory scores ``d``."""
 
@@ -168,17 +174,6 @@ def speaking_scores(params: ScoreParams, proclivity, gaps: np.ndarray) -> np.nda
     return np.where(gaps != 1, u, 0.0)
 
 
-def speaking_probabilities(u: np.ndarray) -> np.ndarray:
-    """Normalize scores into next-speaker probabilities."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("speaking scores must be nonnegative")
-    total = u.sum()
-    if total <= 0.0:
-        raise DegenerateDistributionError("all speaking scores are zero")
-    return u / total
-
-
 def classify_turns(conversation: Conversation) -> np.ndarray:
     """TurnClass value for every turn, as an int array of length T.
 
@@ -218,30 +213,74 @@ def class_weights(conversation: Conversation) -> np.ndarray:
     return len(conversation) / (len(TurnClass) * counts[classes])
 
 
-def sample_speaker(u: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw the next speaker (1-indexed) proportionally to the scores u."""
-    p = speaking_probabilities(u)
-    cdf = np.cumsum(p)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, p.size - 1) + 1
+def _checked_table(proclivity, max_gap: int) -> np.ndarray:
+    """The proclivity's values at gaps 0..max_gap, all finite and nonnegative."""
+    table = np.asarray(proclivity.table(max_gap), dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(table) & (table >= 0)))
+    if bad.size:
+        gap = int(bad[0])
+        raise ValueError(
+            f"proclivity {type(proclivity).__name__} gives {table[gap]!r} at gap {gap}; "
+            "its values must be finite and nonnegative"
+        )
+    return table
+
+
+def sample_conversations(
+    params_list, proclivity, length: int, rngs
+) -> list[Conversation]:
+    """Simulate one conversation per group, all groups turn by turn in lockstep.
+
+    The groups share their size N and the proclivity; group k has scores
+    ``params_list[k]`` and draws only from ``rngs[k]``, one uniform per turn,
+    so its conversation and the state its generator is left in do not depend
+    on which other groups are sampled with it. Raises
+    ``DegenerateDistributionError`` naming the group if at some turn none of
+    its members has a positive score.
+    """
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    if not params_list or len(params_list) != len(rngs):
+        raise ValueError("need one random generator per group, and at least one group")
+    N = params_list[0].size
+    if any(params.size != N for params in params_list):
+        raise ValueError("groups sampled together must have equal sizes")
+    # A gap of ``length`` or more cannot occur within ``length`` turns.
+    table = _checked_table(proclivity, length - 1)
+    pi = np.stack([params.inherent for params in params_list])
+    d = np.stack([params.memory for params in params_list])
+    draws = np.stack([rng.random(length) for rng in rngs], axis=1)
+    G = len(params_list)
+    rows = np.arange(G)
+    gaps = np.full((G, N), NEVER)
+    speakers = np.empty((length, G), dtype=np.intp)
+    for t in range(length):
+        u = table[gaps] * d + pi
+        if t:
+            u[rows, speakers[t - 1]] = 0.0  # the previous speaker's gap is 1
+        # The order of operations below is fixed: it reproduces, bit for
+        # bit, one group normalized and searched on its own.
+        total = u.sum(axis=1)
+        positive = total > 0.0
+        if not positive.all():
+            raise DegenerateDistributionError(
+                f"group {int(np.argmin(positive))}: all speaking scores are zero at turn {t + 1}"
+            )
+        cdf = np.cumsum(u / total[:, None], axis=1)
+        # Entries of the cdf at or below the draw: searchsorted side="right".
+        picked = np.minimum((cdf <= draws[t, :, None]).sum(axis=1), N - 1)
+        speakers[t] = picked
+        gaps += gaps > 0
+        gaps[rows, picked] = 1
+    return [Conversation(labels + 1, N) for labels in speakers.T]
 
 
 def sample_conversation(
     params: ScoreParams, proclivity, length: int, rng: np.random.Generator
 ) -> Conversation:
-    """Simulate a conversation of the given length, turn by turn.
+    """Simulate one conversation: ``sample_conversations`` for one group.
 
     The caller owns the random source, so a fixed seed reproduces the exact
-    sequence. Raises if at some turn no member has a positive score.
+    sequence.
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    N = params.size
-    last_spoke = np.zeros(N, dtype=int)  # 1-indexed turn, 0 before a first turn
-    speakers = np.empty(length, dtype=int)
-    for t in range(1, length + 1):
-        gaps = np.where(last_spoke > 0, t - last_spoke, NEVER)
-        speaker = sample_speaker(speaking_scores(params, proclivity, gaps), rng)
-        speakers[t - 1] = speaker
-        last_spoke[speaker - 1] = t
-    return Conversation(speakers=speakers, group_size=N)
+    return sample_conversations([params], proclivity, length, [rng])[0]

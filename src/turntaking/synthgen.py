@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Conversation, Roster, ScoreParams, sample_conversation
+from .model import Conversation, Roster, ScoreParams, sample_conversations
 from .proclivity import by_name
 
 # Purpose codes for substream spawning.
@@ -99,7 +99,7 @@ class SynthConfig:
         by_name(self.proclivity)  # reject unknown names early
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group:
     """One group: roster, conversation, and ground-truth scores if known.
 
@@ -133,25 +133,39 @@ def sample_traits(config: SynthConfig, rng: np.random.Generator) -> Roster:
     return Roster(rng.uniform(config.trait_low, config.trait_high, size=config.members))
 
 
+def _make_groups(config: SynthConfig, trial: int, group_ids) -> list:
+    """Generate groups from their own substreams, sampled in lockstep.
+
+    Each roster comes from its group's traits substream and each
+    conversation from its conv substream, so a group is the same whichever
+    other groups are generated with it.
+    """
+    rosters = [
+        sample_traits(config, substream(config.master_seed, trial, gid, STREAM_TRAITS))
+        for gid in group_ids
+    ]
+    scores = [traits_to_scores(roster.traits) for roster in rosters]
+    conversations = sample_conversations(
+        scores,
+        by_name(config.proclivity),
+        config.turns,
+        [substream(config.master_seed, trial, gid, STREAM_CONV) for gid in group_ids],
+    )
+    return [
+        Group(group_id=gid, roster=roster, scores=params, conversation=conversation)
+        for gid, roster, params, conversation in zip(group_ids, rosters, scores, conversations)
+    ]
+
+
 def make_group(config: SynthConfig, trial: int, group_id: int) -> Group:
     """Generate one group from its own substreams."""
-    traits_rng = substream(config.master_seed, trial, group_id, STREAM_TRAITS)
-    conv_rng = substream(config.master_seed, trial, group_id, STREAM_CONV)
-    roster = sample_traits(config, traits_rng)
-    scores = traits_to_scores(roster.traits)
-    conversation = sample_conversation(
-        scores, by_name(config.proclivity), config.turns, conv_rng
-    )
-    return Group(group_id=group_id, roster=roster, scores=scores, conversation=conversation)
+    return _make_groups(config, trial, [group_id])[0]
 
 
 def generate_dataset(config: SynthConfig, trial: int = 1) -> SynthDataset:
     """All groups for one trial; ids run 1..groups_total+test_groups."""
     n_fit = config.groups_total
-    groups = [
-        make_group(config, trial, gid)
-        for gid in range(1, n_fit + config.test_groups + 1)
-    ]
+    groups = _make_groups(config, trial, range(1, n_fit + config.test_groups + 1))
     return SynthDataset(
         train=groups[: config.train_groups],
         val=groups[config.train_groups : n_fit],

@@ -16,6 +16,7 @@ the returned parameters are the ones with the best validation loss.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +44,8 @@ from .proclivity import (
     LearnedProclivity,
     ZeroProclivity,
 )
+
+log = logging.getLogger(__name__)
 
 VARIANTS = ("pro", "exp", "nm", "hm")
 LEARNABLE_VARIANTS = ("pro", "exp")
@@ -258,7 +261,8 @@ def _build_stacks(pairs) -> _Stacks:
         by_shape.setdefault((len(conv), conv.group_size), []).append((roster, conv))
     stacks = []
     for (T, N), members in by_shape.items():
-        speakers = np.stack([c.speakers - 1 for _, c in members])
+        # Labels are stored compactly; widen them before the index arithmetic.
+        speakers = np.stack([c.speakers for _, c in members]).astype(np.intp) - 1
         # Flat index of member 0's cell at each turn; member n sits n*T on.
         base = np.arange(len(members))[:, None] * (N * T) + np.arange(T)
         # The copy is C-ordered: the flat indices, and the in-place writes
@@ -465,6 +469,12 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
                 stop_reason = "patience"
                 break
 
+    if stop_reason == "max_outer" and best_outer == cfg.max_outer:
+        log.warning(
+            "fit of %s stopped at the iteration cap max_outer=%d while validation loss "
+            "was still improving (best %.6g at the last iteration); it has not converged",
+            bundle.variant, cfg.max_outer, best_val,
+        )
     return FitResult(
         bundle=best_bundle, history=history, best_outer=best_outer, stop_reason=stop_reason
     )

@@ -1,14 +1,19 @@
 """Brute-force reference implementations used to check the package.
 
-Everything here is written in plain Python directly from the model
-definitions: dicts and lists instead of arrays, Fractions for the exact
-class weights, and no reuse of any package code.  Slow but obviously
-correct, which is the point.
+Everything here is written directly from the model definitions, with no
+reuse of any package code.  The likelihood references are plain Python:
+dicts and lists instead of arrays, Fractions for the exact class weights.
+Slow but obviously correct, which is the point.  The reference sampler is
+the one exception: it is a per-turn numpy loop, one group and one draw at a
+time, whose floating-point operations the package's lockstep sampler must
+reproduce bit for bit.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 FLOOR = "floor"
 BROKEN = "broken_floor"
@@ -114,3 +119,41 @@ def enumerate_all(group_size, max_length):
             all_conversations(group_size, n) for n in range(1, max_length + 1)
         )
     )
+
+
+def speaking_probabilities(u):
+    """Normalize one turn's scores into next-speaker probabilities."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0):
+        raise ValueError("speaking scores must be nonnegative")
+    total = u.sum()
+    if total <= 0.0:
+        raise ValueError("all speaking scores are zero")
+    return u / total
+
+
+def sample_speaker(u, rng):
+    """Draw the next speaker (1-indexed) proportionally to the scores u."""
+    p = speaking_probabilities(u)
+    cdf = np.cumsum(p)
+    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    return min(idx, p.size - 1) + 1
+
+
+def sample_speakers(pi, d, proclivity, length, rng):
+    """Reference sampler: speaker labels of one conversation, turn by turn.
+
+    Each turn scores every member as ``pi + d * w(gap)`` with the previous
+    speaker zeroed, and takes one ``rng.random()`` draw.
+    """
+    pi = np.asarray(pi, dtype=float)
+    d = np.asarray(d, dtype=float)
+    last_spoke = np.zeros(pi.size, dtype=int)  # 0 before a member's first turn
+    speakers = []
+    for t in range(1, length + 1):
+        gaps = np.where(last_spoke > 0, t - last_spoke, 0)
+        u = np.where(gaps != 1, pi + d * proclivity.values(gaps), 0.0)
+        speaker = sample_speaker(u, rng)
+        speakers.append(speaker)
+        last_spoke[speaker - 1] = t
+    return speakers

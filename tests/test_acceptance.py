@@ -31,8 +31,7 @@ from turntaking import (
     gap_matrix,
     generate_dataset,
     run_experiment,
-    sample_speaker,
-    speaking_probabilities,
+    sample_conversations,
     speaking_scores,
     true_model,
 )
@@ -287,7 +286,7 @@ def test_ac6_exhaustive_oracle_equivalence():
         for kind, w in kinds:
             U = speaking_scores(params, kind, gap_matrix(conversation))
             for t in range(1, len(speakers) + 1):
-                got_p = speaking_probabilities(U[t - 1])
+                got_p = U[t - 1] / U[t - 1].sum()
                 expect_p = oracle.probabilities_at(pi, d, w, speakers, 3, t)
                 worst = max(worst, float(np.max(np.abs(got_p - expect_p))))
             loss = evaluate(true_model([group], kind), [group])
@@ -311,30 +310,35 @@ def test_ac6_exhaustive_oracle_equivalence():
 
 
 def test_ac7_sampler_matches_analytic_probabilities():
-    conversation = Conversation(speakers=np.array([1, 2, 1, 3]), group_size=5)
-    params = ScoreParams(
-        np.array([0.3, 0.6, 0.45, 0.2, 0.9]),
-        np.array([1.5, 0.8, 2.0, 3.0, 0.5]),
-    )
-    u = speaking_scores(params, ExpDecayProclivity(), gap_matrix(conversation, horizon=5)[-1])
-    p = speaking_probabilities(u)
-    draws = 100_000
-    rng = np.random.default_rng(77)
-    counts = np.bincount(
-        [sample_speaker(u, rng) for _ in range(draws)], minlength=6
-    )[1:]
-    freqs = counts / draws
-    sigma = np.sqrt(p * (1 - p) / draws)
-    checks = []
-    for member in range(5):
-        bound = 3 * sigma[member]
-        delta = abs(freqs[member] - p[member])
+    # Every 4-turn conversation of 3 members, drawn from many independent
+    # groups at once, against its probability from the oracle. Turn 4 sees
+    # gaps of 2 and 3, so the proclivity shapes the distribution.
+    pi = [0.3, 0.6, 0.45]
+    d = [1.5, 0.8, 2.0]
+    params = ScoreParams(np.array(pi), np.array(d))
+    draws = 40_000
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(77).spawn(draws)]
+    conversations = sample_conversations([params] * draws, ExpDecayProclivity(), 4, rngs)
+    counts = {}
+    for c in conversations:
+        key = tuple(c.speakers.tolist())
+        counts[key] = counts.get(key, 0) + 1
+    sequences = oracle.all_conversations(3, 4)
+    checks = [(f"sampled a sequence outside the {len(sequences)} valid ones",
+               set(counts) <= set(sequences))]
+    w = lambda g: math.exp(-g / 2)  # noqa: E731
+    for seq in sequences:
+        p = math.prod(
+            oracle.probabilities_at(pi, d, w, list(seq), 3, t)[seq[t - 1] - 1]
+            for t in range(1, 5)
+        )
+        freq = counts.get(seq, 0) / draws
+        # 4 sigma per sequence keeps the family-wise false-alarm rate of 24
+        # sequences near 0.2%.
+        bound = 4 * math.sqrt(p * (1 - p) / draws)
         checks.append(
-            (
-                f"member {member + 1}: |{freqs[member]:.5f} - {p[member]:.5f}| "
-                f"= {delta:.5f} > 3 sigma ({bound:.5f})",
-                delta <= bound,
-            )
+            (f"sequence {seq}: |{freq:.5f} - {p:.5f}| = {abs(freq - p):.5f} > 4 sigma ({bound:.5f})",
+             abs(freq - p) <= bound)
         )
     report_line("AC-7", checks)
 

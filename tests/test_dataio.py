@@ -8,14 +8,20 @@ import pytest
 from turntaking import (
     EvalReport,
     EvalSummary,
+    ExpDecayProclivity,
     ExperimentConfig,
+    Group,
     GroupLoss,
     ProclivityCurve,
+    Roster,
     SynthConfig,
+    SynthDataset,
     TrialResult,
     boxplot_stats,
     generate_dataset,
     init_net,
+    sample_conversation,
+    traits_to_scores,
 )
 from turntaking.dataio import (
     DataFormatError,
@@ -103,6 +109,24 @@ def test_dataset_round_trip_is_exact(tmp_path, dataset):
             np.testing.assert_array_equal(a.conversation.speakers, b.conversation.speakers)
             np.testing.assert_array_equal(a.scores.memory, b.scores.memory)
             assert a.conversation.group_size == b.conversation.group_size
+
+
+def test_compact_labels_round_trip(tmp_path):
+    # A two-member group whose turn numbers pass 255 while its labels are
+    # uint8, and a group too large for uint8 labels.
+    rng = np.random.default_rng(8)
+    groups = []
+    for gid, (members, turns) in enumerate([(2, 300), (300, 700)], start=1):
+        roster = Roster(rng.uniform(0.1, 1.0, members))
+        scores = traits_to_scores(roster)
+        conversation = sample_conversation(scores, ExpDecayProclivity(), turns, rng)
+        groups.append(Group(gid, roster, scores, conversation))
+    assert [g.conversation.speakers.dtype for g in groups] == [np.uint8, np.uint16]
+    write_dataset(tmp_path, SynthDataset(train=groups, val=groups[:1], test=groups[1:]))
+    back = read_split(tmp_path, "train")
+    for a, b in zip(back, groups):
+        assert a.conversation.speakers.dtype == b.conversation.speakers.dtype
+        np.testing.assert_array_equal(a.conversation.speakers, b.conversation.speakers)
 
 
 def test_read_split_without_scores_yields_none(tmp_path, dataset):

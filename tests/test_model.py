@@ -17,6 +17,7 @@ from turntaking import (
     DegenerateDistributionError,
     ExpDecayProclivity,
     Group,
+    LearnedProclivity,
     Roster,
     ScoreParams,
     SigmoidProclivity,
@@ -28,8 +29,7 @@ from turntaking import (
     evaluate,
     gap_matrix,
     sample_conversation,
-    sample_speaker,
-    speaking_probabilities,
+    sample_conversations,
     speaking_scores,
     true_model,
 )
@@ -56,6 +56,20 @@ def random_conversation(rng, group_size, length):
 def gaps_at(c, t):
     """Per-member gaps at turn t, which may run to T + 1."""
     return gap_matrix(c, horizon=t)[-1]
+
+
+class TableProclivity:
+    """A proclivity given by its values at gaps 0, 1, 2, ...; zero beyond."""
+
+    def __init__(self, *head):
+        self.head = np.array(head, dtype=float)
+
+    def values(self, gaps):
+        gaps = np.asarray(gaps)
+        return np.where(gaps < self.head.size, self.head[np.minimum(gaps, self.head.size - 1)], 0.0)
+
+    def table(self, max_gap):
+        return self.values(np.arange(max_gap + 1))
 
 
 def losses(params, proclivity, c):
@@ -107,6 +121,20 @@ def test_conversation_rejects_out_of_range_labels():
         conv([1, 4], 3)
     with pytest.raises(ValueError):
         conv([0, 1], 3)
+    # Labels are checked before the cast to uint8, where 257 would wrap to 1.
+    with pytest.raises(ValueError):
+        conv([2, 257], 255)
+
+
+@pytest.mark.parametrize(
+    "group_size, dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)]
+)
+def test_conversation_stores_labels_in_the_smallest_unsigned_dtype(group_size, dtype):
+    labels = np.array([1, group_size, 1, group_size])
+    c = conv(labels, group_size)
+    assert c.speakers.dtype == dtype
+    assert c.speakers.tolist() == labels.tolist()
+    assert not c.speakers.flags.writeable
 
 
 def test_conversation_rejects_empty():
@@ -243,7 +271,7 @@ def test_scores_match_oracle_on_random_conversations():
 
 def test_probabilities_hand_example():
     u = np.array([0.5 + math.exp(-1), 0.0, 0.5])
-    p = speaking_probabilities(u)
+    p = oracle.speaking_probabilities(u)
     total = 0.5 + math.exp(-1) + 0.5
     assert p == pytest.approx([(0.5 + math.exp(-1)) / total, 0.0, 0.5 / total], abs=1e-12)
     assert p == pytest.approx([0.63447071, 0.0, 0.36552929], abs=1e-8)
@@ -257,19 +285,30 @@ def test_probabilities_sum_to_one_and_nonnegative():
         params = random_params(rng, N)
         U = speaking_scores(params, W_SIG, gap_matrix(c))
         for row in U:
-            p = speaking_probabilities(row)
+            p = oracle.speaking_probabilities(row)
             assert np.all(p >= 0)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probabilities_reject_all_zero():
-    with pytest.raises(DegenerateDistributionError):
-        speaking_probabilities(np.zeros(3))
+    # Scores that are all zero leave the sampler nothing to draw from; the
+    # error names the group of the batch and the turn.
+    zero = ScoreParams(inherent=np.zeros(3), memory=np.zeros(3))
+    with pytest.raises(DegenerateDistributionError, match="group 0: .* turn 1"):
+        sample_conversation(zero, W_EXP, 5, np.random.default_rng(0))
+    # Only member 2 can open; once it has spoken nobody can follow.
+    lone = ScoreParams(inherent=np.array([0.0, 1.0, 0.0]), memory=np.zeros(3))
+    fine = ScoreParams(inherent=np.ones(3), memory=np.ones(3))
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    with pytest.raises(DegenerateDistributionError, match="group 1: .* turn 2"):
+        sample_conversations([fine, lone, fine], ZeroProclivity(), 5, rngs)
 
 
 def test_probabilities_reject_negative():
-    with pytest.raises(ValueError):
-        speaking_probabilities(np.array([0.5, -0.1, 0.2]))
+    # Scores are pi + d * w; a negative proclivity value makes them negative.
+    params = ScoreParams(inherent=np.ones(3), memory=np.ones(3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_conversation(params, TableProclivity(0.0, 0.5, -2.0), 6, np.random.default_rng(0))
 
 
 def test_scale_invariance_of_probabilities_and_losses():
@@ -282,8 +321,8 @@ def test_scale_invariance_of_probabilities_and_losses():
         U = speaking_scores(params, W_EXP, gap_matrix(c))
         V = speaking_scores(params.scaled(factor), W_EXP, gap_matrix(c))
         for a, b in zip(U, V):
-            assert speaking_probabilities(a) == pytest.approx(
-                speaking_probabilities(b), abs=1e-10
+            assert oracle.speaking_probabilities(a) == pytest.approx(
+                oracle.speaking_probabilities(b), abs=1e-10
             )
         # Every score is at least 0.2 * 0.1, so the eps floor never binds.
         assert losses(params, W_EXP, c) == pytest.approx(
@@ -444,20 +483,71 @@ def test_likelihood_sequence_matches_per_turn_scores():
 # ------------------------------------------------------------------ sampling
 
 
-def test_sample_speaker_is_deterministic_per_seed():
-    u = np.array([0.2, 0.5, 0.3])
-    a = [sample_speaker(u, np.random.default_rng(11)) for _ in range(5)]
-    b = [sample_speaker(u, np.random.default_rng(11)) for _ in range(5)]
-    assert a == b
+def random_score_list(rng, groups, size):
+    return [
+        ScoreParams(inherent=rng.uniform(0.05, 2.0, size), memory=rng.uniform(0.0, 20.0, size))
+        for _ in range(groups)
+    ]
 
 
-def test_sample_speaker_matches_probabilities():
-    u = np.array([1.0, 0.0, 3.0])
-    rng = np.random.default_rng(12)
-    draws = np.array([sample_speaker(u, rng) for _ in range(20000)])
-    assert not np.any(draws == 2)
-    freq1 = np.mean(draws == 1)
-    assert freq1 == pytest.approx(0.25, abs=3 * math.sqrt(0.25 * 0.75 / 20000))
+@pytest.mark.parametrize(
+    "proclivity",
+    [W_EXP, W_SIG, LearnedProclivity.fresh(7, hidden=(5, 5))],
+    ids=["exp", "sigmoid", "learned"],
+)
+def test_lockstep_sampler_equals_reference_bit_for_bit(proclivity):
+    # N spans numpy's 8-wide pairwise-summation block in the turn totals.
+    rng = np.random.default_rng(21)
+    turns = 90
+    for N in (2, 3, 5, 8, 9, 17):
+        for G in (1, 3, 20):
+            params = random_score_list(rng, G, N)
+            seeds = rng.integers(0, 2**32, size=G)
+            rngs = [np.random.default_rng(s) for s in seeds]
+            refs = [np.random.default_rng(s) for s in seeds]
+            got = sample_conversations(params, proclivity, turns, rngs)
+            for p, c, r, ref in zip(params, got, rngs, refs):
+                want = oracle.sample_speakers(p.inherent, p.memory, proclivity, turns, ref)
+                assert c.speakers.tolist() == want, (N, G)
+                assert r.bit_generator.state == ref.bit_generator.state
+            if G == 1:
+                alone = np.random.default_rng(seeds[0])
+                c = sample_conversation(params[0], proclivity, turns, alone)
+                assert np.array_equal(c.speakers, got[0].speakers)
+                assert alone.bit_generator.state == refs[0].bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_bad_proclivity_value_is_reported_with_its_gap(bad):
+    params = ScoreParams(inherent=np.ones(4), memory=np.ones(4))
+    proclivity = TableProclivity(0.0, 0.5, 0.4, bad, 0.2)
+    with pytest.raises(ValueError, match="proclivity TableProclivity gives .* at gap 3"):
+        sample_conversation(params, proclivity, 50, np.random.default_rng(3))
+    # A gap the conversation is too short to reach is never looked up.
+    assert len(sample_conversation(params, proclivity, 3, np.random.default_rng(3))) == 3
+
+
+def test_sampler_is_deterministic_per_seed():
+    rng = np.random.default_rng(11)
+    params = random_score_list(rng, 3, 4)
+    a = sample_conversations(params, W_EXP, 60, [np.random.default_rng(k) for k in (1, 2, 3)])
+    b = sample_conversations(params, W_EXP, 60, [np.random.default_rng(k) for k in (1, 2, 3)])
+    assert [c.speakers.tolist() for c in a] == [c.speakers.tolist() for c in b]
+    # A group's conversation does not depend on the groups sampled with it.
+    alone = sample_conversation(params[1], W_EXP, 60, np.random.default_rng(2))
+    assert np.array_equal(alone.speakers, a[1].speakers)
+    assert not np.array_equal(a[0].speakers, a[2].speakers)
+
+
+def test_sampler_matches_probabilities():
+    # First turns only: member 2 scores zero, members 1 and 3 split 1:3.
+    draws = 20000
+    params = ScoreParams(inherent=np.array([1.0, 0.0, 3.0]), memory=np.zeros(3))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(12).spawn(draws)]
+    first = np.array([c.speakers[0] for c in sample_conversations([params] * draws, W_EXP, 1, rngs)])
+    assert not np.any(first == 2)
+    freq1 = np.mean(first == 1)
+    assert freq1 == pytest.approx(0.25, abs=3 * math.sqrt(0.25 * 0.75 / draws))
 
 
 def test_sample_conversation_is_valid_and_reproducible():
@@ -476,3 +566,15 @@ def test_sample_conversation_rejects_bad_length():
     params = ScoreParams(inherent=np.ones(3), memory=np.ones(3))
     with pytest.raises(ValueError):
         sample_conversation(params, W_EXP, 0, np.random.default_rng(0))
+
+
+def test_sample_conversations_rejects_mismatched_groups():
+    three = ScoreParams(inherent=np.ones(3), memory=np.ones(3))
+    four = ScoreParams(inherent=np.ones(4), memory=np.ones(4))
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    with pytest.raises(ValueError, match="equal sizes"):
+        sample_conversations([three, four], W_EXP, 5, rngs)
+    with pytest.raises(ValueError, match="one random generator per group"):
+        sample_conversations([three, three], W_EXP, 5, rngs[:1])
+    with pytest.raises(ValueError, match="at least one group"):
+        sample_conversations([], W_EXP, 5, [])

@@ -190,6 +190,11 @@ def test_make_group_uses_per_group_streams():
     regen = make_group(config, trial=1, group_id=1)
     np.testing.assert_array_equal(g1.roster.traits, regen.roster.traits)
     np.testing.assert_array_equal(g1.conversation.speakers, regen.conversation.speakers)
+    # A dataset samples its groups in lockstep; each equals the group alone.
+    for g in generate_dataset(config, trial=1).all_groups:
+        alone = make_group(config, trial=1, group_id=g.group_id)
+        np.testing.assert_array_equal(g.roster.traits, alone.roster.traits)
+        np.testing.assert_array_equal(g.conversation.speakers, alone.conversation.speakers)
 
 
 def test_ground_truth_loss_sits_in_plausible_band():

@@ -1,5 +1,7 @@
 """Variant bundles, likelihood gradients, and the block coordinate fit."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -135,49 +137,45 @@ def test_bundle_validation():
 # ----------------------------------------------------------------- gradients
 
 
+def assert_gradients_match_finite_differences(bundle, roster, conversation, h=1e-5):
+    """Both blocks' exact gradients against central differences of the loss."""
+    from dataclasses import replace
+
+    def central(perturb):
+        hi, lo = (bundle_loss(perturb(step), roster, conversation) for step in (h, -h))
+        return (hi - lo) / (2 * h)
+
+    grads = conversation_nll_gradients(bundle, roster, conversation, BLOCK_SCORES)
+    for name in ("f", "g"):
+        net = getattr(bundle, f"{name}_net")
+        for l in range(len(net.weights)):
+            for idx in np.ndindex(net.weights[l].shape):
+                fd = central(
+                    lambda step: replace(
+                        bundle, **{f"{name}_net": perturbed_net(net, l, idx, "w", step)}
+                    )
+                )
+                assert grads[name].weights[l][idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    grads = conversation_nll_gradients(bundle, roster, conversation, BLOCK_PROCLIVITY)
+    net = bundle.proclivity.net
+    for l in range(len(net.weights)):
+        for idx in np.ndindex(net.biases[l].shape):
+            fd = central(
+                lambda step: replace(
+                    bundle,
+                    proclivity=bundle.proclivity.with_net(perturbed_net(net, l, idx, "b", step)),
+                )
+            )
+            assert grads["nu"].biases[l][idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(41)
-    h = 1e-5
     for trial in range(4):
         bundle = warmed_bundle(rng, seed=trial)
         roster, conversation = make_pair(rng, members=3, turns=10)
-
-        grads = conversation_nll_gradients(bundle, roster, conversation, BLOCK_SCORES)
-        for name, net, attach in (
-            ("f", bundle.f_net, lambda n: {"f_net": n}),
-            ("g", bundle.g_net, lambda n: {"g_net": n}),
-        ):
-            from dataclasses import replace
-
-            got = grads[name]
-            for l in range(len(net.weights)):
-                for idx in np.ndindex(net.weights[l].shape):
-                    hi = bundle_loss(
-                        replace(bundle, **attach(perturbed_net(net, l, idx, "w", h))),
-                        roster,
-                        conversation,
-                    )
-                    lo = bundle_loss(
-                        replace(bundle, **attach(perturbed_net(net, l, idx, "w", -h))),
-                        roster,
-                        conversation,
-                    )
-                    fd = (hi - lo) / (2 * h)
-                    assert got.weights[l][idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-
-        grads = conversation_nll_gradients(bundle, roster, conversation, BLOCK_PROCLIVITY)
-        net = bundle.proclivity.net
-        got = grads["nu"]
-        from dataclasses import replace
-
-        for l in range(len(net.weights)):
-            for idx in np.ndindex(net.biases[l].shape):
-                prox_hi = bundle.proclivity.with_net(perturbed_net(net, l, idx, "b", h))
-                prox_lo = bundle.proclivity.with_net(perturbed_net(net, l, idx, "b", -h))
-                hi = bundle_loss(replace(bundle, proclivity=prox_hi), roster, conversation)
-                lo = bundle_loss(replace(bundle, proclivity=prox_lo), roster, conversation)
-                fd = (hi - lo) / (2 * h)
-                assert got.biases[l][idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        assert_gradients_match_finite_differences(bundle, roster, conversation)
 
 
 def test_gradients_empty_for_non_learnable_blocks():
@@ -209,6 +207,26 @@ def test_first_turn_only_conversation_trains_inherent_scores_only():
     assert grads["g"].norm() == 0.0
     grads = conversation_nll_gradients(bundle, roster, conversation, BLOCK_PROCLIVITY)
     assert grads["nu"].norm() == 0.0
+
+
+@pytest.mark.parametrize("members, turns", [(2, 300), (3, 200)])
+def test_compact_labels_keep_flat_indices_exact(members, turns):
+    # uint8 labels times T would leave uint8: 300 does not fit (numpy raises),
+    # and 2 * 200 would wrap silently. Loss and gradients must not notice.
+    rng = np.random.default_rng(46)
+    bundle = warmed_bundle(rng)
+    roster, conversation = make_pair(rng, members=members, turns=turns)
+    assert conversation.speakers.dtype == np.uint8
+    params = predict_scores(bundle, roster)
+    want = oracle.nll(
+        params.inherent.tolist(),
+        params.memory.tolist(),
+        bundle.proclivity,
+        conversation.speakers.tolist(),
+        members,
+    )
+    assert bundle_loss(bundle, roster, conversation) == pytest.approx(want, abs=1e-12)
+    assert_gradients_match_finite_differences(bundle, roster, conversation)
 
 
 def test_batched_loss_matches_public_path():
@@ -388,15 +406,20 @@ def test_fit_returns_nm_and_hm_unchanged():
         assert result.stop_reason is None
 
 
-def test_fit_training_loss_non_increasing_with_small_step():
+def test_fit_training_loss_non_increasing_with_small_step(caplog):
     rng = np.random.default_rng(48)
     ts = toy_training_set(rng, turns=80)
     cfg = FitConfig(step=0.01, max_outer=15, patience=50)
-    result = fit(ModelBundle.make("pro", seed=0, hidden=(8,)), ts, cfg)
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        result = fit(ModelBundle.make("pro", seed=0, hidden=(8,)), ts, cfg)
     train = [row[1] for row in result.history]
     assert len(train) == 16
     assert np.all(np.diff(train) <= 1e-6)
     assert result.stop_reason == "max_outer"
+    # Still improving at the cap: the fit says it has not converged.
+    assert result.best_outer == 15
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "max_outer=15" in caplog.records[0].getMessage()
 
 
 def test_fit_history_is_reproducible():
@@ -458,7 +481,7 @@ def test_descent_blocks_are_isolated():
     assert after_prox.proclivity.net != bundle.proclivity.net
 
 
-def test_fit_early_stopping_truncates_history():
+def test_fit_early_stopping_truncates_history(caplog):
     # A tiny train split overfits quickly against an unrelated validation
     # conversation, so patience kicks in long before max_outer.
     rng = np.random.default_rng(54)
@@ -471,11 +494,12 @@ def test_fit_early_stopping_truncates_history():
         np.random.default_rng(55),
     )
     cfg = FitConfig(step=0.1, max_outer=500, patience=3)
-    result = fit(
-        ModelBundle.make("pro", seed=6, hidden=(4,)),
-        TrainingSet(train, [(val_roster, val_conv)]),
-        cfg,
-    )
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        result = fit(
+            ModelBundle.make("pro", seed=6, hidden=(4,)),
+            TrainingSet(train, [(val_roster, val_conv)]),
+            cfg,
+        )
     assert len(result.history) < 501
     # The history ends with exactly `patience` non-improving iterations.
     best_val = result.history[result.best_outer][2]
@@ -483,6 +507,7 @@ def test_fit_early_stopping_truncates_history():
     assert len(tail) == 3
     assert all(v >= best_val for v in tail)
     assert result.stop_reason == "patience"
+    assert caplog.records == []
 
 
 def test_fit_config_validation():

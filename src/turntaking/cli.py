@@ -18,18 +18,19 @@ from pathlib import Path
 
 from . import __version__
 from .dataio import (
+    CHECKPOINT_NAME,
     MANIFEST_NAME,
     DataFormatError,
     append_manifest,
     ensure_out_dir,
+    read_checkpoint,
     read_manifest,
-    read_net,
     read_split,
+    write_checkpoint,
     write_curve,
     write_curves,
     write_dataset,
     write_history,
-    write_net,
     write_report,
     write_summary,
 )
@@ -45,7 +46,7 @@ from .evaluation import (
     run_experiment,
     true_model,
 )
-from .proclivity import ExpDecayProclivity, LearnedProclivity, by_name
+from .proclivity import by_name
 from .synthgen import SynthConfig, generate_dataset
 from .training import (
     FitConfig,
@@ -107,7 +108,6 @@ _KEY_PARSERS = {
     "score_epochs": int,
     "proclivity_epochs": int,
     "patience": int,
-    "eps": float,
     "clip_norm": float,
     "hidden": _parse_hidden,
     "delta_scale": float,
@@ -123,7 +123,7 @@ _SYNTH_KEYS = (
 )
 _FIT_KEYS = (
     "step", "max_outer", "score_epochs", "proclivity_epochs",
-    "patience", "eps", "clip_norm",
+    "patience", "clip_norm",
 )
 _NET_KEYS = ("hidden", "delta_scale", "activation")
 
@@ -223,15 +223,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_paths(directory) -> dict:
-    base = Path(directory)
-    return {
-        "f": base / "checkpoint_f.csv",
-        "g": base / "checkpoint_g.csv",
-        "nu": base / "checkpoint_nu.csv",
-    }
-
-
 def cmd_fit(args) -> int:
     if args.variant not in LEARNABLE_VARIANTS:
         raise ConfigError(f"variant {args.variant!r} has no learnable parameters; nothing to fit")
@@ -251,11 +242,7 @@ def cmd_fit(args) -> int:
     )
     result = fit(bundle, training_set, config.fit)
     out = ensure_out_dir(args.out)
-    paths = _checkpoint_paths(out)
-    write_net(paths["f"], result.bundle.f_net)
-    write_net(paths["g"], result.bundle.g_net)
-    if result.bundle.learns_proclivity:
-        write_net(paths["nu"], result.bundle.proclivity.net)
+    write_checkpoint(out / CHECKPOINT_NAME, result.bundle)
     write_history(out / "history.csv", result.history)
     append_manifest(
         out,
@@ -277,21 +264,24 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(variant: str, directory, config: ExperimentConfig) -> ModelBundle:
-    paths = _checkpoint_paths(directory)
-    for part in ("f", "g") + (("nu",) if variant == "pro" else ()):
-        if not paths[part].is_file():
-            raise ConfigError(f"missing checkpoint file for {variant}: {paths[part]}")
-    f_net = read_net(paths["f"], config.activation)
-    g_net = read_net(paths["g"], config.activation)
-    if variant == "pro":
-        prox = LearnedProclivity(
-            net=read_net(paths["nu"], config.activation),
-            delta_scale=config.delta_scale,
-        )
-    else:
-        prox = ExpDecayProclivity()
-    return ModelBundle(variant=variant, proclivity=prox, f_net=f_net, g_net=g_net)
+def _load_checkpoint(variant: str, directory, settings: dict) -> ModelBundle:
+    """A fit's bundle; the variant and any explicit net setting must match the file."""
+    path = Path(directory) / CHECKPOINT_NAME
+    if not path.is_file():
+        raise ConfigError(f"missing checkpoint file for {variant}: {path}")
+    bundle = read_checkpoint(path)
+    recorded = {
+        "variant": bundle.variant,
+        "activation": bundle.f_net.activation,
+        "hidden": bundle.f_net.layer_sizes[1:-1],
+    }
+    if bundle.learns_proclivity:
+        recorded["delta_scale"] = bundle.proclivity.delta_scale
+    for key, value in recorded.items():
+        wanted = variant if key == "variant" else settings.get(key, value)
+        if wanted != value:
+            raise ConfigError(f"{key}={wanted} conflicts with {key}={value} recorded in {path}")
+    return bundle
 
 
 def _with_dataset_proclivity(settings: dict, data) -> dict:
@@ -315,7 +305,8 @@ def _with_dataset_proclivity(settings: dict, data) -> dict:
 
 
 def cmd_eval(args) -> int:
-    config = experiment_config(_with_dataset_proclivity(resolve_settings(args), args.data))
+    settings = _with_dataset_proclivity(resolve_settings(args), args.data)
+    config = experiment_config(settings)
     checkpoints = {}
     for item in args.checkpoint or []:
         variant, sep, directory = item.partition("=")
@@ -334,7 +325,7 @@ def cmd_eval(args) -> int:
         if variant in LEARNABLE_VARIANTS:
             if variant not in checkpoints:
                 raise ConfigError(f"variant {variant!r} needs --checkpoint {variant}=DIR")
-            bundle = _load_checkpoint(variant, checkpoints[variant], config)
+            bundle = _load_checkpoint(variant, checkpoints[variant], settings)
         else:
             bundle = ModelBundle.make(variant)
         trial.losses[variant] = evaluate(bundle, test)
@@ -381,11 +372,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    config = experiment_config(resolve_settings(args))
+    settings = resolve_settings(args)
+    config = experiment_config(settings)
     if args.variant in LEARNABLE_VARIANTS:
         if args.checkpoint is None:
             raise ConfigError(f"variant {args.variant!r} needs --checkpoint DIR")
-        model = _load_checkpoint(args.variant, args.checkpoint, config)
+        model = _load_checkpoint(args.variant, args.checkpoint, settings)
     elif args.variant == TRUE_VARIANT:
         model = TrueModel(scores_by_group={}, proclivity=by_name(config.synth.proclivity))
     else:

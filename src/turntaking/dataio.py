@@ -19,21 +19,23 @@ import numpy as np
 from .evaluation import EvalReport, TRUE_VARIANT, boxplot_stats
 from .model import Conversation, Roster, ScoreParams
 from .neural import DenseNet
-from .proclivity import ProclivityCurve
+from .proclivity import ExpDecayProclivity, LearnedProclivity, ProclivityCurve
 from .synthgen import Group, SynthDataset
+from .training import LEARNABLE_VARIANTS, ModelBundle
 
 SPLITS = ("train", "val", "test")
 
 ROSTER_HEADER = ["group_id", "member", "trait"]
 CONVERSATION_HEADER = ["group_id", "turn", "speaker"]
 SCORES_HEADER = ["group_id", "member", "pi", "d"]
-NET_HEADER = ["layer", "row", "col", "kind", "value"]
+CHECKPOINT_HEADER = ["net", "layer", "row", "col", "value"]
 HISTORY_HEADER = ["outer_iter", "train_loss", "val_loss"]
 REPORT_HEADER = ["trial", "variant", "metric", "group_id", "value"]
 SUMMARY_HEADER = ["variant", "metric", "median", "q1", "q3", "lo_whisker", "hi_whisker"]
 CURVE_HEADER = ["delta", "value"]
 
 MANIFEST_NAME = "manifest.txt"
+CHECKPOINT_NAME = "checkpoint.csv"
 
 
 class DataFormatError(ValueError):
@@ -65,18 +67,24 @@ def _open_writer(path):
         raise
 
 
-def _read_rows(path, expected_header):
-    """Yield (line number, fields) per data row, streaming the file."""
+def _read_rows(path, expected_header, meta: dict | None = None):
+    """Yield (line number, fields) per data row, streaming the file.
+
+    Leading ``# key=value`` lines go into ``meta`` when it is given.
+    """
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
+            while meta is not None and header and header[0].startswith("# "):
+                key, _, meta[key] = header[0][2:].partition("=")
+                header = next(reader, None)
             if header != expected_header:
                 raise DataFormatError(
                     f"{path}: expected header {','.join(expected_header)}, "
                     f"got {','.join(header) if header else 'empty file'}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in enumerate(reader, start=reader.line_num + 1):
                 if not row:
                     continue
                 if len(row) != len(expected_header):
@@ -247,55 +255,77 @@ def read_dataset(directory) -> SynthDataset:
     )
 
 
-# -- network snapshots ------------------------------------------------------
+# -- fit checkpoints --------------------------------------------------------
 
 
-def write_net(path, net: DenseNet) -> None:
+def write_checkpoint(path, bundle: ModelBundle) -> None:
+    """A fitted bundle as one CSV that loads without any other settings.
+
+    ``# key=value`` lines give the variant, the activation and, for ``pro``,
+    ``delta_scale``. One row per parameter follows; column 0 is the bias.
+    """
+    nets = {"f": bundle.f_net, "g": bundle.g_net}
+    meta = {"variant": bundle.variant, "activation": bundle.f_net.activation}
+    if bundle.learns_proclivity:
+        nets["nu"] = bundle.proclivity.net
+        meta["delta_scale"] = _fmt(bundle.proclivity.delta_scale)
     with _open_writer(path) as writer:
-        writer.writerow(NET_HEADER)
-        for layer, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
-            for r in range(w.shape[0]):
-                for c in range(w.shape[1]):
-                    writer.writerow([layer, r + 1, c + 1, "weight", _fmt(w[r, c])])
-            for r in range(b.size):
-                writer.writerow([layer, r + 1, 0, "bias", _fmt(b[r])])
+        writer.writerows([f"# {key}={value}"] for key, value in meta.items())
+        writer.writerow(CHECKPOINT_HEADER)
+        for name, net in nets.items():
+            for layer, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
+                for r, row in enumerate(np.column_stack([b, w]), start=1):
+                    writer.writerows([name, layer, r, c, _fmt(v)] for c, v in enumerate(row))
 
 
-def read_net(path, activation: str = "tanh") -> DenseNet:
-    weight_cells: dict = {}
-    bias_cells: dict = {}
-    for lineno, row in _read_rows(path, NET_HEADER):
-        layer = _parse(path, lineno, row[0], int)
-        r = _parse(path, lineno, row[1], int)
-        c = _parse(path, lineno, row[2], int)
-        kind = row[3]
-        value = _parse(path, lineno, row[4], float)
-        if kind == "weight":
-            weight_cells.setdefault(layer, {})[(r, c)] = value
-        elif kind == "bias":
-            bias_cells.setdefault(layer, {})[r] = value
-        else:
-            raise DataFormatError(f"{path}:{lineno}: unknown kind {kind!r}")
-    if not weight_cells or sorted(weight_cells) != list(range(1, len(weight_cells) + 1)):
-        raise DataFormatError(f"{path}: layers are not 1..L")
+def _net_from_cells(path, name: str, layers: dict, activation: str) -> DenseNet:
+    if sorted(layers) != list(range(1, len(layers) + 1)):
+        raise DataFormatError(f"{path}: net {name} layers are not 1..L")
     weights, biases = [], []
-    for layer in sorted(weight_cells):
-        cells = weight_cells[layer]
-        n_out = max(r for r, _ in cells)
-        n_in = max(c for _, c in cells)
-        if len(cells) != n_out * n_in:
-            raise DataFormatError(f"{path}: layer {layer} weight matrix has holes")
-        w = np.empty((n_out, n_in))
+    for layer in sorted(layers):
+        cells = layers[layer]
+        rows, cols = max(r for r, _ in cells), max(c for _, c in cells)
+        if cols < 1 or set(cells) != {(r, c) for r in range(1, rows + 1) for c in range(cols + 1)}:
+            raise DataFormatError(f"{path}: net {name} layer {layer} cells are not 1..R x 0..C")
+        matrix = np.empty((rows, cols + 1))
         for (r, c), value in cells.items():
-            w[r - 1, c - 1] = value
-        b = np.zeros(n_out)
-        for r, value in bias_cells.get(layer, {}).items():
-            if not 1 <= r <= n_out:
-                raise DataFormatError(f"{path}: layer {layer} bias row {r} out of range")
-            b[r - 1] = value
-        weights.append(w)
-        biases.append(b)
-    return DenseNet(weights=tuple(weights), biases=tuple(biases), activation=activation)
+            matrix[r - 1, c] = value
+        biases.append(matrix[:, 0].copy())
+        weights.append(matrix[:, 1:].copy())
+    sizes = [1] + [w.shape[0] for w in weights]
+    if [w.shape[1] for w in weights] != sizes[:-1] or sizes[-1] != 1:
+        raise DataFormatError(f"{path}: net {name} layer sizes {sizes} do not chain 1 -> 1")
+    try:
+        return DenseNet(weights=tuple(weights), biases=tuple(biases), activation=activation)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: net {name}: {exc}") from None
+
+
+def read_checkpoint(path) -> ModelBundle:
+    """The bundle ``write_checkpoint`` wrote; needs no other settings."""
+    meta, nets = {}, {}
+    for lineno, row in _read_rows(path, CHECKPOINT_HEADER, meta):
+        cells = nets.setdefault(row[0], {}).setdefault(_parse(path, lineno, row[1], int), {})
+        key = (_parse(path, lineno, row[2], int), _parse(path, lineno, row[3], int))
+        if key in cells:
+            raise DataFormatError(f"{path}:{lineno}: repeated cell")
+        cells[key] = _parse(path, lineno, row[4], float)
+    pro = meta.get("variant") == "pro"
+    keys = {"variant", "activation"} | ({"delta_scale"} if pro else set())
+    names = {"f", "g"} | ({"nu"} if pro else set())
+    if meta.get("variant") not in LEARNABLE_VARIANTS or set(meta) != keys or set(nets) != names:
+        raise DataFormatError(
+            f"{path}: expected a pro or exp checkpoint with keys {sorted(keys)} and nets "
+            f"{sorted(names)}, got {meta} and nets {sorted(nets)}"
+        )
+    net = {name: _net_from_cells(path, name, nets[name], meta["activation"]) for name in names}
+    prox = ExpDecayProclivity()
+    if pro:
+        delta_scale = _parse(path, "header", meta["delta_scale"], float)
+        if not (np.isfinite(delta_scale) and delta_scale > 0):
+            raise DataFormatError(f"{path}: delta_scale must be positive, got {delta_scale!r}")
+        prox = LearnedProclivity(net=net["nu"], delta_scale=delta_scale)
+    return ModelBundle(variant=meta["variant"], proclivity=prox, f_net=net["f"], g_net=net["g"])
 
 
 # -- fit history ------------------------------------------------------------

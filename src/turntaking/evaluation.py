@@ -23,7 +23,6 @@ import numpy as np
 
 from .model import (
     DegenerateDistributionError,
-    EPS_FLOOR,
     Roster,
     ScoreParams,
     ZeroLikelihoodError,
@@ -163,7 +162,7 @@ def evaluate(model, groups) -> EvalSummary:
         # would only be noise ahead of it.
         with np.errstate(over="ignore", invalid="ignore"):
             _, totals, observed = _likelihood_pass(
-                stack, w, scores.inherent[None], scores.memory[None], EPS_FLOOR
+                stack, w, scores.inherent[None], scores.memory[None]
             )
             turn_nll = np.log(totals[0]) - np.log(observed[0])
         nll = float(turn_nll.mean())

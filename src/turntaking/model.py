@@ -162,18 +162,6 @@ def gap_matrix(conversation: Conversation, horizon: int | None = None) -> np.nda
     return np.where(last > 0, np.arange(1, H + 1)[:, None] - last, NEVER)
 
 
-def speaking_scores(params: ScoreParams, proclivity, gaps: np.ndarray) -> np.ndarray:
-    """Score vector u from scores, a proclivity, and per-member gaps.
-
-    The previous speaker (gap 1) scores zero; members who have never spoken
-    fall back to their inherent score because the proclivity vanishes there.
-    """
-    gaps = np.asarray(gaps)
-    w = proclivity.values(gaps)
-    u = params.inherent + params.memory * w
-    return np.where(gaps != 1, u, 0.0)
-
-
 def classify_turns(conversation: Conversation) -> np.ndarray:
     """TurnClass value for every turn, as an int array of length T.
 

@@ -50,8 +50,8 @@ log = logging.getLogger(__name__)
 VARIANTS = ("pro", "exp", "nm", "hm")
 LEARNABLE_VARIANTS = ("pro", "exp")
 
-NM_INHERENT, NM_MEMORY = 1.0, 0.0
-HM_INHERENT, HM_MEMORY = 1e-2, 1.0
+# Constant (inherent, memory) scores of the variants without score nets.
+FIXED_SCORES = {"nm": (1.0, 0.0), "hm": (1e-2, 1.0)}
 
 DEFAULT_HIDDEN = (16, 16)
 
@@ -115,15 +115,20 @@ class ModelBundle:
         return isinstance(self.proclivity, LearnedProclivity)
 
 
+def _scores(bundle: ModelBundle, traits: np.ndarray):
+    """``(pi, d)`` shaped like ``traits``, plus the activations backward needs."""
+    if bundle.variant in FIXED_SCORES:
+        pi, d = FIXED_SCORES[bundle.variant]
+        return np.full(traits.shape, pi), np.full(traits.shape, d), None, None
+    flat = traits.ravel()
+    pi, f_cache = _forward_cached(bundle.f_net, flat)
+    d, g_cache = _forward_cached(bundle.g_net, flat)
+    return pi.reshape(traits.shape), d.reshape(traits.shape), f_cache, g_cache
+
+
 def predict_scores(bundle: ModelBundle, roster: Roster) -> ScoreParams:
     """Per-member inherent and memory scores for one roster."""
-    n = roster.size
-    if bundle.variant == "nm":
-        return ScoreParams(np.full(n, NM_INHERENT), np.full(n, NM_MEMORY))
-    if bundle.variant == "hm":
-        return ScoreParams(np.full(n, HM_INHERENT), np.full(n, HM_MEMORY))
-    pi = np.asarray(bundle.f_net.forward(roster.traits))
-    d = np.asarray(bundle.g_net.forward(roster.traits))
+    pi, d, _, _ = _scores(bundle, roster.traits)
     return ScoreParams(pi, d)
 
 
@@ -136,7 +141,6 @@ class FitConfig:
     score_epochs: int = 5
     proclivity_epochs: int = 5
     patience: int = 20
-    eps: float = EPS_FLOOR
     clip_norm: float = 10.0
 
     def __post_init__(self):
@@ -144,8 +148,8 @@ class FitConfig:
             raise ValueError("step and epoch counts must be positive")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.eps <= 0 or self.clip_norm <= 0:
-            raise ValueError("eps and clip_norm must be positive")
+        if self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
 
 
 @dataclass
@@ -245,10 +249,10 @@ class _Stacks:
         so the two can never share an entry.
         """
         if bundle.variant not in LEARNABLE_VARIANTS:
-            return [_stack_scores(bundle, s) for s in self.stacks]
+            return [_scores(bundle, s.traits) for s in self.stacks]
         nets = (bundle.f_net, bundle.g_net)
         if self._nets is None or nets[0] is not self._nets[0] or nets[1] is not self._nets[1]:
-            self._scores = [_stack_scores(bundle, s) for s in self.stacks]
+            self._scores = [_scores(bundle, s.traits) for s in self.stacks]
             self._nets = nets
         return self._scores
 
@@ -279,25 +283,12 @@ def _build_stacks(pairs) -> _Stacks:
     return _Stacks(stacks)
 
 
-def _stack_scores(bundle: ModelBundle, stack: _Stack):
-    """(B, N) scores of one stack, plus the activations backward needs."""
-    B, N = stack.traits.shape
-    if bundle.variant == "nm":
-        return np.full((B, N), NM_INHERENT), np.full((B, N), NM_MEMORY), None, None
-    if bundle.variant == "hm":
-        return np.full((B, N), HM_INHERENT), np.full((B, N), HM_MEMORY), None, None
-    flat = stack.traits.ravel()
-    pi, f_cache = _forward_cached(bundle.f_net, flat)
-    d, g_cache = _forward_cached(bundle.g_net, flat)
-    return pi.reshape(B, N), d.reshape(B, N), f_cache, g_cache
-
-
-def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray, eps: float):
+def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray):
     """Floored scores, turn totals and observed cells of one stack.
 
     The one place the likelihood is computed: every cell scores
-    ``pi + d * w``, floored at ``eps``, and the previous speaker's cell is
-    zeroed. ``pi`` and ``d`` are (B, N) and ``w`` is ``table[gaps]``.
+    ``pi + d * w``, floored at ``EPS_FLOOR``, and the previous speaker's
+    cell is zeroed. ``pi`` and ``d`` are (B, N) and ``w`` is ``table[gaps]``.
     Returns the (B, N, T) floored scores, the (B, T) turn totals and the
     (B, T) observed-speaker cells, so a turn's NLL is
     ``log(total) - log(observed)``.
@@ -307,7 +298,7 @@ def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray
     # faster than the same memory viewed as (B, N, T).
     floored = w.reshape(B * N, T) * d.reshape(-1, 1)
     floored += pi.reshape(-1, 1)
-    np.maximum(floored, eps, out=floored)
+    np.maximum(floored, EPS_FLOOR, out=floored)
     cells = floored.reshape(-1)
     cells[stack.ineligible] = 0.0
     # Members are added one at a time in index order: a fixed summation
@@ -319,17 +310,17 @@ def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray
     return by_member, totals, cells[stack.observed]
 
 
-def _mean_nll(bundle: ModelBundle, stacks: _Stacks, eps: float) -> float:
+def _mean_nll(bundle: ModelBundle, stacks: _Stacks) -> float:
     """Mean per-turn NLL over every stack of a split; no gradients."""
     total_nll = 0.0
     ws = stacks.gather(bundle.proclivity)
     for stack, w, (pi, d, _, _) in zip(stacks, ws, stacks.scores(bundle)):
-        _, totals, observed = _likelihood_pass(stack, w, pi, d, eps)
+        _, totals, observed = _likelihood_pass(stack, w, pi, d)
         total_nll += float(np.log(totals).sum() - np.log(observed).sum())
     return total_nll / stacks.turns
 
 
-def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str) -> dict:
+def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
     """Gradients of the mean per-turn NLL for one block; no loss.
 
     Gradients come back as a dict keyed by component name ("f", "g", "nu"),
@@ -351,15 +342,15 @@ def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, eps: float, block: str)
     ws = stacks.gather(bundle.proclivity)
     for stack, w, (pi, d, f_cache, g_cache) in zip(stacks, ws, stacks.scores(bundle)):
         B, N, T = stack.gaps.shape
-        by_member, totals, observed = _likelihood_pass(stack, w, pi, d, eps)
+        by_member, totals, observed = _likelihood_pass(stack, w, pi, d)
         # d(nll)/du: 1/total on every cell the floor leaves differentiable
         # (which excludes the zeroed previous speaker), minus 1/observed on
         # the observed speaker's cell. inv_totals is finite and nonnegative,
         # so the masked product is exactly inv_totals or 0.0.
         inv_totals = 1.0 / totals
-        du = ((by_member > eps) * inv_totals[:, None, :]).reshape(B * N, T)
+        du = ((by_member > EPS_FLOOR) * inv_totals[:, None, :]).reshape(B * N, T)
         du.reshape(-1)[stack.observed] = np.where(
-            observed > eps, inv_totals - 1.0 / observed, 0.0
+            observed > EPS_FLOOR, inv_totals - 1.0 / observed, 0.0
         )
         if want_scores:
             gf.add(_backward_cached(bundle.f_net, f_cache, du.sum(axis=1) * scale))
@@ -387,7 +378,6 @@ def conversation_nll_gradients(
     roster: Roster,
     conversation: Conversation,
     block: str,
-    eps: float = EPS_FLOOR,
 ) -> dict:
     """Exact gradients of one conversation's mean per-turn NLL.
 
@@ -397,12 +387,12 @@ def conversation_nll_gradients(
     """
     if block not in (BLOCK_SCORES, BLOCK_PROCLIVITY):
         raise ValueError(f"unknown block {block!r}")
-    return _nll_gradients(bundle, _build_stacks([(roster, conversation)]), eps, block)
+    return _nll_gradients(bundle, _build_stacks([(roster, conversation)]), block)
 
 
 def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
     for _ in range(cfg.score_epochs):
-        grads = _nll_gradients(bundle, stacks, cfg.eps, BLOCK_SCORES)
+        grads = _nll_gradients(bundle, stacks, BLOCK_SCORES)
         gf, gg = clip_gradients([grads["f"], grads["g"]], cfg.clip_norm)
         bundle = replace(
             bundle,
@@ -414,7 +404,7 @@ def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
 
 def _descend_proclivity(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
     for _ in range(cfg.proclivity_epochs):
-        grads = _nll_gradients(bundle, stacks, cfg.eps, BLOCK_PROCLIVITY)
+        grads = _nll_gradients(bundle, stacks, BLOCK_PROCLIVITY)
         (gnu,) = clip_gradients([grads["nu"]], cfg.clip_norm)
         prox = bundle.proclivity.with_net(apply_update(bundle.proclivity.net, gnu, cfg.step))
         bundle = replace(bundle, proclivity=prox)
@@ -439,8 +429,8 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     val_stacks = _build_stacks(training_set.val) if training_set.val else None
 
     def losses(b: ModelBundle):
-        train = _mean_nll(b, train_stacks, cfg.eps)
-        val = _mean_nll(b, val_stacks, cfg.eps) if val_stacks else train
+        train = _mean_nll(b, train_stacks)
+        val = _mean_nll(b, val_stacks) if val_stacks else train
         return train, val
 
     train_loss, val_loss = losses(bundle)

@@ -28,16 +28,15 @@ from turntaking import (
     classify_turns,
     class_weights,
     evaluate,
-    gap_matrix,
     generate_dataset,
     run_experiment,
     sample_conversations,
-    speaking_scores,
     true_model,
 )
 from turntaking.cli import main
 from turntaking.training import BLOCK_PROCLIVITY, BLOCK_SCORES, conversation_nll_gradients
 
+from test_model import engine_scores
 from test_training import bundle_loss, make_pair, perturbed_net, warmed_bundle
 
 
@@ -284,7 +283,7 @@ def test_ac6_exhaustive_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(gamma - expect_gamma))))
         group = Group(group_id=1, roster=roster, scores=params, conversation=conversation)
         for kind, w in kinds:
-            U = speaking_scores(params, kind, gap_matrix(conversation))
+            U = engine_scores(params, kind, conversation)
             for t in range(1, len(speakers) + 1):
                 got_p = U[t - 1] / U[t - 1].sum()
                 expect_p = oracle.probabilities_at(pi, d, w, speakers, 3, t)

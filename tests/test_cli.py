@@ -8,7 +8,14 @@ import pytest
 
 from turntaking import ExpDecayProclivity, SigmoidProclivity, __version__, evaluate, true_model
 from turntaking.cli import main
-from turntaking.dataio import read_curve, read_history, read_manifest, read_report, read_split
+from turntaking.dataio import (
+    read_checkpoint,
+    read_curve,
+    read_history,
+    read_manifest,
+    read_report,
+    read_split,
+)
 
 TINY_DATA = """
 groups_total=3
@@ -177,8 +184,8 @@ def test_fit_writes_checkpoints_and_history(capsys, tmp_path, tiny_config):
                        "--variant", "pro", "--out", out)
     assert code == 0
     names = {p.name for p in out.iterdir()}
-    assert names == {"checkpoint_f.csv", "checkpoint_g.csv", "checkpoint_nu.csv",
-                     "history.csv", "manifest.txt"}
+    assert names == {"checkpoint.csv", "history.csv", "manifest.txt"}
+    assert read_checkpoint(out / "checkpoint.csv").learns_proclivity
     history = read_history(out / "history.csv")
     assert len(history) == 5  # row 0 plus max_outer=4 iterations
     assert history[0][0] == 0
@@ -191,9 +198,11 @@ def test_fit_exp_has_no_proclivity_checkpoint(capsys, tmp_path, tiny_config):
     code, _, _ = run(capsys, "fit", "--config", tiny_config, "--data", data,
                      "--variant", "exp", "--out", out)
     assert code == 0
-    names = {p.name for p in out.iterdir()}
-    assert "checkpoint_nu.csv" not in names
-    assert {"checkpoint_f.csv", "checkpoint_g.csv", "history.csv"} <= names
+    assert {p.name for p in out.iterdir()} == {"checkpoint.csv", "history.csv", "manifest.txt"}
+    text = (out / "checkpoint.csv").read_text(encoding="utf-8")
+    assert "delta_scale" not in text and "\nnu," not in text
+    bundle = read_checkpoint(out / "checkpoint.csv")
+    assert bundle.variant == "exp" and not bundle.learns_proclivity
 
 
 def test_fit_rerun_reproduces_history_bytes(capsys, tmp_path, tiny_config):
@@ -206,7 +215,7 @@ def test_fit_rerun_reproduces_history_bytes(capsys, tmp_path, tiny_config):
         assert code == 0
         outs.append(out)
     assert (outs[0] / "history.csv").read_bytes() == (outs[1] / "history.csv").read_bytes()
-    assert (outs[0] / "checkpoint_f.csv").read_bytes() == (outs[1] / "checkpoint_f.csv").read_bytes()
+    assert (outs[0] / "checkpoint.csv").read_bytes() == (outs[1] / "checkpoint.csv").read_bytes()
 
 
 def test_fit_rejects_variants_without_parameters(capsys, tmp_path, tiny_config):
@@ -309,11 +318,102 @@ def test_eval_missing_checkpoint_files_is_usage_error(capsys, tmp_path, tiny_con
     data = make_data(capsys, tmp_path, tiny_config)
     empty = tmp_path / "empty"
     empty.mkdir()
+    # The three files of the earlier layout are not read.
+    for part in ("f", "g", "nu"):
+        (empty / f"checkpoint_{part}.csv").write_text("layer,row,col,kind,value\n", encoding="utf-8")
     code, _, err = run(capsys, "eval", "--config", tiny_config, "--data", data,
                        "--variants", "exp", "--checkpoint", f"exp={empty}",
                        "--out", tmp_path / "eval")
     assert code == 2
     assert "missing checkpoint file" in err
+
+
+def fit_into(capsys, tmp_path, config, data, variant, out):
+    code, _, _ = run(capsys, "fit", "--config", config, "--data", data,
+                     "--variant", variant, "--out", out)
+    assert code == 0
+    return out
+
+
+def eval_report(capsys, tmp_path, data, variant, fit_dir, *config):
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", *config, "--data", data, "--variants", variant,
+                       "--checkpoint", f"{variant}={fit_dir}", "--out", out)
+    assert code == 0, err
+    return (out / "report.csv").read_bytes()
+
+
+def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, tiny_config):
+    # A fit under relu and delta_scale=5 scores the same, bit for bit, with
+    # its config, with only the data settings, and with no config at all.
+    data = make_data(capsys, tmp_path, tiny_config)
+    relu = tmp_path / "relu.cfg"
+    relu.write_text(TINY_DATA + TINY_FIT + "activation=relu\ndelta_scale=5\n", encoding="utf-8")
+    fit_dir = fit_into(capsys, tmp_path, relu, data, "pro", tmp_path / "fit")
+    reports = [
+        eval_report(capsys, tmp_path, data, "pro", fit_dir, *config)
+        for config in (("--config", relu), ("--config", tiny_config), ())
+    ]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    (got,) = [r[4] for r in read_report(tmp_path / "eval" / "report.csv")
+              if r[1] == "pro" and r[2] == "nll" and r[3] == "all"]
+    test = read_split(data, "test")
+    assert got == evaluate(read_checkpoint(fit_dir / "checkpoint.csv"), test).nll
+    curves = []
+    for config in (("--config", relu), ()):
+        out = tmp_path / f"curve{len(curves)}"
+        code, _, _ = run(capsys, "curve", *config, "--variant", "pro",
+                         "--checkpoint", fit_dir, "--out", out)
+        assert code == 0
+        curves.append((out / "curve_pro.csv").read_bytes())
+    assert curves[0] == curves[1]
+
+
+@pytest.mark.parametrize("setting", ["activation=tanh", "delta_scale=20", "hidden=4"])
+def test_setting_conflicting_with_checkpoint_is_usage_error(capsys, tmp_path, tiny_config, setting):
+    data = make_data(capsys, tmp_path, tiny_config)
+    relu = tmp_path / "relu.cfg"
+    relu.write_text(TINY_DATA + TINY_FIT + "activation=relu\ndelta_scale=5\n", encoding="utf-8")
+    fit_dir = fit_into(capsys, tmp_path, relu, data, "pro", tmp_path / "fit")
+    clash = tmp_path / "clash.cfg"
+    clash.write_text(setting + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--config", clash, "--data", data, "--variants", "pro",
+                       "--checkpoint", f"pro={fit_dir}", "--out", tmp_path / "eval")
+    assert code == 2
+    assert "conflicts" in err and setting.split("=")[0] in err
+    code, _, err = run(capsys, "curve", "--config", clash, "--variant", "pro",
+                       "--checkpoint", fit_dir, "--out", tmp_path / "curve")
+    assert code == 2
+    assert "conflicts" in err
+
+
+def test_refit_into_the_same_directory_leaves_no_stale_parts(capsys, tmp_path, tiny_config):
+    # exp fitted over a pro fit: the directory now holds an exp fit only, so
+    # loading it as pro is refused instead of pairing exp's nets with pro's
+    # old proclivity net.
+    data = make_data(capsys, tmp_path, tiny_config)
+    fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
+    fit_into(capsys, tmp_path, tiny_config, data, "exp", fit_dir)
+    assert {p.name for p in fit_dir.iterdir()} == {"checkpoint.csv", "history.csv", "manifest.txt"}
+    code, _, err = run(capsys, "eval", "--config", tiny_config, "--data", data,
+                       "--variants", "pro", "--checkpoint", f"pro={fit_dir}",
+                       "--out", tmp_path / "eval")
+    assert code == 2
+    assert "variant=pro conflicts with variant=exp" in err
+
+
+def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_config):
+    data = make_data(capsys, tmp_path, tiny_config)
+    fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
+    code, _, err = run(capsys, "eval", "--config", tiny_config, "--data", data,
+                       "--variants", "exp", "--checkpoint", f"exp={fit_dir}",
+                       "--out", tmp_path / "eval")
+    assert code == 2
+    assert "variant=exp conflicts with variant=pro" in err
+    code, _, err = run(capsys, "curve", "--variant", "exp", "--checkpoint", fit_dir,
+                       "--out", tmp_path / "curve")
+    assert code == 2
+    assert "variant=exp conflicts with variant=pro" in err
 
 
 def test_eval_bad_checkpoint_syntax_is_usage_error(capsys, tmp_path, tiny_config):

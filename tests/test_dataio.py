@@ -12,6 +12,7 @@ from turntaking import (
     ExperimentConfig,
     Group,
     GroupLoss,
+    ModelBundle,
     ProclivityCurve,
     Roster,
     SynthConfig,
@@ -19,7 +20,6 @@ from turntaking import (
     TrialResult,
     boxplot_stats,
     generate_dataset,
-    init_net,
     sample_conversation,
     traits_to_scores,
 )
@@ -32,8 +32,8 @@ from turntaking.dataio import (
     read_conversations,
     read_curve,
     read_dataset,
+    read_checkpoint,
     read_history,
-    read_net,
     read_report,
     read_rosters,
     read_split,
@@ -43,13 +43,15 @@ from turntaking.dataio import (
     write_curve,
     write_curves,
     write_dataset,
+    write_checkpoint,
     write_history,
-    write_net,
     write_report,
     write_rosters,
     write_summary,
     write_true_scores,
 )
+
+from test_training import warmed_bundle
 
 
 @pytest.fixture
@@ -143,19 +145,49 @@ def test_read_split_without_scores_yields_none(tmp_path, dataset):
 
 
 def test_net_round_trip_is_exact(tmp_path):
-    from turntaking import apply_update, backward
-
-    net = init_net((1, 4, 3, 1), seed=8)
+    # A checkpoint brings back every net bit for bit, with the variant,
+    # activation and delta_scale it was written under and nothing else given.
     rng = np.random.default_rng(0)
-    for _ in range(3):  # give every layer nonzero entries
-        net = apply_update(net, backward(net, rng.normal(size=5), rng.normal(size=5)), 0.7)
-    path = tmp_path / "net.csv"
-    write_net(path, net)
-    back = read_net(path)
-    assert back == net
-    assert back.layer_sizes == (1, 4, 3, 1)
-    relu = read_net(path, activation="relu")
-    assert relu.activation == "relu"
+    for variant, activation, delta_scale in [
+        ("pro", "tanh", 20.0), ("pro", "relu", 5.0), ("exp", "relu", 20.0),
+    ]:
+        bundle = warmed_bundle(
+            rng, hidden=(4, 3), seed=8, variant=variant, activation=activation,
+            delta_scale=delta_scale,
+        )
+        path = tmp_path / f"{variant}_{activation}.csv"
+        write_checkpoint(path, bundle)
+        back = read_checkpoint(path)
+        assert back.variant == variant
+        assert (back.f_net, back.g_net) == (bundle.f_net, bundle.g_net)
+        assert back.f_net.layer_sizes == (1, 4, 3, 1)
+        assert back.f_net.activation == activation
+        if variant == "pro":
+            assert back.proclivity == bundle.proclivity
+            assert back.proclivity.delta_scale == delta_scale
+        else:
+            assert type(back.proclivity) is ExpDecayProclivity
+        write_checkpoint(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_layout(tmp_path):
+    path = tmp_path / "checkpoint.csv"
+    bundle = warmed_bundle(np.random.default_rng(0), hidden=(4, 3), activation="relu",
+                           delta_scale=5.0)
+    write_checkpoint(path, bundle)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:4] == [
+        "# variant=pro", "# activation=relu", "# delta_scale=5.0", "net,layer,row,col,value",
+    ]
+    # Layers of (1, 4, 3, 1) nets: rows x (1 bias + inputs) cells each.
+    assert len(lines) == 4 + 3 * (4 * 2 + 3 * 5 + 1 * 4)
+    bias, weight = bundle.f_net.biases[0][0], bundle.f_net.weights[0][0, 0]
+    assert lines[4:6] == [f"f,1,1,0,{float(bias)!r}", f"f,1,1,1,{float(weight)!r}"]
+    write_checkpoint(path, ModelBundle.make("exp"))
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("# variant=exp\n# activation=tanh\nnet,layer,row,col,value\n")
+    assert "\nnu," not in text
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path, dataset):
@@ -200,6 +232,10 @@ def test_wrong_header_is_rejected(tmp_path):
     write_lines(path, ["group,member,trait", "1,1,0.5"])
     with pytest.raises(DataFormatError, match="expected header"):
         read_rosters(path)
+    # Only checkpoints open with # key=value lines.
+    write_lines(path, ["# variant=exp", "group_id,member,trait", "1,1,0.5"])
+    with pytest.raises(DataFormatError, match="expected header"):
+        read_rosters(path)
 
 
 def test_wrong_field_count_reports_line_number(tmp_path):
@@ -230,32 +266,63 @@ def test_non_contiguous_turns_rejected(tmp_path):
         read_conversations(path)
 
 
+EXP_HEAD = ["# variant=exp", "# activation=tanh", "net,layer,row,col,value"]
+G_ROWS = ["g,1,1,0,0.0", "g,1,1,1,0.5"]
+
+
 def test_net_weight_holes_rejected(tmp_path):
-    path = tmp_path / "net.csv"
-    write_lines(
-        path,
-        [
-            "layer,row,col,kind,value",
-            "1,1,1,weight,0.5",
-            "1,2,2,weight,0.25",  # (1,2) and (2,1) missing
-        ],
-    )
-    with pytest.raises(DataFormatError, match="holes"):
-        read_net(path)
+    path = tmp_path / "checkpoint.csv"
+    # Layer 1 of f has rows 1..2 but no bias cell in row 2.
+    write_lines(path, EXP_HEAD + ["f,1,1,0,0.1", "f,1,1,1,0.5", "f,1,2,1,0.25"] + G_ROWS)
+    with pytest.raises(DataFormatError, match="layer 1 cells are not 1..R x 0..C"):
+        read_checkpoint(path)
 
 
-def test_net_unknown_kind_rejected(tmp_path):
-    path = tmp_path / "net.csv"
-    write_lines(path, ["layer,row,col,kind,value", "1,1,1,gain,0.5"])
-    with pytest.raises(DataFormatError, match="unknown kind"):
-        read_net(path)
+def test_checkpoint_row_zero_rejected(tmp_path):
+    # Rows 0 and 2 of a two-row layer: as many cells as rows 1..2 hold, but
+    # row 0 would land in the last row and leave row 1 unset.
+    path = tmp_path / "checkpoint.csv"
+    layer_1 = ["f,1,0,0,0.1", "f,1,0,1,0.5", "f,1,2,0,0.2", "f,1,2,1,0.3"]
+    layer_2 = ["f,2,1,0,0.0", "f,2,1,1,0.5", "f,2,1,2,0.25"]
+    write_lines(path, EXP_HEAD + layer_1 + layer_2 + G_ROWS)
+    with pytest.raises(DataFormatError, match="cells are not 1..R x 0..C"):
+        read_checkpoint(path)
 
 
 def test_net_layer_numbering_rejected(tmp_path):
-    path = tmp_path / "net.csv"
-    write_lines(path, ["layer,row,col,kind,value", "2,1,1,weight,0.5"])
+    path = tmp_path / "checkpoint.csv"
+    write_lines(path, EXP_HEAD + ["f,2,1,0,0.0", "f,2,1,1,0.5"] + G_ROWS)
     with pytest.raises(DataFormatError, match="layers are not 1..L"):
-        read_net(path)
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (EXP_HEAD[1:] + ["f,1,1,0,0.0", "f,1,1,1,0.5"] + G_ROWS, "pro or exp checkpoint"),
+        (["# variant=nm"] + EXP_HEAD[1:] + G_ROWS, "pro or exp checkpoint"),
+        (EXP_HEAD[:1] + ["# delta_scale=20.0"] + EXP_HEAD[1:] + G_ROWS, "pro or exp checkpoint"),
+        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,0.5"] + G_ROWS + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"],
+         "pro or exp checkpoint"),
+        (EXP_HEAD + G_ROWS, "pro or exp checkpoint"),
+        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,0.5", "f,1,1,1,0.5"] + G_ROWS, ":6: repeated cell"),
+        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,two,0.5"] + G_ROWS, r":5: cannot parse 'two'"),
+        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,0.5", "f,1,1,2,0.5"] + G_ROWS, "do not chain"),
+        (["# variant=exp", "# activation=gelu"] + EXP_HEAD[2:] + ["f,1,1,0,0.0", "f,1,1,1,0.5"]
+         + G_ROWS, "unknown hidden activation"),
+        (["# variant=pro", "# activation=tanh", "# delta_scale=0.0"] + EXP_HEAD[2:]
+         + ["f,1,1,0,0.0", "f,1,1,1,0.5"] + G_ROWS + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"],
+         "delta_scale must be positive"),
+    ],
+    ids=["no-variant", "variant-nm", "exp-with-delta-scale", "exp-with-nu", "missing-f",
+         "repeated-cell", "bad-value-line", "sizes-do-not-chain", "bad-activation",
+         "zero-delta-scale"],
+)
+def test_malformed_checkpoint_rejected(tmp_path, lines, message):
+    path = tmp_path / "checkpoint.csv"
+    write_lines(path, lines)
+    with pytest.raises(DataFormatError, match=message):
+        read_checkpoint(path)
 
 
 def test_split_coverage_mismatch_rejected(tmp_path, dataset):

@@ -30,9 +30,9 @@ from turntaking import (
     gap_matrix,
     sample_conversation,
     sample_conversations,
-    speaking_scores,
     true_model,
 )
+from turntaking.training import _build_stacks, _likelihood_pass
 
 W_EXP = ExpDecayProclivity()
 W_SIG = SigmoidProclivity()
@@ -56,6 +56,17 @@ def random_conversation(rng, group_size, length):
 def gaps_at(c, t):
     """Per-member gaps at turn t, which may run to T + 1."""
     return gap_matrix(c, horizon=t)[-1]
+
+
+def engine_scores(params, proclivity, c):
+    """(T, N) speaking scores of one conversation, as the likelihood pass has them.
+
+    Cells are floored at EPS_FLOOR, which no test score here comes near.
+    """
+    stacks = _build_stacks([(Roster(np.linspace(0.1, 1.0, c.group_size)), c)])
+    (w,) = stacks.gather(proclivity)
+    cells, _, _ = _likelihood_pass(stacks.stacks[0], w, params.inherent[None], params.memory[None])
+    return cells[0].T
 
 
 class TableProclivity:
@@ -225,8 +236,9 @@ def test_gap_matrix_stacks_compute_gaps():
 
 
 def test_speaking_scores_hand_example():
+    # At turn 3 of 1, 2, 3 the gaps are 2, 1 and never.
     params = ScoreParams(inherent=np.full(3, 0.5), memory=np.ones(3))
-    u = speaking_scores(params, W_EXP, np.array([2, 1, NEVER]))
+    u = engine_scores(params, W_EXP, conv([1, 2, 3], 3))[2]
     assert u == pytest.approx([0.5 + math.exp(-1), 0.0, 0.5], abs=1e-12)
 
 
@@ -236,15 +248,17 @@ def test_previous_speaker_scores_zero():
         N = int(rng.integers(2, 6))
         c = random_conversation(rng, N, int(rng.integers(2, 12)))
         params = random_params(rng, N)
+        U = engine_scores(params, W_EXP, c)
         for t in range(2, len(c) + 1):
-            u = speaking_scores(params, W_EXP, gaps_at(c, t))
-            assert u[c.speakers[t - 2] - 1] == 0.0
+            assert U[t - 1, c.speakers[t - 2] - 1] == 0.0
 
 
 def test_never_spoken_member_keeps_inherent_score():
     params = ScoreParams(inherent=np.array([0.3, 0.7, 1.1]), memory=np.full(3, 5.0))
-    u = speaking_scores(params, W_SIG, np.array([NEVER, NEVER, NEVER]))
-    assert u == pytest.approx([0.3, 0.7, 1.1], abs=0)
+    for c in (conv([2], 3), conv([2, 3], 3)):
+        U = engine_scores(params, W_SIG, c)
+        assert U[0] == pytest.approx([0.3, 0.7, 1.1], abs=0)
+    assert U[1, 0] == 0.3
 
 
 def test_scores_match_oracle_on_random_conversations():
@@ -253,8 +267,8 @@ def test_scores_match_oracle_on_random_conversations():
         N = int(rng.integers(2, 6))
         c = random_conversation(rng, N, int(rng.integers(1, 12)))
         params = random_params(rng, N)
+        U = engine_scores(params, W_EXP, c)
         for t in range(1, len(c) + 1):
-            u = speaking_scores(params, W_EXP, gaps_at(c, t))
             expected = oracle.scores_at(
                 params.inherent.tolist(),
                 params.memory.tolist(),
@@ -263,7 +277,7 @@ def test_scores_match_oracle_on_random_conversations():
                 N,
                 t,
             )
-            assert u == pytest.approx(expected, abs=1e-12)
+            assert U[t - 1] == pytest.approx(expected, abs=1e-12)
 
 
 # -------------------------------------------------------------- probabilities
@@ -283,7 +297,7 @@ def test_probabilities_sum_to_one_and_nonnegative():
         N = int(rng.integers(2, 7))
         c = random_conversation(rng, N, int(rng.integers(1, 20)))
         params = random_params(rng, N)
-        U = speaking_scores(params, W_SIG, gap_matrix(c))
+        U = engine_scores(params, W_SIG, c)
         for row in U:
             p = oracle.speaking_probabilities(row)
             assert np.all(p >= 0)
@@ -318,8 +332,8 @@ def test_scale_invariance_of_probabilities_and_losses():
         c = random_conversation(rng, N, int(rng.integers(2, 15)))
         params = random_params(rng, N)
         factor = float(rng.uniform(0.1, 40.0))
-        U = speaking_scores(params, W_EXP, gap_matrix(c))
-        V = speaking_scores(params.scaled(factor), W_EXP, gap_matrix(c))
+        U = engine_scores(params, W_EXP, c)
+        V = engine_scores(params.scaled(factor), W_EXP, c)
         for a, b in zip(U, V):
             assert oracle.speaking_probabilities(a) == pytest.approx(
                 oracle.speaking_probabilities(b), abs=1e-10
@@ -469,15 +483,24 @@ def test_loss_shape_mismatch_rejected():
 
 
 def test_likelihood_sequence_matches_per_turn_scores():
+    # Conversations of one shape share a stack; each group's cells still
+    # hold its own scores, turn by turn.
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        N = int(rng.integers(2, 6))
-        c = random_conversation(rng, N, int(rng.integers(1, 15)))
-        params = random_params(rng, N)
-        U = speaking_scores(params, W_SIG, gap_matrix(c))
-        for t in range(1, len(c) + 1):
-            u = speaking_scores(params, W_SIG, gaps_at(c, t))
-            assert U[t - 1] == pytest.approx(u, abs=1e-15)
+    for _ in range(10):
+        N, T = int(rng.integers(2, 6)), int(rng.integers(1, 15))
+        convs = [random_conversation(rng, N, T) for _ in range(3)]
+        params = [random_params(rng, N) for _ in convs]
+        stacks = _build_stacks([(Roster(np.linspace(0.1, 1.0, N)), c) for c in convs])
+        (w,) = stacks.gather(W_SIG)
+        pi = np.stack([p.inherent for p in params])
+        d = np.stack([p.memory for p in params])
+        cells, _, _ = _likelihood_pass(stacks.stacks[0], w, pi, d)
+        for c, p, U in zip(convs, params, cells):
+            for t in range(1, T + 1):
+                expected = oracle.scores_at(
+                    p.inherent.tolist(), p.memory.tolist(), ORACLE_SIG, c.speakers.tolist(), N, t
+                )
+                assert U[:, t - 1] == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------------------ sampling

@@ -2,8 +2,11 @@
 
 Settings resolve in three layers: built-in defaults, then a flat key=value
 config file (``--config``), then explicit command-line flags. Every command
-writes into ``--out`` and appends a manifest recording the resolved
-settings, so a run can be reproduced from its output directory alone.
+writes into ``--out`` and appends a manifest block recording its artifacts
+and the resolved settings it read: ``generate`` the data keys and ``seed``;
+``fit`` ``seed`` and the fit and network keys; ``eval`` ``proclivity`` (the
+dataset's) and ``variants``; ``curve`` ``proclivity``, ``curve_lo`` and
+``curve_hi``; ``experiment`` every key.
 
 Exit codes: 0 success, 2 usage or config problem, 3 I/O failure,
 4 numeric failure (divergent fit or degenerate probabilities).
@@ -89,43 +92,43 @@ def _parse_variants(raw: str) -> tuple:
     return variants
 
 
-# Every recognized config key with its parser; defaults live in the
-# dataclasses these feed into.
-_KEY_PARSERS = {
-    "groups_total": int,
-    "train_groups": int,
-    "val_groups": int,
-    "test_groups": int,
-    "members": int,
-    "turns": int,
-    "trait_low": float,
-    "trait_high": float,
-    "proclivity": str,
-    "trials": int,
-    "seed": int,
-    "step": float,
-    "max_outer": int,
-    "score_epochs": int,
-    "proclivity_epochs": int,
-    "patience": int,
-    "clip_norm": float,
-    "hidden": _parse_hidden,
-    "delta_scale": float,
-    "activation": str,
-    "variants": _parse_variants,
-    "curve_lo": int,
-    "curve_hi": int,
+# Every config key with its parser and the part of ExperimentConfig that holds
+# it ("synth", "fit", or None for the top level), in manifest order. Defaults
+# live in those dataclasses.
+_KEYS = {
+    "groups_total": (int, "synth"),
+    "train_groups": (int, "synth"),
+    "val_groups": (int, "synth"),
+    "test_groups": (int, "synth"),
+    "members": (int, "synth"),
+    "turns": (int, "synth"),
+    "trait_low": (float, "synth"),
+    "trait_high": (float, "synth"),
+    "proclivity": (str, "synth"),
+    "trials": (int, "synth"),
+    "seed": (int, "synth"),
+    "step": (float, "fit"),
+    "max_outer": (int, "fit"),
+    "score_epochs": (int, "fit"),
+    "proclivity_epochs": (int, "fit"),
+    "patience": (int, "fit"),
+    "clip_norm": (float, "fit"),
+    "hidden": (_parse_hidden, None),
+    "delta_scale": (float, None),
+    "activation": (str, None),
+    "variants": (_parse_variants, None),
+    "curve_lo": (int, None),
+    "curve_hi": (int, None),
 }
 
-_SYNTH_KEYS = (
-    "groups_total", "train_groups", "val_groups", "test_groups",
-    "members", "turns", "trait_low", "trait_high", "proclivity", "trials",
-)
-_FIT_KEYS = (
-    "step", "max_outer", "score_epochs", "proclivity_epochs",
-    "patience", "clip_norm",
-)
-_NET_KEYS = ("hidden", "delta_scale", "activation")
+
+def _keys_in(part: str) -> tuple:
+    return tuple(key for key, (_, where) in _KEYS.items() if where == part)
+
+
+def _field(key: str) -> str:
+    """The attribute holding a key within its part of ExperimentConfig."""
+    return "master_seed" if key == "seed" else key
 
 
 def read_config(path) -> dict:
@@ -143,11 +146,10 @@ def read_config(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             key, _, raw = stripped.partition("=")
             key, raw = key.strip(), raw.strip()
-            parser = _KEY_PARSERS.get(key)
-            if parser is None:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                settings[key] = parser(raw)
+                settings[key] = _KEYS[key][0](raw)
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
             except ValueError:
@@ -162,46 +164,43 @@ def resolve_settings(args) -> dict:
     settings = {}
     if getattr(args, "config", None) is not None:
         settings.update(read_config(args.config))
-    for key in _KEY_PARSERS:
+    for key, (parser, _) in _KEYS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            settings[key] = _KEY_PARSERS[key](flag) if isinstance(flag, str) else flag
+            settings[key] = parser(flag) if isinstance(flag, str) else flag
     return settings
 
 
 def experiment_config(settings: dict) -> ExperimentConfig:
+    parts = {"synth": {}, "fit": {}, None: {}}
+    for key, value in settings.items():
+        parts[_KEYS[key][1]][_field(key)] = value
     try:
-        synth = SynthConfig(
-            master_seed=settings.get("seed", 0),
-            **{k: settings[k] for k in _SYNTH_KEYS if k in settings},
-        )
-        fit_cfg = FitConfig(**{k: settings[k] for k in _FIT_KEYS if k in settings})
         return ExperimentConfig(
-            synth=synth,
-            fit=fit_cfg,
-            variants=settings.get("variants", VARIANTS),
-            curve_lo=settings.get("curve_lo", 2),
-            curve_hi=settings.get("curve_hi", 40),
-            **{k: settings[k] for k in _NET_KEYS if k in settings},
+            synth=SynthConfig(**parts["synth"]), fit=FitConfig(**parts["fit"]), **parts[None]
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _manifest_entries(command: str, config: ExperimentConfig, extra: dict | None = None) -> dict:
+def _manifest_entries(command: str, config: ExperimentConfig, keys, extra: dict) -> dict:
+    """The command, the settings it read (``keys``) as ``config`` holds them, then ``extra``."""
     entries = {"command": command, "version": __version__}
-    entries.update({k: getattr(config.synth, k) for k in _SYNTH_KEYS})
-    entries["seed"] = config.synth.master_seed
-    entries.update({k: getattr(config.fit, k) for k in _FIT_KEYS})
-    entries["hidden"] = ",".join(str(s) for s in config.hidden)
-    entries["delta_scale"] = config.delta_scale
-    entries["activation"] = config.activation
-    entries["variants"] = ",".join(config.variants)
-    entries["curve_lo"] = config.curve_lo
-    entries["curve_hi"] = config.curve_hi
-    if extra:
-        entries.update(extra)
-    return entries
+    for key in keys:
+        part = _KEYS[key][1]
+        value = getattr(getattr(config, part) if part else config, _field(key))
+        entries[key] = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    return {**entries, **extra}
+
+
+def _agree(settings: dict, recorded: dict, source) -> dict:
+    """Settings overlaid by what an artifact recorded; explicit ones must agree with it."""
+    for key, value in recorded.items():
+        if settings.get(key, value) != value:
+            raise ConfigError(
+                f"{key}={settings[key]} conflicts with {key}={value} recorded in {source}"
+            )
+    return {**settings, **recorded}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -215,7 +214,7 @@ def cmd_generate(args) -> int:
     append_manifest(
         out,
         _manifest_entries(
-            "generate", config,
+            "generate", config, _keys_in("synth"),
             {"trial": args.trial, "artifacts": ",".join(p.name for p in written)},
         ),
     )
@@ -247,13 +246,9 @@ def cmd_fit(args) -> int:
     append_manifest(
         out,
         _manifest_entries(
-            "fit", config,
-            {
-                "variant": args.variant,
-                "data": args.data,
-                "best_outer": result.best_outer,
-                "stop_reason": result.stop_reason,
-            },
+            "fit", config, ("seed", *_keys_in("fit"), "hidden", "delta_scale", "activation"),
+            {"variant": args.variant, "data": args.data,
+             "best_outer": result.best_outer, "stop_reason": result.stop_reason},
         ),
     )
     log.info(
@@ -270,17 +265,11 @@ def _load_checkpoint(variant: str, directory, settings: dict) -> ModelBundle:
     if not path.is_file():
         raise ConfigError(f"missing checkpoint file for {variant}: {path}")
     bundle = read_checkpoint(path)
-    recorded = {
-        "variant": bundle.variant,
-        "activation": bundle.f_net.activation,
-        "hidden": bundle.f_net.layer_sizes[1:-1],
-    }
+    recorded = {"variant": bundle.variant, "activation": bundle.f_net.activation,
+                "hidden": bundle.f_net.layer_sizes[1:-1]}
     if bundle.learns_proclivity:
         recorded["delta_scale"] = bundle.proclivity.delta_scale
-    for key, value in recorded.items():
-        wanted = variant if key == "variant" else settings.get(key, value)
-        if wanted != value:
-            raise ConfigError(f"{key}={wanted} conflicts with {key}={value} recorded in {path}")
+    _agree({**settings, "variant": variant}, recorded, path)
     return bundle
 
 
@@ -292,16 +281,8 @@ def _with_dataset_proclivity(settings: dict, data) -> dict:
     without a recorded value the setting (or its default) stands.
     """
     generated = [b for b in read_manifest(data) if b.get("command") == "generate"]
-    recorded = generated[-1].get("proclivity") if generated else None
-    if recorded is None:
-        return settings
-    explicit = settings.get("proclivity")
-    if explicit is not None and explicit != recorded:
-        raise ConfigError(
-            f"proclivity={explicit} conflicts with proclivity={recorded} "
-            f"recorded for the dataset in {Path(data) / MANIFEST_NAME}"
-        )
-    return {**settings, "proclivity": recorded}
+    recorded = {"proclivity": b["proclivity"] for b in generated[-1:] if "proclivity" in b}
+    return _agree(settings, recorded, Path(data) / MANIFEST_NAME)
 
 
 def cmd_eval(args) -> int:
@@ -337,7 +318,7 @@ def cmd_eval(args) -> int:
     append_manifest(
         out,
         _manifest_entries(
-            "eval", config,
+            "eval", config, ("proclivity", "variants"),
             {"data": args.data,
              "checkpoints": ",".join(f"{k}={v}" for k, v in sorted(checkpoints.items()))},
         ),
@@ -356,7 +337,7 @@ def cmd_experiment(args) -> int:
     append_manifest(
         out,
         _manifest_entries(
-            "experiment", config,
+            "experiment", config, _KEYS,
             {"parallel_trials": args.parallel_trials, "curve_files": len(curve_files)},
         ),
     )
@@ -388,7 +369,10 @@ def cmd_curve(args) -> int:
     write_curve(path, curve)
     append_manifest(
         out,
-        _manifest_entries("curve", config, {"variant": args.variant, "artifact": path.name}),
+        _manifest_entries(
+            "curve", config, ("proclivity", "curve_lo", "curve_hi"),
+            {"variant": args.variant, "artifact": path.name},
+        ),
     )
     log.info("wrote %s", path)
     return EXIT_OK

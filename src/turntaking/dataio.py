@@ -322,9 +322,10 @@ def read_checkpoint(path) -> ModelBundle:
     prox = ExpDecayProclivity()
     if pro:
         delta_scale = _parse(path, "header", meta["delta_scale"], float)
-        if not (np.isfinite(delta_scale) and delta_scale > 0):
-            raise DataFormatError(f"{path}: delta_scale must be positive, got {delta_scale!r}")
-        prox = LearnedProclivity(net=net["nu"], delta_scale=delta_scale)
+        try:
+            prox = LearnedProclivity(net=net["nu"], delta_scale=delta_scale)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
     return ModelBundle(variant=meta["variant"], proclivity=prox, f_net=net["f"], g_net=net["g"])
 
 

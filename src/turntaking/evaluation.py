@@ -220,6 +220,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
         if not 1 <= self.curve_lo < self.curve_hi:
             raise ValueError("curve grid must satisfy 1 <= lo < hi")
+        if not 0 < self.delta_scale < np.inf:
+            raise ValueError(f"delta_scale must be positive and finite, got {self.delta_scale}")
 
     @property
     def curve_gaps(self) -> np.ndarray:

@@ -92,6 +92,10 @@ class LearnedProclivity:
 
     name = "learned"
 
+    def __post_init__(self):
+        if not 0 < self.delta_scale < np.inf:
+            raise ValueError(f"delta_scale must be positive and finite, got {self.delta_scale}")
+
     @classmethod
     def fresh(
         cls,

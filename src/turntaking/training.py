@@ -144,12 +144,13 @@ class FitConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        if min(self.step, self.max_outer, self.score_epochs, self.proclivity_epochs) <= 0:
-            raise ValueError("step and epoch counts must be positive")
+        for name in ("step", "clip_norm"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if min(self.max_outer, self.score_epochs, self.proclivity_epochs) <= 0:
+            raise ValueError("max_outer and epoch counts must be positive")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
 
 
 @dataclass

@@ -98,6 +98,36 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
     assert "train_groups + val_groups" in err
 
 
+@pytest.mark.parametrize(
+    "flags, setting, key",
+    [(["--step", "nan"], "", "step"), (["--step", "inf"], "", "step"),
+     ([], "clip_norm=nan", "clip_norm"), ([], "delta_scale=-5", "delta_scale"),
+     ([], "delta_scale=0", "delta_scale")],
+    ids=["step-nan", "step-inf", "clip-norm-nan", "delta-scale-negative", "delta-scale-zero"],
+)
+def test_bad_numeric_fit_setting_is_usage_error(capsys, tmp_path, tiny_config, flags, setting, key):
+    data = make_data(capsys, tmp_path, tiny_config)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_FIT + setting + "\n", encoding="utf-8")
+    out = tmp_path / "fit"
+    code, _, err = run(capsys, "fit", "--config", bad, "--data", data, "--variant", "pro",
+                       "--out", out, *flags)
+    assert code == 2
+    assert f"{key} must be positive and finite" in err
+    assert not out.exists()
+
+
+def test_experiment_zero_delta_scale_is_usage_error(capsys, tmp_path):
+    # Not a numeric failure of every pro fit: the setting itself is wrong.
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(TINY_DATA + "trials=1\nmax_outer=2\ndelta_scale=0\n", encoding="utf-8")
+    out = tmp_path / "exp"
+    code, _, err = run(capsys, "experiment", "--config", cfg, "--out", out)
+    assert code == 2
+    assert "delta_scale must be positive and finite" in err
+    assert not out.exists()
+
+
 def test_flag_overrides_config_value(capsys, tmp_path, tiny_config):
     out = make_data(capsys, tmp_path, tiny_config, turns="60")
     groups = read_split(out, "test")
@@ -416,6 +446,46 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
     assert "variant=exp conflicts with variant=pro" in err
 
 
+FIT_KEYS = ["seed", "step", "max_outer", "score_epochs", "proclivity_epochs", "patience",
+            "clip_norm", "hidden", "delta_scale", "activation"]
+
+
+def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_path, tiny_config):
+    # The fit's config says turns=40; the dataset has 60 turns. A fit reads
+    # no data setting but the seed, so its manifest records none.
+    data = make_data(capsys, tmp_path, tiny_config, turns=60)
+    block = read_manifest(data)[-1]
+    assert list(block) == [
+        "command", "version", "groups_total", "train_groups", "val_groups", "test_groups",
+        "members", "turns", "trait_low", "trait_high", "proclivity", "trials", "seed",
+        "trial", "artifacts",
+    ]
+    assert block["turns"] == "60"
+    fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
+    block = read_manifest(fit_dir)[-1]
+    assert list(block) == ["command", "version", *FIT_KEYS,
+                           "variant", "data", "best_outer", "stop_reason"]
+    assert block["hidden"] == "6" and block["seed"] == "0"
+
+
+def test_eval_and_curve_manifests_record_no_net_settings(capsys, tmp_path, tiny_config):
+    # eval and curve take the nets' settings from the checkpoint, not from
+    # the config, so their manifests record none of them.
+    data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
+    relu = tmp_path / "relu.cfg"
+    relu.write_text(TINY_DATA + TINY_FIT + "activation=relu\ndelta_scale=5\n", encoding="utf-8")
+    fit_dir = fit_into(capsys, tmp_path, relu, data, "pro", tmp_path / "fit")
+    eval_report(capsys, tmp_path, data, "pro", fit_dir)
+    block = read_manifest(tmp_path / "eval")[-1]
+    assert list(block) == ["command", "version", "proclivity", "variants", "data", "checkpoints"]
+    assert block["proclivity"] == "sigmoid" and block["variants"] == "pro"
+    out = tmp_path / "curve"
+    assert run(capsys, "curve", "--variant", "pro", "--checkpoint", fit_dir, "--out", out)[0] == 0
+    block = read_manifest(out)[-1]
+    assert list(block) == ["command", "version", "proclivity", "curve_lo", "curve_hi",
+                           "variant", "artifact"]
+
+
 def test_eval_bad_checkpoint_syntax_is_usage_error(capsys, tmp_path, tiny_config):
     data = make_data(capsys, tmp_path, tiny_config)
     for bad in ("expdir", "nm=somewhere"):
@@ -452,6 +522,21 @@ def test_experiment_writes_report_summary_curves(capsys, tmp_path):
     assert {r[0] for r in rows} == {1, 2}
     manifest = (out / "manifest.txt").read_text(encoding="utf-8")
     assert "command=experiment" in manifest
+
+
+def test_experiment_manifest_records_every_setting(capsys, tmp_path):
+    out = tmp_path / "exp"
+    assert run(capsys, *experiment_args(tmp_path, out))[0] == 0
+    lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# run ")
+    assert lines[1:] == [
+        "command=experiment", f"version={__version__}", "groups_total=3", "train_groups=2",
+        "val_groups=1", "test_groups=1", "members=3", "turns=40", "trait_low=0.1",
+        "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "step=0.05", "max_outer=3",
+        "score_epochs=5", "proclivity_epochs=5", "patience=2", "clip_norm=10.0", "hidden=4",
+        "delta_scale=20.0", "activation=tanh", "variants=exp,nm,hm", "curve_lo=2",
+        "curve_hi=40", "parallel_trials=1", "curve_files=12",
+    ]
 
 
 def test_experiment_reruns_byte_identical(capsys, tmp_path):

@@ -304,6 +304,12 @@ def test_experiment_config_validation():
     assert config.curve_gaps.tolist() == [3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("delta_scale", [0.0, -5.0, np.nan, np.inf])
+def test_experiment_config_rejects_bad_delta_scale(delta_scale):
+    with pytest.raises(ValueError, match="delta_scale must be positive and finite"):
+        ExperimentConfig(delta_scale=delta_scale)
+
+
 def test_parallel_trials_match_sequential():
     config = tiny_experiment_config(variants=("nm", "hm"))
     seq = run_experiment(config, parallel=1)

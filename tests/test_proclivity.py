@@ -133,6 +133,15 @@ def test_learned_uses_scaled_gap_as_input():
     assert kind(7) == pytest.approx(kind.net.forward(7 / 20.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("delta_scale", [0.0, -5.0, math.nan, math.inf])
+def test_learned_rejects_bad_delta_scale(delta_scale):
+    net = LearnedProclivity.fresh(seed=4).net
+    with pytest.raises(ValueError, match="delta_scale must be positive and finite"):
+        LearnedProclivity(net=net, delta_scale=delta_scale)
+    with pytest.raises(ValueError, match="delta_scale must be positive and finite"):
+        LearnedProclivity.fresh(seed=4, delta_scale=delta_scale)
+
+
 def test_learned_hidden_sizes_configurable():
     kind = LearnedProclivity.fresh(seed=2, hidden=(4, 3))
     assert kind.net.layer_sizes == (1, 4, 3, 1)

@@ -520,6 +520,14 @@ def test_fit_config_validation():
         FitConfig(max_outer=-1)
 
 
+@pytest.mark.parametrize("setting", [{"step": np.nan}, {"step": np.inf}, {"clip_norm": np.nan},
+                                     {"clip_norm": np.inf}])
+def test_fit_config_rejects_non_finite_step_and_clip_norm(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        FitConfig(**setting)
+
+
 def test_training_set_requires_train_pairs():
     with pytest.raises(ValueError):
         TrainingSet(train=[])

@@ -112,7 +112,6 @@ _KEYS = {
     "score_epochs": (int, "fit"),
     "proclivity_epochs": (int, "fit"),
     "patience": (int, "fit"),
-    "clip_norm": (float, "fit"),
     "hidden": (_parse_hidden, None),
     "delta_scale": (float, None),
     "activation": (str, None),
@@ -183,13 +182,18 @@ def experiment_config(settings: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _config_value(value):
+    """A setting as a config file writes it: tuples comma-separated."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
 def _manifest_entries(command: str, config: ExperimentConfig, keys, extra: dict) -> dict:
     """The command, the settings it read (``keys``) as ``config`` holds them, then ``extra``."""
     entries = {"command": command, "version": __version__}
     for key in keys:
         part = _KEYS[key][1]
         value = getattr(getattr(config, part) if part else config, _field(key))
-        entries[key] = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        entries[key] = _config_value(value)
     return {**entries, **extra}
 
 
@@ -198,7 +202,8 @@ def _agree(settings: dict, recorded: dict, source) -> dict:
     for key, value in recorded.items():
         if settings.get(key, value) != value:
             raise ConfigError(
-                f"{key}={settings[key]} conflicts with {key}={value} recorded in {source}"
+                f"{key}={_config_value(settings[key])} conflicts with "
+                f"{key}={_config_value(value)} recorded in {source}"
             )
     return {**settings, **recorded}
 
@@ -381,11 +386,12 @@ def cmd_curve(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(parser) -> None:
+def _add_common(parser, seed: bool = False) -> None:
     parser.add_argument("--config", type=Path, metavar="FILE",
                         help="key=value settings file")
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help="master seed for all randomness")
+    if seed:
+        parser.add_argument("--seed", type=int, metavar="N",
+                            help="master seed for all randomness")
     parser.add_argument("--out", type=Path, required=True, metavar="DIR",
                         help="output directory")
 
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
-    _add_common(gen)
+    _add_common(gen, seed=True)
     gen.add_argument("--proclivity", choices=["exp", "sigmoid"],
                      help="generating proclivity")
     gen.add_argument("--members", type=int, help="members per group")
@@ -409,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     fit_p = sub.add_parser("fit", help="fit a learnable variant on a dataset")
-    _add_common(fit_p)
+    _add_common(fit_p, seed=True)
     fit_p.add_argument("--data", type=Path, required=True, metavar="DIR",
                        help="dataset directory from generate")
     fit_p.add_argument("--variant", required=True, choices=VARIANTS)
-    fit_p.add_argument("--step", type=float, help="gradient step size")
+    fit_p.add_argument("--step", type=float, help="Adam learning rate")
     fit_p.add_argument("--max-outer", dest="max_outer", type=int,
                        help="outer iteration cap")
     fit_p.add_argument("--patience", type=int, help="early-stop patience")
@@ -428,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.set_defaults(func=cmd_eval)
 
     exp = sub.add_parser("experiment", help="full multi-trial generate/fit/eval run")
-    _add_common(exp)
+    _add_common(exp, seed=True)
     exp.add_argument("--trials", type=int, help="number of independent trials")
     exp.add_argument("--turns", type=int, help="turns per conversation")
     exp.add_argument("--members", type=int, help="members per group")

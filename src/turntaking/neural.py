@@ -57,8 +57,7 @@ class DenseNet:
 
     def forward(self, x) -> np.ndarray | float:
         """Evaluate the network; scalar in, scalar out, or batched over axis 0."""
-        y = _forward_cached(self, x)[0]
-        return y
+        return _forward_cached(self, x)[0]
 
     def __eq__(self, other):
         if not isinstance(other, DenseNet):
@@ -83,10 +82,11 @@ class GradientSet:
         total += sum(float(np.sum(b * b)) for b in self.biases)
         return float(np.sqrt(total))
 
-    def scaled(self, factor: float) -> "GradientSet":
+    def map(self, fn, *others) -> "GradientSet":
+        """``fn`` applied array by array to this set and ``others``, as a new set."""
         return GradientSet(
-            weights=[W * factor for W in self.weights],
-            biases=[b * factor for b in self.biases],
+            weights=[fn(*arrays) for arrays in zip(self.weights, *(o.weights for o in others))],
+            biases=[fn(*arrays) for arrays in zip(self.biases, *(o.biases for o in others))],
         )
 
     def add(self, other: "GradientSet") -> None:
@@ -197,25 +197,33 @@ def _backward_cached(net: DenseNet, cache, upstream) -> GradientSet:
     return GradientSet(weights=weights, biases=biases)
 
 
-def apply_update(net: DenseNet, grads: GradientSet, step: float) -> DenseNet:
-    """One plain gradient-descent step; returns a new network.
+def apply_update(net: DenseNet, direction: GradientSet, step: float) -> DenseNet:
+    """Move every parameter by ``-step * direction``; returns a new network.
 
     Raises FloatingPointError when the step leaves a parameter non-finite,
     so a diverging fit is told apart from invalid input.
     """
     if not np.isfinite(step):
         raise ValueError("step size must be finite")
-    weights = tuple(W - step * dW for W, dW in zip(net.weights, grads.weights))
-    biases = tuple(b - step * db for b, db in zip(net.biases, grads.biases))
+    weights = tuple(W - step * dW for W, dW in zip(net.weights, direction.weights))
+    biases = tuple(b - step * db for b, db in zip(net.biases, direction.biases))
     if not all(np.isfinite(p).all() for p in weights + biases):
         raise FloatingPointError("gradient step produced non-finite parameters")
     return DenseNet(weights=weights, biases=biases, activation=net.activation)
 
 
-def clip_gradients(grad_sets: list, max_norm: float) -> list:
-    """Jointly rescale a block of gradients so the global norm is bounded."""
-    total = float(np.sqrt(sum(g.norm() ** 2 for g in grad_sets)))
-    if total <= max_norm or total == 0.0:
-        return grad_sets
-    factor = max_norm / total
-    return [g.scaled(factor) for g in grad_sets]
+def adam_step(net: DenseNet, grads: GradientSet, state, step: float):
+    """One Adam step (Kingma & Ba, arXiv:1412.6980); returns ``(new_net, new_state)``.
+
+    ``state`` is ``None`` at first, then the ``(t, m, v)`` the last call
+    returned: step count and moment GradientSets. Nothing passed in is
+    mutated. Folding the bias corrections into ``step`` and eps is exact.
+    """
+    b1, b2, eps = 0.9, 0.999, 1e-8  # fixed, not settings
+    t, m, v = state or (0, GradientSet.zeros_like(net), GradientSet.zeros_like(net))
+    t += 1
+    m = m.map(lambda old, g: b1 * old + (1.0 - b1) * g, grads)
+    v = v.map(lambda old, g: b2 * old + (1.0 - b2) * (g * g), grads)
+    root_c2 = np.sqrt(1.0 - b2**t)
+    direction = m.map(lambda mi, vi: mi / (np.sqrt(vi) + eps * root_c2), v)
+    return apply_update(net, direction, step * root_c2 / (1.0 - b1**t)), (t, m, v)

@@ -7,11 +7,11 @@ Four variants share one evaluation interface:
 * ``nm``: no memory; every member scores 1 with a zero proclivity.
 * ``hm``: high memory; inherent 0.01, memory 1, fixed exp(-gap/2) proclivity.
 
-Fitting alternates plain gradient-descent epochs on the score networks
-(f, g) with epochs on the proclivity network, which sidesteps the unstable
-gradients of their product. Every epoch uses full-batch gradients of the
-mean per-turn negative log-likelihood over all training conversations, and
-the returned parameters are the ones with the best validation loss.
+Fitting alternates Adam epochs on the score networks (f, g) with Adam
+epochs on the proclivity network, which sidesteps the unstable gradients of
+their product. Every epoch uses full-batch gradients of the mean per-turn
+negative log-likelihood over all training conversations; the fit stops when
+validation gains stall and returns the parameters of its lowest validation loss.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .neural import (
     GradientSet,
     _backward_cached,
     _forward_cached,
-    apply_update,
+    adam_step,
     backward,
-    clip_gradients,
     init_net,
 )
 from .proclivity import (
@@ -57,6 +56,9 @@ DEFAULT_HIDDEN = (16, 16)
 
 BLOCK_SCORES = "scores"
 BLOCK_PROCLIVITY = "proclivity"
+
+# Relative gain over the best validation loss that resets the patience count.
+MIN_GAIN = 1e-4
 
 
 class FitDivergenceError(RuntimeError):
@@ -134,19 +136,17 @@ def predict_scores(bundle: ModelBundle, roster: Roster) -> ScoreParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the block coordinate descent fit."""
+    """Knobs for the block coordinate descent fit; ``step`` is the Adam learning rate."""
 
-    step: float = 0.05
+    step: float = 0.01
     max_outer: int = 200
     score_epochs: int = 5
     proclivity_epochs: int = 5
     patience: int = 20
-    clip_norm: float = 10.0
 
     def __post_init__(self):
-        for name in ("step", "clip_norm"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if min(self.max_outer, self.score_epochs, self.proclivity_epochs) <= 0:
             raise ValueError("max_outer and epoch counts must be positive")
         if self.patience < 1:
@@ -391,36 +391,35 @@ def conversation_nll_gradients(
     return _nll_gradients(bundle, _build_stacks([(roster, conversation)]), block)
 
 
-def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
+def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig, state):
+    """``score_epochs`` Adam steps on (f, g); ``state`` is the block's, ``None`` at first."""
+    f_state, g_state = state or (None, None)
     for _ in range(cfg.score_epochs):
         grads = _nll_gradients(bundle, stacks, BLOCK_SCORES)
-        gf, gg = clip_gradients([grads["f"], grads["g"]], cfg.clip_norm)
-        bundle = replace(
-            bundle,
-            f_net=apply_update(bundle.f_net, gf, cfg.step),
-            g_net=apply_update(bundle.g_net, gg, cfg.step),
-        )
-    return bundle
+        f_net, f_state = adam_step(bundle.f_net, grads["f"], f_state, cfg.step)
+        g_net, g_state = adam_step(bundle.g_net, grads["g"], g_state, cfg.step)
+        bundle = replace(bundle, f_net=f_net, g_net=g_net)
+    return bundle, (f_state, g_state)
 
 
-def _descend_proclivity(bundle: ModelBundle, stacks, cfg: FitConfig) -> ModelBundle:
+def _descend_proclivity(bundle: ModelBundle, stacks, cfg: FitConfig, state):
+    """``proclivity_epochs`` Adam steps on nu; ``state`` is the block's, ``None`` at first."""
     for _ in range(cfg.proclivity_epochs):
         grads = _nll_gradients(bundle, stacks, BLOCK_PROCLIVITY)
-        (gnu,) = clip_gradients([grads["nu"]], cfg.clip_norm)
-        prox = bundle.proclivity.with_net(apply_update(bundle.proclivity.net, gnu, cfg.step))
-        bundle = replace(bundle, proclivity=prox)
-    return bundle
+        net, state = adam_step(bundle.proclivity.net, grads["nu"], state, cfg.step)
+        bundle = replace(bundle, proclivity=bundle.proclivity.with_net(net))
+    return bundle, state
 
 
 def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None = None) -> FitResult:
     """Fit f, g (and the proclivity for ``pro``) by block coordinate descent.
 
-    Each outer iteration runs ``score_epochs`` gradient steps on (f, g),
-    then ``proclivity_epochs`` steps on the proclivity network, then scores
-    the fit on the validation split. Stops once validation has not improved
-    for ``patience`` outer iterations and returns the best validation
-    snapshot. The ``nm`` and ``hm`` variants have nothing to fit and come
-    back unchanged.
+    Each outer iteration runs ``score_epochs`` Adam steps on (f, g), then
+    ``proclivity_epochs`` on the proclivity network (each block keeps its
+    Adam state across iterations), then scores the validation split. Stops
+    after ``patience`` iterations in a row without a gain over the best
+    validation loss of more than ``MIN_GAIN`` of it, and returns the snapshot
+    of the lowest. ``nm`` and ``hm`` have nothing to fit and come back as is.
     """
     cfg = config or FitConfig()
     if bundle.variant not in LEARNABLE_VARIANTS:
@@ -437,28 +436,25 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     train_loss, val_loss = losses(bundle)
     history = [(0, train_loss, val_loss)]
     best_bundle, best_val, best_outer = bundle, val_loss, 0
-    stall = 0
-    stop_reason = "max_outer"
+    stall, stop_reason = 0, "max_outer"
+    score_state = prox_state = None
 
     for outer in range(1, cfg.max_outer + 1):
-        bundle = _descend_scores(bundle, train_stacks, cfg)
+        bundle, score_state = _descend_scores(bundle, train_stacks, cfg, score_state)
         if bundle.learns_proclivity:
-            bundle = _descend_proclivity(bundle, train_stacks, cfg)
+            bundle, prox_state = _descend_proclivity(bundle, train_stacks, cfg, prox_state)
         train_loss, val_loss = losses(bundle)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise FitDivergenceError(
-                f"non-finite loss at outer iteration {outer} "
-                f"(train={train_loss}, val={val_loss})"
-            )
+            raise FitDivergenceError(f"non-finite loss at outer iteration {outer} "
+                                     f"(train={train_loss}, val={val_loss})")
         history.append((outer, train_loss, val_loss))
+        gained = best_val - val_loss > MIN_GAIN * abs(best_val)
         if val_loss < best_val:
             best_bundle, best_val, best_outer = bundle, val_loss, outer
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                stop_reason = "patience"
-                break
+        stall = 0 if gained else stall + 1
+        if stall >= cfg.patience:
+            stop_reason = "patience"
+            break
 
     if stop_reason == "max_outer" and best_outer == cfg.max_outer:
         log.warning(

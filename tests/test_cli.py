@@ -98,14 +98,22 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
     assert "train_groups + val_groups" in err
 
 
+NOT_POSITIVE = "must be positive and finite"
+
+
+# clip_norm is not a config key: a config that sets it names an unknown key.
 @pytest.mark.parametrize(
-    "flags, setting, key",
-    [(["--step", "nan"], "", "step"), (["--step", "inf"], "", "step"),
-     ([], "clip_norm=nan", "clip_norm"), ([], "delta_scale=-5", "delta_scale"),
-     ([], "delta_scale=0", "delta_scale")],
+    "flags, setting, message",
+    [(["--step", "nan"], "", f"step {NOT_POSITIVE}"),
+     (["--step", "inf"], "", f"step {NOT_POSITIVE}"),
+     ([], "clip_norm=nan", "unknown key 'clip_norm'"),
+     ([], "delta_scale=-5", f"delta_scale {NOT_POSITIVE}"),
+     ([], "delta_scale=0", f"delta_scale {NOT_POSITIVE}")],
     ids=["step-nan", "step-inf", "clip-norm-nan", "delta-scale-negative", "delta-scale-zero"],
 )
-def test_bad_numeric_fit_setting_is_usage_error(capsys, tmp_path, tiny_config, flags, setting, key):
+def test_bad_numeric_fit_setting_is_usage_error(
+    capsys, tmp_path, tiny_config, flags, setting, message
+):
     data = make_data(capsys, tmp_path, tiny_config)
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_FIT + setting + "\n", encoding="utf-8")
@@ -113,7 +121,7 @@ def test_bad_numeric_fit_setting_is_usage_error(capsys, tmp_path, tiny_config, f
     code, _, err = run(capsys, "fit", "--config", bad, "--data", data, "--variant", "pro",
                        "--out", out, *flags)
     assert code == 2
-    assert f"{key} must be positive and finite" in err
+    assert message in err
     assert not out.exists()
 
 
@@ -417,6 +425,31 @@ def test_setting_conflicting_with_checkpoint_is_usage_error(capsys, tmp_path, ti
     assert "conflicts" in err
 
 
+def test_conflict_message_names_values_in_config_syntax(capsys, tmp_path, tiny_config):
+    # The fit used hidden=6; the message must read as config lines, not tuples.
+    data = make_data(capsys, tmp_path, tiny_config)
+    fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
+    clash = tmp_path / "clash.cfg"
+    clash.write_text("hidden=4,3\n", encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--config", clash, "--data", data, "--variants", "pro",
+                       "--checkpoint", f"pro={fit_dir}", "--out", tmp_path / "eval")
+    assert code == 2
+    assert "hidden=4,3 conflicts with hidden=6 recorded in" in err
+    code, _, err = run(capsys, "curve", "--config", clash, "--variant", "pro",
+                       "--checkpoint", fit_dir, "--out", tmp_path / "curve")
+    assert code == 2
+    assert "hidden=4,3 conflicts with hidden=6 recorded in" in err
+
+
+@pytest.mark.parametrize("command", [["eval", "--data", "d"], ["curve", "--variant", "nm"]])
+def test_seed_flag_is_refused_by_commands_that_read_no_seed(capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--seed", "5", "--out", str(tmp_path / "out")])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_refit_into_the_same_directory_leaves_no_stale_parts(capsys, tmp_path, tiny_config):
     # exp fitted over a pro fit: the directory now holds an exp fit only, so
     # loading it as pro is refused instead of pairing exp's nets with pro's
@@ -447,7 +480,7 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
 
 
 FIT_KEYS = ["seed", "step", "max_outer", "score_epochs", "proclivity_epochs", "patience",
-            "clip_norm", "hidden", "delta_scale", "activation"]
+            "hidden", "delta_scale", "activation"]
 
 
 def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_path, tiny_config):
@@ -532,8 +565,8 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
     assert lines[1:] == [
         "command=experiment", f"version={__version__}", "groups_total=3", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "trait_low=0.1",
-        "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "step=0.05", "max_outer=3",
-        "score_epochs=5", "proclivity_epochs=5", "patience=2", "clip_norm=10.0", "hidden=4",
+        "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "step=0.01", "max_outer=3",
+        "score_epochs=5", "proclivity_epochs=5", "patience=2", "hidden=4",
         "delta_scale=20.0", "activation=tanh", "variants=exp,nm,hm", "curve_lo=2",
         "curve_hi=40", "parallel_trials=1", "curve_files=12",
     ]

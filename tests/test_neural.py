@@ -8,9 +8,9 @@ import pytest
 from turntaking import (
     DenseNet,
     GradientSet,
+    adam_step,
     apply_update,
     backward,
-    clip_gradients,
     init_net,
     sigmoid,
 )
@@ -338,41 +338,98 @@ def test_apply_update_reports_divergence_as_floating_point_error():
         apply_update(net, grads, 0.1)
 
 
-# ------------------------------------------------------------------ clipping
+# ---------------------------------------------------------------------- adam
 
 
-def test_clip_leaves_small_gradients_alone():
-    net = random_net(np.random.default_rng(31), (1, 3, 1))
-    grads = backward(net, 0.3, 0.01)
-    clipped = clip_gradients([grads], max_norm=10.0)
-    assert clipped[0] is grads
+def copied(net):
+    return DenseNet(
+        weights=tuple(W.copy() for W in net.weights),
+        biases=tuple(b.copy() for b in net.biases),
+        activation=net.activation,
+    )
 
 
-def test_clip_rescales_to_max_norm():
-    g = GradientSet(weights=[np.array([[3.0, 4.0]])], biases=[np.zeros(1)])
-    clipped = clip_gradients([g], max_norm=1.0)
-    assert clipped[0].norm() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(clipped[0].weights[0], [[0.6, 0.8]], atol=1e-12)
+def test_adam_first_step_moves_by_step_times_gradient_sign():
+    net = random_net(np.random.default_rng(32), (1, 5, 3, 1))
+    grads = backward(net, np.array([0.1, 0.6, 1.3]), np.array([1.0, -0.4, 0.7]))
+    moved, state = adam_step(net, grads, None, 0.01)
+    pairs = zip(net.weights + net.biases, moved.weights + moved.biases,
+                grads.weights + grads.biases)
+    for before, after, g in pairs:
+        np.testing.assert_allclose(after - before, -0.01 * g / (np.abs(g) + 1e-8),
+                                   rtol=0, atol=1e-15)
+    assert state[0] == 1
 
 
-def test_clip_uses_joint_norm_across_sets():
-    a = GradientSet(weights=[np.array([[3.0]])], biases=[np.zeros(1)])
-    b = GradientSet(weights=[np.array([[4.0]])], biases=[np.zeros(1)])
-    clipped = clip_gradients([a, b], max_norm=2.5)
-    # Joint norm 5 shrinks by half; each block keeps its direction.
-    assert clipped[0].weights[0][0, 0] == pytest.approx(1.5, abs=1e-12)
-    assert clipped[1].weights[0][0, 0] == pytest.approx(2.0, abs=1e-12)
+def test_adam_step_mutates_neither_net_nor_state():
+    rng = np.random.default_rng(33)
+    net = random_net(rng, (1, 4, 1))
+    grads = backward(net, rng.uniform(size=4), rng.normal(size=4))
+    net2, state = adam_step(net, grads, None, 0.05)
+    before_net = copied(net2)
+    t, m, v = state
+    before_m = [a.copy() for a in m.weights + m.biases]
+    before_v = [a.copy() for a in v.weights + v.biases]
+    adam_step(net2, backward(net2, 0.5, 1.0), state, 0.05)
+    assert net2 == before_net
+    assert state[0] == t == 1
+    for got, ref in zip(m.weights + m.biases + v.weights + v.biases, before_m + before_v):
+        assert np.array_equal(got, ref)
 
 
-def test_clip_handles_zero_gradients():
-    g = GradientSet(weights=[np.zeros((2, 2))], biases=[np.zeros(2)])
-    assert clip_gradients([g], max_norm=1.0)[0] is g
+def test_adam_zero_gradient_leaves_net_equal():
+    net = random_net(np.random.default_rng(34), (1, 3, 1))
+    moved, _ = adam_step(net, GradientSet.zeros_like(net), None, 0.1)
+    assert moved == net
 
 
-def test_gradient_set_scaled_and_norm():
+def test_adam_steps_lower_convex_toy_loss():
+    # L(net) = (net(x) - 0.9)^2, convex in the one weight.
+    net = DenseNet(weights=(np.array([[0.2]]),), biases=(np.zeros(1),))
+    x, target = 1.0, 0.9
+
+    def loss(n):
+        return (n.forward(x) - target) ** 2
+
+    losses, state = [loss(net)], None
+    for _ in range(30):
+        net, state = adam_step(net, backward(net, x, 2 * (net.forward(x) - target)), state, 0.05)
+        losses.append(loss(net))
+    # Each step lowers the loss until the weight nears the optimum.
+    assert all(b < a for a, b in zip(losses[:25], losses[1:26]))
+    assert losses[-1] < 1e-2 * losses[0]
+
+
+def test_adam_step_to_non_finite_parameter_is_floating_point_error():
+    net = random_net(np.random.default_rng(35), (1, 2, 1))
+    grads = GradientSet.zeros_like(net)
+    grads.weights[0][0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        adam_step(net, grads, None, 0.1)
+
+
+def test_adam_runs_are_bit_identical():
+    def run():
+        rng = np.random.default_rng(36)
+        net, state = random_net(rng, (1, 4, 4, 1)), None
+        for _ in range(5):
+            net, state = adam_step(net, backward(net, rng.uniform(size=3), rng.normal(size=3)),
+                                   state, 0.02)
+        return net, state
+
+    (a, (ta, ma, va)), (b, (tb, mb, vb)) = run(), run()
+    assert a == b and ta == tb == 5
+    for x, y in zip(ma.weights + ma.biases + va.weights + va.biases,
+                    mb.weights + mb.biases + vb.weights + vb.biases):
+        assert np.array_equal(x, y)
+
+
+def test_gradient_set_map_and_norm():
     g = GradientSet(weights=[np.array([[2.0]])], biases=[np.array([1.0])])
     assert g.norm() == pytest.approx(math.sqrt(5.0), abs=1e-12)
-    half = g.scaled(0.5)
+    half = g.map(lambda a: a * 0.5)
     assert half.weights[0][0, 0] == 1.0
     assert half.biases[0][0] == 0.5
+    total = g.map(lambda a, b: a + b, half)
+    assert total.weights[0][0, 0] == 3.0 and total.biases[0][0] == 1.5
     assert g.weights[0][0, 0] == 2.0

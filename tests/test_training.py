@@ -14,19 +14,23 @@ from turntaking import (
     LearnedProclivity,
     ModelBundle,
     Roster,
+    SynthConfig,
     TrainingSet,
     ZeroProclivity,
     conversation_nll_gradients,
     evaluate,
     fit,
+    generate_dataset,
     predict_scores,
     sample_conversation,
     traits_to_scores,
 )
+from turntaking import training
 from turntaking.neural import DenseNet
 from turntaking.training import (
     BLOCK_PROCLIVITY,
     BLOCK_SCORES,
+    MIN_GAIN,
     _build_stacks,
     _descend_proclivity,
     _descend_scores,
@@ -318,7 +322,7 @@ def test_reused_stacks_follow_a_changed_proclivity():
     stacks = _build_stacks(pairs)
     before = _mean_nll(bundle, stacks)
 
-    moved = _descend_proclivity(bundle, stacks, FitConfig(step=0.5))
+    moved, _ = _descend_proclivity(bundle, stacks, FitConfig(step=0.5), None)
     assert moved.proclivity is not bundle.proclivity
     assert stacks.gather(moved.proclivity) is stacks.gather(moved.proclivity)
     assert_same_on_fresh_stacks(moved, stacks, pairs)
@@ -337,7 +341,7 @@ def test_reused_stacks_follow_changed_score_nets():
     stacks = _build_stacks(pairs)
     before = _mean_nll(bundle, stacks)
 
-    moved = _descend_scores(bundle, stacks, FitConfig(step=0.5))
+    moved, _ = _descend_scores(bundle, stacks, FitConfig(step=0.5), None)
     assert moved.f_net is not bundle.f_net and moved.g_net is not bundle.g_net
     assert stacks.scores(moved) is stacks.scores(moved)
     # After the first, each step changes one net from the step before: f, f, g, f.
@@ -471,12 +475,12 @@ def test_descent_blocks_are_isolated():
     stacks = _build_stacks([make_pair(rng, turns=30)])
     cfg = FitConfig(step=0.05)
 
-    after_scores = _descend_scores(bundle, stacks, cfg)
+    after_scores, _ = _descend_scores(bundle, stacks, cfg, None)
     assert after_scores.proclivity is bundle.proclivity
     assert after_scores.f_net != bundle.f_net
     assert after_scores.g_net != bundle.g_net
 
-    after_prox = _descend_proclivity(bundle, stacks, cfg)
+    after_prox, _ = _descend_proclivity(bundle, stacks, cfg, None)
     assert after_prox.f_net is bundle.f_net
     assert after_prox.g_net is bundle.g_net
     assert after_prox.proclivity.net != bundle.proclivity.net
@@ -511,6 +515,62 @@ def test_fit_early_stopping_truncates_history(caplog):
     assert caplog.records == []
 
 
+def scripted_fit(monkeypatch, losses, patience):
+    """``fit`` with one scripted loss per evaluation; also the bundles it scored."""
+    scored, script = [], iter(losses)
+
+    def scripted_nll(bundle, stacks):
+        scored.append(bundle)
+        return next(script)
+
+    monkeypatch.setattr(training, "_mean_nll", scripted_nll)
+    # No validation split: each evaluation scores the train split once.
+    ts = toy_training_set(np.random.default_rng(60), turns=20)
+    cfg = FitConfig(max_outer=100, patience=patience)
+    return fit(ModelBundle.make("exp", seed=0, hidden=(3,)), ts, cfg), scored
+
+
+def test_negligible_validation_gains_do_not_reset_patience(monkeypatch, caplog):
+    # Every iteration is a new lowest loss, but by 1e-6 of it, under MIN_GAIN.
+    assert MIN_GAIN == 1e-4
+    losses = [2.0 * (1 - 1e-6) ** k for k in range(101)]
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        result, scored = scripted_fit(monkeypatch, losses, patience=7)
+    assert result.stop_reason == "patience"
+    assert len(result.history) == 8
+    # The snapshot still follows the lowest loss, the last one.
+    assert result.best_outer == 7
+    assert result.bundle is scored[7]
+    assert caplog.records == []
+
+
+def test_relative_gain_above_min_gain_resets_patience(monkeypatch):
+    tiny = [2.0 * (1 - 1e-6) ** k for k in range(4)]
+    dropped = tiny[-1] * (1 - 2e-4)
+    # After the drop at outer 4, losses sit just above it: no new lowest.
+    losses = tiny + [dropped] + [dropped * (1 + 1e-6)] * 96
+    result, scored = scripted_fit(monkeypatch, losses, patience=5)
+    assert result.stop_reason == "patience"
+    assert len(result.history) == 4 + 5 + 1
+    assert result.best_outer == 4
+    assert result.bundle is scored[4]
+
+
+def test_default_fit_converges_before_the_cap(caplog):
+    # A small exp world: the default fit must stop on patience, not at max_outer.
+    synth = SynthConfig(groups_total=6, train_groups=4, val_groups=2, test_groups=1,
+                        members=4, turns=300)
+    data = generate_dataset(synth, trial=1)
+    ts = TrainingSet([(g.roster, g.conversation) for g in data.train],
+                     [(g.roster, g.conversation) for g in data.val])
+    cfg = FitConfig()
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        result = fit(ModelBundle.make("pro", seed=0), ts, cfg)
+    assert result.stop_reason == "patience"
+    assert len(result.history) - 1 < cfg.max_outer // 2
+    assert caplog.records == []
+
+
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(step=0.0)
@@ -523,8 +583,13 @@ def test_fit_config_validation():
 @pytest.mark.parametrize("setting", [{"step": np.nan}, {"step": np.inf}, {"clip_norm": np.nan},
                                      {"clip_norm": np.inf}])
 def test_fit_config_rejects_non_finite_step_and_clip_norm(setting):
+    # clip_norm is not a FitConfig field, so any value of it is refused.
     (name,) = setting
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    error, message = (
+        (TypeError, "clip_norm") if name == "clip_norm"
+        else (ValueError, f"{name} must be positive and finite")
+    )
+    with pytest.raises(error, match=message):
         FitConfig(**setting)
 
 

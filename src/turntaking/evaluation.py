@@ -161,7 +161,7 @@ def evaluate(model, groups) -> EvalSummary:
         # below reports that as ZeroLikelihoodError, so numpy's own warning
         # would only be noise ahead of it.
         with np.errstate(over="ignore", invalid="ignore"):
-            _, totals, observed = _likelihood_pass(
+            totals, observed, _ = _likelihood_pass(
                 stack, w, scores.inherent[None], scores.memory[None]
             )
             turn_nll = np.log(totals[0]) - np.log(observed[0])

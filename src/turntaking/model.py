@@ -32,9 +32,10 @@ import numpy as np
 NEVER = 0  # gap sentinel: the member has not spoken yet
 
 # Floor applied to eligible scores inside the likelihood pass only
-# (training._likelihood_pass), so a model that assigns (numerically) zero
-# mass to an observed speaker yields a large but finite loss instead of
-# -log 0. Sampling never uses it.
+# (training._likelihood_pass, which corrects the few cells at or below it:
+# only a member whose inherent score is at most the floor can have any), so
+# a model that assigns (numerically) zero mass to an observed speaker yields
+# a large but finite loss instead of -log 0. Sampling never uses it.
 EPS_FLOOR = 1e-8
 
 

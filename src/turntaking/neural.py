@@ -4,12 +4,15 @@ Small scalar-in/scalar-out perceptrons with tanh hidden layers and a sigmoid
 output head, used to map traits to speaking scores and gaps to proclivity
 values. Gradients are computed analytically and are verified against central
 finite differences in the test suite. Networks are treated as values:
-``apply_update`` returns a fresh network and never mutates its input.
+each holds its parameters in one read-only vector, and ``apply_update``
+returns a fresh network and never mutates its input. Adam (``adam_step``)
+works element by element, so it runs on that one vector per net.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +35,40 @@ _ACTIVATIONS = {
 }
 
 
-@dataclass(frozen=True)
+def _views(flat: np.ndarray, shapes: tuple) -> tuple:
+    """``(weights, biases)``: views of ``flat`` with the given shapes, in order.
+
+    ``shapes`` lists every layer's weight shape, then every layer's bias shape.
+    """
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    layers = len(shapes) // 2
+    return tuple(views[:layers]), tuple(views[layers:])
+
+
+def _flatten(weights, biases) -> tuple:
+    """The arrays' values in one new float vector, and their shapes."""
+    arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+    return np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays)
+
+
+@dataclass(frozen=True, eq=False)
 class DenseNet:
-    """Fully connected layers; tanh (default) hidden units, sigmoid output."""
+    """Fully connected layers; tanh (default) hidden units, sigmoid output.
+
+    The parameters live in one read-only vector, ``params``: every layer's
+    weights, then every layer's biases. ``weights`` and ``biases`` are views
+    of it, so a net is a value that nothing can change after construction.
+    """
 
     weights: tuple  # weights[l] has shape (n_out, n_in)
     biases: tuple  # biases[l] has shape (n_out,)
     activation: str = "tanh"
+    params: np.ndarray = field(init=False, repr=False)
+    shapes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -48,8 +78,24 @@ class DenseNet:
         for W, b in zip(self.weights, self.biases):
             if W.shape[0] != b.shape[0]:
                 raise ValueError("bias length must match the layer's output size")
-            if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                raise ValueError("parameters must be finite")
+        params, shapes = _flatten(self.weights, self.biases)
+        if not np.isfinite(params).all():
+            raise ValueError("parameters must be finite")
+        self._hold(params, shapes)
+
+    def _hold(self, params: np.ndarray, shapes: tuple) -> None:
+        params.flags.writeable = False
+        weights, biases = _views(params, shapes)
+        for name, value in (("params", params), ("shapes", shapes),
+                            ("weights", weights), ("biases", biases)):
+            object.__setattr__(self, name, value)
+
+    def _with_params(self, params: np.ndarray) -> "DenseNet":
+        """A net of this layout holding ``params``, which the caller checked."""
+        net = object.__new__(DenseNet)
+        object.__setattr__(net, "activation", self.activation)
+        net._hold(params, self.shapes)
+        return net
 
     @property
     def layer_sizes(self) -> tuple:
@@ -64,43 +110,50 @@ class DenseNet:
             return NotImplemented
         return (
             self.activation == other.activation
-            and len(self.weights) == len(other.weights)
-            and all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights))
-            and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases))
+            and self.shapes == other.shapes
+            and np.array_equal(self.params, other.params)
         )
 
 
-@dataclass
 class GradientSet:
-    """Per-parameter gradients, shaped exactly like a DenseNet."""
+    """Per-parameter gradients, shaped exactly like a DenseNet.
 
-    weights: list
-    biases: list
+    The values live in one vector, ``flat``, laid out as the net's
+    ``params``; ``weights`` and ``biases`` give writable views of it.
+    """
+
+    __slots__ = ("flat", "shapes")
+
+    def __init__(self, weights, biases):
+        self.flat, self.shapes = _flatten(weights, biases)
+
+    @classmethod
+    def _of(cls, flat: np.ndarray, shapes: tuple) -> "GradientSet":
+        grads = cls.__new__(cls)
+        grads.flat, grads.shapes = flat, shapes
+        return grads
+
+    @property
+    def weights(self) -> list:
+        return list(_views(self.flat, self.shapes)[0])
+
+    @property
+    def biases(self) -> list:
+        return list(_views(self.flat, self.shapes)[1])
 
     def norm(self) -> float:
-        total = sum(float(np.sum(W * W)) for W in self.weights)
-        total += sum(float(np.sum(b * b)) for b in self.biases)
-        return float(np.sqrt(total))
+        return float(np.sqrt(self.flat @ self.flat))
 
     def map(self, fn, *others) -> "GradientSet":
-        """``fn`` applied array by array to this set and ``others``, as a new set."""
-        return GradientSet(
-            weights=[fn(*arrays) for arrays in zip(self.weights, *(o.weights for o in others))],
-            biases=[fn(*arrays) for arrays in zip(self.biases, *(o.biases for o in others))],
-        )
+        """``fn`` applied element by element to this set and ``others``, as a new set."""
+        return GradientSet._of(fn(self.flat, *(o.flat for o in others)), self.shapes)
 
     def add(self, other: "GradientSet") -> None:
-        for W, oW in zip(self.weights, other.weights):
-            W += oW
-        for b, ob in zip(self.biases, other.biases):
-            b += ob
+        self.flat += other.flat
 
     @classmethod
     def zeros_like(cls, net: DenseNet) -> "GradientSet":
-        return cls(
-            weights=[np.zeros_like(W) for W in net.weights],
-            biases=[np.zeros_like(b) for b in net.biases],
-        )
+        return cls._of(np.zeros_like(net.params), net.shapes)
 
 
 def init_net(layer_sizes, seed, activation: str = "tanh") -> DenseNet:
@@ -185,16 +238,15 @@ def _backward_cached(net: DenseNet, cache, upstream) -> GradientSet:
 
     y = acts[-1]
     dz = up * y * (1.0 - y)  # sigmoid head
-    layers = len(net.weights)
-    weights = [None] * layers
-    biases = [None] * layers
-    for l in range(layers - 1, -1, -1):
-        weights[l] = dz.T @ acts[l]
-        biases[l] = dz.sum(axis=0)
+    grads = GradientSet._of(np.empty_like(net.params), net.shapes)
+    weights, biases = _views(grads.flat, grads.shapes)
+    for l in range(len(net.weights) - 1, -1, -1):
+        np.matmul(dz.T, acts[l], out=weights[l])
+        np.sum(dz, axis=0, out=biases[l])
         if l > 0:
             da = dz @ net.weights[l]
             dz = da * act_prime(pre[l - 1], acts[l])
-    return GradientSet(weights=weights, biases=biases)
+    return grads
 
 
 def apply_update(net: DenseNet, direction: GradientSet, step: float) -> DenseNet:
@@ -205,25 +257,37 @@ def apply_update(net: DenseNet, direction: GradientSet, step: float) -> DenseNet
     """
     if not np.isfinite(step):
         raise ValueError("step size must be finite")
-    weights = tuple(W - step * dW for W, dW in zip(net.weights, direction.weights))
-    biases = tuple(b - step * db for b, db in zip(net.biases, direction.biases))
-    if not all(np.isfinite(p).all() for p in weights + biases):
+    # An overflow is reported by the check below, not by numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = net.params - step * direction.flat
+    if not np.isfinite(params).all():
         raise FloatingPointError("gradient step produced non-finite parameters")
-    return DenseNet(weights=weights, biases=biases, activation=net.activation)
+    return net._with_params(params)
 
 
 def adam_step(net: DenseNet, grads: GradientSet, state, step: float):
     """One Adam step (Kingma & Ba, arXiv:1412.6980); returns ``(new_net, new_state)``.
 
     ``state`` is ``None`` at first, then the ``(t, m, v)`` the last call
-    returned: step count and moment GradientSets. Nothing passed in is
-    mutated. Folding the bias corrections into ``step`` and eps is exact.
+    returned: the step count and the two moment vectors, laid out as the
+    net's ``params``. Nothing passed in is mutated. Folding the bias
+    corrections into ``step`` and eps is exact. Raises FloatingPointError
+    when a gradient is not finite or too large to square.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8  # fixed, not settings
-    t, m, v = state or (0, GradientSet.zeros_like(net), GradientSet.zeros_like(net))
+    g = grads.flat
+    t, m, v = state or (0, np.zeros_like(g), np.zeros_like(g))
     t += 1
-    m = m.map(lambda old, g: b1 * old + (1.0 - b1) * g, grads)
-    v = v.map(lambda old, g: b2 * old + (1.0 - b2) * (g * g), grads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+    # v is finite exactly when every gradient so far was finite and squared
+    # without overflow, and m is a running mean of those same gradients.
+    if not np.isfinite(v).all():
+        raise FloatingPointError("non-finite or overflowing gradient in an Adam step")
     root_c2 = np.sqrt(1.0 - b2**t)
-    direction = m.map(lambda mi, vi: mi / (np.sqrt(vi) + eps * root_c2), v)
-    return apply_update(net, direction, step * root_c2 / (1.0 - b1**t)), (t, m, v)
+    direction = m / (np.sqrt(v) + eps * root_c2)
+    return (
+        apply_update(net, GradientSet._of(direction, net.shapes), step * root_c2 / (1.0 - b1**t)),
+        (t, m, v),
+    )

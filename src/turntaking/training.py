@@ -183,25 +183,24 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # Vectorized likelihood engine. Conversations sharing a (turns, members)
 # shape are stacked into one tensor so an epoch over all groups is a handful
-# of numpy calls. Stacks are stored member-major, (B, N, T), so the sum over
-# members (turn totals) and the sums over turns (score gradients) both run
-# along contiguous rows of length T.
+# of numpy calls. Stacks are stored member-major, (B, N, T), but the engine
+# works per turn: it builds no (B, N, T) array but ``W = table[gaps]`` and,
+# for the proclivity gradient, one of per-cell slopes.
 
 
 @dataclass(frozen=True)
 class _Stack:
     """Fit invariants of the conversations sharing one (turns, members) shape.
 
-    Cells are addressed by flat indices into the raveled (B, N, T) arrays.
-    Each turn has exactly one observed-speaker cell and, from turn 2 on,
-    exactly one ineligible cell (the previous speaker), so both are stored
-    as indices rather than as full masks.
+    Cells are addressed by flat indices into the raveled (B, N, T) arrays,
+    members by rows of the raveled (B, N) scores. The previous speaker's row
+    is the speaker row of the turn before.
     """
 
     traits: np.ndarray  # (B, N)
     gaps: np.ndarray  # (B, N, T), 0 marks never-spoken
     observed: np.ndarray  # (B, T) flat index of each turn's speaker cell
-    ineligible: np.ndarray  # (B, T - 1) flat index of the previous speaker, turns 2..T
+    speakers: np.ndarray  # (B, T) row of each turn's speaker, observed // T
 
     @property
     def shape(self) -> tuple:
@@ -234,9 +233,11 @@ class _Stacks:
         return iter(self.stacks)
 
     def gather(self, proclivity) -> list:
-        """``table[gaps]`` for every stack, under the given proclivity."""
+        """``table[gaps]`` for every stack, the table zeroed at gap 1: that is
+        the previous speaker's cell, which the likelihood pass leaves out."""
         if proclivity is not self._proclivity:
-            table = proclivity.table(self.max_gap)
+            table = np.array(proclivity.table(self.max_gap), dtype=float)
+            table[1:2] = 0.0
             self._w = [table[s.gaps] for s in self.stacks]
             self._proclivity = proclivity
         return self._w
@@ -268,47 +269,47 @@ def _build_stacks(pairs) -> _Stacks:
     for (T, N), members in by_shape.items():
         # Labels are stored compactly; widen them before the index arithmetic.
         speakers = np.stack([c.speakers for _, c in members]).astype(np.intp) - 1
-        # Flat index of member 0's cell at each turn; member n sits n*T on.
-        base = np.arange(len(members))[:, None] * (N * T) + np.arange(T)
-        # The copy is C-ordered: the flat indices, and the in-place writes
-        # through reshape(-1) views in the likelihood pass, rely on it.
+        rows = np.arange(len(members))[:, None] * N + speakers
+        # The copy is C-ordered: the flat indices rely on it.
         gaps = np.stack([gap_matrix(c) for _, c in members]).transpose(0, 2, 1).copy()
         stacks.append(
             _Stack(
                 traits=np.stack([r.traits for r, _ in members]),
                 gaps=gaps,
-                observed=base + speakers * T,
-                ineligible=base[:, 1:] + speakers[:, :-1] * T,
+                observed=rows * T + np.arange(T),
+                speakers=rows,
             )
         )
     return _Stacks(stacks)
 
 
 def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray):
-    """Floored scores, turn totals and observed cells of one stack.
+    """Turn totals and observed-speaker scores of one stack, plus its floored cells.
 
-    The one place the likelihood is computed: every cell scores
-    ``pi + d * w``, floored at ``EPS_FLOOR``, and the previous speaker's
-    cell is zeroed. ``pi`` and ``d`` are (B, N) and ``w`` is ``table[gaps]``.
-    Returns the (B, N, T) floored scores, the (B, T) turn totals and the
-    (B, T) observed-speaker cells, so a turn's NLL is
-    ``log(total) - log(observed)``.
+    The one place the likelihood is computed; a turn's NLL is
+    ``log(total) - log(observed)``, both (B, T). Each eligible cell scores
+    ``pi + d * w``, floored at ``EPS_FLOOR``; ``pi`` and ``d`` are (B, N) and
+    ``w`` comes from ``_Stacks.gather``. A total is ``d @ w`` plus the ``pi``
+    of every member but the previous speaker. As ``d, w >= 0``, only a row
+    with ``pi <= EPS_FLOOR`` can hold floored cells: their flat cell and turn
+    indices come back, or ``None``.
     """
     B, N, T = stack.gaps.shape
-    # Work on (B*N, T) rows: numpy broadcasts and reduces these much
-    # faster than the same memory viewed as (B, N, T).
-    floored = w.reshape(B * N, T) * d.reshape(-1, 1)
-    floored += pi.reshape(-1, 1)
-    np.maximum(floored, EPS_FLOOR, out=floored)
-    cells = floored.reshape(-1)
-    cells[stack.ineligible] = 0.0
-    # Members are added one at a time in index order: a fixed summation
-    # order, and faster than sum(axis=1) over the (B, N, T) view.
-    by_member = floored.reshape(B, N, T)
-    totals = by_member[:, 0] + by_member[:, 1]
-    for n in range(2, N):
-        totals += by_member[:, n]
-    return by_member, totals, cells[stack.observed]
+    pi_rows, d_rows = pi.reshape(-1), d.reshape(-1)
+    totals = np.matmul(d[:, None, :], w)[:, 0]
+    totals[:, 0] += pi.sum(axis=1)
+    # Each member's pi summed over the others: a sum of nonnegative terms,
+    # where a total minus the member's own pi could cancel.
+    totals[:, 1:] += (pi @ (1.0 - np.eye(N))).take(stack.speakers[:, :-1])
+    observed = w.take(stack.observed) * d_rows.take(stack.speakers) + pi_rows.take(stack.speakers)
+    low = np.flatnonzero(pi_rows <= EPS_FLOOR)
+    if not low.size:
+        return totals, observed, None
+    cells = w.reshape(B * N, T)[low] * d_rows[low, None] + pi_rows[low, None]
+    r, t = np.nonzero((cells <= EPS_FLOOR) & (stack.gaps.reshape(B * N, T)[low] != 1))
+    np.add.at(totals, (low[r] // N, t), EPS_FLOOR - cells[r, t])
+    np.maximum(observed, EPS_FLOOR, out=observed)
+    return totals, observed, (low[r] * T + t, low[r] // N * T + t)
 
 
 def _mean_nll(bundle: ModelBundle, stacks: _Stacks) -> float:
@@ -316,7 +317,7 @@ def _mean_nll(bundle: ModelBundle, stacks: _Stacks) -> float:
     total_nll = 0.0
     ws = stacks.gather(bundle.proclivity)
     for stack, w, (pi, d, _, _) in zip(stacks, ws, stacks.scores(bundle)):
-        _, totals, observed = _likelihood_pass(stack, w, pi, d)
+        totals, observed, _ = _likelihood_pass(stack, w, pi, d)
         total_nll += float(np.log(totals).sum() - np.log(observed).sum())
     return total_nll / stacks.turns
 
@@ -328,6 +329,9 @@ def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
     already scaled to the mean-per-turn objective; the dict is empty when the
     active block holds no learnable parameters. The score nets are
     differentiated from the activations their cached forward pass kept.
+
+    Each eligible cell's score has slope ``1/total``, less ``1/observed`` at
+    the observed speaker's cell, and a floored cell has none.
     """
     want_scores = block == BLOCK_SCORES and bundle.variant in LEARNABLE_VARIANTS
     want_proclivity = block == BLOCK_PROCLIVITY and bundle.learns_proclivity
@@ -343,35 +347,50 @@ def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
     ws = stacks.gather(bundle.proclivity)
     for stack, w, (pi, d, f_cache, g_cache) in zip(stacks, ws, stacks.scores(bundle)):
         B, N, T = stack.gaps.shape
-        by_member, totals, observed = _likelihood_pass(stack, w, pi, d)
-        # d(nll)/du: 1/total on every cell the floor leaves differentiable
-        # (which excludes the zeroed previous speaker), minus 1/observed on
-        # the observed speaker's cell. inv_totals is finite and nonnegative,
-        # so the masked product is exactly inv_totals or 0.0.
+        totals, observed, floored = _likelihood_pass(stack, w, pi, d)
         inv_totals = 1.0 / totals
-        du = ((by_member > EPS_FLOOR) * inv_totals[:, None, :]).reshape(B * N, T)
-        du.reshape(-1)[stack.observed] = np.where(
-            observed > EPS_FLOOR, inv_totals - 1.0 / observed, 0.0
-        )
+        inv_observed = 1.0 / observed
+        if floored is not None:
+            # A floored score is a constant: the observed speaker's loses its
+            # 1/observed and every floored cell the 1/total of its turn.
+            inv_observed[observed <= EPS_FLOOR] = 0.0
+            cells, turns = floored
+            lost = inv_totals.take(turns)
         if want_scores:
-            gf.add(_backward_cached(bundle.f_net, f_cache, du.sum(axis=1) * scale))
-            dd = np.einsum("ij,ij->i", du, w.reshape(B * N, T))
+            # Per member, the 1/total part is a sum over turns, less the turn
+            # after it speaks; the rest are sparse corrections by row.
+            rows = stack.speakers.reshape(-1)
+            dd = np.matmul(w, inv_totals[:, :, None]).reshape(-1) - np.bincount(
+                rows, (w.take(stack.observed) * inv_observed).reshape(-1), B * N
+            )
+            inv_observed[:, :-1] += inv_totals[:, 1:]
+            dpi = np.repeat(inv_totals.sum(axis=1), N) - np.bincount(
+                rows, inv_observed.reshape(-1), B * N
+            )
+            if floored is not None:
+                dpi -= np.bincount(cells // T, lost, B * N)
+                dd -= np.bincount(cells // T, w.take(cells) * lost, B * N)
+            gf.add(_backward_cached(bundle.f_net, f_cache, dpi * scale))
             gg.add(_backward_cached(bundle.g_net, g_cache, dd * scale))
         else:
-            # Bin 0 gathers the never-spoken cells; it is dropped below.
-            dtable += np.bincount(
-                stack.gaps.ravel(),
-                weights=(du * d.reshape(-1, 1)).ravel(),
-                minlength=dtable.size,
+            # Slopes times d, binned by gap; bins 0 (never spoken) and 1 (the
+            # previous speaker) are dropped below.
+            slopes = d[:, :, None] * inv_totals[:, None, :]
+            if floored is not None:
+                slopes.reshape(-1)[cells] = 0.0
+            gaps = stack.gaps.reshape(-1)
+            dtable += np.bincount(gaps, slopes.reshape(-1), dtable.size)
+            dtable -= np.bincount(
+                gaps.take(stack.observed).reshape(-1),
+                (d.reshape(-1).take(stack.speakers) * inv_observed).reshape(-1),
+                dtable.size,
             )
 
     if want_scores:
         return {"f": gf, "g": gg}
     prox = bundle.proclivity
-    if dtable.size > 1:
-        inputs = np.arange(1, dtable.size) / prox.delta_scale
-        return {"nu": backward(prox.net, inputs, dtable[1:] * scale)}
-    return {"nu": GradientSet.zeros_like(prox.net)}
+    inputs = np.arange(2, dtable.size) / prox.delta_scale
+    return {"nu": backward(prox.net, inputs, dtable[2:] * scale)}
 
 
 def conversation_nll_gradients(

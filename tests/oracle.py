@@ -31,21 +31,25 @@ def gaps_at(speakers, group_size, t):
     return [t - last[m] if m in last else None for m in range(1, group_size + 1)]
 
 
-def scores_at(pi, d, w, speakers, group_size, t):
-    """Unnormalized speaking scores at turn t from first principles."""
+def scores_at(pi, d, w, speakers, group_size, t, floor=0.0):
+    """Unnormalized speaking scores at turn t from first principles.
+
+    ``floor`` raises every eligible score that is below it; the previous
+    speaker's stays 0.
+    """
     scores = []
     for i, gap in enumerate(gaps_at(speakers, group_size, t)):
         if gap is None:
-            scores.append(pi[i])
+            scores.append(max(pi[i], floor))
         elif gap == 1:
             scores.append(0.0)
         else:
-            scores.append(pi[i] + d[i] * w(gap))
+            scores.append(max(pi[i] + d[i] * w(gap), floor))
     return scores
 
 
-def probabilities_at(pi, d, w, speakers, group_size, t):
-    scores = scores_at(pi, d, w, speakers, group_size, t)
+def probabilities_at(pi, d, w, speakers, group_size, t, floor=0.0):
+    scores = scores_at(pi, d, w, speakers, group_size, t, floor)
     total = sum(scores)
     return [s / total for s in scores]
 
@@ -79,11 +83,11 @@ def class_weight_map(speakers):
     }
 
 
-def nll(pi, d, w, speakers, group_size):
+def nll(pi, d, w, speakers, group_size, floor=0.0):
     """Mean per-turn negative log-likelihood of the observed speakers."""
     total = 0.0
     for t, who in enumerate(speakers, start=1):
-        p = probabilities_at(pi, d, w, speakers, group_size, t)
+        p = probabilities_at(pi, d, w, speakers, group_size, t, floor)
         total -= math.log(p[who - 1])
     return total / len(speakers)
 

@@ -36,7 +36,7 @@ from turntaking import (
 from turntaking.cli import main
 from turntaking.training import BLOCK_PROCLIVITY, BLOCK_SCORES, conversation_nll_gradients
 
-from test_model import engine_scores
+from test_model import engine_probabilities
 from test_training import bundle_loss, make_pair, perturbed_net, warmed_bundle
 
 
@@ -283,9 +283,9 @@ def test_ac6_exhaustive_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(gamma - expect_gamma))))
         group = Group(group_id=1, roster=roster, scores=params, conversation=conversation)
         for kind, w in kinds:
-            U = engine_scores(params, kind, conversation)
+            P = engine_probabilities(params, kind, conversation)
             for t in range(1, len(speakers) + 1):
-                got_p = U[t - 1] / U[t - 1].sum()
+                got_p = P[t - 1]
                 expect_p = oracle.probabilities_at(pi, d, w, speakers, 3, t)
                 worst = max(worst, float(np.max(np.abs(got_p - expect_p))))
             loss = evaluate(true_model([group], kind), [group])

@@ -58,15 +58,40 @@ def gaps_at(c, t):
     return gap_matrix(c, horizon=t)[-1]
 
 
-def engine_scores(params, proclivity, c):
-    """(T, N) speaking scores of one conversation, as the likelihood pass has them.
+def engine_probabilities(params, proclivity, c):
+    """(T, N) next-speaker probabilities of one conversation, read off the engine.
 
-    Cells are floored at EPS_FLOOR, which no test score here comes near.
+    For each turn t, every member but the previous speaker is appended in turn
+    as the speaker of turn t after the first t - 1 turns; the likelihood
+    pass's NLL of that turn gives the member's probability. The previous
+    speaker, who cannot be appended, keeps 0.
     """
-    stacks = _build_stacks([(Roster(np.linspace(0.1, 1.0, c.group_size)), c)])
-    (w,) = stacks.gather(proclivity)
-    cells, _, _ = _likelihood_pass(stacks.stacks[0], w, params.inherent[None], params.memory[None])
-    return cells[0].T
+    N = c.group_size
+    roster = Roster(np.linspace(0.1, 1.0, N))
+    probabilities = np.zeros((len(c), N))
+    for t in range(len(c)):
+        head = c.speakers[:t].tolist()
+        members = [n for n in range(1, N + 1) if not head or n != head[-1]]
+        stacks = _build_stacks([(roster, conv(head + [n], N)) for n in members])
+        (w,) = stacks.gather(proclivity)
+        B = len(members)
+        totals, observed, _ = _likelihood_pass(
+            stacks.stacks[0], w, np.tile(params.inherent, (B, 1)), np.tile(params.memory, (B, 1))
+        )
+        nll = np.log(totals[:, -1]) - np.log(observed[:, -1])
+        probabilities[t, np.array(members) - 1] = np.exp(-nll)
+    return probabilities
+
+
+def oracle_probabilities(params, oracle_w, c, floor=0.0):
+    """The oracle's (T, N) next-speaker probabilities of one conversation."""
+    return np.array([
+        oracle.probabilities_at(
+            params.inherent.tolist(), params.memory.tolist(), oracle_w, c.speakers.tolist(),
+            c.group_size, t, floor=floor,
+        )
+        for t in range(1, len(c) + 1)
+    ])
 
 
 class TableProclivity:
@@ -238,27 +263,32 @@ def test_gap_matrix_stacks_compute_gaps():
 def test_speaking_scores_hand_example():
     # At turn 3 of 1, 2, 3 the gaps are 2, 1 and never.
     params = ScoreParams(inherent=np.full(3, 0.5), memory=np.ones(3))
-    u = engine_scores(params, W_EXP, conv([1, 2, 3], 3))[2]
-    assert u == pytest.approx([0.5 + math.exp(-1), 0.0, 0.5], abs=1e-12)
+    p = engine_probabilities(params, W_EXP, conv([1, 2, 3], 3))[2]
+    total = 0.5 + math.exp(-1) + 0.5
+    assert p == pytest.approx([(0.5 + math.exp(-1)) / total, 0.0, 0.5 / total], abs=1e-12)
 
 
 def test_previous_speaker_scores_zero():
+    # The turn totals leave the previous speaker out: the members who can
+    # speak next share all of the probability.
     rng = np.random.default_rng(3)
     for _ in range(25):
         N = int(rng.integers(2, 6))
         c = random_conversation(rng, N, int(rng.integers(2, 12)))
         params = random_params(rng, N)
-        U = engine_scores(params, W_EXP, c)
+        P = engine_probabilities(params, W_EXP, c)
         for t in range(2, len(c) + 1):
-            assert U[t - 1, c.speakers[t - 2] - 1] == 0.0
+            assert P[t - 1, c.speakers[t - 2] - 1] == 0.0
+            assert P[t - 1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_never_spoken_member_keeps_inherent_score():
     params = ScoreParams(inherent=np.array([0.3, 0.7, 1.1]), memory=np.full(3, 5.0))
     for c in (conv([2], 3), conv([2, 3], 3)):
-        U = engine_scores(params, W_SIG, c)
-        assert U[0] == pytest.approx([0.3, 0.7, 1.1], abs=0)
-    assert U[1, 0] == 0.3
+        P = engine_probabilities(params, W_SIG, c)
+        assert P[0] == pytest.approx(np.array([0.3, 0.7, 1.1]) / 2.1, abs=1e-12)
+    # At turn 2 member 1 has still not spoken and member 2 spoke last.
+    assert P[1] == pytest.approx([0.3 / 1.4, 0.0, 1.1 / 1.4], abs=1e-12)
 
 
 def test_scores_match_oracle_on_random_conversations():
@@ -267,17 +297,10 @@ def test_scores_match_oracle_on_random_conversations():
         N = int(rng.integers(2, 6))
         c = random_conversation(rng, N, int(rng.integers(1, 12)))
         params = random_params(rng, N)
-        U = engine_scores(params, W_EXP, c)
-        for t in range(1, len(c) + 1):
-            expected = oracle.scores_at(
-                params.inherent.tolist(),
-                params.memory.tolist(),
-                ORACLE_EXP,
-                c.speakers.tolist(),
-                N,
-                t,
-            )
-            assert U[t - 1] == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_allclose(
+            engine_probabilities(params, W_EXP, c), oracle_probabilities(params, ORACLE_EXP, c),
+            rtol=0, atol=1e-12,
+        )
 
 
 # -------------------------------------------------------------- probabilities
@@ -297,11 +320,9 @@ def test_probabilities_sum_to_one_and_nonnegative():
         N = int(rng.integers(2, 7))
         c = random_conversation(rng, N, int(rng.integers(1, 20)))
         params = random_params(rng, N)
-        U = engine_scores(params, W_SIG, c)
-        for row in U:
-            p = oracle.speaking_probabilities(row)
-            assert np.all(p >= 0)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        P = engine_probabilities(params, W_SIG, c)
+        assert np.all(P >= 0)
+        assert P.sum(axis=1) == pytest.approx(np.ones(len(c)), abs=1e-12)
 
 
 def test_probabilities_reject_all_zero():
@@ -332,12 +353,9 @@ def test_scale_invariance_of_probabilities_and_losses():
         c = random_conversation(rng, N, int(rng.integers(2, 15)))
         params = random_params(rng, N)
         factor = float(rng.uniform(0.1, 40.0))
-        U = engine_scores(params, W_EXP, c)
-        V = engine_scores(params.scaled(factor), W_EXP, c)
-        for a, b in zip(U, V):
-            assert oracle.speaking_probabilities(a) == pytest.approx(
-                oracle.speaking_probabilities(b), abs=1e-10
-            )
+        P = engine_probabilities(params, W_EXP, c)
+        Q = engine_probabilities(params.scaled(factor), W_EXP, c)
+        np.testing.assert_allclose(P, Q, rtol=0, atol=1e-10)
         # Every score is at least 0.2 * 0.1, so the eps floor never binds.
         assert losses(params, W_EXP, c) == pytest.approx(
             losses(params.scaled(factor), W_EXP, c), abs=1e-10
@@ -457,6 +475,51 @@ def test_eps_floor_keeps_observed_zero_finite():
     assert nll_turn == pytest.approx(0.25 * nll, rel=1e-12)
 
 
+def floor_sides(params, oracle_w, c):
+    """Eligible cells of rows with pi <= EPS_FLOOR: (below or at the floor, above it,
+    observed and below or at it), from the oracle's unfloored scores."""
+    below = above = observed_below = 0
+    low = params.inherent <= EPS_FLOOR
+    speakers = c.speakers.tolist()
+    for t in range(1, len(c) + 1):
+        gaps = oracle.gaps_at(speakers, c.group_size, t)
+        u = oracle.scores_at(params.inherent.tolist(), params.memory.tolist(), oracle_w,
+                             speakers, c.group_size, t)
+        for n in np.flatnonzero(low):
+            if gaps[n] == 1:
+                continue
+            below += u[n] <= EPS_FLOOR
+            above += u[n] > EPS_FLOOR
+            observed_below += u[n] <= EPS_FLOOR and n == speakers[t - 1] - 1
+    return below, above, observed_below
+
+
+@pytest.mark.parametrize("low", [0.0, 1e-9])
+def test_floored_cells_match_oracle_with_the_floor(low):
+    # Every score is near EPS_FLOOR, so the floor moves the loss by far more
+    # than the tolerance. Two members per group have pi = low, and their
+    # memory scores put their cells on both sides of the floor.
+    rng = np.random.default_rng(10)
+    sides = np.zeros(3, dtype=int)
+    for _ in range(20):
+        N = int(rng.integers(3, 6))
+        c = random_conversation(rng, N, int(rng.integers(2, 25)))
+        pi = rng.uniform(0.5, 5.0, N) * EPS_FLOOR
+        pi[rng.permutation(N)[:2]] = low
+        params = ScoreParams(inherent=pi, memory=rng.uniform(0.0, 5.0, N) * EPS_FLOOR)
+        sides += floor_sides(params, ORACLE_EXP, c)
+        want = oracle.nll(pi.tolist(), params.memory.tolist(), ORACLE_EXP,
+                          c.speakers.tolist(), N, floor=EPS_FLOOR)
+        assert losses(params, W_EXP, c)[0] == pytest.approx(want, abs=1e-12)
+        np.testing.assert_allclose(
+            engine_probabilities(params, W_EXP, c),
+            oracle_probabilities(params, ORACLE_EXP, c, floor=EPS_FLOOR),
+            rtol=0, atol=1e-12,
+        )
+    below, above, observed_below = sides
+    assert below > 0 and above > 0 and observed_below > 0
+
+
 def test_overflowing_scores_raise_zero_likelihood():
     # Finite scores whose turn totals overflow leave no finite likelihood.
     # It is reported as ZeroLikelihoodError, with no numpy RuntimeWarning
@@ -483,8 +546,8 @@ def test_loss_shape_mismatch_rejected():
 
 
 def test_likelihood_sequence_matches_per_turn_scores():
-    # Conversations of one shape share a stack; each group's cells still
-    # hold its own scores, turn by turn.
+    # Conversations of one shape share a stack; each group's turn NLLs still
+    # follow its own scores, turn by turn.
     rng = np.random.default_rng(9)
     for _ in range(10):
         N, T = int(rng.integers(2, 6)), int(rng.integers(1, 15))
@@ -494,13 +557,17 @@ def test_likelihood_sequence_matches_per_turn_scores():
         (w,) = stacks.gather(W_SIG)
         pi = np.stack([p.inherent for p in params])
         d = np.stack([p.memory for p in params])
-        cells, _, _ = _likelihood_pass(stacks.stacks[0], w, pi, d)
-        for c, p, U in zip(convs, params, cells):
-            for t in range(1, T + 1):
-                expected = oracle.scores_at(
-                    p.inherent.tolist(), p.memory.tolist(), ORACLE_SIG, c.speakers.tolist(), N, t
-                )
-                assert U[:, t - 1] == pytest.approx(expected, abs=1e-12)
+        totals, observed, _ = _likelihood_pass(stacks.stacks[0], w, pi, d)
+        turn_nll = np.log(totals) - np.log(observed)
+        for c, p, got in zip(convs, params, turn_nll):
+            speakers = c.speakers.tolist()
+            want = [
+                -math.log(oracle.probabilities_at(
+                    p.inherent.tolist(), p.memory.tolist(), ORACLE_SIG, speakers, N, t
+                )[speakers[t - 1] - 1])
+                for t in range(1, T + 1)
+            ]
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 # ------------------------------------------------------------------ sampling

@@ -338,6 +338,29 @@ def test_apply_update_reports_divergence_as_floating_point_error():
         apply_update(net, grads, 0.1)
 
 
+def test_apply_update_overflow_is_floating_point_error_without_warning():
+    # -1e308 - 1e308 overflows; the only outcome is the FloatingPointError.
+    import warnings
+
+    net = DenseNet(weights=(np.array([[-1e308]]),), biases=(np.zeros(1),))
+    grads = GradientSet(weights=[np.ones((1, 1))], biases=[np.zeros(1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            apply_update(net, grads, 1e308)
+
+
+def test_dense_net_holds_one_read_only_copy_of_its_parameters():
+    weights, biases = (np.array([[1.0, 2.0]]),), (np.array([3.0]),)
+    net = DenseNet(weights=weights, biases=biases)
+    weights[0][0, 0] = 9.0
+    assert net.weights[0][0, 0] == 1.0
+    assert net.params.tolist() == [1.0, 2.0, 3.0]
+    assert np.shares_memory(net.weights[0], net.params)
+    with pytest.raises(ValueError):
+        net.biases[0][0] = 0.0
+
+
 # ---------------------------------------------------------------------- adam
 
 
@@ -368,13 +391,11 @@ def test_adam_step_mutates_neither_net_nor_state():
     net2, state = adam_step(net, grads, None, 0.05)
     before_net = copied(net2)
     t, m, v = state
-    before_m = [a.copy() for a in m.weights + m.biases]
-    before_v = [a.copy() for a in v.weights + v.biases]
+    before_m, before_v = m.copy(), v.copy()
     adam_step(net2, backward(net2, 0.5, 1.0), state, 0.05)
     assert net2 == before_net
     assert state[0] == t == 1
-    for got, ref in zip(m.weights + m.biases + v.weights + v.biases, before_m + before_v):
-        assert np.array_equal(got, ref)
+    assert np.array_equal(m, before_m) and np.array_equal(v, before_v)
 
 
 def test_adam_zero_gradient_leaves_net_equal():
@@ -408,6 +429,26 @@ def test_adam_step_to_non_finite_parameter_is_floating_point_error():
         adam_step(net, grads, None, 0.1)
 
 
+@pytest.mark.parametrize("bad", [1e200, np.inf])
+def test_adam_step_on_huge_or_non_finite_gradient_is_floating_point_error(bad):
+    # 1e200 squares to inf: the second moment would pin that parameter at a
+    # zero step forever. Each case raises FloatingPointError, with no numpy
+    # warning ahead of it, and leaves the state passed in untouched.
+    import warnings
+
+    rng = np.random.default_rng(37)
+    net = random_net(rng, (1, 3, 1))
+    net, state = adam_step(net, backward(net, 0.3, 1.0), None, 0.01)
+    before = [state[1].copy(), state[2].copy()]
+    grads = backward(net, 0.7, -1.0)
+    grads.weights[0][1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            adam_step(net, grads, state, 0.01)
+    assert np.array_equal(state[1], before[0]) and np.array_equal(state[2], before[1])
+
+
 def test_adam_runs_are_bit_identical():
     def run():
         rng = np.random.default_rng(36)
@@ -419,9 +460,7 @@ def test_adam_runs_are_bit_identical():
 
     (a, (ta, ma, va)), (b, (tb, mb, vb)) = run(), run()
     assert a == b and ta == tb == 5
-    for x, y in zip(ma.weights + ma.biases + va.weights + va.biases,
-                    mb.weights + mb.biases + vb.weights + vb.biases):
-        assert np.array_equal(x, y)
+    assert np.array_equal(ma, mb) and np.array_equal(va, vb)
 
 
 def test_gradient_set_map_and_norm():

@@ -7,6 +7,7 @@ import pytest
 
 import oracle
 from turntaking import (
+    EPS_FLOOR,
     Conversation,
     ExpDecayProclivity,
     FitConfig,
@@ -20,6 +21,7 @@ from turntaking import (
     conversation_nll_gradients,
     evaluate,
     fit,
+    gap_matrix,
     generate_dataset,
     predict_scores,
     sample_conversation,
@@ -37,6 +39,8 @@ from turntaking.training import (
     _mean_nll,
     _nll_gradients,
 )
+
+from test_model import random_conversation
 
 
 def bundle_loss(bundle, roster, conversation):
@@ -383,6 +387,60 @@ def test_stacks_group_mixed_shapes():
     turns = [len(c) for _, c in pairs]
     expected = np.dot(per_group, turns) / sum(turns)
     assert _mean_nll(bundle, stacks) == pytest.approx(expected, abs=1e-12)
+
+
+def test_gap_one_marks_exactly_the_previous_speaker():
+    # The likelihood pass leaves the previous speaker out through its gap-1
+    # cell: that must be the turn before's speaker, and nobody on turn 1.
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        N, T = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+        convs = [make_pair(rng, members=N, turns=T)[1] for _ in range(3)]
+        stack = _build_stacks([(Roster(np.linspace(0.1, 1.0, N)), c) for c in convs]).stacks[0]
+        labels = np.stack([c.speakers for c in convs]).astype(int) - 1
+        assert np.array_equal(stack.speakers, np.arange(3)[:, None] * N + labels)
+        for gaps, speakers in zip(stack.gaps, labels):
+            expected = np.zeros((N, T), dtype=bool)
+            expected[speakers[:-1], np.arange(1, T)] = True
+            assert np.array_equal(gaps == 1, expected)
+
+
+def floored_bundle(traits):
+    """A ``pro`` bundle whose scores sit around EPS_FLOOR: pi about 1e-9 for
+    the two lower traits and 6e-8 for the highest, memory scores 1e-8 to 4e-8,
+    and a learned proclivity falling from 0.8 at gap 2 towards 0."""
+    def net(weight, bias):
+        return DenseNet(weights=(np.array([[weight]]),), biases=(np.array([bias]),))
+
+    bundle = ModelBundle(
+        variant="pro",
+        proclivity=LearnedProclivity(net(-8.0, 2.0), delta_scale=20.0),
+        f_net=net(7.0, -22.2),
+        g_net=net(2.0, -18.5),
+    )
+    pi = bundle.f_net.forward(traits)
+    assert (pi <= EPS_FLOOR).sum() == 2
+    return bundle
+
+
+def test_gradients_with_floored_cells_match_finite_differences():
+    # Floored cells have no slope. Finite differences see that only if no
+    # cell sits within a step's reach of the floor, so that is checked too.
+    rng = np.random.default_rng(62)
+    roster = Roster(traits=np.array([0.2, 0.5, 0.8]))
+    bundle = floored_bundle(roster.traits)
+    params = predict_scores(bundle, roster)
+    low = np.flatnonzero(params.inherent <= EPS_FLOOR)
+    for _ in range(3):
+        conversation = random_conversation(rng, 3, 40)
+        gaps = gap_matrix(conversation)
+        cells = params.inherent + params.memory * bundle.proclivity.values(gaps)
+        eligible = cells[:, low][gaps[:, low] != 1]
+        assert np.min(np.abs(eligible / EPS_FLOOR - 1.0)) > 1e-2
+        assert (eligible <= EPS_FLOOR).any() and (eligible > EPS_FLOOR).any()
+        observed = cells[np.arange(40), conversation.speakers - 1]
+        assert (observed <= EPS_FLOOR).any()
+        assert_gradients_match_finite_differences(bundle, roster, conversation)
 
 
 def test_stacks_reject_mismatched_roster():

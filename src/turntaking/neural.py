@@ -148,9 +148,6 @@ class GradientSet:
         """``fn`` applied element by element to this set and ``others``, as a new set."""
         return GradientSet._of(fn(self.flat, *(o.flat for o in others)), self.shapes)
 
-    def add(self, other: "GradientSet") -> None:
-        self.flat += other.flat
-
     @classmethod
     def zeros_like(cls, net: DenseNet) -> "GradientSet":
         return cls._of(np.zeros_like(net.params), net.shapes)

@@ -30,7 +30,6 @@ from .model import (
 )
 from .neural import (
     DenseNet,
-    GradientSet,
     _backward_cached,
     _forward_cached,
     adam_step,
@@ -185,7 +184,9 @@ class FitResult:
 # shape are stacked into one tensor so an epoch over all groups is a handful
 # of numpy calls. Stacks are stored member-major, (B, N, T), but the engine
 # works per turn: it builds no (B, N, T) array but ``W = table[gaps]`` and,
-# for the proclivity gradient, one of per-cell slopes.
+# for the proclivity gradient, one of per-cell slopes. The score nets see
+# the whole split at once: every stack's members are one range of the
+# split's trait vector.
 
 
 @dataclass(frozen=True)
@@ -194,13 +195,15 @@ class _Stack:
 
     Cells are addressed by flat indices into the raveled (B, N, T) arrays,
     members by rows of the raveled (B, N) scores. The previous speaker's row
-    is the speaker row of the turn before.
+    is the speaker row of the turn before. ``span`` is the stack's range of
+    the split's raveled traits, and so of its raveled scores.
     """
 
-    traits: np.ndarray  # (B, N)
     gaps: np.ndarray  # (B, N, T), 0 marks never-spoken
     observed: np.ndarray  # (B, T) flat index of each turn's speaker cell
     speakers: np.ndarray  # (B, T) row of each turn's speaker, observed // T
+    others: np.ndarray  # (N, N) 1 - eye(N): sums each member's pi over the others
+    span: slice
 
     @property
     def shape(self) -> tuple:
@@ -212,6 +215,7 @@ class _Stack:
 class _Stacks:
     """The stacks of one data split, plus the model outputs cached on them.
 
+    ``traits`` holds every stack's (B, N) traits raveled, in stack order.
     ``gather`` builds the proclivity table and ``W = table[gaps]`` per stack
     and reuses them for as long as the same proclivity object comes back.
     ``scores`` does the same for the score nets' outputs and activations,
@@ -220,14 +224,15 @@ class _Stacks:
     from, so identity is a safe key.
     """
 
-    def __init__(self, stacks: list):
+    def __init__(self, stacks: list, traits: np.ndarray):
         self.stacks = stacks
+        self.traits = traits
         self.max_gap = max(int(s.gaps.max(initial=0)) for s in stacks)
         self.turns = sum(s.gaps.shape[0] * s.gaps.shape[2] for s in stacks)
         self._proclivity = None
         self._w: list = []
         self._nets = None
-        self._scores: list = []
+        self._scores = None
 
     def __iter__(self):
         return iter(self.stacks)
@@ -242,21 +247,27 @@ class _Stacks:
             self._proclivity = proclivity
         return self._w
 
-    def scores(self, bundle: ModelBundle) -> list:
-        """``(pi, d, f activations, g activations)`` for every stack.
+    def scores(self, bundle: ModelBundle) -> tuple:
+        """``(per-stack (pi, d) pairs, f activations, g activations)``.
 
-        Learnable variants reuse the last result while their nets stay the
-        same objects, so the nets run once per parameter value. ``nm`` and
-        ``hm`` both have no nets; their constant scores are never cached,
-        so the two can never share an entry.
+        Each net runs once on the split's traits; ``pi`` and ``d`` are (B, N)
+        views of its output. Learnable variants reuse the last result while
+        their nets stay the same objects, so the nets run once per parameter
+        value. ``nm`` and ``hm`` both have no nets; their constant scores are
+        never cached, so the two can never share an entry.
         """
         if bundle.variant not in LEARNABLE_VARIANTS:
-            return [_scores(bundle, s.traits) for s in self.stacks]
+            return self._split(*_scores(bundle, self.traits))
         nets = (bundle.f_net, bundle.g_net)
         if self._nets is None or nets[0] is not self._nets[0] or nets[1] is not self._nets[1]:
-            self._scores = [_scores(bundle, s.traits) for s in self.stacks]
+            self._scores = self._split(*_scores(bundle, self.traits))
             self._nets = nets
         return self._scores
+
+    def _split(self, pi, d, f_cache, g_cache) -> tuple:
+        shapes = [(s.span, s.gaps.shape[:2]) for s in self.stacks]
+        pairs = [(pi[span].reshape(shape), d[span].reshape(shape)) for span, shape in shapes]
+        return pairs, f_cache, g_cache
 
 
 def _build_stacks(pairs) -> _Stacks:
@@ -265,22 +276,26 @@ def _build_stacks(pairs) -> _Stacks:
         if roster.size != conv.group_size:
             raise ValueError("roster size and conversation group size differ")
         by_shape.setdefault((len(conv), conv.group_size), []).append((roster, conv))
-    stacks = []
+    stacks, traits, start = [], [], 0
     for (T, N), members in by_shape.items():
+        B = len(members)
         # Labels are stored compactly; widen them before the index arithmetic.
         speakers = np.stack([c.speakers for _, c in members]).astype(np.intp) - 1
-        rows = np.arange(len(members))[:, None] * N + speakers
+        rows = np.arange(B)[:, None] * N + speakers
         # The copy is C-ordered: the flat indices rely on it.
         gaps = np.stack([gap_matrix(c) for _, c in members]).transpose(0, 2, 1).copy()
         stacks.append(
             _Stack(
-                traits=np.stack([r.traits for r, _ in members]),
                 gaps=gaps,
                 observed=rows * T + np.arange(T),
                 speakers=rows,
+                others=1.0 - np.eye(N),
+                span=slice(start, start + B * N),
             )
         )
-    return _Stacks(stacks)
+        traits.extend(r.traits for r, _ in members)
+        start += B * N
+    return _Stacks(stacks, np.concatenate(traits))
 
 
 def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray):
@@ -300,7 +315,7 @@ def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray
     totals[:, 0] += pi.sum(axis=1)
     # Each member's pi summed over the others: a sum of nonnegative terms,
     # where a total minus the member's own pi could cancel.
-    totals[:, 1:] += (pi @ (1.0 - np.eye(N))).take(stack.speakers[:, :-1])
+    totals[:, 1:] += (pi @ stack.others).take(stack.speakers[:, :-1])
     observed = w.take(stack.observed) * d_rows.take(stack.speakers) + pi_rows.take(stack.speakers)
     low = np.flatnonzero(pi_rows <= EPS_FLOOR)
     if not low.size:
@@ -316,7 +331,8 @@ def _mean_nll(bundle: ModelBundle, stacks: _Stacks) -> float:
     """Mean per-turn NLL over every stack of a split; no gradients."""
     total_nll = 0.0
     ws = stacks.gather(bundle.proclivity)
-    for stack, w, (pi, d, _, _) in zip(stacks, ws, stacks.scores(bundle)):
+    pairs, _, _ = stacks.scores(bundle)
+    for stack, w, (pi, d) in zip(stacks, ws, pairs):
         totals, observed, _ = _likelihood_pass(stack, w, pi, d)
         total_nll += float(np.log(totals).sum() - np.log(observed).sum())
     return total_nll / stacks.turns
@@ -339,13 +355,15 @@ def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
         return {}
     scale = 1.0 / stacks.turns
     if want_scores:
-        gf = GradientSet.zeros_like(bundle.f_net)
-        gg = GradientSet.zeros_like(bundle.g_net)
+        # Each stack fills its span; the nets are differentiated once, after.
+        dpi_all = np.empty(stacks.traits.size)
+        dd_all = np.empty(stacks.traits.size)
     else:
         dtable = np.zeros(stacks.max_gap + 1)
 
     ws = stacks.gather(bundle.proclivity)
-    for stack, w, (pi, d, f_cache, g_cache) in zip(stacks, ws, stacks.scores(bundle)):
+    pairs, f_cache, g_cache = stacks.scores(bundle)
+    for stack, w, (pi, d) in zip(stacks, ws, pairs):
         B, N, T = stack.gaps.shape
         totals, observed, floored = _likelihood_pass(stack, w, pi, d)
         inv_totals = 1.0 / totals
@@ -360,18 +378,21 @@ def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
             # Per member, the 1/total part is a sum over turns, less the turn
             # after it speaks; the rest are sparse corrections by row.
             rows = stack.speakers.reshape(-1)
-            dd = np.matmul(w, inv_totals[:, :, None]).reshape(-1) - np.bincount(
-                rows, (w.take(stack.observed) * inv_observed).reshape(-1), B * N
+            dpi, dd = dpi_all[stack.span], dd_all[stack.span]
+            np.subtract(
+                np.matmul(w, inv_totals[:, :, None]).reshape(-1),
+                np.bincount(rows, (w.take(stack.observed) * inv_observed).reshape(-1), B * N),
+                out=dd,
             )
             inv_observed[:, :-1] += inv_totals[:, 1:]
-            dpi = np.repeat(inv_totals.sum(axis=1), N) - np.bincount(
-                rows, inv_observed.reshape(-1), B * N
+            np.subtract(
+                np.repeat(inv_totals.sum(axis=1), N),
+                np.bincount(rows, inv_observed.reshape(-1), B * N),
+                out=dpi,
             )
             if floored is not None:
                 dpi -= np.bincount(cells // T, lost, B * N)
                 dd -= np.bincount(cells // T, w.take(cells) * lost, B * N)
-            gf.add(_backward_cached(bundle.f_net, f_cache, dpi * scale))
-            gg.add(_backward_cached(bundle.g_net, g_cache, dd * scale))
         else:
             # Slopes times d, binned by gap; bins 0 (never spoken) and 1 (the
             # previous speaker) are dropped below.
@@ -387,7 +408,10 @@ def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
             )
 
     if want_scores:
-        return {"f": gf, "g": gg}
+        return {
+            "f": _backward_cached(bundle.f_net, f_cache, dpi_all * scale),
+            "g": _backward_cached(bundle.g_net, g_cache, dd_all * scale),
+        }
     prox = bundle.proclivity
     inputs = np.arange(2, dtable.size) / prox.delta_scale
     return {"nu": backward(prox.net, inputs, dtable[2:] * scale)}

@@ -268,14 +268,9 @@ def mixed_shape_pairs(rng):
     ]
 
 
-def test_batched_gradients_match_finite_differences_across_stacks():
+def assert_split_gradients_match_finite_differences(bundle, stacks, h=1e-5):
+    """Every parameter's gradient on a split against central differences of its loss."""
     from dataclasses import replace
-
-    rng = np.random.default_rng(56)
-    h = 1e-5
-    bundle = warmed_bundle(rng)
-    stacks = _build_stacks(mixed_shape_pairs(rng))
-    assert sorted(s.shape[0] for s in stacks) == [1, 2]
 
     def loss(b):
         return _mean_nll(b, stacks)
@@ -301,6 +296,14 @@ def test_batched_gradients_match_finite_differences_across_stacks():
                         lo = loss(attach[name](perturbed_net(net, l, idx, kind, -h)))
                         fd = (hi - lo) / (2 * h)
                         assert got[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def test_batched_gradients_match_finite_differences_across_stacks():
+    rng = np.random.default_rng(56)
+    bundle = warmed_bundle(rng)
+    stacks = _build_stacks(mixed_shape_pairs(rng))
+    assert sorted(s.shape[0] for s in stacks) == [1, 2]
+    assert_split_gradients_match_finite_differences(bundle, stacks)
 
 
 def assert_same_on_fresh_stacks(bundle, stacks, pairs):
@@ -358,6 +361,35 @@ def test_reused_stacks_follow_changed_score_nets():
     ):
         assert_same_on_fresh_stacks(variant, stacks, pairs)
     assert _mean_nll(moved, stacks) != before
+
+
+def test_score_nets_run_once_per_split(monkeypatch):
+    # However many stacks a split holds, a new pair of score nets runs each
+    # net forward once, and a scores-block gradient runs each backward once.
+    rng = np.random.default_rng(63)
+    stacks = _build_stacks(mixed_shape_pairs(rng) + [make_pair(rng, members=5, turns=9)])
+    assert len(stacks.stacks) == 3
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(kind, fn):
+        def wrapped(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(training, "_forward_cached", counted("forward", training._forward_cached))
+    monkeypatch.setattr(training, "_backward_cached", counted("backward", training._backward_cached))
+    bundle = warmed_bundle(rng)
+    _nll_gradients(bundle, stacks, BLOCK_SCORES)
+    assert calls == {"forward": 2, "backward": 2}
+    _nll_gradients(bundle, stacks, BLOCK_SCORES)
+    assert calls == {"forward": 2, "backward": 4}
+    _nll_gradients(bundle, stacks, BLOCK_PROCLIVITY)
+    _mean_nll(bundle, stacks)
+    assert calls == {"forward": 2, "backward": 4}
+    moved, _ = _descend_scores(bundle, stacks, FitConfig(score_epochs=1), None)
+    _mean_nll(moved, stacks)
+    assert calls == {"forward": 4, "backward": 6}
 
 
 def test_nm_and_hm_do_not_share_cached_scores():
@@ -423,24 +455,49 @@ def floored_bundle(traits):
     return bundle
 
 
+def assert_floor_straddled(bundle, roster, conversation):
+    """The conversation has eligible cells of floored members on both sides
+    of EPS_FLOOR, none within 1% of it, and an observed score at or below it."""
+    params = predict_scores(bundle, roster)
+    low = np.flatnonzero(params.inherent <= EPS_FLOOR)
+    gaps = gap_matrix(conversation)
+    cells = params.inherent + params.memory * bundle.proclivity.values(gaps)
+    eligible = cells[:, low][gaps[:, low] != 1]
+    assert np.min(np.abs(eligible / EPS_FLOOR - 1.0)) > 1e-2
+    assert (eligible <= EPS_FLOOR).any() and (eligible > EPS_FLOOR).any()
+    observed = cells[np.arange(len(conversation)), conversation.speakers - 1]
+    assert (observed <= EPS_FLOOR).any()
+
+
 def test_gradients_with_floored_cells_match_finite_differences():
     # Floored cells have no slope. Finite differences see that only if no
     # cell sits within a step's reach of the floor, so that is checked too.
     rng = np.random.default_rng(62)
     roster = Roster(traits=np.array([0.2, 0.5, 0.8]))
     bundle = floored_bundle(roster.traits)
-    params = predict_scores(bundle, roster)
-    low = np.flatnonzero(params.inherent <= EPS_FLOOR)
     for _ in range(3):
         conversation = random_conversation(rng, 3, 40)
-        gaps = gap_matrix(conversation)
-        cells = params.inherent + params.memory * bundle.proclivity.values(gaps)
-        eligible = cells[:, low][gaps[:, low] != 1]
-        assert np.min(np.abs(eligible / EPS_FLOOR - 1.0)) > 1e-2
-        assert (eligible <= EPS_FLOOR).any() and (eligible > EPS_FLOOR).any()
-        observed = cells[np.arange(40), conversation.speakers - 1]
-        assert (observed <= EPS_FLOOR).any()
+        assert_floor_straddled(bundle, roster, conversation)
         assert_gradients_match_finite_differences(bundle, roster, conversation)
+
+
+def test_floored_cells_get_no_slope_in_interleaved_stacks():
+    # Each stack writes its score slopes, floor corrections included, into
+    # its own rows of the split's vectors. Stacks of 3, 4 and 3 members with
+    # the floored members at different positions check those offsets.
+    rng = np.random.default_rng(64)
+    rosters = [Roster(traits=np.array(t)) for t in
+               ([0.2, 0.5, 0.8], [0.8, 0.2, 0.9, 0.7], [0.9, 0.8, 0.5])]
+    bundle = floored_bundle(rosters[0].traits)
+    pairs = [
+        (roster, random_conversation(rng, roster.size, turns))
+        for roster, turns in zip(rosters, (40, 40, 30))
+    ]
+    for roster, conversation in pairs:
+        assert_floor_straddled(bundle, roster, conversation)
+    stacks = _build_stacks(pairs)
+    assert [s.shape for s in stacks] == [(1, 40, 3), (1, 40, 4), (1, 30, 3)]
+    assert_split_gradients_match_finite_differences(bundle, stacks)
 
 
 def test_stacks_reject_mismatched_roster():

@@ -80,9 +80,11 @@ def _read_rows(path, expected_header, meta: dict | None = None):
                 key, _, meta[key] = header[0][2:].partition("=")
                 header = next(reader, None)
             if header != expected_header:
+                got = ",".join(header) if header else "empty file"
+                if got.startswith("\ufeff"):
+                    got = f"{got[1:]} after a UTF-8 byte-order mark; save the file without one"
                 raise DataFormatError(
-                    f"{path}: expected header {','.join(expected_header)}, "
-                    f"got {','.join(header) if header else 'empty file'}"
+                    f"{path}: expected header {','.join(expected_header)}, got {got}"
                 )
             for lineno, row in enumerate(reader, start=reader.line_num + 1):
                 if not row:
@@ -94,6 +96,22 @@ def _read_rows(path, expected_header, meta: dict | None = None):
                 yield lineno, row
     except csv.Error as exc:
         raise DataFormatError(f"{path}: malformed CSV ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} cannot be decoded)"
+        ) from None
+
+
+@contextlib.contextmanager
+def _group_values(path, gid):
+    """Report a group's file values that a model type rejects as a format error.
+
+    ``OverflowError`` is an integer too wide for numpy to hold.
+    """
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: group {gid}: {exc}") from None
 
 
 def _parse(path, lineno, raw, kind):
@@ -128,7 +146,8 @@ def read_rosters(path) -> dict:
         members.sort()
         if [m for m, _ in members] != list(range(1, len(members) + 1)):
             raise DataFormatError(f"{path}: group {gid} members are not 1..N")
-        rosters[gid] = Roster(np.array([v for _, v in members]))
+        with _group_values(path, gid):
+            rosters[gid] = Roster(np.array([v for _, v in members]))
     return rosters
 
 
@@ -186,10 +205,11 @@ def read_true_scores(path) -> dict:
         members.sort()
         if [m for m, _, _ in members] != list(range(1, len(members) + 1)):
             raise DataFormatError(f"{path}: group {gid} members are not 1..N")
-        scores[gid] = ScoreParams(
-            np.array([pi for _, pi, _ in members]),
-            np.array([d for _, _, d in members]),
-        )
+        with _group_values(path, gid):
+            scores[gid] = ScoreParams(
+                np.array([pi for _, pi, _ in members]),
+                np.array([d for _, _, d in members]),
+            )
     return scores
 
 
@@ -236,12 +256,14 @@ def read_split(directory, split: str) -> list:
                 f"{paths['scores']}: group {gid} has scores for {scores[gid].size} "
                 f"members, its roster {roster.size}"
             )
+        with _group_values(paths["conversations"], gid):
+            conversation = Conversation(conversations[gid], roster.size)
         groups.append(
             Group(
                 group_id=gid,
                 roster=roster,
                 scores=scores.get(gid),  # None when ground truth is absent
-                conversation=Conversation(conversations[gid], roster.size),
+                conversation=conversation,
             )
         )
     return groups

@@ -55,6 +55,7 @@ from .training import (
     VARIANTS,
     _build_stacks,
     _likelihood_pass,
+    _low_rows,
     fit,
     predict_scores,
 )
@@ -160,9 +161,10 @@ def evaluate(model, groups) -> EvalSummary:
         # Finite scores can still overflow the turn totals; the loss check
         # below reports that as ZeroLikelihoodError, so numpy's own warning
         # would only be noise ahead of it.
+        pi = scores.inherent[None]
         with np.errstate(over="ignore", invalid="ignore"):
             totals, observed, _ = _likelihood_pass(
-                stack, w, scores.inherent[None], scores.memory[None]
+                stack, w, pi, scores.memory[None], _low_rows(pi)
             )
             turn_nll = np.log(totals[0]) - np.log(observed[0])
         nll = float(turn_nll.mean())

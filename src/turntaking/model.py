@@ -15,7 +15,8 @@ by ``pi`` alone. The next speaker is distributed as ``u / sum(u)``.
 The per-turn negative log-likelihood of observed conversations, which
 ``fit`` minimises and ``evaluate`` reports, is computed in one batched pass
 in ``training.py``. Sampling, in ``sample_conversations``, advances every
-group of a batch of equal-sized groups by one turn per step.
+group of a batch of equal-sized groups by one turn per step; a lone group
+runs through a scalar loop that gives the same bits.
 
 Members are labeled 1..N in all public inputs and outputs; vectors are plain
 numpy arrays where position k belongs to member k+1. Gaps are positive
@@ -226,6 +227,10 @@ def sample_conversations(
     on which other groups are sampled with it. Raises
     ``DegenerateDistributionError`` naming the group if at some turn none of
     its members has a positive score.
+
+    A single group takes ``_sample_alone``, a loop over Python floats that
+    skips numpy's per-call cost on a handful of members and reproduces the
+    lockstep loop bit for bit.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -236,6 +241,8 @@ def sample_conversations(
         raise ValueError("groups sampled together must have equal sizes")
     # A gap of ``length`` or more cannot occur within ``length`` turns.
     table = _checked_table(proclivity, length - 1)
+    if len(params_list) == 1:
+        return [_sample_alone(params_list[0], table, length, rngs[0])]
     pi = np.stack([params.inherent for params in params_list])
     d = np.stack([params.memory for params in params_list])
     draws = np.stack([rng.random(length) for rng in rngs], axis=1)
@@ -262,6 +269,93 @@ def sample_conversations(
         gaps += gaps > 0
         gaps[rows, picked] = 1
     return [Conversation(labels + 1, N) for labels in speakers.T]
+
+
+def _pairwise_sum(values: list) -> float:
+    """``values`` summed in numpy's float64 reduction order.
+
+    Below 8 terms numpy adds in order; up to 128 it keeps eight running
+    sums, combined as a tree, and adds the remainder in order; above that it
+    halves the range at a multiple of 8. Builtin ``sum`` is no substitute:
+    from Python 3.12 it compensates its rounding.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in values[end:]:
+        total += x
+    return total
+
+
+def _sample_alone(
+    params: ScoreParams, table: np.ndarray, length: int, rng: np.random.Generator
+) -> Conversation:
+    """One group's conversation, turn by turn over Python floats.
+
+    Every operation is the lockstep loop's on one row: a score is
+    ``table[gap] * d + pi``, the previous speaker's is 0, the total is the
+    scores' numpy sum, and the speaker is the count of running ``u / total``
+    sums at or below the turn's draw.
+    """
+    pi = params.inherent.tolist()
+    d = params.memory.tolist()
+    N = len(pi)
+    members = range(N)
+    # ``last`` holds each member's latest turn, so the gap at turn t is
+    # ``t - last``. A member who has not spoken sits at -length, and every
+    # index that gives, length..2 * length - 1, reads the NEVER value.
+    w = table.tolist()
+    w += [w[NEVER]] * length
+    last = [-length] * N
+    u = [0.0] * N
+    speakers = []
+    for t, draw in enumerate(rng.random(length).tolist()):
+        for i in members:
+            u[i] = w[t - last[i]] * d[i] + pi[i]
+        if t:
+            u[picked] = 0.0  # the previous speaker
+        if N < 8:  # _pairwise_sum's first case, inlined for the common sizes
+            total = 0.0
+            for x in u:
+                total += x
+        else:
+            total = _pairwise_sum(u)
+        if not total > 0.0:
+            raise DegenerateDistributionError(
+                f"group 0: all speaking scores are zero at turn {t + 1}"
+            )
+        # The running sums never fall, so the count of those at or below
+        # the draw ends at the first one above it.
+        cum = 0.0
+        picked = 0
+        for x in u:
+            cum += x / total
+            if not cum <= draw:
+                break
+            picked += 1
+        if picked == N:
+            picked = N - 1
+        speakers.append(picked)
+        last[picked] = t
+    return Conversation(np.array(speakers) + 1, N)
 
 
 def sample_conversation(

@@ -248,13 +248,14 @@ class _Stacks:
         return self._w
 
     def scores(self, bundle: ModelBundle) -> tuple:
-        """``(per-stack (pi, d) pairs, f activations, g activations)``.
+        """``(per-stack (pi, d, low) triples, f activations, g activations)``.
 
         Each net runs once on the split's traits; ``pi`` and ``d`` are (B, N)
-        views of its output. Learnable variants reuse the last result while
-        their nets stay the same objects, so the nets run once per parameter
-        value. ``nm`` and ``hm`` both have no nets; their constant scores are
-        never cached, so the two can never share an entry.
+        views of its output, and ``low`` is ``_low_rows(pi)``. Learnable
+        variants reuse the last result while their nets stay the same
+        objects, so the nets run once per parameter value. ``nm`` and ``hm``
+        both have no nets; their constant scores are never cached, so the
+        two can never share an entry.
         """
         if bundle.variant not in LEARNABLE_VARIANTS:
             return self._split(*_scores(bundle, self.traits))
@@ -265,9 +266,15 @@ class _Stacks:
         return self._scores
 
     def _split(self, pi, d, f_cache, g_cache) -> tuple:
-        shapes = [(s.span, s.gaps.shape[:2]) for s in self.stacks]
-        pairs = [(pi[span].reshape(shape), d[span].reshape(shape)) for span, shape in shapes]
-        return pairs, f_cache, g_cache
+        # One search over the whole split; a split with no low row, the
+        # usual case, hands every stack the same empty array.
+        low = _low_rows(pi)
+        triples = []
+        for s in self.stacks:
+            span, shape = s.span, s.gaps.shape[:2]
+            rows = low[(low >= span.start) & (low < span.stop)] - span.start if low.size else low
+            triples.append((pi[span].reshape(shape), d[span].reshape(shape), rows))
+        return triples, f_cache, g_cache
 
 
 def _build_stacks(pairs) -> _Stacks:
@@ -298,16 +305,24 @@ def _build_stacks(pairs) -> _Stacks:
     return _Stacks(stacks, np.concatenate(traits))
 
 
-def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray):
+def _low_rows(pi: np.ndarray) -> np.ndarray:
+    """Flat member rows of ``pi`` at or below ``EPS_FLOOR``: the only rows
+    that can hold floored cells, as ``d, w >= 0``."""
+    return np.flatnonzero(pi.reshape(-1) <= EPS_FLOOR)
+
+
+def _likelihood_pass(
+    stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray, low: np.ndarray
+):
     """Turn totals and observed-speaker scores of one stack, plus its floored cells.
 
     The one place the likelihood is computed; a turn's NLL is
     ``log(total) - log(observed)``, both (B, T). Each eligible cell scores
-    ``pi + d * w``, floored at ``EPS_FLOOR``; ``pi`` and ``d`` are (B, N) and
-    ``w`` comes from ``_Stacks.gather``. A total is ``d @ w`` plus the ``pi``
-    of every member but the previous speaker. As ``d, w >= 0``, only a row
-    with ``pi <= EPS_FLOOR`` can hold floored cells: their flat cell and turn
-    indices come back, or ``None``.
+    ``pi + d * w``, floored at ``EPS_FLOOR``; ``pi`` and ``d`` are (B, N),
+    ``w`` comes from ``_Stacks.gather`` and ``low`` is ``_low_rows(pi)``. A
+    total is ``d @ w`` plus the ``pi`` of every member but the previous
+    speaker. The flat cell and turn indices of the floored cells come back,
+    or ``None`` when no row is low.
     """
     B, N, T = stack.gaps.shape
     pi_rows, d_rows = pi.reshape(-1), d.reshape(-1)
@@ -317,7 +332,6 @@ def _likelihood_pass(stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray
     # where a total minus the member's own pi could cancel.
     totals[:, 1:] += (pi @ stack.others).take(stack.speakers[:, :-1])
     observed = w.take(stack.observed) * d_rows.take(stack.speakers) + pi_rows.take(stack.speakers)
-    low = np.flatnonzero(pi_rows <= EPS_FLOOR)
     if not low.size:
         return totals, observed, None
     cells = w.reshape(B * N, T)[low] * d_rows[low, None] + pi_rows[low, None]
@@ -331,9 +345,9 @@ def _mean_nll(bundle: ModelBundle, stacks: _Stacks) -> float:
     """Mean per-turn NLL over every stack of a split; no gradients."""
     total_nll = 0.0
     ws = stacks.gather(bundle.proclivity)
-    pairs, _, _ = stacks.scores(bundle)
-    for stack, w, (pi, d) in zip(stacks, ws, pairs):
-        totals, observed, _ = _likelihood_pass(stack, w, pi, d)
+    triples, _, _ = stacks.scores(bundle)
+    for stack, w, (pi, d, low) in zip(stacks, ws, triples):
+        totals, observed, _ = _likelihood_pass(stack, w, pi, d, low)
         total_nll += float(np.log(totals).sum() - np.log(observed).sum())
     return total_nll / stacks.turns
 
@@ -362,10 +376,10 @@ def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
         dtable = np.zeros(stacks.max_gap + 1)
 
     ws = stacks.gather(bundle.proclivity)
-    pairs, f_cache, g_cache = stacks.scores(bundle)
-    for stack, w, (pi, d) in zip(stacks, ws, pairs):
+    triples, f_cache, g_cache = stacks.scores(bundle)
+    for stack, w, (pi, d, low) in zip(stacks, ws, triples):
         B, N, T = stack.gaps.shape
-        totals, observed, floored = _likelihood_pass(stack, w, pi, d)
+        totals, observed, floored = _likelihood_pass(stack, w, pi, d, low)
         inv_totals = 1.0 / totals
         inv_observed = 1.0 / observed
         if floored is not None:

@@ -334,6 +334,82 @@ def test_eval_truth_scores_for_too_few_members_is_usage_error(capsys, tmp_path, 
     assert "scores for 1 members, its roster 4" in err
 
 
+def _set_field(line_index, column, value):
+    def edit(lines):
+        fields = lines[line_index].split(",")
+        fields[column] = value
+        lines[line_index] = ",".join(fields)
+        return lines
+    return edit
+
+
+def _copy_field(line_index, column, source_index):
+    def edit(lines):
+        return _set_field(line_index, column, lines[source_index].split(",")[column])(lines)
+    return edit
+
+
+# One change to a valid test split per case: (file, edit of its lines, the
+# message expected with exit 2, or None when the change still loads). The
+# tiny dataset's one test group has id 4, three members and 40 turns.
+DATA_MUTATIONS = {
+    "trait-still-valid": ("rosters", _set_field(1, 2, "0.5"), None),
+    "trait-nan": ("rosters", _set_field(1, 2, "nan"), "group 4: traits must be finite"),
+    "trait-inf": ("rosters", _set_field(2, 2, "inf"), "group 4: traits must be finite"),
+    "trait-overflows-to-inf": ("rosters", _set_field(2, 2, "1e400"), "traits must be finite"),
+    "trait-not-a-number": ("rosters", _set_field(3, 2, "tall"), ":4: cannot parse 'tall'"),
+    "one-member-group": ("rosters", lambda lines: lines[:2], "group 4: a roster needs at least 2"),
+    "repeated-member-row": ("rosters", lambda lines: lines + lines[-1:], "members are not 1..N"),
+    "speaker-above-size": ("conversations", _set_field(5, 2, "4"), "group 4: speaker labels"),
+    "speaker-zero": ("conversations", _set_field(5, 2, "0"), "group 4: speaker labels"),
+    "speaker-too-wide": ("conversations", _set_field(5, 2, str(10**30)), "group 4: "),
+    "repeated-speaker": ("conversations", _copy_field(5, 2, 4), "group 4: consecutive turns"),
+    "dropped-turn": ("conversations", lambda lines: lines[:5] + lines[6:], "turns are not 1..T"),
+    "negative-true-score": ("scores", _set_field(2, 2, "-0.5"), "group 4: inherent scores"),
+    "nan-true-score": ("scores", _set_field(2, 3, "nan"), "group 4: memory scores"),
+    "zero-true-score": ("scores", _set_field(2, 2, "0.0"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATA_MUTATIONS))
+def test_a_bad_dataset_value_is_a_data_format_error(capsys, tmp_path, tiny_config, name):
+    stem, edit, message = DATA_MUTATIONS[name]
+    data = make_data(capsys, tmp_path, tiny_config)
+    path = data / f"{stem}_test.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("4,")
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm",
+                       "--out", tmp_path / "eval")
+    if message is None:
+        assert code == 0, err
+    else:
+        assert code == 2, err
+        assert f"{path}" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "stem, raw, message",
+    [
+        ("rosters", lambda text: text.replace(b"0.", b"\xff.", 1), "not UTF-8 text (byte 0xff"),
+        ("conversations", lambda text: b"\xef\xbb\xbf" + text, "byte-order mark"),
+        ("scores", lambda text: text.replace(b"\n", b"\r\n"), None),
+    ],
+    ids=["non-utf8-byte", "byte-order-mark", "crlf-line-ends"],
+)
+def test_dataset_file_encoding(capsys, tmp_path, tiny_config, stem, raw, message):
+    data = make_data(capsys, tmp_path, tiny_config)
+    path = data / f"{stem}_test.csv"
+    path.write_bytes(raw(path.read_bytes()))
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm",
+                       "--out", tmp_path / "eval")
+    if message is None:
+        assert code == 0, err
+    else:
+        assert code == 2, err
+        assert f"{path}" in err and message in err
+
+
 def test_eval_proclivity_conflicting_with_dataset_is_usage_error(capsys, tmp_path, tiny_config):
     data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
     cfg = tmp_path / "exp.cfg"

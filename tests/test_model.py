@@ -32,7 +32,8 @@ from turntaking import (
     sample_conversations,
     true_model,
 )
-from turntaking.training import _build_stacks, _likelihood_pass
+from turntaking.model import _pairwise_sum
+from turntaking.training import _build_stacks, _likelihood_pass, _low_rows
 
 W_EXP = ExpDecayProclivity()
 W_SIG = SigmoidProclivity()
@@ -75,8 +76,9 @@ def engine_probabilities(params, proclivity, c):
         stacks = _build_stacks([(roster, conv(head + [n], N)) for n in members])
         (w,) = stacks.gather(proclivity)
         B = len(members)
+        pi = np.tile(params.inherent, (B, 1))
         totals, observed, _ = _likelihood_pass(
-            stacks.stacks[0], w, np.tile(params.inherent, (B, 1)), np.tile(params.memory, (B, 1))
+            stacks.stacks[0], w, pi, np.tile(params.memory, (B, 1)), _low_rows(pi)
         )
         nll = np.log(totals[:, -1]) - np.log(observed[:, -1])
         probabilities[t, np.array(members) - 1] = np.exp(-nll)
@@ -337,6 +339,8 @@ def test_probabilities_reject_all_zero():
     rngs = [np.random.default_rng(k) for k in range(3)]
     with pytest.raises(DegenerateDistributionError, match="group 1: .* turn 2"):
         sample_conversations([fine, lone, fine], ZeroProclivity(), 5, rngs)
+    with pytest.raises(DegenerateDistributionError, match="group 0: .* turn 2"):
+        sample_conversation(lone, ZeroProclivity(), 5, np.random.default_rng(0))
 
 
 def test_probabilities_reject_negative():
@@ -557,7 +561,7 @@ def test_likelihood_sequence_matches_per_turn_scores():
         (w,) = stacks.gather(W_SIG)
         pi = np.stack([p.inherent for p in params])
         d = np.stack([p.memory for p in params])
-        totals, observed, _ = _likelihood_pass(stacks.stacks[0], w, pi, d)
+        totals, observed, _ = _likelihood_pass(stacks.stacks[0], w, pi, d, _low_rows(pi))
         turn_nll = np.log(totals) - np.log(observed)
         for c, p, got in zip(convs, params, turn_nll):
             speakers = c.speakers.tolist()
@@ -586,10 +590,12 @@ def random_score_list(rng, groups, size):
     ids=["exp", "sigmoid", "learned"],
 )
 def test_lockstep_sampler_equals_reference_bit_for_bit(proclivity):
-    # N spans numpy's 8-wide pairwise-summation block in the turn totals.
+    # N spans numpy's 8-wide pairwise-summation block in the turn totals and
+    # its halving past 128 terms. G == 1 runs the scalar loop, G > 1 the
+    # lockstep one.
     rng = np.random.default_rng(21)
     turns = 90
-    for N in (2, 3, 5, 8, 9, 17):
+    for N in (2, 3, 5, 7, 8, 9, 16, 17, 129):
         for G in (1, 3, 20):
             params = random_score_list(rng, G, N)
             seeds = rng.integers(0, 2**32, size=G)
@@ -605,6 +611,51 @@ def test_lockstep_sampler_equals_reference_bit_for_bit(proclivity):
                 c = sample_conversation(params[0], proclivity, turns, alone)
                 assert np.array_equal(c.speakers, got[0].speakers)
                 assert alone.bit_generator.state == refs[0].bit_generator.state
+
+
+class FixedDraws:
+    """A generator stand-in that hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        drawn, self.values = self.values[:size], self.values[size:]
+        return np.array(drawn)
+
+
+@pytest.mark.parametrize("proclivity", [W_EXP, W_SIG], ids=["exp", "sigmoid"])
+def test_draws_on_the_cdf_steps_pick_like_the_reference(proclivity):
+    # A draw equal to a step of the first turn's cdf counts that step, and
+    # the float just below it does not, so a total or a running sum one ulp
+    # off, or a strict comparison, moves the pick. Both samplers must move
+    # with the reference.
+    rng = np.random.default_rng(23)
+    for N in (3, 7, 9, 16, 17, 129):
+        (params,) = random_score_list(rng, 1, N)
+        u = proclivity.values(np.zeros(N, dtype=int)) * params.memory + params.inherent
+        for step in np.cumsum(oracle.speaking_probabilities(u))[:-1]:
+            for draw in (step, np.nextafter(step, 0.0)):
+                want = oracle.sample_speakers(
+                    params.inherent, params.memory, proclivity, 1, FixedDraws([draw])
+                )
+                alone = sample_conversation(params, proclivity, 1, FixedDraws([draw]))
+                lockstep = sample_conversations(
+                    [params] * 2, proclivity, 1, [FixedDraws([draw]), FixedDraws([draw])]
+                )
+                assert alone.speakers.tolist() == want, N
+                assert [c.speakers.tolist() for c in lockstep] == [want, want], N
+
+
+def test_pairwise_sum_equals_numpy_reduction():
+    # The scalar sampler's turn totals must carry numpy's rounding: in order
+    # below 8 terms, eight running sums up to 128, halves above.
+    rng = np.random.default_rng(22)
+    for n in range(1, 301):
+        values = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+        assert _pairwise_sum(values.tolist()) == np.add.reduce(values), n
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])

@@ -101,7 +101,7 @@ def test_hm_scores_are_memory_dominated():
     params = predict_scores(bundle, roster)
     assert np.all(params.inherent == 1e-2)
     assert np.all(params.memory == 1.0)
-    assert isinstance(bundle.proclivity, ExpDecayProclivity)
+    assert type(bundle.proclivity) is ExpDecayProclivity
 
 
 def test_fresh_learnable_bundles_predict_half():
@@ -116,12 +116,12 @@ def test_fresh_learnable_bundles_predict_half():
     assert pro.proclivity(5) == 0.5
     exp = ModelBundle.make("exp", seed=11)
     assert not exp.learns_proclivity
-    assert isinstance(exp.proclivity, ExpDecayProclivity)
+    assert type(exp.proclivity) is ExpDecayProclivity
 
 
 def test_nm_bundle_has_zero_proclivity():
     bundle = ModelBundle.make("nm")
-    assert isinstance(bundle.proclivity, ZeroProclivity)
+    assert type(bundle.proclivity) is ZeroProclivity
     assert not bundle.learns_proclivity
 
 

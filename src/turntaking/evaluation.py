@@ -54,8 +54,7 @@ from .training import (
     TrainingSet,
     VARIANTS,
     _build_stacks,
-    _likelihood_pass,
-    _low_rows,
+    _pass,
     fit,
     predict_scores,
 )
@@ -153,20 +152,17 @@ def evaluate(model, groups) -> EvalSummary:
                 f"group {group.group_id}: {scores.size} scores for "
                 f"{conversation.group_size} members"
             )
-        # One stack per group: a stack of the whole split would hold every
+        # One split per group: a split of all groups would hold every
         # group's cells in memory at once.
         stacks = _build_stacks([(group.roster, conversation)])
-        (stack,) = stacks
-        (w,) = stacks.gather(model.proclivity)
         # Finite scores can still overflow the turn totals; the loss check
         # below reports that as ZeroLikelihoodError, so numpy's own warning
         # would only be noise ahead of it.
-        pi = scores.inherent[None]
         with np.errstate(over="ignore", invalid="ignore"):
-            totals, observed, _ = _likelihood_pass(
-                stack, w, pi, scores.memory[None], _low_rows(pi)
+            totals, observed, _ = _pass(
+                stacks, stacks.record(scores.inherent, scores.memory), stacks.gather(model.proclivity)
             )
-            turn_nll = np.log(totals[0]) - np.log(observed[0])
+            turn_nll = np.log(totals) - np.log(observed)
         nll = float(turn_nll.mean())
         if not np.isfinite(nll):
             raise ZeroLikelihoodError(f"group {group.group_id}: non-finite loss {nll}")

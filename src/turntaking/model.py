@@ -33,7 +33,7 @@ import numpy as np
 NEVER = 0  # gap sentinel: the member has not spoken yet
 
 # Floor applied to eligible scores inside the likelihood pass only
-# (training._likelihood_pass, which corrects the few cells at or below it:
+# (training._pass, which corrects the few cells at or below it:
 # only a member whose inherent score is at most the floor can have any), so
 # a model that assigns (numerically) zero mass to an observed speaker yields
 # a large but finite loss instead of -log 0. Sampling never uses it.
@@ -135,9 +135,6 @@ class ScoreParams:
     def size(self) -> int:
         return int(self.inherent.size)
 
-    def scaled(self, factor: float) -> "ScoreParams":
-        return ScoreParams(self.inherent * factor, self.memory * factor)
-
 
 class TurnClass(IntEnum):
     """Four-way classification of a turn by the local floor pattern."""
@@ -148,20 +145,18 @@ class TurnClass(IntEnum):
     NONFLOOR = 3
 
 
-def gap_matrix(conversation: Conversation, horizon: int | None = None) -> np.ndarray:
-    """Stacked gaps for turns 1..horizon (default T), shape (horizon, N)."""
+def gap_matrix(conversation: Conversation) -> np.ndarray:
+    """Stacked gaps for turns 1..T, shape (T, N)."""
     T = len(conversation)
-    H = T if horizon is None else horizon
-    if not 1 <= H <= T + 1:
-        raise ValueError(f"horizon {H} outside 1..{T + 1}")
-    # Row r holds the gaps at turn r + 1, so turn j is recorded from row j
-    # on: scatter j into its speaker's column, then carry the latest turn
-    # down each column.
-    last = np.zeros((H, conversation.group_size), dtype=int)
-    recorded = np.arange(1, H)
-    last[recorded, conversation.speakers[: H - 1] - 1] = recorded
-    last = np.maximum.accumulate(last, axis=0)
-    return np.where(last > 0, np.arange(1, H + 1)[:, None] - last, NEVER)
+    # Built member-major, the transpose of the result, so the running
+    # maximum runs along contiguous rows. Column t holds the gaps at turn
+    # t + 1, so turn j is recorded from column j on: scatter j into its
+    # speaker's row, then carry the latest turn along each row.
+    last = np.zeros((conversation.group_size, T), dtype=int)
+    recorded = np.arange(1, T)
+    last[conversation.speakers[: T - 1] - 1, recorded] = recorded
+    np.maximum.accumulate(last, axis=1, out=last)
+    return np.where(last > 0, np.arange(1, T + 1) - last, NEVER).T
 
 
 def classify_turns(conversation: Conversation) -> np.ndarray:

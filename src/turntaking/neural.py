@@ -6,7 +6,10 @@ values. Gradients are computed analytically and are verified against central
 finite differences in the test suite. Networks are treated as values:
 each holds its parameters in one read-only vector, and ``apply_update``
 returns a fresh network and never mutates its input. Adam (``adam_step``)
-works element by element, so it runs on that one vector per net.
+works element by element, so it runs on that one vector per net. Nets of
+one layout also run as a stack: their vectors are the rows of one (K, P)
+array, each layer's weights a (K, out, in) view, and one batched forward and
+backward serve all K on a shared input; Adam steps the whole array.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ def sigmoid(z):
     return float(out) if arr.ndim == 0 else out
 
 
+# Each activation with its derivative, written in terms of the activation's
+# output: a relu output is positive exactly where its input is.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0).astype(float)),
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0).astype(float)),
 }
 
 
@@ -39,11 +44,12 @@ def _views(flat: np.ndarray, shapes: tuple) -> tuple:
     """``(weights, biases)``: views of ``flat`` with the given shapes, in order.
 
     ``shapes`` lists every layer's weight shape, then every layer's bias shape.
+    A (K, P) ``flat``, a stack of K nets, gives views with a leading K axis.
     """
-    views, start = [], 0
+    views, start, lead = [], 0, flat.shape[:-1]
     for shape in shapes:
         size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
+        views.append(flat[..., start : start + size].reshape(lead + shape))
         start += size
     layers = len(shapes) // 2
     return tuple(views[:layers]), tuple(views[layers:])
@@ -103,7 +109,7 @@ class DenseNet:
 
     def forward(self, x) -> np.ndarray | float:
         """Evaluate the network; scalar in, scalar out, or batched over axis 0."""
-        return _forward_cached(self, x)[0]
+        return _forward(self, x)[0]
 
     def __eq__(self, other):
         if not isinstance(other, DenseNet):
@@ -178,37 +184,36 @@ def init_net(layer_sizes, seed, activation: str = "tanh") -> DenseNet:
     return DenseNet(weights=tuple(weights), biases=tuple(biases), activation=activation)
 
 
-def _prepare_input(net: DenseNet, x):
-    n_in = net.weights[0].shape[1]
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1, n_in)
-    elif arr.ndim == 1:
-        if n_in != 1:
-            raise ValueError(f"expected inputs of width {n_in}")
-        arr = arr.reshape(-1, 1)
-    return arr, scalar
+def _forward(net: DenseNet, x, params=None):
+    """Forward pass returning output plus the activations ``_backward`` needs.
 
-
-def _forward_cached(net: DenseNet, x):
-    """Forward pass returning output plus the activations needed by backward."""
-    a, scalar = _prepare_input(net, x)
+    ``params`` runs the net's layout on other parameters: one vector, or a
+    (K, P) stack whose K nets all see ``x``, and then the output and every
+    activation after the input lead with K. A layer with one input runs as
+    a broadcast product, not a K=1 matmul: each output is one product
+    either way, so the bits are the same.
+    """
+    weights, biases = (net.weights, net.biases) if params is None else _views(params, net.shapes)
+    a = np.asarray(x, dtype=float)
+    scalar = a.ndim == 0
+    if a.ndim < 2:
+        if weights[0].shape[-1] != 1:
+            raise ValueError(f"expected inputs of width {weights[0].shape[-1]}")
+        a = a.reshape(-1, 1)
     act, _ = _ACTIVATIONS[net.activation]
-    pre = []
     acts = [a]
-    last = len(net.weights) - 1
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W.T + b
+    last = len(weights) - 1
+    for l, (W, b) in enumerate(zip(weights, biases)):
+        z = a * W[..., None, :, 0] if W.shape[-1] == 1 else np.matmul(a, W.swapaxes(-1, -2))
+        z += b[..., None, :]
         a = sigmoid(z) if l == last else act(z)
-        pre.append(z)
         acts.append(a)
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite value in forward pass")
-    out = a[:, 0] if a.shape[1] == 1 else a
+    out = a[..., 0] if a.shape[-1] == 1 else a
     if scalar:
         out = float(out[0])
-    return out, (pre, acts)
+    return out, acts
 
 
 def backward(net: DenseNet, x, upstream) -> GradientSet:
@@ -217,49 +222,71 @@ def backward(net: DenseNet, x, upstream) -> GradientSet:
     ``upstream`` carries d(loss)/d(output) per input row; the result is the
     exact chain-ruled loss gradient accumulated over the batch.
     """
-    return _backward_cached(net, _forward_cached(net, x)[1], upstream)
+    return GradientSet._of(_backward(net, _forward(net, x)[1], upstream), net.shapes)
 
 
-def _backward_cached(net: DenseNet, cache, upstream) -> GradientSet:
-    """``backward`` from the ``(pre, acts)`` a ``_forward_cached`` call kept.
+def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:
+    """Gradients of ``sum(upstream * output)``, laid out as the parameters.
 
-    Lets a caller that already ran the forward pass on ``x`` differentiate
-    without running it again.
+    Runs from the activations that ``_forward`` kept for the same
+    ``params``, so a caller that ran the forward pass need not run it
+    again; a stack of nets gets one row per net. The product back through a
+    layer with one output is a broadcast product, as in ``_forward``.
     """
-    pre, acts = cache
-    up = np.asarray(upstream, dtype=float)
-    B = acts[0].shape[0]
-    out_dim = net.weights[-1].shape[0]
-    up = up.reshape(B, out_dim)
+    params = net.params if params is None else params
+    weights, _ = _views(params, net.shapes)
     _, act_prime = _ACTIVATIONS[net.activation]
-
     y = acts[-1]
-    dz = up * y * (1.0 - y)  # sigmoid head
-    grads = GradientSet._of(np.empty_like(net.params), net.shapes)
-    weights, biases = _views(grads.flat, grads.shapes)
-    for l in range(len(net.weights) - 1, -1, -1):
-        np.matmul(dz.T, acts[l], out=weights[l])
-        np.sum(dz, axis=0, out=biases[l])
+    dz = np.asarray(upstream, dtype=float).reshape(y.shape) * y * (1.0 - y)  # sigmoid head
+    grads = np.empty(params.shape)
+    grad_weights, grad_biases = _views(grads, net.shapes)
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(dz.swapaxes(-1, -2), acts[l], out=grad_weights[l])
+        np.add.reduce(dz, axis=-2, out=grad_biases[l])
         if l > 0:
-            da = dz @ net.weights[l]
-            dz = da * act_prime(pre[l - 1], acts[l])
+            W = weights[l]
+            da = dz * W[..., None, 0, :] if W.shape[-2] == 1 else np.matmul(dz, W)
+            dz = da * act_prime(acts[l])
     return grads
 
 
-def apply_update(net: DenseNet, direction: GradientSet, step: float) -> DenseNet:
-    """Move every parameter by ``-step * direction``; returns a new network.
-
-    Raises FloatingPointError when the step leaves a parameter non-finite,
-    so a diverging fit is told apart from invalid input.
-    """
+def _moved(params: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
+    """``params - step * direction`` as a new read-only array; FloatingPointError
+    when a parameter leaves the finite range, so a diverging fit is told
+    apart from invalid input."""
     if not np.isfinite(step):
         raise ValueError("step size must be finite")
     # An overflow is reported by the check below, not by numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        params = net.params - step * direction.flat
-    if not np.isfinite(params).all():
+        moved = params - step * direction
+    if not np.isfinite(moved).all():
         raise FloatingPointError("gradient step produced non-finite parameters")
-    return net._with_params(params)
+    moved.flags.writeable = False
+    return moved
+
+
+def apply_update(net: DenseNet, direction: GradientSet, step: float) -> DenseNet:
+    """Move every parameter by ``-step * direction``; returns a new network."""
+    return net._with_params(_moved(net.params, direction.flat, step))
+
+
+def _adam(params: np.ndarray, grad: np.ndarray, state, step: float):
+    """``adam_step`` on a parameter array of any shape: ``(new_params, new_state)``.
+    It works element by element, so a (K, P) stack of nets steps as its K
+    nets would one by one."""
+    b1, b2, eps = 0.9, 0.999, 1e-8  # fixed, not settings
+    t, m, v = state or (0, np.zeros_like(grad), np.zeros_like(grad))
+    t += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * (grad * grad)
+    # v is finite exactly when every gradient so far was finite and squared
+    # without overflow, and m is a running mean of those same gradients.
+    if not np.isfinite(v).all():
+        raise FloatingPointError("non-finite or overflowing gradient in an Adam step")
+    root_c2 = np.sqrt(1.0 - b2**t)
+    direction = m / (np.sqrt(v) + eps * root_c2)
+    return _moved(params, direction, step * root_c2 / (1.0 - b1**t)), (t, m, v)
 
 
 def adam_step(net: DenseNet, grads: GradientSet, state, step: float):
@@ -271,20 +298,5 @@ def adam_step(net: DenseNet, grads: GradientSet, state, step: float):
     corrections into ``step`` and eps is exact. Raises FloatingPointError
     when a gradient is not finite or too large to square.
     """
-    b1, b2, eps = 0.9, 0.999, 1e-8  # fixed, not settings
-    g = grads.flat
-    t, m, v = state or (0, np.zeros_like(g), np.zeros_like(g))
-    t += 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-    # v is finite exactly when every gradient so far was finite and squared
-    # without overflow, and m is a running mean of those same gradients.
-    if not np.isfinite(v).all():
-        raise FloatingPointError("non-finite or overflowing gradient in an Adam step")
-    root_c2 = np.sqrt(1.0 - b2**t)
-    direction = m / (np.sqrt(v) + eps * root_c2)
-    return (
-        apply_update(net, GradientSet._of(direction, net.shapes), step * root_c2 / (1.0 - b1**t)),
-        (t, m, v),
-    )
+    params, state = _adam(net.params, grads.flat, state, step)
+    return net._with_params(params), state

@@ -160,10 +160,6 @@ class ProclivityCurve:
         object.__setattr__(self, "values", values)
 
 
-def default_curve_gaps(lo: int = CURVE_DELTA_MIN, hi: int = CURVE_DELTA_MAX) -> np.ndarray:
-    return np.arange(lo, hi + 1)
-
-
 def default_trait_grid(low: float = 0.1, high: float = 1.0, size: int = TRAIT_GRID_SIZE) -> np.ndarray:
     return np.linspace(low, high, size)
 
@@ -174,12 +170,13 @@ def rescaled_curve(inherent, memory, proclivity, gaps=None) -> ProclivityCurve:
     ``inherent`` and ``memory`` are score predictions over a grid of traits;
     the curve at each gap is mean(memory)/mean(inherent) * w(gap), which
     makes differently-scaled models comparable since the turn probabilities
-    only ever see score ratios.
+    only ever see score ratios. ``gaps`` defaults to
+    ``CURVE_DELTA_MIN..CURVE_DELTA_MAX``.
     """
     inherent = np.asarray(inherent, dtype=float)
     memory = np.asarray(memory, dtype=float)
     if gaps is None:
-        gaps = default_curve_gaps()
+        gaps = np.arange(CURVE_DELTA_MIN, CURVE_DELTA_MAX + 1)
     mean_pi = inherent.mean()
     if mean_pi <= 0.0:
         raise DegenerateRatioError("mean inherent score is zero; rescaling ratio is degenerate")

@@ -17,6 +17,8 @@ validation gains stall and returns the parameters of its lowest validation loss.
 from __future__ import annotations
 
 import logging
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,10 +32,10 @@ from .model import (
 )
 from .neural import (
     DenseNet,
-    _backward_cached,
-    _forward_cached,
-    adam_step,
-    backward,
+    GradientSet,
+    _adam,
+    _backward,
+    _forward,
     init_net,
 )
 from .proclivity import (
@@ -78,6 +80,9 @@ class ModelBundle:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant in LEARNABLE_VARIANTS and (self.f_net is None or self.g_net is None):
             raise ValueError(f"variant {self.variant!r} needs f and g networks")
+        f, g = self.f_net, self.g_net
+        if f is not None and g is not None and (f.shapes, f.activation) != (g.shapes, g.activation):
+            raise ValueError("f and g networks must share one layout: they run as one stack")
 
     @classmethod
     def make(
@@ -115,22 +120,17 @@ class ModelBundle:
     def learns_proclivity(self) -> bool:
         return isinstance(self.proclivity, LearnedProclivity)
 
-
-def _scores(bundle: ModelBundle, traits: np.ndarray):
-    """``(pi, d)`` shaped like ``traits``, plus the activations backward needs."""
-    if bundle.variant in FIXED_SCORES:
-        pi, d = FIXED_SCORES[bundle.variant]
-        return np.full(traits.shape, pi), np.full(traits.shape, d), None, None
-    flat = traits.ravel()
-    pi, f_cache = _forward_cached(bundle.f_net, flat)
-    d, g_cache = _forward_cached(bundle.g_net, flat)
-    return pi.reshape(traits.shape), d.reshape(traits.shape), f_cache, g_cache
+    @property
+    def pair(self) -> np.ndarray:
+        """f's and g's parameters as the rows of one (2, P) array: one stacked net."""
+        return np.stack((self.f_net.params, self.g_net.params))
 
 
 def predict_scores(bundle: ModelBundle, roster: Roster) -> ScoreParams:
     """Per-member inherent and memory scores for one roster."""
-    pi, d, _, _ = _scores(bundle, roster.traits)
-    return ScoreParams(pi, d)
+    if bundle.variant in FIXED_SCORES:
+        return ScoreParams(*(np.full(roster.size, v) for v in FIXED_SCORES[bundle.variant]))
+    return ScoreParams(*_forward(bundle.f_net, roster.traits, bundle.pair)[0])
 
 
 @dataclass(frozen=True)
@@ -181,262 +181,259 @@ class FitResult:
 
 # ---------------------------------------------------------------------------
 # Vectorized likelihood engine. Conversations sharing a (turns, members)
-# shape are stacked into one tensor so an epoch over all groups is a handful
-# of numpy calls. Stacks are stored member-major, (B, N, T), but the engine
-# works per turn: it builds no (B, N, T) array but ``W = table[gaps]`` and,
-# for the proclivity gradient, one of per-cell slopes. The score nets see
-# the whole split at once: every stack's members are one range of the
-# split's trait vector.
+# shape are stacked into one (B, N, T) tensor of gaps. Only the per-cell work
+# runs per stack: ``W = table[gaps]``, the contractions ``d @ W`` and
+# ``W @ (1/total)``, and the proclivity gradient's slopes. Everything per
+# member or per turn runs once on vectors that span the split: member rows
+# and turns run through the stacks in order, each stack's (B, N) and (B, T)
+# raveled.
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Fit invariants of the conversations sharing one (turns, members) shape.
+# The (B, N, T) gaps of the conversations of one (turns, members) shape, 0
+# for never spoken, and the stack's ranges of the split's member rows,
+# turns and conversations.
+_Stack = namedtuple("_Stack", "gaps span steps convs")
+# Per-member scores of a split and the per-turn vectors the pass reads.
+# ``c`` is what each turn's total adds to ``d @ W``: the conversation's pi sum
+# at its first turn, later the pi of everyone but the previous speaker, a
+# sum of nonnegative terms either way. ``low`` holds the rows with
+# ``pi <= EPS_FLOOR``, the only ones that can hold floored cells as
+# ``d, w >= 0``. ``nets`` is ``(f_net, pair, activations)``, or None.
+_Scores = namedtuple("_Scores", "pi d low c pi_spk d_spk nets")
+# ``W = table[gaps]`` per stack and ``w_obs``, W at each turn's speaker cell;
+# ``nu`` is ``(net, params, activations)`` of a learned proclivity, or None.
+_Table = namedtuple("_Table", "w w_obs nu")
 
-    Cells are addressed by flat indices into the raveled (B, N, T) arrays,
-    members by rows of the raveled (B, N) scores. The previous speaker's row
-    is the speaker row of the turn before. ``span`` is the stack's range of
-    the split's raveled traits, and so of its raveled scores.
-    """
 
-    gaps: np.ndarray  # (B, N, T), 0 marks never-spoken
-    observed: np.ndarray  # (B, T) flat index of each turn's speaker cell
-    speakers: np.ndarray  # (B, T) row of each turn's speaker, observed // T
-    others: np.ndarray  # (N, N) 1 - eye(N): sums each member's pi over the others
-    span: slice
-
-    @property
-    def shape(self) -> tuple:
-        """Logical (conversations, turns, members) shape."""
-        B, N, T = self.gaps.shape
-        return B, T, N
+def _same(key: tuple, cached) -> bool:
+    return cached is not None and all(map(operator.is_, key, cached))
 
 
 class _Stacks:
-    """The stacks of one data split, plus the model outputs cached on them.
+    """The stacks of one data split, its index vectors, and the model outputs
+    cached on them.
 
-    ``traits`` holds every stack's (B, N) traits raveled, in stack order.
-    ``gather`` builds the proclivity table and ``W = table[gaps]`` per stack
-    and reuses them for as long as the same proclivity object comes back.
-    ``scores`` does the same for the score nets' outputs and activations,
-    keyed on the ``f_net``/``g_net`` pair. Proclivities and nets are
-    immutable values, and each cache holds a reference to what it was built
-    from, so identity is a safe key.
+    Per turn: ``speaker`` is the speaker's row, ``gap_obs`` the gap at its
+    cell, ``prev`` the slot of ``c`` to read. Per conversation: ``members``
+    lists its rows, padded to the largest group with the row past the last,
+    ``sizes`` counts them, and ``last`` is its last turn. ``gather`` and
+    ``scores`` reuse their result while the same proclivity or score nets
+    come back: those are immutable values, and each cache holds what it was
+    built from, so identity is a safe key.
     """
 
-    def __init__(self, stacks: list, traits: np.ndarray):
-        self.stacks = stacks
-        self.traits = traits
-        self.max_gap = max(int(s.gaps.max(initial=0)) for s in stacks)
-        self.turns = sum(s.gaps.shape[0] * s.gaps.shape[2] for s in stacks)
-        self._proclivity = None
-        self._w: list = []
-        self._nets = None
-        self._scores = None
+    def __init__(self, pairs):
+        by_shape: dict = {}
+        for roster, conv in pairs:
+            if roster.size != conv.group_size:
+                raise ValueError("roster size and conversation group size differ")
+            by_shape.setdefault((len(conv), conv.group_size), []).append((roster, conv))
+        order = [pair for members in by_shape.values() for pair in members]
+        self.traits = np.concatenate([roster.traits for roster, _ in order])
+        self.sizes = np.array([conv.group_size for _, conv in order])
+        lengths = np.array([len(conv) for _, conv in order])
+        C, K, first = len(order), self.sizes.max(), np.cumsum(self.sizes) - self.sizes
+        self.last = np.cumsum(lengths) - 1
+        owner = np.repeat(np.arange(C), lengths)  # each turn's conversation
+        # Labels are stored compactly; widen them before the index arithmetic.
+        labels = np.concatenate([c.speakers for _, c in order]).astype(np.intp) - 1
+        self.speaker = first[owner] + labels
+        self.prev = owner * K
+        self.prev[1:] += labels[:-1]
+        self.prev[self.last + 1 - lengths] = C * K + np.arange(C)
+        slot = np.arange(K)
+        self.members = np.where(slot < self.sizes[:, None], first[:, None] + slot, self.traits.size)
+        self.others = 1.0 - np.eye(K)
+        self.stacks, gap_obs, rows, steps, convs = [], [], 0, 0, 0
+        for (T, N), members in by_shape.items():
+            B = len(members)
+            # The stack is C-ordered: the flat cell indices rely on it.
+            gaps = np.stack([gap_matrix(c).T for _, c in members])
+            cells = (self.speaker[steps : steps + B * T] - rows).reshape(B, T) * T + np.arange(T)
+            gap_obs.append(gaps.reshape(-1).take(cells.reshape(-1)))
+            self.stacks.append(_Stack(gaps, slice(rows, rows + B * N),
+                                      slice(steps, steps + B * T), slice(convs, convs + B)))
+            rows, steps, convs = rows + B * N, steps + B * T, convs + B
+        self.gap_obs = np.concatenate(gap_obs)
+        self.max_gap = max(int(s.gaps.max(initial=0)) for s in self.stacks)
+        self.turns = self.speaker.size
+        self._table_key = self._table = self._scores_key = self._scores = None
 
-    def __iter__(self):
-        return iter(self.stacks)
+    def gather(self, proclivity, nu=None) -> _Table:
+        """The proclivity's table over the split's gaps, zeroed at gap 1: that
+        is the previous speaker's cell, which the pass leaves out.
 
-    def gather(self, proclivity) -> list:
-        """``table[gaps]`` for every stack, the table zeroed at gap 1: that is
-        the previous speaker's cell, which the likelihood pass leaves out."""
-        if proclivity is not self._proclivity:
-            table = np.array(proclivity.table(self.max_gap), dtype=float)
-            table[1:2] = 0.0
-            self._w = [table[s.gaps] for s in self.stacks]
-            self._proclivity = proclivity
-        return self._w
-
-    def scores(self, bundle: ModelBundle) -> tuple:
-        """``(per-stack (pi, d, low) triples, f activations, g activations)``.
-
-        Each net runs once on the split's traits; ``pi`` and ``d`` are (B, N)
-        views of its output, and ``low`` is ``_low_rows(pi)``. Learnable
-        variants reuse the last result while their nets stay the same
-        objects, so the nets run once per parameter value. ``nm`` and ``hm``
-        both have no nets; their constant scores are never cached, so the
-        two can never share an entry.
+        A learned proclivity's net runs here, once per table, and its
+        activations are kept for the gradient; while a block steps it,
+        ``nu`` is the parameter vector that stands in for the net's.
         """
-        if bundle.variant not in LEARNABLE_VARIANTS:
-            return self._split(*_scores(bundle, self.traits))
-        nets = (bundle.f_net, bundle.g_net)
-        if self._nets is None or nets[0] is not self._nets[0] or nets[1] is not self._nets[1]:
-            self._scores = self._split(*_scores(bundle, self.traits))
-            self._nets = nets
+        key = (proclivity, nu)
+        if not _same(key, self._table_key):
+            self._table = nu_net = None  # the old W can go before the new is built
+            if isinstance(proclivity, LearnedProclivity):
+                net = proclivity.net
+                raw, cache = _forward(net, np.arange(self.max_gap + 1) / proclivity.delta_scale, nu)
+                table = raw.copy()
+                table[0] = 0.0  # never spoken
+                nu_net = (net, net.params if nu is None else nu, cache)
+            else:
+                table = np.array(proclivity.table(self.max_gap), dtype=float)
+            table[1:2] = 0.0
+            self._table = _Table([table[s.gaps] for s in self.stacks],
+                                 table.take(self.gap_obs), nu_net)
+            self._table_key = key
+        return self._table
+
+    def scores(self, bundle: ModelBundle, pair=None) -> _Scores:
+        """The split's ``_Scores`` under the bundle's f and g, or under ``pair``,
+        their stacked parameters while a block steps them. ``nm`` and ``hm``
+        both have no nets; their constant scores are never cached, so the two
+        can never share an entry."""
+        if bundle.variant in FIXED_SCORES:
+            return self.record(*(np.full(len(self.traits), v) for v in FIXED_SCORES[bundle.variant]))
+        key = (bundle.f_net, bundle.g_net) if pair is None else (pair, None)
+        if not _same(key, self._scores_key):
+            pair = bundle.pair if pair is None else pair
+            (pi, d), cache = _forward(bundle.f_net, self.traits, pair)
+            self._scores, self._scores_key = self.record(pi, d, (bundle.f_net, pair, cache)), key
         return self._scores
 
-    def _split(self, pi, d, f_cache, g_cache) -> tuple:
-        # One search over the whole split; a split with no low row, the
-        # usual case, hands every stack the same empty array.
-        low = _low_rows(pi)
-        triples = []
-        for s in self.stacks:
-            span, shape = s.span, s.gaps.shape[:2]
-            rows = low[(low >= span.start) & (low < span.stop)] - span.start if low.size else low
-            triples.append((pi[span].reshape(shape), d[span].reshape(shape), rows))
-        return triples, f_cache, g_cache
+    def record(self, pi: np.ndarray, d: np.ndarray, nets=None) -> _Scores:
+        """``_Scores`` of per-member ``pi`` and ``d`` over the split's rows."""
+        padded = np.append(pi, 0.0).take(self.members)
+        C, K = padded.shape
+        slots = np.empty(C * K + C)
+        np.matmul(padded, self.others, out=slots[: C * K].reshape(C, K))
+        np.add.reduce(padded, axis=1, out=slots[C * K :])
+        return _Scores(pi, d, (pi <= EPS_FLOOR).nonzero()[0], slots.take(self.prev),
+                       pi.take(self.speaker), d.take(self.speaker), nets)
 
 
-def _build_stacks(pairs) -> _Stacks:
-    by_shape: dict = {}
-    for roster, conv in pairs:
-        if roster.size != conv.group_size:
-            raise ValueError("roster size and conversation group size differ")
-        by_shape.setdefault((len(conv), conv.group_size), []).append((roster, conv))
-    stacks, traits, start = [], [], 0
-    for (T, N), members in by_shape.items():
-        B = len(members)
-        # Labels are stored compactly; widen them before the index arithmetic.
-        speakers = np.stack([c.speakers for _, c in members]).astype(np.intp) - 1
-        rows = np.arange(B)[:, None] * N + speakers
-        # The copy is C-ordered: the flat indices rely on it.
-        gaps = np.stack([gap_matrix(c) for _, c in members]).transpose(0, 2, 1).copy()
-        stacks.append(
-            _Stack(
-                gaps=gaps,
-                observed=rows * T + np.arange(T),
-                speakers=rows,
-                others=1.0 - np.eye(N),
-                span=slice(start, start + B * N),
-            )
-        )
-        traits.extend(r.traits for r, _ in members)
-        start += B * N
-    return _Stacks(stacks, np.concatenate(traits))
+_build_stacks = _Stacks
 
 
-def _low_rows(pi: np.ndarray) -> np.ndarray:
-    """Flat member rows of ``pi`` at or below ``EPS_FLOOR``: the only rows
-    that can hold floored cells, as ``d, w >= 0``."""
-    return np.flatnonzero(pi.reshape(-1) <= EPS_FLOOR)
-
-
-def _likelihood_pass(
-    stack: _Stack, w: np.ndarray, pi: np.ndarray, d: np.ndarray, low: np.ndarray
-):
-    """Turn totals and observed-speaker scores of one stack, plus its floored cells.
+def _pass(stacks: _Stacks, sc: _Scores, tab: _Table):
+    """Turn totals and observed-speaker scores of every turn of a split, plus its floored cells.
 
     The one place the likelihood is computed; a turn's NLL is
-    ``log(total) - log(observed)``, both (B, T). Each eligible cell scores
-    ``pi + d * w``, floored at ``EPS_FLOOR``; ``pi`` and ``d`` are (B, N),
-    ``w`` comes from ``_Stacks.gather`` and ``low`` is ``_low_rows(pi)``. A
-    total is ``d @ w`` plus the ``pi`` of every member but the previous
-    speaker. The flat cell and turn indices of the floored cells come back,
-    or ``None`` when no row is low.
+    ``log(total) - log(observed)``. Each eligible cell scores ``pi + d * w``,
+    floored at ``EPS_FLOOR``. A total is ``d @ W`` plus ``c``. The floored
+    cells come back as ``(rows, turns, w, cells)``: the member row, turn and
+    proclivity value of each, and per stack their flat cell indices; or
+    ``None`` when no row is low.
     """
-    B, N, T = stack.gaps.shape
-    pi_rows, d_rows = pi.reshape(-1), d.reshape(-1)
-    totals = np.matmul(d[:, None, :], w)[:, 0]
-    totals[:, 0] += pi.sum(axis=1)
-    # Each member's pi summed over the others: a sum of nonnegative terms,
-    # where a total minus the member's own pi could cancel.
-    totals[:, 1:] += (pi @ stack.others).take(stack.speakers[:, :-1])
-    observed = w.take(stack.observed) * d_rows.take(stack.speakers) + pi_rows.take(stack.speakers)
-    if not low.size:
+    totals = np.empty(stacks.turns)
+    for s, w in zip(stacks.stacks, tab.w):
+        B, N, T = s.gaps.shape
+        np.matmul(sc.d[s.span].reshape(B, 1, N), w, out=totals[s.steps].reshape(B, 1, T))
+    totals += sc.c
+    observed = tab.w_obs * sc.d_spk
+    observed += sc.pi_spk
+    if not sc.low.size:
         return totals, observed, None
-    cells = w.reshape(B * N, T)[low] * d_rows[low, None] + pi_rows[low, None]
-    r, t = np.nonzero((cells <= EPS_FLOOR) & (stack.gaps.reshape(B * N, T)[low] != 1))
-    np.add.at(totals, (low[r] // N, t), EPS_FLOOR - cells[r, t])
+    found = []
+    for s, w in zip(stacks.stacks, tab.w):
+        B, N, T = s.gaps.shape
+        low = sc.low[(sc.low >= s.span.start) & (sc.low < s.span.stop)] - s.span.start
+        w_low = w.reshape(B * N, T)[low]
+        cells = w_low * sc.d[s.span][low, None] + sc.pi[s.span][low, None]
+        r, t = np.nonzero((cells <= EPS_FLOOR) & (s.gaps.reshape(B * N, T)[low] != 1))
+        turns = s.steps.start + low[r] // N * T + t
+        np.add.at(totals, turns, EPS_FLOOR - cells[r, t])
+        found.append((s.span.start + low[r], turns, w_low[r, t], low[r] * T + t))
     np.maximum(observed, EPS_FLOOR, out=observed)
-    return totals, observed, (low[r] * T + t, low[r] // N * T + t)
+    rows, turns, w_floored, cells = zip(*found)
+    return totals, observed, (np.concatenate(rows), np.concatenate(turns),
+                              np.concatenate(w_floored), cells)
 
 
 def _mean_nll(bundle: ModelBundle, stacks: _Stacks) -> float:
     """Mean per-turn NLL over every stack of a split; no gradients."""
-    total_nll = 0.0
-    ws = stacks.gather(bundle.proclivity)
-    triples, _, _ = stacks.scores(bundle)
-    for stack, w, (pi, d, low) in zip(stacks, ws, triples):
-        totals, observed, _ = _likelihood_pass(stack, w, pi, d, low)
-        total_nll += float(np.log(totals).sum() - np.log(observed).sum())
-    return total_nll / stacks.turns
+    totals, observed, _ = _pass(stacks, stacks.scores(bundle), stacks.gather(bundle.proclivity))
+    nll = np.log(totals, out=totals).sum() - np.log(observed, out=observed).sum()
+    return float(nll) / stacks.turns
+
+
+def _slopes(stacks: _Stacks, sc: _Scores, tab: _Table):
+    """``(1/total, 1/observed, floored)`` per turn: each eligible cell's score
+    has slope ``1/total``, less ``1/observed`` at the observed speaker's cell.
+
+    A floored score is a constant: the observed speaker's loses its
+    1/observed here, and every floored cell the 1/total of its turn.
+    """
+    totals, observed, floored = _pass(stacks, sc, tab)
+    lost = observed <= EPS_FLOOR if floored is not None else None
+    inv_observed = np.divide(1.0, observed, out=observed)
+    if lost is not None:
+        inv_observed[lost] = 0.0
+    return np.divide(1.0, totals, out=totals), inv_observed, floored
+
+
+def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarray:
+    """(2, P) gradient of the mean per-turn NLL in f's and g's parameters."""
+    inv_totals, inv_observed, floored = _slopes(stacks, sc, tab)
+    upstream = np.empty((2, stacks.traits.size))
+    dpi, dd = upstream
+    conv_sums = np.empty(stacks.sizes.size)
+    for s, w in zip(stacks.stacks, tab.w):
+        B, N, T = s.gaps.shape
+        per_turn = inv_totals[s.steps]
+        np.matmul(w, per_turn.reshape(B, T, 1), out=dd[s.span].reshape(B, N, 1))
+        # Per conversation in numpy's pairwise order, as a (B, T) sum.
+        np.add.reduce(per_turn.reshape(B, T), axis=1, out=conv_sums[s.convs])
+    dd -= np.bincount(stacks.speaker, tab.w_obs * inv_observed, dd.size)
+    # Per member, the 1/total part is its conversation's sum less the turn
+    # after it speaks, where it is not eligible.
+    kept = inv_observed.take(stacks.last)
+    inv_observed[:-1] += inv_totals[1:]
+    inv_observed[stacks.last] = kept
+    np.subtract(np.repeat(conv_sums, stacks.sizes),
+                np.bincount(stacks.speaker, inv_observed, dpi.size), out=dpi)
+    if floored is not None:
+        rows, turns, w_floored, _ = floored
+        lost = inv_totals.take(turns)
+        dpi -= np.bincount(rows, lost, dpi.size)
+        dd -= np.bincount(rows, w_floored * lost, dd.size)
+    upstream *= 1.0 / stacks.turns
+    net, pair, cache = sc.nets
+    return _backward(net, cache, upstream, pair)
+
+
+def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarray:
+    """Gradient of the mean per-turn NLL in the proclivity net's parameters.
+
+    The backward runs from the activations of the table's forward pass,
+    rows 2 and up: gaps 0 (never spoken) and 1 (the previous speaker) add
+    nothing.
+    """
+    inv_totals, inv_observed, floored = _slopes(stacks, sc, tab)
+    dtable = np.zeros(stacks.max_gap + 1)
+    for i, s in enumerate(stacks.stacks):
+        B, N, T = s.gaps.shape
+        slopes = sc.d[s.span].reshape(B, N, 1) * inv_totals[s.steps].reshape(B, 1, T)
+        if floored is not None:
+            slopes.reshape(-1)[floored[3][i]] = 0.0
+        dtable += np.bincount(s.gaps.reshape(-1), slopes.reshape(-1), dtable.size)
+    dtable -= np.bincount(stacks.gap_obs, np.multiply(sc.d_spk, inv_observed, out=inv_observed),
+                          dtable.size)
+    net, params, acts = tab.nu
+    return _backward(net, [a[2:] for a in acts], dtable[2:] * (1.0 / stacks.turns), params)
 
 
 def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
-    """Gradients of the mean per-turn NLL for one block; no loss.
-
-    Gradients come back as a dict keyed by component name ("f", "g", "nu"),
-    already scaled to the mean-per-turn objective; the dict is empty when the
-    active block holds no learnable parameters. The score nets are
-    differentiated from the activations their cached forward pass kept.
-
-    Each eligible cell's score has slope ``1/total``, less ``1/observed`` at
-    the observed speaker's cell, and a floored cell has none.
-    """
-    want_scores = block == BLOCK_SCORES and bundle.variant in LEARNABLE_VARIANTS
-    want_proclivity = block == BLOCK_PROCLIVITY and bundle.learns_proclivity
-    if not (want_scores or want_proclivity):
-        return {}
-    scale = 1.0 / stacks.turns
-    if want_scores:
-        # Each stack fills its span; the nets are differentiated once, after.
-        dpi_all = np.empty(stacks.traits.size)
-        dd_all = np.empty(stacks.traits.size)
-    else:
-        dtable = np.zeros(stacks.max_gap + 1)
-
-    ws = stacks.gather(bundle.proclivity)
-    triples, f_cache, g_cache = stacks.scores(bundle)
-    for stack, w, (pi, d, low) in zip(stacks, ws, triples):
-        B, N, T = stack.gaps.shape
-        totals, observed, floored = _likelihood_pass(stack, w, pi, d, low)
-        inv_totals = 1.0 / totals
-        inv_observed = 1.0 / observed
-        if floored is not None:
-            # A floored score is a constant: the observed speaker's loses its
-            # 1/observed and every floored cell the 1/total of its turn.
-            inv_observed[observed <= EPS_FLOOR] = 0.0
-            cells, turns = floored
-            lost = inv_totals.take(turns)
-        if want_scores:
-            # Per member, the 1/total part is a sum over turns, less the turn
-            # after it speaks; the rest are sparse corrections by row.
-            rows = stack.speakers.reshape(-1)
-            dpi, dd = dpi_all[stack.span], dd_all[stack.span]
-            np.subtract(
-                np.matmul(w, inv_totals[:, :, None]).reshape(-1),
-                np.bincount(rows, (w.take(stack.observed) * inv_observed).reshape(-1), B * N),
-                out=dd,
-            )
-            inv_observed[:, :-1] += inv_totals[:, 1:]
-            np.subtract(
-                np.repeat(inv_totals.sum(axis=1), N),
-                np.bincount(rows, inv_observed.reshape(-1), B * N),
-                out=dpi,
-            )
-            if floored is not None:
-                dpi -= np.bincount(cells // T, lost, B * N)
-                dd -= np.bincount(cells // T, w.take(cells) * lost, B * N)
-        else:
-            # Slopes times d, binned by gap; bins 0 (never spoken) and 1 (the
-            # previous speaker) are dropped below.
-            slopes = d[:, :, None] * inv_totals[:, None, :]
-            if floored is not None:
-                slopes.reshape(-1)[cells] = 0.0
-            gaps = stack.gaps.reshape(-1)
-            dtable += np.bincount(gaps, slopes.reshape(-1), dtable.size)
-            dtable -= np.bincount(
-                gaps.take(stack.observed).reshape(-1),
-                (d.reshape(-1).take(stack.speakers) * inv_observed).reshape(-1),
-                dtable.size,
-            )
-
-    if want_scores:
-        return {
-            "f": _backward_cached(bundle.f_net, f_cache, dpi_all * scale),
-            "g": _backward_cached(bundle.g_net, g_cache, dd_all * scale),
-        }
-    prox = bundle.proclivity
-    inputs = np.arange(2, dtable.size) / prox.delta_scale
-    return {"nu": backward(prox.net, inputs, dtable[2:] * scale)}
+    """Gradients of the mean per-turn NLL for one block, as GradientSets keyed
+    "f", "g" or "nu"; empty when the block holds no learnable parameters."""
+    sc, tab = stacks.scores(bundle), stacks.gather(bundle.proclivity)
+    if block == BLOCK_SCORES and bundle.variant in LEARNABLE_VARIANTS:
+        grads = _score_gradient(stacks, sc, tab)
+        return {name: GradientSet._of(g, sc.nets[0].shapes) for name, g in zip("fg", grads)}
+    if block == BLOCK_PROCLIVITY and bundle.learns_proclivity:
+        return {"nu": GradientSet._of(_proclivity_gradient(stacks, sc, tab), tab.nu[0].shapes)}
+    return {}
 
 
-def conversation_nll_gradients(
-    bundle: ModelBundle,
-    roster: Roster,
-    conversation: Conversation,
-    block: str,
-) -> dict:
+def conversation_nll_gradients(bundle: ModelBundle, roster: Roster, conversation: Conversation,
+                               block: str) -> dict:
     """Exact gradients of one conversation's mean per-turn NLL.
 
     Only the parameters of the active block are differentiated; the other
@@ -449,23 +446,25 @@ def conversation_nll_gradients(
 
 
 def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig, state):
-    """``score_epochs`` Adam steps on (f, g); ``state`` is the block's, ``None`` at first."""
-    f_state, g_state = state or (None, None)
+    """``score_epochs`` Adam steps on f and g as one stacked pair, with one
+    Adam state (``None`` at first); the two nets are built once, at the end."""
+    tab, pair = stacks.gather(bundle.proclivity), None
     for _ in range(cfg.score_epochs):
-        grads = _nll_gradients(bundle, stacks, BLOCK_SCORES)
-        f_net, f_state = adam_step(bundle.f_net, grads["f"], f_state, cfg.step)
-        g_net, g_state = adam_step(bundle.g_net, grads["g"], g_state, cfg.step)
-        bundle = replace(bundle, f_net=f_net, g_net=g_net)
-    return bundle, (f_state, g_state)
+        sc = stacks.scores(bundle, pair)
+        pair, state = _adam(sc.nets[1], _score_gradient(stacks, sc, tab), state, cfg.step)
+    f_net, g_net = (bundle.f_net._with_params(params) for params in pair)
+    return replace(bundle, f_net=f_net, g_net=g_net), state
 
 
 def _descend_proclivity(bundle: ModelBundle, stacks, cfg: FitConfig, state):
-    """``proclivity_epochs`` Adam steps on nu; ``state`` is the block's, ``None`` at first."""
+    """``proclivity_epochs`` Adam steps on nu's parameter vector (``state`` is
+    the block's, ``None`` at first); the proclivity is built once, at the end."""
+    sc, prox, nu = stacks.scores(bundle), bundle.proclivity, None
     for _ in range(cfg.proclivity_epochs):
-        grads = _nll_gradients(bundle, stacks, BLOCK_PROCLIVITY)
-        net, state = adam_step(bundle.proclivity.net, grads["nu"], state, cfg.step)
-        bundle = replace(bundle, proclivity=bundle.proclivity.with_net(net))
-    return bundle, state
+        grads = _proclivity_gradient(stacks, sc, stacks.gather(prox, nu))
+        nu, state = _adam(prox.net.params if nu is None else nu, grads, state, cfg.step)
+    net = prox.net._with_params(nu)
+    return replace(bundle, proclivity=prox.with_net(net)), state
 
 
 def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None = None) -> FitResult:

@@ -33,7 +33,7 @@ from turntaking import (
     true_model,
 )
 from turntaking.model import _pairwise_sum
-from turntaking.training import _build_stacks, _likelihood_pass, _low_rows
+from turntaking.training import _build_stacks, _pass
 
 W_EXP = ExpDecayProclivity()
 W_SIG = SigmoidProclivity()
@@ -54,9 +54,15 @@ def random_conversation(rng, group_size, length):
     return conv(speakers, group_size)
 
 
+def extended(c):
+    """``c`` with one more turn: its gap rows 1..T are c's, and row T + 1
+    holds the gaps after c's last turn."""
+    return conv(c.speakers.tolist() + [int(c.speakers[-1]) % c.group_size + 1], c.group_size)
+
+
 def gaps_at(c, t):
     """Per-member gaps at turn t, which may run to T + 1."""
-    return gap_matrix(c, horizon=t)[-1]
+    return gap_matrix(extended(c))[t - 1]
 
 
 def engine_probabilities(params, proclivity, c):
@@ -74,13 +80,10 @@ def engine_probabilities(params, proclivity, c):
         head = c.speakers[:t].tolist()
         members = [n for n in range(1, N + 1) if not head or n != head[-1]]
         stacks = _build_stacks([(roster, conv(head + [n], N)) for n in members])
-        (w,) = stacks.gather(proclivity)
         B = len(members)
-        pi = np.tile(params.inherent, (B, 1))
-        totals, observed, _ = _likelihood_pass(
-            stacks.stacks[0], w, pi, np.tile(params.memory, (B, 1)), _low_rows(pi)
-        )
-        nll = np.log(totals[:, -1]) - np.log(observed[:, -1])
+        scores = stacks.record(np.tile(params.inherent, B), np.tile(params.memory, B))
+        totals, observed, _ = _pass(stacks, scores, stacks.gather(proclivity))
+        nll = (np.log(totals) - np.log(observed)).reshape(B, t + 1)[:, -1]
         probabilities[t, np.array(members) - 1] = np.exp(-nll)
     return probabilities
 
@@ -191,13 +194,6 @@ def test_score_params_reject_negative_and_mismatched():
         ScoreParams(inherent=np.array([0.5, 0.5]), memory=np.array([1.0]))
 
 
-def test_score_params_scaled():
-    params = ScoreParams(inherent=np.array([0.5, 1.0]), memory=np.array([2.0, 0.0]))
-    doubled = params.scaled(2.0)
-    assert np.allclose(doubled.inherent, [1.0, 2.0])
-    assert np.allclose(doubled.memory, [4.0, 0.0])
-
-
 # ---------------------------------------------------------------------- gaps
 
 
@@ -218,12 +214,11 @@ def test_compute_gaps_first_turn_all_never():
 
 
 def test_compute_gaps_allows_t_after_last_turn():
+    # The gaps after the last turn are the first row past the conversation's
+    # own, which has one row per turn.
     c = conv([1, 2, 3], 3)
     assert gaps_at(c, 4).tolist() == [3, 2, 1]
-    with pytest.raises(ValueError):
-        gaps_at(c, 5)
-    with pytest.raises(ValueError):
-        gaps_at(c, 0)
+    assert gap_matrix(c).shape == (3, 3)
 
 
 def test_gaps_match_oracle_on_random_conversations():
@@ -253,10 +248,9 @@ def test_gap_matrix_stacks_compute_gaps():
         assert M.shape == (len(c), 4)
         for t in range(1, len(c) + 1):
             assert M[t - 1].tolist() == expected(t)
-        ahead = gap_matrix(c, horizon=len(c) + 1)
+        ahead = gap_matrix(extended(c))
         assert ahead[-1].tolist() == expected(len(c) + 1)
         assert np.array_equal(ahead[:-1], M)
-        assert gap_matrix(c, horizon=1).tolist() == [expected(1)]
 
 
 # ------------------------------------------------------------------- scores
@@ -358,11 +352,12 @@ def test_scale_invariance_of_probabilities_and_losses():
         params = random_params(rng, N)
         factor = float(rng.uniform(0.1, 40.0))
         P = engine_probabilities(params, W_EXP, c)
-        Q = engine_probabilities(params.scaled(factor), W_EXP, c)
+        scaled = ScoreParams(params.inherent * factor, params.memory * factor)
+        Q = engine_probabilities(scaled, W_EXP, c)
         np.testing.assert_allclose(P, Q, rtol=0, atol=1e-10)
         # Every score is at least 0.2 * 0.1, so the eps floor never binds.
         assert losses(params, W_EXP, c) == pytest.approx(
-            losses(params.scaled(factor), W_EXP, c), abs=1e-10
+            losses(scaled, W_EXP, c), abs=1e-10
         )
 
 
@@ -558,11 +553,10 @@ def test_likelihood_sequence_matches_per_turn_scores():
         convs = [random_conversation(rng, N, T) for _ in range(3)]
         params = [random_params(rng, N) for _ in convs]
         stacks = _build_stacks([(Roster(np.linspace(0.1, 1.0, N)), c) for c in convs])
-        (w,) = stacks.gather(W_SIG)
-        pi = np.stack([p.inherent for p in params])
-        d = np.stack([p.memory for p in params])
-        totals, observed, _ = _likelihood_pass(stacks.stacks[0], w, pi, d, _low_rows(pi))
-        turn_nll = np.log(totals) - np.log(observed)
+        scores = stacks.record(np.concatenate([p.inherent for p in params]),
+                               np.concatenate([p.memory for p in params]))
+        totals, observed, _ = _pass(stacks, scores, stacks.gather(W_SIG))
+        turn_nll = (np.log(totals) - np.log(observed)).reshape(len(convs), T)
         for c, p, got in zip(convs, params, turn_nll):
             speakers = c.speakers.tolist()
             want = [

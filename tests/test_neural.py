@@ -233,7 +233,7 @@ def test_backward_matches_finite_differences_relu():
 
 
 def test_backward_from_kept_activations_is_bit_identical():
-    from turntaking.neural import _backward_cached, _forward_cached
+    from turntaking.neural import _backward, _forward
 
     rng = np.random.default_rng(28)
     for activation in ("tanh", "relu"):
@@ -241,13 +241,12 @@ def test_backward_from_kept_activations_is_bit_identical():
             net = random_net(rng, sizes, activation=activation)
             x = rng.normal(size=(7, sizes[0])) if sizes[0] > 1 else rng.normal(size=7)
             up = rng.normal(size=7)
-            out, cache = _forward_cached(net, x)
+            out, cache = _forward(net, x)
             assert np.array_equal(out, net.forward(x))
-            got = _backward_cached(net, cache, up)
-            want = backward(net, x, up)
-            for g, w in zip(got.weights + got.biases, want.weights + want.biases):
-                assert g.shape == w.shape
-                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+            got = _backward(net, cache, up)
+            want = backward(net, x, up).flat
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_backward_single_weight_closed_form():
@@ -470,3 +469,55 @@ def test_gradient_set_map_and_norm():
     total = g.map(lambda a, b: a + b, half)
     assert total.weights[0][0, 0] == 3.0 and total.biases[0][0] == 1.5
     assert g.weights[0][0, 0] == 2.0
+
+
+# ------------------------------------------------------------------ stacks
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_stacked_pair_matches_two_nets_bit_for_bit(activation):
+    # f and g as the rows of one (2, P) array: one batched forward, one
+    # backward and one Adam step give each net's own bits.
+    from turntaking.neural import _adam, _backward, _forward
+
+    rng = np.random.default_rng(39)
+    nets = [random_net(rng, (1, 16, 16, 1), activation=activation) for _ in range(2)]
+    pair = np.stack([net.params for net in nets])
+    for rows in (1, 7, 75, 831):
+        x = rng.uniform(0.1, 1.0, rows)
+        upstream = rng.normal(size=(2, rows))
+        out, cache = _forward(nets[0], x, pair)
+        grads = _backward(nets[0], cache, upstream, pair)
+        for k, net in enumerate(nets):
+            assert same_bits(out[k], net.forward(x))
+            assert same_bits(grads[k], backward(net, x, upstream[k]).flat)
+    state, states = None, [None, None]
+    for _ in range(50):
+        grads = rng.normal(size=pair.shape)
+        pair, state = _adam(pair, grads, state, 0.01)
+        for k, net in enumerate(nets):
+            nets[k], states[k] = adam_step(net, GradientSet._of(grads[k], net.shapes), states[k], 0.01)
+    for k, net in enumerate(nets):
+        assert same_bits(pair[k], net.params)
+        assert same_bits(state[1][k], states[k][1]) and same_bits(state[2][k], states[k][2])
+
+
+def test_one_input_layer_broadcast_matches_the_k1_matmul():
+    # Each output of a layer with one input, and each product back through a
+    # layer with one output, is a single product: the broadcast keeps the
+    # matmul's bits, for one net and for a stack.
+    rng = np.random.default_rng(40)
+    x = rng.uniform(0.1, 1.0, size=(831, 1))
+    W = rng.normal(size=(16, 1))
+    stacked = rng.normal(size=(2, 16, 1))
+    assert same_bits(x * W[None, :, 0], x @ W.T)
+    assert same_bits(x * stacked[:, None, :, 0], np.matmul(x, stacked.swapaxes(-1, -2)))
+    dz = rng.normal(size=(2, 831, 1))
+    V = rng.normal(size=(2, 1, 16))
+    assert same_bits(dz * V[:, None, 0, :], np.matmul(dz, V))
+    assert same_bits(dz[0] * V[0][None, 0, :], dz[0] @ V[0])

@@ -18,7 +18,7 @@ from turntaking import (
     w_exp,
     w_sig,
 )
-from turntaking.proclivity import default_curve_gaps, default_trait_grid
+from turntaking.proclivity import default_trait_grid
 
 ALL_KINDS = [
     ExpDecayProclivity(),
@@ -151,7 +151,7 @@ def test_learned_hidden_sizes_configurable():
 
 
 def test_default_grids():
-    gaps = default_curve_gaps()
+    gaps = rescaled_curve(np.ones(3), np.ones(3), ZeroProclivity()).gaps
     assert gaps[0] == 2 and gaps[-1] == 40 and gaps.size == 39
     grid = default_trait_grid()
     assert grid.size == 50

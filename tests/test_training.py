@@ -302,7 +302,7 @@ def test_batched_gradients_match_finite_differences_across_stacks():
     rng = np.random.default_rng(56)
     bundle = warmed_bundle(rng)
     stacks = _build_stacks(mixed_shape_pairs(rng))
-    assert sorted(s.shape[0] for s in stacks) == [1, 2]
+    assert sorted(s.gaps.shape[0] for s in stacks.stacks) == [1, 2]
     assert_split_gradients_match_finite_differences(bundle, stacks)
 
 
@@ -364,32 +364,58 @@ def test_reused_stacks_follow_changed_score_nets():
 
 
 def test_score_nets_run_once_per_split(monkeypatch):
-    # However many stacks a split holds, a new pair of score nets runs each
-    # net forward once, and a scores-block gradient runs each backward once.
+    # However many stacks a split holds, a new pair of score nets runs as one
+    # stacked forward and a scores-block gradient as one stacked backward. A
+    # new proclivity runs its net forward once, for its table, and the
+    # proclivity gradient runs its backward from those activations, with no
+    # forward of its own.
+    from collections import Counter
+
+    from turntaking import neural
+
     rng = np.random.default_rng(63)
     stacks = _build_stacks(mixed_shape_pairs(rng) + [make_pair(rng, members=5, turns=9)])
     assert len(stacks.stacks) == 3
-    calls = {"forward": 0, "backward": 0}
+    calls = Counter()
+    real_forward, real_backward = neural._forward, neural._backward
 
-    def counted(kind, fn):
-        def wrapped(*args):
-            calls[kind] += 1
-            return fn(*args)
-        return wrapped
+    def kind(params):
+        return "pair" if params is not None and params.ndim == 2 else "net"
 
-    monkeypatch.setattr(training, "_forward_cached", counted("forward", training._forward_cached))
-    monkeypatch.setattr(training, "_backward_cached", counted("backward", training._backward_cached))
+    def forward(net, x, params=None):
+        calls["forward", kind(params)] += 1
+        return real_forward(net, x, params)
+
+    def backward(net, cache, upstream, params=None):
+        calls["backward", kind(params)] += 1
+        return real_backward(net, cache, upstream, params)
+
     bundle = warmed_bundle(rng)
+    for module in (neural, training):
+        monkeypatch.setattr(module, "_forward", forward)
+        monkeypatch.setattr(module, "_backward", backward)
+
+    def seen(pair_forward, net_forward, pair_backward, net_backward):
+        return calls == Counter({
+            ("forward", "pair"): pair_forward, ("forward", "net"): net_forward,
+            ("backward", "pair"): pair_backward, ("backward", "net"): net_backward,
+        })
+
     _nll_gradients(bundle, stacks, BLOCK_SCORES)
-    assert calls == {"forward": 2, "backward": 2}
+    assert seen(1, 1, 1, 0)
     _nll_gradients(bundle, stacks, BLOCK_SCORES)
-    assert calls == {"forward": 2, "backward": 4}
+    assert seen(1, 1, 2, 0)
     _nll_gradients(bundle, stacks, BLOCK_PROCLIVITY)
     _mean_nll(bundle, stacks)
-    assert calls == {"forward": 2, "backward": 4}
+    assert seen(1, 1, 2, 1)
     moved, _ = _descend_scores(bundle, stacks, FitConfig(score_epochs=1), None)
     _mean_nll(moved, stacks)
-    assert calls == {"forward": 4, "backward": 6}
+    assert seen(2, 1, 3, 1)
+    # The second epoch's table is the block's only new one until the end.
+    moved, _ = _descend_proclivity(moved, stacks, FitConfig(proclivity_epochs=2), None)
+    assert seen(2, 2, 3, 3)
+    _mean_nll(moved, stacks)
+    assert seen(2, 3, 3, 3)
 
 
 def test_nm_and_hm_do_not_share_cached_scores():
@@ -413,7 +439,7 @@ def test_stacks_group_mixed_shapes():
         make_pair(rng, members=4, turns=6),
     ]
     stacks = _build_stacks(pairs)
-    assert sorted(s.shape for s in stacks) == [(1, 6, 4), (2, 8, 3)]
+    assert sorted(s.gaps.shape for s in stacks.stacks) == [(1, 4, 6), (2, 3, 8)]
     bundle = ModelBundle.make("exp", seed=1)
     per_group = [bundle_loss(bundle, r, c) for r, c in pairs]
     turns = [len(c) for _, c in pairs]
@@ -428,10 +454,10 @@ def test_gap_one_marks_exactly_the_previous_speaker():
     for _ in range(20):
         N, T = int(rng.integers(2, 7)), int(rng.integers(1, 40))
         convs = [make_pair(rng, members=N, turns=T)[1] for _ in range(3)]
-        stack = _build_stacks([(Roster(np.linspace(0.1, 1.0, N)), c) for c in convs]).stacks[0]
+        stacks = _build_stacks([(Roster(np.linspace(0.1, 1.0, N)), c) for c in convs])
         labels = np.stack([c.speakers for c in convs]).astype(int) - 1
-        assert np.array_equal(stack.speakers, np.arange(3)[:, None] * N + labels)
-        for gaps, speakers in zip(stack.gaps, labels):
+        assert np.array_equal(stacks.speaker, (np.arange(3)[:, None] * N + labels).ravel())
+        for gaps, speakers in zip(stacks.stacks[0].gaps, labels):
             expected = np.zeros((N, T), dtype=bool)
             expected[speakers[:-1], np.arange(1, T)] = True
             assert np.array_equal(gaps == 1, expected)
@@ -496,8 +522,51 @@ def test_floored_cells_get_no_slope_in_interleaved_stacks():
     for roster, conversation in pairs:
         assert_floor_straddled(bundle, roster, conversation)
     stacks = _build_stacks(pairs)
-    assert [s.shape for s in stacks] == [(1, 40, 3), (1, 40, 4), (1, 30, 3)]
+    assert [s.gaps.shape for s in stacks.stacks] == [(1, 3, 40), (1, 4, 40), (1, 3, 30)]
     assert_split_gradients_match_finite_differences(bundle, stacks)
+
+
+def test_split_pass_matches_the_oracle_at_conversation_boundaries():
+    # Three stacks of two conversations each: T = 2, an N = 2 group, and
+    # N = 4. Member 1 of every group scores under the floor whenever it is
+    # eligible, so floored cells sit on first and last turns next to
+    # conversation and stack boundaries mid-split, where the per-turn
+    # vectors (c, the next-turn shift, the floor corrections) change rows.
+    import math
+
+    speakers = [[2, 3], [3, 1], [1, 2, 1, 2, 1, 2, 1, 2, 1], [2, 1, 2, 1, 2, 1, 2, 1, 2],
+                [2, 3, 4, 2, 3, 2, 4], [1, 3, 1, 4, 2, 3, 1]]
+    sizes = [3, 3, 2, 2, 4, 4]
+    rng = np.random.default_rng(66)
+    pairs = [(Roster(np.linspace(0.1, 1.0, N)), Conversation(np.array(s), N))
+             for s, N in zip(speakers, sizes)]
+    pi = [np.concatenate([[1e-9], rng.uniform(0.2, 1.5, N - 1)]) for N in sizes]
+    d = [np.concatenate([[0.0], rng.uniform(0.0, 3.0, N - 1)]) for N in sizes]
+    stacks = _build_stacks(pairs)
+    assert [s.gaps.shape for s in stacks.stacks] == [(2, 3, 2), (2, 2, 9), (2, 4, 7)]
+    proclivity = ExpDecayProclivity()
+    totals, observed, floored = training._pass(
+        stacks, stacks.record(np.concatenate(pi), np.concatenate(d)), stacks.gather(proclivity)
+    )
+    assert floored is not None and (observed == EPS_FLOOR).any()
+    turn_nll = np.log(totals) - np.log(observed)
+    start = 0
+    for (roster, conversation), p, m in zip(pairs, pi, d):
+        got = turn_nll[start : start + len(conversation)].mean()
+        start += len(conversation)
+        want = oracle.nll(p.tolist(), m.tolist(), lambda g: math.exp(-g / 2),
+                          conversation.speakers.tolist(), roster.size, floor=EPS_FLOOR)
+        assert got == pytest.approx(want, abs=1e-12)
+    # The same pairs through evaluate (one split per group) and through the
+    # split pass, under score nets that floor two of the traits.
+    rosters = {3: [0.2, 0.5, 0.8], 2: [0.2, 0.9], 4: [0.8, 0.2, 0.5, 0.7]}
+    pairs = [(Roster(np.array(rosters[c.group_size])), c) for _, c in pairs]
+    bundle = floored_bundle(np.array(rosters[3]))
+    groups = [Group(group_id=k, roster=r, scores=None, conversation=c)
+              for k, (r, c) in enumerate(pairs)]
+    assert evaluate(bundle, groups).nll == pytest.approx(
+        _mean_nll(bundle, _build_stacks(pairs)), abs=1e-12
+    )
 
 
 def test_stacks_reject_mismatched_roster():

@@ -13,25 +13,16 @@ from .model import (
     Conversation,
     DegenerateDistributionError,
     EPS_FLOOR,
-    NEVER,
     Roster,
     ScoreParams,
-    TurnClass,
     ZeroLikelihoodError,
-    class_weights,
-    classify_turns,
     gap_matrix,
     sample_conversation,
     sample_conversations,
 )
 from .neural import (
     DenseNet,
-    GradientSet,
     adam_step,
-    apply_update,
-    backward,
-    init_net,
-    sigmoid,
 )
 from .proclivity import (
     DegenerateRatioError,
@@ -42,17 +33,12 @@ from .proclivity import (
     ZeroProclivity,
     by_name,
     rescaled_curve,
-    w_exp,
-    w_sig,
 )
 from .synthgen import (
     Group,
     SynthConfig,
     SynthDataset,
-    d_of_trait,
     generate_dataset,
-    pi_of_trait,
-    sample_traits,
     substream,
     traits_to_scores,
 )
@@ -64,7 +50,6 @@ from .training import (
     TrainingSet,
     conversation_nll_gradients,
     fit,
-    predict_scores,
 )
 from .evaluation import (
     EvalReport,
@@ -74,7 +59,6 @@ from .evaluation import (
     GroupLoss,
     TrialResult,
     TrueModel,
-    boxplot_stats,
     evaluate,
     model_curve,
     run_experiment,
@@ -96,13 +80,11 @@ __all__ = [
     "FitConfig",
     "FitDivergenceError",
     "FitResult",
-    "GradientSet",
     "Group",
     "GroupLoss",
     "LearnedProclivity",
     "MissingGroundTruthError",
     "ModelBundle",
-    "NEVER",
     "ProclivityCurve",
     "Roster",
     "ScoreParams",
@@ -112,35 +94,21 @@ __all__ = [
     "TrainingSet",
     "TrialResult",
     "TrueModel",
-    "TurnClass",
     "ZeroLikelihoodError",
     "ZeroProclivity",
     "adam_step",
-    "apply_update",
-    "backward",
-    "boxplot_stats",
     "by_name",
-    "class_weights",
-    "classify_turns",
     "conversation_nll_gradients",
-    "d_of_trait",
     "evaluate",
     "fit",
     "gap_matrix",
     "generate_dataset",
-    "init_net",
     "model_curve",
-    "pi_of_trait",
-    "predict_scores",
     "rescaled_curve",
     "run_experiment",
     "sample_conversation",
     "sample_conversations",
-    "sample_traits",
-    "sigmoid",
     "substream",
     "traits_to_scores",
     "true_model",
-    "w_exp",
-    "w_sig",
 ]

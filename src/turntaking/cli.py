@@ -333,6 +333,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.parallel_trials < 1:
+        raise ConfigError(f"--parallel-trials must be at least 1, got {args.parallel_trials}")
     config = experiment_config(resolve_settings(args))
     report = run_experiment(config, parallel=args.parallel_trials)
     out = ensure_out_dir(args.out)

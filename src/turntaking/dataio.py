@@ -248,6 +248,9 @@ def read_split(directory, split: str) -> list:
         raise DataFormatError(
             f"{directory}: {split} rosters and conversations cover different groups"
         )
+    unknown = sorted(set(scores) - set(rosters))
+    if unknown:
+        raise DataFormatError(f"{paths['scores']}: group {unknown[0]} has scores but no roster")
     groups = []
     for gid in sorted(rosters):
         roster = rosters[gid]

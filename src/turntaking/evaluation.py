@@ -53,7 +53,7 @@ from .training import (
     ModelBundle,
     TrainingSet,
     VARIANTS,
-    _build_stacks,
+    _Stacks,
     _pass,
     fit,
     predict_scores,
@@ -154,7 +154,7 @@ def evaluate(model, groups) -> EvalSummary:
             )
         # One split per group: a split of all groups would hold every
         # group's cells in memory at once.
-        stacks = _build_stacks([(group.roster, conversation)])
+        stacks = _Stacks([(group.roster, conversation)])
         # Finite scores can still overflow the turn totals; the loss check
         # below reports that as ZeroLikelihoodError, so numpy's own warning
         # would only be noise ahead of it.
@@ -323,8 +323,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> EvalReport:
     """Generate, fit, and evaluate all trials; deterministic per master seed.
 
     Trials are independent; ``parallel`` > 1 distributes them over worker
-    processes with results assembled in trial order either way.
+    processes with results assembled in trial order either way. A
+    ``parallel`` below 1 is a ValueError.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     trials = range(1, config.synth.trials + 1)
     if parallel > 1:
         # Imported here: the process pool costs import time and memory that

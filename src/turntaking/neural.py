@@ -4,12 +4,13 @@ Small scalar-in/scalar-out perceptrons with tanh hidden layers and a sigmoid
 output head, used to map traits to speaking scores and gaps to proclivity
 values. Gradients are computed analytically and are verified against central
 finite differences in the test suite. Networks are treated as values:
-each holds its parameters in one read-only vector, and ``apply_update``
-returns a fresh network and never mutates its input. Adam (``adam_step``)
-works element by element, so it runs on that one vector per net. Nets of
-one layout also run as a stack: their vectors are the rows of one (K, P)
-array, each layer's weights a (K, out, in) view, and one batched forward and
-backward serve all K on a shared input; Adam steps the whole array.
+each holds its parameters in one read-only vector, and a gradient is a
+vector of the same layout. Adam (``adam_step``) returns a fresh network and
+never mutates its input; it works element by element, so it runs on that
+one vector per net. Nets of one layout also run as a stack: their vectors
+are the rows of one (K, P) array, each layer's weights a (K, out, in) view,
+and one batched forward and backward serve all K on a shared input; Adam
+steps the whole array.
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ def _views(flat: np.ndarray, shapes: tuple) -> tuple:
     return tuple(views[:layers]), tuple(views[layers:])
 
 
-def _flatten(weights, biases) -> tuple:
-    """The arrays' values in one new float vector, and their shapes."""
-    arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
-    return np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays)
-
-
 @dataclass(frozen=True, eq=False)
 class DenseNet:
     """Fully connected layers; tanh (default) hidden units, sigmoid output.
@@ -84,10 +79,11 @@ class DenseNet:
         for W, b in zip(self.weights, self.biases):
             if W.shape[0] != b.shape[0]:
                 raise ValueError("bias length must match the layer's output size")
-        params, shapes = _flatten(self.weights, self.biases)
+        arrays = [np.asarray(a, dtype=float) for a in (*self.weights, *self.biases)]
+        params = np.concatenate([a.ravel() for a in arrays])
         if not np.isfinite(params).all():
             raise ValueError("parameters must be finite")
-        self._hold(params, shapes)
+        self._hold(params, tuple(a.shape for a in arrays))
 
     def _hold(self, params: np.ndarray, shapes: tuple) -> None:
         params.flags.writeable = False
@@ -119,44 +115,6 @@ class DenseNet:
             and self.shapes == other.shapes
             and np.array_equal(self.params, other.params)
         )
-
-
-class GradientSet:
-    """Per-parameter gradients, shaped exactly like a DenseNet.
-
-    The values live in one vector, ``flat``, laid out as the net's
-    ``params``; ``weights`` and ``biases`` give writable views of it.
-    """
-
-    __slots__ = ("flat", "shapes")
-
-    def __init__(self, weights, biases):
-        self.flat, self.shapes = _flatten(weights, biases)
-
-    @classmethod
-    def _of(cls, flat: np.ndarray, shapes: tuple) -> "GradientSet":
-        grads = cls.__new__(cls)
-        grads.flat, grads.shapes = flat, shapes
-        return grads
-
-    @property
-    def weights(self) -> list:
-        return list(_views(self.flat, self.shapes)[0])
-
-    @property
-    def biases(self) -> list:
-        return list(_views(self.flat, self.shapes)[1])
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.flat @ self.flat))
-
-    def map(self, fn, *others) -> "GradientSet":
-        """``fn`` applied element by element to this set and ``others``, as a new set."""
-        return GradientSet._of(fn(self.flat, *(o.flat for o in others)), self.shapes)
-
-    @classmethod
-    def zeros_like(cls, net: DenseNet) -> "GradientSet":
-        return cls._of(np.zeros_like(net.params), net.shapes)
 
 
 def init_net(layer_sizes, seed, activation: str = "tanh") -> DenseNet:
@@ -216,15 +174,6 @@ def _forward(net: DenseNet, x, params=None):
     return out, acts
 
 
-def backward(net: DenseNet, x, upstream) -> GradientSet:
-    """Gradients of ``sum(upstream * net(x))`` w.r.t. every parameter.
-
-    ``upstream`` carries d(loss)/d(output) per input row; the result is the
-    exact chain-ruled loss gradient accumulated over the batch.
-    """
-    return GradientSet._of(_backward(net, _forward(net, x)[1], upstream), net.shapes)
-
-
 def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:
     """Gradients of ``sum(upstream * output)``, laid out as the parameters.
 
@@ -250,30 +199,12 @@ def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:
     return grads
 
 
-def _moved(params: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
-    """``params - step * direction`` as a new read-only array; FloatingPointError
-    when a parameter leaves the finite range, so a diverging fit is told
-    apart from invalid input."""
-    if not np.isfinite(step):
-        raise ValueError("step size must be finite")
-    # An overflow is reported by the check below, not by numpy's warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        moved = params - step * direction
-    if not np.isfinite(moved).all():
-        raise FloatingPointError("gradient step produced non-finite parameters")
-    moved.flags.writeable = False
-    return moved
-
-
-def apply_update(net: DenseNet, direction: GradientSet, step: float) -> DenseNet:
-    """Move every parameter by ``-step * direction``; returns a new network."""
-    return net._with_params(_moved(net.params, direction.flat, step))
-
-
 def _adam(params: np.ndarray, grad: np.ndarray, state, step: float):
     """``adam_step`` on a parameter array of any shape: ``(new_params, new_state)``.
     It works element by element, so a (K, P) stack of nets steps as its K
-    nets would one by one."""
+    nets would one by one. The new parameters come back read-only."""
+    if not np.isfinite(step):
+        raise ValueError("step size must be finite")
     b1, b2, eps = 0.9, 0.999, 1e-8  # fixed, not settings
     t, m, v = state or (0, np.zeros_like(grad), np.zeros_like(grad))
     t += 1
@@ -286,17 +217,25 @@ def _adam(params: np.ndarray, grad: np.ndarray, state, step: float):
         raise FloatingPointError("non-finite or overflowing gradient in an Adam step")
     root_c2 = np.sqrt(1.0 - b2**t)
     direction = m / (np.sqrt(v) + eps * root_c2)
-    return _moved(params, direction, step * root_c2 / (1.0 - b1**t)), (t, m, v)
+    # An overflow is reported by the check below, not by numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = params - step * root_c2 / (1.0 - b1**t) * direction
+    if not np.isfinite(moved).all():
+        raise FloatingPointError("gradient step produced non-finite parameters")
+    moved.flags.writeable = False
+    return moved, (t, m, v)
 
 
-def adam_step(net: DenseNet, grads: GradientSet, state, step: float):
+def adam_step(net: DenseNet, grad: np.ndarray, state, step: float):
     """One Adam step (Kingma & Ba, arXiv:1412.6980); returns ``(new_net, new_state)``.
 
-    ``state`` is ``None`` at first, then the ``(t, m, v)`` the last call
-    returned: the step count and the two moment vectors, laid out as the
-    net's ``params``. Nothing passed in is mutated. Folding the bias
-    corrections into ``step`` and eps is exact. Raises FloatingPointError
-    when a gradient is not finite or too large to square.
+    ``grad`` is a vector laid out as the net's ``params``. ``state`` is
+    ``None`` at first, then the ``(t, m, v)`` the last call returned: the
+    step count and the two moment vectors, laid out the same way. Nothing
+    passed in is mutated. Folding the bias corrections into ``step`` and eps
+    is exact. Raises FloatingPointError when a gradient is not finite or too
+    large to square, or when a parameter leaves the finite range, so a
+    diverging fit is told apart from invalid input.
     """
-    params, state = _adam(net.params, grads.flat, state, step)
+    params, state = _adam(net.params, grad, state, step)
     return net._with_params(params), state

@@ -32,7 +32,6 @@ from .model import (
 )
 from .neural import (
     DenseNet,
-    GradientSet,
     _adam,
     _backward,
     _forward,
@@ -309,9 +308,6 @@ class _Stacks:
                        pi.take(self.speaker), d.take(self.speaker), nets)
 
 
-_build_stacks = _Stacks
-
-
 def _pass(stacks: _Stacks, sc: _Scores, tab: _Table):
     """Turn totals and observed-speaker scores of every turn of a split, plus its floored cells.
 
@@ -421,14 +417,14 @@ def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarra
 
 
 def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
-    """Gradients of the mean per-turn NLL for one block, as GradientSets keyed
-    "f", "g" or "nu"; empty when the block holds no learnable parameters."""
+    """Gradients of the mean per-turn NLL for one block, as vectors laid out
+    like each net's ``params`` and keyed "f", "g" or "nu"; empty when the
+    block holds no learnable parameters."""
     sc, tab = stacks.scores(bundle), stacks.gather(bundle.proclivity)
     if block == BLOCK_SCORES and bundle.variant in LEARNABLE_VARIANTS:
-        grads = _score_gradient(stacks, sc, tab)
-        return {name: GradientSet._of(g, sc.nets[0].shapes) for name, g in zip("fg", grads)}
+        return dict(zip("fg", _score_gradient(stacks, sc, tab)))
     if block == BLOCK_PROCLIVITY and bundle.learns_proclivity:
-        return {"nu": GradientSet._of(_proclivity_gradient(stacks, sc, tab), tab.nu[0].shapes)}
+        return {"nu": _proclivity_gradient(stacks, sc, tab)}
     return {}
 
 
@@ -437,12 +433,13 @@ def conversation_nll_gradients(bundle: ModelBundle, roster: Roster, conversation
     """Exact gradients of one conversation's mean per-turn NLL.
 
     Only the parameters of the active block are differentiated; the other
-    block's outputs enter as constants. Variants without learnable
-    parameters in the block yield an empty dict.
+    block's outputs enter as constants. The result maps "f" and "g", or
+    "nu", to a vector shaped like that net's ``params``. Variants without
+    learnable parameters in the block yield an empty dict.
     """
     if block not in (BLOCK_SCORES, BLOCK_PROCLIVITY):
         raise ValueError(f"unknown block {block!r}")
-    return _nll_gradients(bundle, _build_stacks([(roster, conversation)]), block)
+    return _nll_gradients(bundle, _Stacks([(roster, conversation)]), block)
 
 
 def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig, state):
@@ -481,8 +478,8 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     if bundle.variant not in LEARNABLE_VARIANTS:
         return FitResult(bundle=bundle, history=[])
 
-    train_stacks = _build_stacks(training_set.train)
-    val_stacks = _build_stacks(training_set.val) if training_set.val else None
+    train_stacks = _Stacks(training_set.train)
+    val_stacks = _Stacks(training_set.val) if training_set.val else None
 
     def losses(b: ModelBundle):
         train = _mean_nll(b, train_stacks)

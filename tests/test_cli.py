@@ -136,6 +136,18 @@ def test_experiment_zero_delta_scale_is_usage_error(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_experiment_worker_count_below_one_is_usage_error(capsys, tmp_path, workers):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(TINY_DATA + "trials=1\nmax_outer=2\n", encoding="utf-8")
+    out = tmp_path / "exp"
+    code, _, err = run(capsys, "experiment", "--config", cfg, "--out", out,
+                       "--parallel-trials", workers)
+    assert code == 2
+    assert f"--parallel-trials must be at least 1, got {workers}" in err
+    assert not out.exists()
+
+
 def test_flag_overrides_config_value(capsys, tmp_path, tiny_config):
     out = make_data(capsys, tmp_path, tiny_config, turns="60")
     groups = read_split(out, "test")
@@ -368,6 +380,10 @@ DATA_MUTATIONS = {
     "negative-true-score": ("scores", _set_field(2, 2, "-0.5"), "group 4: inherent scores"),
     "nan-true-score": ("scores", _set_field(2, 3, "nan"), "group 4: memory scores"),
     "zero-true-score": ("scores", _set_field(2, 2, "0.0"), None),
+    "scores-for-unknown-group": (
+        "scores", lambda lines: lines + ["999," + line.split(",", 1)[1] for line in lines[1:]],
+        "group 999 has scores but no roster",
+    ),
 }
 
 

@@ -18,7 +18,6 @@ from turntaking import (
     SynthConfig,
     SynthDataset,
     TrialResult,
-    boxplot_stats,
     generate_dataset,
     sample_conversation,
     traits_to_scores,
@@ -50,6 +49,7 @@ from turntaking.dataio import (
     write_summary,
     write_true_scores,
 )
+from turntaking.evaluation import boxplot_stats
 
 from test_training import warmed_bundle
 

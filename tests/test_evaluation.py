@@ -17,14 +17,13 @@ from turntaking import (
     ModelBundle,
     SynthConfig,
     ZeroProclivity,
-    boxplot_stats,
     evaluate,
     generate_dataset,
     model_curve,
     run_experiment,
     true_model,
 )
-from turntaking.evaluation import TRUE_VARIANT, _run_trial
+from turntaking.evaluation import TRUE_VARIANT, _run_trial, boxplot_stats
 
 
 def small_dataset(turns=60, trial=1, proclivity="exp"):
@@ -319,6 +318,12 @@ def test_parallel_trials_match_sequential():
         for variant in ts.losses:
             assert ts.losses[variant].nll == tp.losses[variant].nll
             assert ts.losses[variant].nll_turn == tp.losses[variant].nll_turn
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_run_experiment_rejects_a_worker_count_below_one(parallel):
+    with pytest.raises(ValueError, match="parallel must be at least 1"):
+        run_experiment(tiny_experiment_config(variants=("nm",)), parallel=parallel)
 
 
 def test_package_import_leaves_the_process_pool_unloaded():

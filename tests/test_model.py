@@ -12,7 +12,6 @@ import pytest
 import oracle
 from turntaking import (
     EPS_FLOOR,
-    NEVER,
     Conversation,
     DegenerateDistributionError,
     ExpDecayProclivity,
@@ -21,19 +20,16 @@ from turntaking import (
     Roster,
     ScoreParams,
     SigmoidProclivity,
-    TurnClass,
     ZeroLikelihoodError,
     ZeroProclivity,
-    class_weights,
-    classify_turns,
     evaluate,
     gap_matrix,
     sample_conversation,
     sample_conversations,
     true_model,
 )
-from turntaking.model import _pairwise_sum
-from turntaking.training import _build_stacks, _pass
+from turntaking.model import NEVER, TurnClass, _pairwise_sum, class_weights, classify_turns
+from turntaking.training import _Stacks, _pass
 
 W_EXP = ExpDecayProclivity()
 W_SIG = SigmoidProclivity()
@@ -79,7 +75,7 @@ def engine_probabilities(params, proclivity, c):
     for t in range(len(c)):
         head = c.speakers[:t].tolist()
         members = [n for n in range(1, N + 1) if not head or n != head[-1]]
-        stacks = _build_stacks([(roster, conv(head + [n], N)) for n in members])
+        stacks = _Stacks([(roster, conv(head + [n], N)) for n in members])
         B = len(members)
         scores = stacks.record(np.tile(params.inherent, B), np.tile(params.memory, B))
         totals, observed, _ = _pass(stacks, scores, stacks.gather(proclivity))
@@ -552,7 +548,7 @@ def test_likelihood_sequence_matches_per_turn_scores():
         N, T = int(rng.integers(2, 6)), int(rng.integers(1, 15))
         convs = [random_conversation(rng, N, T) for _ in range(3)]
         params = [random_params(rng, N) for _ in convs]
-        stacks = _build_stacks([(Roster(np.linspace(0.1, 1.0, N)), c) for c in convs])
+        stacks = _Stacks([(Roster(np.linspace(0.1, 1.0, N)), c) for c in convs])
         scores = stacks.record(np.concatenate([p.inherent for p in params]),
                                np.concatenate([p.memory for p in params]))
         totals, observed, _ = _pass(stacks, scores, stacks.gather(W_SIG))

@@ -5,51 +5,41 @@ import math
 import numpy as np
 import pytest
 
-from turntaking import (
-    DenseNet,
-    GradientSet,
-    adam_step,
-    apply_update,
-    backward,
-    init_net,
-    sigmoid,
-)
+from turntaking import DenseNet, adam_step
+from turntaking.neural import _adam, _backward, _forward, init_net, sigmoid
 
 
 def net_loss(net, x, upstream):
-    """The scalar objective whose gradients ``backward`` reports."""
+    """The scalar objective whose gradients ``net_gradient`` reports."""
     out = np.atleast_1d(net.forward(x))
     return float(np.sum(np.asarray(upstream) * out))
 
 
-def perturbed(net, layer, index, kind, h):
-    """Copy of ``net`` with one weight or bias nudged by h."""
-    weights = [W.copy() for W in net.weights]
-    biases = [b.copy() for b in net.biases]
-    (weights if kind == "w" else biases)[layer][index] += h
-    return DenseNet(weights=tuple(weights), biases=tuple(biases), activation=net.activation)
+def net_gradient(net, x, upstream):
+    """Gradients of ``net_loss`` in every parameter, laid out as ``net.params``."""
+    return _backward(net, _forward(net, x)[1], upstream)
+
+
+def stepped(net, grad, step):
+    """A net of ``net``'s layout at ``params - step * grad``."""
+    return net._with_params(net.params - step * grad)
 
 
 def fd_gradients(net, x, upstream, h=1e-5):
-    """Central finite differences of net_loss over every parameter."""
-    grads = GradientSet.zeros_like(net)
-    for l in range(len(net.weights)):
-        for idx in np.ndindex(net.weights[l].shape):
-            hi = net_loss(perturbed(net, l, idx, "w", h), x, upstream)
-            lo = net_loss(perturbed(net, l, idx, "w", -h), x, upstream)
-            grads.weights[l][idx] = (hi - lo) / (2 * h)
-        for idx in np.ndindex(net.biases[l].shape):
-            hi = net_loss(perturbed(net, l, idx, "b", h), x, upstream)
-            lo = net_loss(perturbed(net, l, idx, "b", -h), x, upstream)
-            grads.biases[l][idx] = (hi - lo) / (2 * h)
+    """Central finite differences of net_loss over every entry of ``params``."""
+    grads = np.empty_like(net.params)
+    for i in range(net.params.size):
+        nudge = np.zeros_like(net.params)
+        nudge[i] = h
+        hi = net_loss(net._with_params(net.params + nudge), x, upstream)
+        lo = net_loss(net._with_params(net.params - nudge), x, upstream)
+        grads[i] = (hi - lo) / (2 * h)
     return grads
 
 
 def assert_close_gradients(got, want, rel=1e-4, floor=1e-7):
-    for gW, wW in zip(got.weights, want.weights):
-        np.testing.assert_allclose(gW, wW, rtol=rel, atol=floor)
-    for gb, wb in zip(got.biases, want.biases):
-        np.testing.assert_allclose(gb, wb, rtol=rel, atol=floor)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=rel, atol=floor)
 
 
 def random_net(rng, sizes, activation="tanh"):
@@ -216,7 +206,7 @@ def test_backward_matches_finite_differences():
         B = int(rng.integers(1, 6))
         x = rng.normal(size=(B, sizes[0])) if sizes[0] > 1 else rng.normal(size=B)
         upstream = rng.normal(size=B)
-        got = backward(net, x, upstream)
+        got = net_gradient(net, x, upstream)
         want = fd_gradients(net, x, upstream)
         assert_close_gradients(got, want)
 
@@ -229,12 +219,12 @@ def test_backward_matches_finite_differences_relu():
         # stays on one side of it.
         x = rng.normal(size=4) + 3.0
         upstream = rng.normal(size=4)
-        assert_close_gradients(backward(net, x, upstream), fd_gradients(net, x, upstream))
+        assert_close_gradients(net_gradient(net, x, upstream), fd_gradients(net, x, upstream))
 
 
 def test_backward_from_kept_activations_is_bit_identical():
-    from turntaking.neural import _backward, _forward
-
+    # The net's own parameters and the same values passed as ``params``
+    # give one forward and one backward, bit for bit.
     rng = np.random.default_rng(28)
     for activation in ("tanh", "relu"):
         for sizes in ((1, 1), (1, 16, 16, 1), (2, 5, 3, 1)):
@@ -244,8 +234,9 @@ def test_backward_from_kept_activations_is_bit_identical():
             out, cache = _forward(net, x)
             assert np.array_equal(out, net.forward(x))
             got = _backward(net, cache, up)
-            want = backward(net, x, up).flat
-            assert got.shape == want.shape
+            params = net.params.copy()
+            want = _backward(net, _forward(net, x, params)[1], up, params)
+            assert got.shape == want.shape == net.params.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -253,16 +244,15 @@ def test_backward_single_weight_closed_form():
     w = 0.8
     net = DenseNet(weights=(np.array([[w]]),), biases=(np.zeros(1),))
     x = 1.7
-    grads = backward(net, x, 1.0)
+    grad = net_gradient(net, x, 1.0)
     y = sigmoid(w * x)
-    assert grads.weights[0][0, 0] == pytest.approx(x * y * (1 - y), abs=1e-12)
-    assert grads.biases[0][0] == pytest.approx(y * (1 - y), abs=1e-12)
+    assert grad.tolist() == pytest.approx([x * y * (1 - y), y * (1 - y)], abs=1e-12)
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
     net = random_net(np.random.default_rng(25), (1, 6, 1))
-    grads = backward(net, np.array([0.1, 0.5, 2.0]), np.zeros(3))
-    assert grads.norm() == 0.0
+    grad = net_gradient(net, np.array([0.1, 0.5, 2.0]), np.zeros(3))
+    assert np.all(grad == 0.0)
 
 
 def test_backward_accumulates_over_batch():
@@ -270,42 +260,9 @@ def test_backward_accumulates_over_batch():
     net = random_net(rng, (1, 4, 1))
     xs = rng.normal(size=5)
     ups = rng.normal(size=5)
-    whole = backward(net, xs, ups)
-    total = sum(backward(net, float(x), float(up)).flat for x, up in zip(xs, ups))
-    np.testing.assert_allclose(whole.flat, total, rtol=1e-12, atol=1e-14)
-
-
-# ------------------------------------------------------------------- updates
-
-
-def test_apply_update_returns_new_net_and_preserves_input():
-    net = random_net(np.random.default_rng(27), (1, 3, 1))
-    before = DenseNet(
-        weights=tuple(W.copy() for W in net.weights),
-        biases=tuple(b.copy() for b in net.biases),
-    )
-    grads = backward(net, 0.4, 1.0)
-    updated = apply_update(net, grads, 0.1)
-    assert net == before
-    assert updated != net
-
-
-def test_apply_update_noop_cases():
-    net = random_net(np.random.default_rng(28), (1, 3, 1))
-    zeros = GradientSet.zeros_like(net)
-    assert apply_update(net, zeros, 0.5) == net
-    grads = backward(net, 0.4, 1.0)
-    assert apply_update(net, grads, 0.0) == net
-
-
-def test_apply_update_step_then_reverse_step_restores():
-    net = random_net(np.random.default_rng(29), (1, 4, 1))
-    grads = backward(net, np.array([0.2, 0.9]), np.array([1.0, -0.5]))
-    restored = apply_update(apply_update(net, grads, 0.3), grads, -0.3)
-    for W, R in zip(net.weights, restored.weights):
-        np.testing.assert_allclose(R, W, atol=1e-12)
-    for b, r in zip(net.biases, restored.biases):
-        np.testing.assert_allclose(r, b, atol=1e-12)
+    whole = net_gradient(net, xs, ups)
+    total = sum(net_gradient(net, float(x), float(up)) for x, up in zip(xs, ups))
+    np.testing.assert_allclose(whole, total, rtol=1e-12, atol=1e-14)
 
 
 def test_gradient_step_reduces_convex_toy_loss():
@@ -316,35 +273,8 @@ def test_gradient_step_reduces_convex_toy_loss():
     def loss(n):
         return (n.forward(x) - target) ** 2
 
-    grads = backward(net, x, 2 * (net.forward(x) - target))
-    stepped = apply_update(net, grads, 0.5)
-    assert loss(stepped) < loss(net)
-
-
-def test_apply_update_rejects_non_finite_step():
-    net = random_net(np.random.default_rng(30), (1, 2, 1))
-    with pytest.raises(ValueError):
-        apply_update(net, GradientSet.zeros_like(net), math.inf)
-
-
-def test_apply_update_reports_divergence_as_floating_point_error():
-    net = random_net(np.random.default_rng(31), (1, 2, 1))
-    grads = GradientSet.zeros_like(net)
-    grads.weights[0][0, 0] = np.nan
-    with pytest.raises(FloatingPointError):
-        apply_update(net, grads, 0.1)
-
-
-def test_apply_update_overflow_is_floating_point_error_without_warning():
-    # -1e308 - 1e308 overflows; the only outcome is the FloatingPointError.
-    import warnings
-
-    net = DenseNet(weights=(np.array([[-1e308]]),), biases=(np.zeros(1),))
-    grads = GradientSet(weights=[np.ones((1, 1))], biases=[np.zeros(1)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError):
-            apply_update(net, grads, 1e308)
+    grad = net_gradient(net, x, 2 * (net.forward(x) - target))
+    assert loss(stepped(net, grad, 0.5)) < loss(net)
 
 
 def test_dense_net_holds_one_read_only_copy_of_its_parameters():
@@ -371,25 +301,25 @@ def copied(net):
 
 def test_adam_first_step_moves_by_step_times_gradient_sign():
     net = random_net(np.random.default_rng(32), (1, 5, 3, 1))
-    grads = backward(net, np.array([0.1, 0.6, 1.3]), np.array([1.0, -0.4, 0.7]))
-    moved, state = adam_step(net, grads, None, 0.01)
-    pairs = zip(net.weights + net.biases, moved.weights + moved.biases,
-                grads.weights + grads.biases)
-    for before, after, g in pairs:
-        np.testing.assert_allclose(after - before, -0.01 * g / (np.abs(g) + 1e-8),
-                                   rtol=0, atol=1e-15)
+    grad = net_gradient(net, np.array([0.1, 0.6, 1.3]), np.array([1.0, -0.4, 0.7]))
+    moved, state = adam_step(net, grad, None, 0.01)
+    np.testing.assert_allclose(moved.params - net.params, -0.01 * grad / (np.abs(grad) + 1e-8),
+                               rtol=0, atol=1e-15)
     assert state[0] == 1
 
 
 def test_adam_step_mutates_neither_net_nor_state():
     rng = np.random.default_rng(33)
     net = random_net(rng, (1, 4, 1))
-    grads = backward(net, rng.uniform(size=4), rng.normal(size=4))
-    net2, state = adam_step(net, grads, None, 0.05)
+    before = copied(net)
+    grad = net_gradient(net, rng.uniform(size=4), rng.normal(size=4))
+    net2, state = adam_step(net, grad, None, 0.05)
+    assert net == before and net2 != net
+    assert not net2.params.flags.writeable
     before_net = copied(net2)
     t, m, v = state
     before_m, before_v = m.copy(), v.copy()
-    adam_step(net2, backward(net2, 0.5, 1.0), state, 0.05)
+    adam_step(net2, net_gradient(net2, 0.5, 1.0), state, 0.05)
     assert net2 == before_net
     assert state[0] == t == 1
     assert np.array_equal(m, before_m) and np.array_equal(v, before_v)
@@ -397,8 +327,14 @@ def test_adam_step_mutates_neither_net_nor_state():
 
 def test_adam_zero_gradient_leaves_net_equal():
     net = random_net(np.random.default_rng(34), (1, 3, 1))
-    moved, _ = adam_step(net, GradientSet.zeros_like(net), None, 0.1)
+    moved, _ = adam_step(net, np.zeros_like(net.params), None, 0.1)
     assert moved == net
+
+
+def test_adam_step_noop_cases():
+    net = random_net(np.random.default_rng(28), (1, 3, 1))
+    moved, state = adam_step(net, net_gradient(net, 0.4, 1.0), None, 0.0)
+    assert moved == net and state[0] == 1
 
 
 def test_adam_steps_lower_convex_toy_loss():
@@ -411,19 +347,39 @@ def test_adam_steps_lower_convex_toy_loss():
 
     losses, state = [loss(net)], None
     for _ in range(30):
-        net, state = adam_step(net, backward(net, x, 2 * (net.forward(x) - target)), state, 0.05)
+        grad = net_gradient(net, x, 2 * (net.forward(x) - target))
+        net, state = adam_step(net, grad, state, 0.05)
         losses.append(loss(net))
     # Each step lowers the loss until the weight nears the optimum.
     assert all(b < a for a, b in zip(losses[:25], losses[1:26]))
     assert losses[-1] < 1e-2 * losses[0]
 
 
+def test_adam_step_rejects_non_finite_step():
+    net = random_net(np.random.default_rng(30), (1, 2, 1))
+    for step in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            adam_step(net, np.zeros_like(net.params), None, step)
+
+
 def test_adam_step_to_non_finite_parameter_is_floating_point_error():
     net = random_net(np.random.default_rng(35), (1, 2, 1))
-    grads = GradientSet.zeros_like(net)
-    grads.weights[0][0, 0] = np.nan
+    grad = np.zeros_like(net.params)
+    grad[0] = np.nan
     with pytest.raises(FloatingPointError):
-        adam_step(net, grads, None, 0.1)
+        adam_step(net, grad, None, 0.1)
+
+
+def test_adam_step_overflow_is_floating_point_error_without_warning():
+    # A first Adam step moves each parameter by about ``step``: -1e308 less
+    # 1e308 overflows; the only outcome is the FloatingPointError.
+    import warnings
+
+    net = DenseNet(weights=(np.array([[-1e308]]),), biases=(np.zeros(1),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            adam_step(net, np.array([1.0, 0.0]), None, 1e308)
 
 
 @pytest.mark.parametrize("bad", [1e200, np.inf])
@@ -435,14 +391,14 @@ def test_adam_step_on_huge_or_non_finite_gradient_is_floating_point_error(bad):
 
     rng = np.random.default_rng(37)
     net = random_net(rng, (1, 3, 1))
-    net, state = adam_step(net, backward(net, 0.3, 1.0), None, 0.01)
+    net, state = adam_step(net, net_gradient(net, 0.3, 1.0), None, 0.01)
     before = [state[1].copy(), state[2].copy()]
-    grads = backward(net, 0.7, -1.0)
-    grads.weights[0][1, 0] = bad
+    grad = net_gradient(net, 0.7, -1.0)
+    grad[1] = bad  # weights[0][1, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
-            adam_step(net, grads, state, 0.01)
+            adam_step(net, grad, state, 0.01)
     assert np.array_equal(state[1], before[0]) and np.array_equal(state[2], before[1])
 
 
@@ -451,24 +407,13 @@ def test_adam_runs_are_bit_identical():
         rng = np.random.default_rng(36)
         net, state = random_net(rng, (1, 4, 4, 1)), None
         for _ in range(5):
-            net, state = adam_step(net, backward(net, rng.uniform(size=3), rng.normal(size=3)),
-                                   state, 0.02)
+            grad = net_gradient(net, rng.uniform(size=3), rng.normal(size=3))
+            net, state = adam_step(net, grad, state, 0.02)
         return net, state
 
     (a, (ta, ma, va)), (b, (tb, mb, vb)) = run(), run()
     assert a == b and ta == tb == 5
     assert np.array_equal(ma, mb) and np.array_equal(va, vb)
-
-
-def test_gradient_set_map_and_norm():
-    g = GradientSet(weights=[np.array([[2.0]])], biases=[np.array([1.0])])
-    assert g.norm() == pytest.approx(math.sqrt(5.0), abs=1e-12)
-    half = g.map(lambda a: a * 0.5)
-    assert half.weights[0][0, 0] == 1.0
-    assert half.biases[0][0] == 0.5
-    total = g.map(lambda a, b: a + b, half)
-    assert total.weights[0][0, 0] == 3.0 and total.biases[0][0] == 1.5
-    assert g.weights[0][0, 0] == 2.0
 
 
 # ------------------------------------------------------------------ stacks
@@ -483,8 +428,6 @@ def same_bits(a, b) -> bool:
 def test_stacked_pair_matches_two_nets_bit_for_bit(activation):
     # f and g as the rows of one (2, P) array: one batched forward, one
     # backward and one Adam step give each net's own bits.
-    from turntaking.neural import _adam, _backward, _forward
-
     rng = np.random.default_rng(39)
     nets = [random_net(rng, (1, 16, 16, 1), activation=activation) for _ in range(2)]
     pair = np.stack([net.params for net in nets])
@@ -495,13 +438,13 @@ def test_stacked_pair_matches_two_nets_bit_for_bit(activation):
         grads = _backward(nets[0], cache, upstream, pair)
         for k, net in enumerate(nets):
             assert same_bits(out[k], net.forward(x))
-            assert same_bits(grads[k], backward(net, x, upstream[k]).flat)
+            assert same_bits(grads[k], net_gradient(net, x, upstream[k]))
     state, states = None, [None, None]
     for _ in range(50):
         grads = rng.normal(size=pair.shape)
         pair, state = _adam(pair, grads, state, 0.01)
         for k, net in enumerate(nets):
-            nets[k], states[k] = adam_step(net, GradientSet._of(grads[k], net.shapes), states[k], 0.01)
+            nets[k], states[k] = adam_step(net, grads[k], states[k], 0.01)
     for k, net in enumerate(nets):
         assert same_bits(pair[k], net.params)
         assert same_bits(state[1][k], states[k][1]) and same_bits(state[2][k], states[k][2])

@@ -9,16 +9,14 @@ from turntaking import (
     DegenerateRatioError,
     ExpDecayProclivity,
     LearnedProclivity,
-    NEVER,
     ProclivityCurve,
     SigmoidProclivity,
     ZeroProclivity,
     by_name,
     rescaled_curve,
-    w_exp,
-    w_sig,
 )
-from turntaking.proclivity import default_trait_grid
+from turntaking.model import NEVER
+from turntaking.proclivity import default_trait_grid, w_exp, w_sig
 
 ALL_KINDS = [
     ExpDecayProclivity(),
@@ -108,12 +106,11 @@ def test_learned_values_lie_in_unit_interval():
     rng = np.random.default_rng(33)
     kind = LearnedProclivity.fresh(seed=1)
     # Push the net away from its neutral start so outputs vary.
-    from turntaking import apply_update, backward
+    from test_neural import net_gradient, stepped
 
     net = kind.net
     for _ in range(5):
-        grads = backward(net, rng.normal(size=8), rng.normal(size=8))
-        net = apply_update(net, grads, 0.5)
+        net = stepped(net, net_gradient(net, rng.normal(size=8), rng.normal(size=8)), 0.5)
     kind = kind.with_net(net)
     vals = kind.values(np.arange(1, 80))
     assert np.all(vals > 0.0)

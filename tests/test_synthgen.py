@@ -7,16 +7,20 @@ import pytest
 
 from turntaking import (
     SynthConfig,
-    d_of_trait,
     evaluate,
     generate_dataset,
-    pi_of_trait,
-    sample_traits,
     substream,
     traits_to_scores,
     true_model,
 )
-from turntaking.synthgen import STREAM_CONV, STREAM_TRAITS, make_group
+from turntaking.synthgen import (
+    STREAM_CONV,
+    STREAM_TRAITS,
+    d_of_trait,
+    make_group,
+    pi_of_trait,
+    sample_traits,
+)
 
 
 def literal_d(x):

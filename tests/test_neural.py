@@ -370,7 +370,40 @@ def test_adam_step_to_non_finite_parameter_is_floating_point_error():
         adam_step(net, grad, None, 0.1)
 
 
-def test_adam_step_overflow_is_floating_point_error_without_warning():
+# The three ``apply_update`` tests below keep the names they had when a plain
+# gradient step was the parameter update; the Adam step is now the only one,
+# and it keeps the same contract: a new net, the input untouched, and any
+# non-finite result a FloatingPointError.
+
+
+def test_apply_update_returns_new_net_and_preserves_input():
+    rng = np.random.default_rng(27)
+    net = random_net(rng, (1, 3, 3, 1))
+    before = copied(net)
+    moved, _ = adam_step(net, net_gradient(net, rng.uniform(size=2), rng.normal(size=2)),
+                         None, 0.1)
+    assert net == before
+    assert moved != net
+    assert not np.shares_memory(moved.params, net.params)
+    assert all(a.shape == b.shape for a, b in zip(moved.weights, net.weights))
+
+
+def test_apply_update_reports_divergence_as_floating_point_error():
+    # A NaN in an output bias's gradient, a few steps into a run: the step
+    # raises rather than return a net, and the net passed in is untouched.
+    rng = np.random.default_rng(31)
+    net, state = random_net(rng, (1, 2, 1)), None
+    for _ in range(3):
+        net, state = adam_step(net, net_gradient(net, 0.4, 1.0), state, 0.1)
+    before = copied(net)
+    grad = net_gradient(net, 0.4, 1.0)
+    grad[-1] = np.nan  # biases[-1][0]
+    with pytest.raises(FloatingPointError):
+        adam_step(net, grad, state, 0.1)
+    assert net == before
+
+
+def test_apply_update_overflow_is_floating_point_error_without_warning():
     # A first Adam step moves each parameter by about ``step``: -1e308 less
     # 1e308 overflows; the only outcome is the FloatingPointError.
     import warnings

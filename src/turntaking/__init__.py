@@ -12,7 +12,6 @@ with plain and class-weighted losses, and a CLI for full experiments.
 from .model import (
     Conversation,
     DegenerateDistributionError,
-    EPS_FLOOR,
     Roster,
     ScoreParams,
     ZeroLikelihoodError,
@@ -20,19 +19,13 @@ from .model import (
     sample_conversation,
     sample_conversations,
 )
-from .neural import (
-    DenseNet,
-    adam_step,
-)
 from .proclivity import (
     DegenerateRatioError,
     ExpDecayProclivity,
     LearnedProclivity,
     ProclivityCurve,
     SigmoidProclivity,
-    ZeroProclivity,
     by_name,
-    rescaled_curve,
 )
 from .synthgen import (
     Group,
@@ -71,8 +64,6 @@ __all__ = [
     "Conversation",
     "DegenerateDistributionError",
     "DegenerateRatioError",
-    "DenseNet",
-    "EPS_FLOOR",
     "EvalReport",
     "EvalSummary",
     "ExpDecayProclivity",
@@ -95,8 +86,6 @@ __all__ = [
     "TrialResult",
     "TrueModel",
     "ZeroLikelihoodError",
-    "ZeroProclivity",
-    "adam_step",
     "by_name",
     "conversation_nll_gradients",
     "evaluate",
@@ -104,7 +93,6 @@ __all__ = [
     "gap_matrix",
     "generate_dataset",
     "model_curve",
-    "rescaled_curve",
     "run_experiment",
     "sample_conversation",
     "sample_conversations",

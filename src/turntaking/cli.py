@@ -49,7 +49,7 @@ from .evaluation import (
     run_experiment,
     true_model,
 )
-from .proclivity import by_name
+from .proclivity import FIXED_KINDS, by_name
 from .synthgen import SynthConfig, generate_dataset
 from .training import (
     FitConfig,
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     _add_common(gen, seed=True)
-    gen.add_argument("--proclivity", choices=["exp", "sigmoid"],
+    gen.add_argument("--proclivity", choices=sorted(FIXED_KINDS),
                      help="generating proclivity")
     gen.add_argument("--members", type=int, help="members per group")
     gen.add_argument("--turns", type=int, help="turns per conversation")
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, help="number of independent trials")
     exp.add_argument("--turns", type=int, help="turns per conversation")
     exp.add_argument("--members", type=int, help="members per group")
-    exp.add_argument("--proclivity", choices=["exp", "sigmoid"],
+    exp.add_argument("--proclivity", choices=sorted(FIXED_KINDS),
                      help="generating proclivity")
     exp.add_argument("--variants", help="comma-separated variants to fit and evaluate")
     exp.add_argument("--parallel-trials", type=int, default=1, metavar="N",
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--variant", required=True, choices=[*VARIANTS, TRUE_VARIANT])
     curve.add_argument("--checkpoint", type=Path, metavar="DIR",
                        help="fit output directory (pro and exp)")
-    curve.add_argument("--proclivity", choices=["exp", "sigmoid"],
+    curve.add_argument("--proclivity", choices=sorted(FIXED_KINDS),
                        help="generating proclivity for the true curve")
     curve.set_defaults(func=cmd_curve)
 

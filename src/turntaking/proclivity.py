@@ -4,7 +4,8 @@ A proclivity maps the integer gap (turns since a member last spoke) to a
 nonnegative inclination value. Every kind returns exactly zero for gaps
 below 1, which covers both "just spoke" bookkeeping and the NEVER sentinel.
 Fixed shapes (exponential decay, a shifted sigmoid plateau, zero) live next
-to a learnable variant backed by a small network.
+to a learnable variant backed by a small network. Every kind follows one
+protocol, ``Proclivity``; no kind subclasses another.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import DenseNet, init_net, sigmoid
+from .neural import DenseNet, _backward, _forward, init_net, sigmoid
 
 DEFAULT_DELTA_SCALE = 20.0
 CURVE_DELTA_MIN = 2
 CURVE_DELTA_MAX = 40
 TRAIT_GRID_SIZE = 50
+# A learned proclivity's net runs on blocks of this many gaps (``_run_net``).
+BLOCK_ROWS = 64
 
 
 def _masked(gaps, values):
@@ -26,49 +29,71 @@ def _masked(gaps, values):
     return np.where(gaps >= 1, values, 0.0)
 
 
-def w_exp(gaps):
-    """Exponentially decaying proclivity exp(-gap/2); zero for gap < 1."""
-    gaps = np.asarray(gaps, dtype=float)
-    return _masked(gaps, np.exp(-gaps / 2.0))
+def _run_net(net: DenseNet, delta_scale: float, gaps, params=None):
+    """A learned proclivity's values at ``gaps`` (0 below gap 1) and the
+    activations of the run, each shaped (blocks, BLOCK_ROWS, width).
 
-
-def w_sig(gaps):
-    """Sigmoid-plateau proclivity 0.95 * sigmoid(10 - gap/2); zero for gap < 1.
-
-    Stays close to 0.95 for small gaps and only decays noticeably once
-    roughly twenty turns have passed, which makes recency much harder to
-    read off the data than an immediate exponential decay.
+    The one place the net runs: on the gaps over ``delta_scale``, padded
+    with zeros to whole blocks. A BLAS product can sum a row's terms in
+    another order depending on how many rows it holds, so with every block
+    the same size a gap has one value however many gaps share its run.
+    ``params`` runs the net's layout on another parameter vector.
     """
     gaps = np.asarray(gaps, dtype=float)
-    vals = 0.95 * np.asarray(sigmoid(10.0 - np.atleast_1d(gaps) / 2.0))
-    return _masked(gaps, vals.reshape(gaps.shape))
+    x = np.zeros(-(-gaps.size // BLOCK_ROWS) * BLOCK_ROWS)
+    np.divide(gaps.reshape(-1), delta_scale, out=x[: gaps.size])
+    raw, acts = _forward(net, x.reshape(-1, BLOCK_ROWS, 1), params)
+    return _masked(gaps, raw.reshape(-1)[: gaps.size].reshape(gaps.shape)), acts
 
 
-class ExpDecayProclivity:
-    """Fixed proclivity exp(-gap/2)."""
+class Proclivity:
+    """The protocol of every kind: a ``name`` and ``values`` at integer gaps
+    of any shape, exactly 0 below gap 1; ``table`` and a call come from here.
 
-    name = "exp"
+    The likelihood engine reads ``_table_and_backward``: the table over
+    gaps 0..max_gap and a function that takes a slope per gap of it to the
+    gradient in the kind's parameters, or ``None`` for a fixed kind.
+    """
 
-    def values(self, gaps) -> np.ndarray:
-        return w_exp(gaps)
+    name: str
 
     def table(self, max_gap: int) -> np.ndarray:
+        """Values at gaps 0..max_gap."""
         return self.values(np.arange(max_gap + 1))
 
     def __call__(self, gap: int) -> float:
         return float(self.values(np.asarray(gap)))
 
+    def _table_and_backward(self, max_gap: int, params=None):
+        return self.table(max_gap), None
 
-class SigmoidProclivity(ExpDecayProclivity):
-    """Fixed proclivity 0.95 * sigmoid(10 - gap/2)."""
+
+class ExpDecayProclivity(Proclivity):
+    """Fixed, exponentially decaying proclivity exp(-gap/2)."""
+
+    name = "exp"
+
+    def values(self, gaps) -> np.ndarray:
+        gaps = np.asarray(gaps, dtype=float)
+        return _masked(gaps, np.exp(-gaps / 2.0))
+
+
+class SigmoidProclivity(Proclivity):
+    """Fixed sigmoid-plateau proclivity 0.95 * sigmoid(10 - gap/2).
+
+    Stays close to 0.95 for small gaps and only decays noticeably once
+    roughly twenty turns have passed, which makes recency much harder to
+    read off the data than an immediate exponential decay.
+    """
 
     name = "sigmoid"
 
     def values(self, gaps) -> np.ndarray:
-        return w_sig(gaps)
+        gaps = np.asarray(gaps, dtype=float)
+        return _masked(gaps, 0.95 * sigmoid(10.0 - gaps / 2.0))
 
 
-class ZeroProclivity(ExpDecayProclivity):
+class ZeroProclivity(Proclivity):
     """No recency effect at all."""
 
     name = "zero"
@@ -78,13 +103,13 @@ class ZeroProclivity(ExpDecayProclivity):
 
 
 @dataclass(frozen=True)
-class LearnedProclivity:
+class LearnedProclivity(Proclivity):
     """Proclivity represented by a network over the normalized gap.
 
     The raw gap is divided by ``delta_scale`` before entering the network so
     the plotted range of gaps maps onto the responsive part of the hidden
     units. Output lies in (0, 1); gaps below 1 are masked to exactly zero
-    outside the network.
+    outside the network. Every value comes from ``_run_net``.
     """
 
     net: DenseNet
@@ -97,43 +122,43 @@ class LearnedProclivity:
             raise ValueError(f"delta_scale must be positive and finite, got {self.delta_scale}")
 
     @classmethod
-    def fresh(
-        cls,
-        seed,
-        hidden=(16, 16),
-        delta_scale: float = DEFAULT_DELTA_SCALE,
-        activation: str = "tanh",
-    ):
+    def fresh(cls, seed, hidden=(16, 16), delta_scale: float = DEFAULT_DELTA_SCALE,
+              activation: str = "tanh"):
         return cls(net=init_net((1, *hidden, 1), seed, activation), delta_scale=delta_scale)
 
     def values(self, gaps) -> np.ndarray:
-        gaps = np.asarray(gaps, dtype=float)
-        raw = self.net.forward(np.atleast_1d(gaps).ravel() / self.delta_scale)
-        return _masked(gaps, np.asarray(raw).reshape(gaps.shape))
+        return _run_net(self.net, self.delta_scale, gaps)[0]
 
-    def table(self, max_gap: int) -> np.ndarray:
-        return self.values(np.arange(max_gap + 1))
+    def _table_and_backward(self, max_gap: int, params=None):
+        """The table under ``params`` (nu's vector in place of the net's,
+        while a block steps it), and the backward from this run's
+        activations, its blocks flattened to rows."""
+        size = max_gap + 1
+        table, acts = _run_net(self.net, self.delta_scale, np.arange(size), params)
+        acts = [a.reshape(-1, a.shape[-1]) for a in acts]
+        params = self.net.params if params is None else params
 
-    def __call__(self, gap: int) -> float:
-        return float(self.values(np.asarray(gap)))
+        def backward(dtable):
+            upstream = np.zeros(len(acts[0]))  # 0 at gap 0 and on the padding
+            upstream[1:size] = dtable[1:]
+            return _backward(self.net, acts, upstream, params)
+
+        return table, backward
 
     def with_net(self, net: DenseNet) -> "LearnedProclivity":
         return LearnedProclivity(net=net, delta_scale=self.delta_scale)
 
 
-_FIXED_KINDS = {
-    "exp": ExpDecayProclivity,
-    "sigmoid": SigmoidProclivity,
-    "zero": ZeroProclivity,
-}
+# The fixed kinds by config name: ``by_name`` and the CLI's choices.
+FIXED_KINDS = {kind.name: kind for kind in (ExpDecayProclivity, SigmoidProclivity, ZeroProclivity)}
 
 
 def by_name(name: str):
     """Instantiate one of the fixed proclivity kinds from its config name."""
     try:
-        return _FIXED_KINDS[name]()
+        return FIXED_KINDS[name]()
     except KeyError:
-        raise ValueError(f"unknown proclivity {name!r}; expected one of {sorted(_FIXED_KINDS)}")
+        raise ValueError(f"unknown proclivity {name!r}; expected one of {sorted(FIXED_KINDS)}")
 
 
 class DegenerateRatioError(ValueError):

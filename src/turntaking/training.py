@@ -23,30 +23,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (
-    EPS_FLOOR,
-    Conversation,
-    Roster,
-    ScoreParams,
-    gap_matrix,
-)
-from .neural import (
-    DenseNet,
-    _adam,
-    _backward,
-    _forward,
-    init_net,
-)
-from .proclivity import (
-    DEFAULT_DELTA_SCALE,
-    ExpDecayProclivity,
-    LearnedProclivity,
-    ZeroProclivity,
-)
+from .model import EPS_FLOOR, Conversation, Roster, ScoreParams, gap_matrix
+from .neural import DenseNet, _adam, _backward, _forward, init_net
+from .proclivity import DEFAULT_DELTA_SCALE, LearnedProclivity, by_name
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("pro", "exp", "nm", "hm")
+# The proclivity kind each variant takes, by name.
+PROCLIVITY_KINDS = {"pro": LearnedProclivity.name, "exp": "exp", "nm": "zero", "hm": "exp"}
+VARIANTS = tuple(PROCLIVITY_KINDS)
 LEARNABLE_VARIANTS = ("pro", "exp")
 
 # Constant (inherent, memory) scores of the variants without score nets.
@@ -67,7 +52,11 @@ class FitDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A score predictor pair plus a proclivity, under one of the variants."""
+    """A score predictor pair plus a proclivity, under one of the variants.
+
+    The proclivity's kind, compared by ``name``, is the variant's
+    (``PROCLIVITY_KINDS``), so a bundle always reads back as it was written.
+    """
 
     variant: str
     proclivity: object
@@ -77,6 +66,9 @@ class ModelBundle:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        kind, got = PROCLIVITY_KINDS[self.variant], getattr(self.proclivity, "name", None)
+        if got != kind:
+            raise ValueError(f"variant {self.variant!r} takes the {kind!r} proclivity, not {got!r}")
         if self.variant in LEARNABLE_VARIANTS and (self.f_net is None or self.g_net is None):
             raise ValueError(f"variant {self.variant!r} needs f and g networks")
         f, g = self.f_net, self.g_net
@@ -96,28 +88,21 @@ class ModelBundle:
 
         ``seed`` may be an int or a numpy SeedSequence.
         """
-        if variant == "nm":
-            return cls(variant="nm", proclivity=ZeroProclivity())
-        if variant == "hm":
-            return cls(variant="hm", proclivity=ExpDecayProclivity())
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if variant not in LEARNABLE_VARIANTS:
+            return cls(variant=variant, proclivity=by_name(PROCLIVITY_KINDS[variant]))
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         f_seed, g_seed, nu_seed = seed.spawn(3)
-        f_net = init_net((1, *hidden, 1), f_seed, activation)
-        g_net = init_net((1, *hidden, 1), g_seed, activation)
-        if variant == "pro":
-            prox = LearnedProclivity.fresh(
-                nu_seed, hidden=hidden, delta_scale=delta_scale, activation=activation
-            )
-        elif variant == "exp":
-            prox = ExpDecayProclivity()
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        f_net, g_net = (init_net((1, *hidden, 1), s, activation) for s in (f_seed, g_seed))
+        prox = (LearnedProclivity.fresh(nu_seed, hidden, delta_scale, activation)
+                if variant == "pro" else by_name(PROCLIVITY_KINDS[variant]))
         return cls(variant=variant, proclivity=prox, f_net=f_net, g_net=g_net)
 
     @property
     def learns_proclivity(self) -> bool:
-        return isinstance(self.proclivity, LearnedProclivity)
+        return self.variant == "pro"
 
     @property
     def pair(self) -> np.ndarray:
@@ -200,8 +185,8 @@ _Stack = namedtuple("_Stack", "gaps span steps convs")
 # ``d, w >= 0``. ``nets`` is ``(f_net, pair, activations)``, or None.
 _Scores = namedtuple("_Scores", "pi d low c pi_spk d_spk nets")
 # ``W = table[gaps]`` per stack and ``w_obs``, W at each turn's speaker cell;
-# ``nu`` is ``(net, params, activations)`` of a learned proclivity, or None.
-_Table = namedtuple("_Table", "w w_obs nu")
+# ``backward`` takes a slope per gap to the proclivity's gradient, or is None.
+_Table = namedtuple("_Table", "w w_obs backward")
 
 
 def _same(key: tuple, cached) -> bool:
@@ -262,24 +247,17 @@ class _Stacks:
         """The proclivity's table over the split's gaps, zeroed at gap 1: that
         is the previous speaker's cell, which the pass leaves out.
 
-        A learned proclivity's net runs here, once per table, and its
-        activations are kept for the gradient; while a block steps it,
-        ``nu`` is the parameter vector that stands in for the net's.
+        The table is built once per proclivity, with its backward for the
+        gradient; while a block steps a learned one, ``nu`` is the parameter
+        vector that stands in for its net's.
         """
         key = (proclivity, nu)
         if not _same(key, self._table_key):
-            self._table = nu_net = None  # the old W can go before the new is built
-            if isinstance(proclivity, LearnedProclivity):
-                net = proclivity.net
-                raw, cache = _forward(net, np.arange(self.max_gap + 1) / proclivity.delta_scale, nu)
-                table = raw.copy()
-                table[0] = 0.0  # never spoken
-                nu_net = (net, net.params if nu is None else nu, cache)
-            else:
-                table = np.array(proclivity.table(self.max_gap), dtype=float)
+            self._table = None  # the old W can go before the new is built
+            table, backward = proclivity._table_and_backward(self.max_gap, nu)
             table[1:2] = 0.0
             self._table = _Table([table[s.gaps] for s in self.stacks],
-                                 table.take(self.gap_obs), nu_net)
+                                 table.take(self.gap_obs), backward)
             self._table_key = key
         return self._table
 
@@ -398,9 +376,8 @@ def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarray:
 def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarray:
     """Gradient of the mean per-turn NLL in the proclivity net's parameters.
 
-    The backward runs from the activations of the table's forward pass,
-    rows 2 and up: gaps 0 (never spoken) and 1 (the previous speaker) add
-    nothing.
+    The backward runs from the activations of the table's forward pass;
+    gap 1 (the previous speaker) adds nothing.
     """
     inv_totals, inv_observed, floored = _slopes(stacks, sc, tab)
     dtable = np.zeros(stacks.max_gap + 1)
@@ -412,8 +389,9 @@ def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarra
         dtable += np.bincount(s.gaps.reshape(-1), slopes.reshape(-1), dtable.size)
     dtable -= np.bincount(stacks.gap_obs, np.multiply(sc.d_spk, inv_observed, out=inv_observed),
                           dtable.size)
-    net, params, acts = tab.nu
-    return _backward(net, [a[2:] for a in acts], dtable[2:] * (1.0 / stacks.turns), params)
+    dtable[1:2] = 0.0
+    dtable *= 1.0 / stacks.turns
+    return tab.backward(dtable)
 
 
 def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:

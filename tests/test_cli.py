@@ -216,6 +216,12 @@ def test_generate_proclivity_changes_conversations_not_rosters(capsys, tmp_path,
     assert conv_exp != conv_sig
 
 
+def test_generate_takes_every_fixed_proclivity_kind(capsys, tmp_path, tiny_config):
+    data = make_data(capsys, tmp_path, tiny_config, proclivity="zero")
+    assert read_manifest(data)[-1]["proclivity"] == "zero"
+    assert len(read_split(data, "train")) == 2
+
+
 def test_generate_is_deterministic_per_seed_and_trial(capsys, tmp_path, tiny_config):
     a = make_data(capsys, tmp_path, tiny_config, name="a")
     b = make_data(capsys, tmp_path, tiny_config, name="b")

@@ -16,7 +16,6 @@ from turntaking import (
     MissingGroundTruthError,
     ModelBundle,
     SynthConfig,
-    ZeroProclivity,
     evaluate,
     generate_dataset,
     model_curve,
@@ -24,6 +23,7 @@ from turntaking import (
     true_model,
 )
 from turntaking.evaluation import TRUE_VARIANT, _run_trial, boxplot_stats
+from turntaking.proclivity import ZeroProclivity
 
 
 def small_dataset(turns=60, trial=1, proclivity="exp"):

@@ -11,7 +11,6 @@ import pytest
 
 import oracle
 from turntaking import (
-    EPS_FLOOR,
     Conversation,
     DegenerateDistributionError,
     ExpDecayProclivity,
@@ -21,14 +20,14 @@ from turntaking import (
     ScoreParams,
     SigmoidProclivity,
     ZeroLikelihoodError,
-    ZeroProclivity,
     evaluate,
     gap_matrix,
     sample_conversation,
     sample_conversations,
     true_model,
 )
-from turntaking.model import NEVER, TurnClass, _pairwise_sum, class_weights, classify_turns
+from turntaking.model import EPS_FLOOR, NEVER, TurnClass, _pairwise_sum, class_weights, classify_turns
+from turntaking.proclivity import ZeroProclivity
 from turntaking.training import _Stacks, _pass
 
 W_EXP = ExpDecayProclivity()

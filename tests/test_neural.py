@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from turntaking import DenseNet, adam_step
-from turntaking.neural import _adam, _backward, _forward, init_net, sigmoid
+from turntaking.neural import DenseNet, _adam, _backward, _forward, adam_step, init_net, sigmoid
 
 
 def net_loss(net, x, upstream):

@@ -11,12 +11,10 @@ from turntaking import (
     LearnedProclivity,
     ProclivityCurve,
     SigmoidProclivity,
-    ZeroProclivity,
     by_name,
-    rescaled_curve,
 )
 from turntaking.model import NEVER
-from turntaking.proclivity import default_trait_grid, w_exp, w_sig
+from turntaking.proclivity import ZeroProclivity, default_trait_grid, rescaled_curve
 
 ALL_KINDS = [
     ExpDecayProclivity(),
@@ -30,6 +28,7 @@ ALL_KINDS = [
 
 
 def test_w_exp_values():
+    w_exp = ExpDecayProclivity()
     assert w_exp(2) == pytest.approx(math.exp(-1), abs=1e-15)
     assert w_exp(20) == pytest.approx(math.exp(-10), abs=1e-18)
     assert w_exp(1) == pytest.approx(math.exp(-0.5), abs=1e-15)
@@ -37,6 +36,7 @@ def test_w_exp_values():
 
 
 def test_w_sig_values():
+    w_sig = SigmoidProclivity()
     assert w_sig(20) == pytest.approx(0.475, abs=1e-12)
     assert w_sig(2) == pytest.approx(0.9498827751528129, abs=1e-15)
     assert w_sig(-3) == 0.0
@@ -137,6 +137,49 @@ def test_learned_rejects_bad_delta_scale(delta_scale):
         LearnedProclivity(net=net, delta_scale=delta_scale)
     with pytest.raises(ValueError, match="delta_scale must be positive and finite"):
         LearnedProclivity.fresh(seed=4, delta_scale=delta_scale)
+
+
+def perturbed_nets():
+    """Eight learned proclivities, tanh and relu, every parameter moved off
+    its fresh value so that the outputs vary from gap to gap."""
+    rng = np.random.default_rng(71)
+    kinds = []
+    for activation in ("tanh", "relu"):
+        for seed, hidden in enumerate(((16, 16), (16, 16), (8,), (4, 3))):
+            kind = LearnedProclivity.fresh(seed=seed, hidden=hidden, activation=activation)
+            params = kind.net.params + rng.normal(scale=0.7, size=kind.net.params.size)
+            kinds.append(kind.with_net(kind.net._with_params(params)))
+    return kinds
+
+
+def test_learned_value_at_a_gap_does_not_depend_on_the_table_length():
+    # The net runs on fixed blocks of gaps, so a gap's value is the same bits
+    # alone, through the call and in a table of any length.
+    lengths = (2, 3, 62, 63, 64, 65, 127, 253, 261, 1000, 3999)
+    for kind in perturbed_nets():
+        alone = np.array([kind.values(np.array([g]))[0] for g in range(lengths[-1] + 1)])
+        assert np.unique(alone).size > 100
+        for gap in (0, 1, 2, 63, 64, 65, 253, 3999):
+            assert kind(gap) == alone[gap]
+        for n in lengths:
+            np.testing.assert_array_equal(kind.table(n), alone[: n + 1], err_msg=f"length {n}")
+
+
+def test_values_of_a_gap_matrix_are_its_elementwise_values():
+    rng = np.random.default_rng(72)
+    gaps = rng.integers(-2, 300, size=(37, 6))
+    gaps[0, 0] = NEVER
+    for kind in [*ALL_KINDS, *perturbed_nets()[::3]]:
+        matrix = kind.values(gaps)
+        assert matrix.shape == gaps.shape
+        expected = np.array([[kind(g) for g in row] for row in gaps.tolist()])
+        np.testing.assert_array_equal(matrix, expected, err_msg=kind.name)
+
+
+def test_no_kind_subclasses_another():
+    kinds = [type(kind) for kind in ALL_KINDS]
+    for kind in ALL_KINDS:
+        assert [k for k in kinds if isinstance(kind, k)] == [type(kind)]
 
 
 def test_learned_hidden_sizes_configurable():

@@ -7,7 +7,6 @@ import pytest
 
 import oracle
 from turntaking import (
-    EPS_FLOOR,
     Conversation,
     ExpDecayProclivity,
     FitConfig,
@@ -15,9 +14,9 @@ from turntaking import (
     LearnedProclivity,
     ModelBundle,
     Roster,
+    SigmoidProclivity,
     SynthConfig,
     TrainingSet,
-    ZeroProclivity,
     conversation_nll_gradients,
     evaluate,
     fit,
@@ -27,7 +26,9 @@ from turntaking import (
     traits_to_scores,
 )
 from turntaking import training
+from turntaking.model import EPS_FLOOR
 from turntaking.neural import DenseNet
+from turntaking.proclivity import ZeroProclivity
 from turntaking.training import (
     BLOCK_PROCLIVITY,
     BLOCK_SCORES,
@@ -142,8 +143,22 @@ def test_make_is_deterministic_and_seed_sensitive():
 def test_bundle_validation():
     with pytest.raises(ValueError):
         ModelBundle.make("mystery")
-    with pytest.raises(ValueError):
-        ModelBundle(variant="pro", proclivity=ExpDecayProclivity())
+    with pytest.raises(ValueError, match="needs f and g"):
+        ModelBundle(variant="exp", proclivity=ExpDecayProclivity())
+
+
+@pytest.mark.parametrize("variant, proclivity", [
+    ("pro", ExpDecayProclivity()),
+    ("exp", SigmoidProclivity()),
+    ("exp", LearnedProclivity.fresh(seed=1)),
+    ("hm", ZeroProclivity()),
+    ("nm", ExpDecayProclivity()),
+])
+def test_bundle_takes_only_its_variant_proclivity_kind(variant, proclivity):
+    # Each of these once made a bundle that a checkpoint misread or rejected.
+    nets = ModelBundle.make("exp", seed=2)
+    with pytest.raises(ValueError, match=f"variant {variant!r} takes the"):
+        ModelBundle(variant=variant, proclivity=proclivity, f_net=nets.f_net, g_net=nets.g_net)
 
 
 # ----------------------------------------------------------------- gradients
@@ -309,6 +324,21 @@ def assert_same_on_fresh_stacks(bundle, stacks, pairs):
             assert np.array_equal(grads[name], ref_grads[name])
 
 
+def test_gathered_table_is_the_proclivity_table_without_gap_one():
+    rng = np.random.default_rng(64)
+    stacks = _Stacks(mixed_shape_pairs(rng) + [make_pair(rng, members=6, turns=600)])
+    assert stacks.max_gap > 64
+    for proclivity in (warmed_bundle(rng, hidden=(16, 16)).proclivity,
+                       warmed_bundle(rng, activation="relu").proclivity,
+                       ExpDecayProclivity(), SigmoidProclivity(), ZeroProclivity()):
+        expected = proclivity.table(stacks.max_gap)
+        expected[1] = 0.0
+        tab = stacks.gather(proclivity)
+        for s, w in zip(stacks.stacks, tab.w):
+            assert np.array_equal(w, expected[s.gaps])
+        assert np.array_equal(tab.w_obs, expected[stacks.gap_obs])
+
+
 def test_reused_stacks_follow_a_changed_proclivity():
     rng = np.random.default_rng(57)
     bundle = warmed_bundle(rng)
@@ -358,7 +388,7 @@ def test_score_nets_run_once_per_split(monkeypatch):
     # forward of its own.
     from collections import Counter
 
-    from turntaking import neural
+    from turntaking import neural, proclivity
 
     rng = np.random.default_rng(63)
     stacks = _Stacks(mixed_shape_pairs(rng) + [make_pair(rng, members=5, turns=9)])
@@ -378,7 +408,7 @@ def test_score_nets_run_once_per_split(monkeypatch):
         return real_backward(net, cache, upstream, params)
 
     bundle = warmed_bundle(rng)
-    for module in (neural, training):
+    for module in (neural, proclivity, training):
         monkeypatch.setattr(module, "_forward", forward)
         monkeypatch.setattr(module, "_backward", backward)
 

@@ -212,6 +212,8 @@ def _agree(settings: dict, recorded: dict, source) -> dict:
 
 
 def cmd_generate(args) -> int:
+    if args.trial < 1:
+        raise ConfigError(f"--trial must be at least 1, got {args.trial}")
     config = experiment_config(resolve_settings(args))
     out = ensure_out_dir(args.out)
     dataset = generate_dataset(config.synth, trial=args.trial)

@@ -9,9 +9,9 @@ learned variants come to the ceiling.
 run_experiment drives the full protocol: per trial, generate a synthetic
 dataset, fit the learnable variants on the train/validation splits,
 evaluate every variant on the test groups, and compute rescaled proclivity
-curves. Numeric failures of individual fits (see ``NUMERIC_FAILURES``) are
-recorded and skipped rather than aborting the experiment; any other error
-propagates.
+curves. Numeric failures (see ``NUMERIC_FAILURES``) of a trial's data
+generation or of individual fits are recorded and skipped rather than
+aborting the experiment; any other error propagates.
 """
 
 from __future__ import annotations
@@ -187,9 +187,10 @@ def evaluate(model, groups) -> EvalSummary:
     )
 
 
-def model_curve(model, trait_grid=None, gaps=None) -> ProclivityCurve:
-    """Rescaled proclivity curve for a bundle or the true synthetic model."""
-    grid = default_trait_grid() if trait_grid is None else np.asarray(trait_grid, dtype=float)
+def model_curve(model, gaps=None) -> ProclivityCurve:
+    """Rescaled proclivity curve for a bundle or the true synthetic model,
+    its score ratio averaged over ``default_trait_grid``."""
+    grid = default_trait_grid()
     if isinstance(model, ModelBundle):
         scores = predict_scores(model, Roster(grid))
     else:
@@ -285,7 +286,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     result = TrialResult(trial=trial)
     try:
         dataset = generate_dataset(config.synth, trial)
-    except Exception as exc:  # data generation sinks the whole trial
+    except NUMERIC_FAILURES as exc:  # a numeric failure of generation sinks the whole trial
         for variant in config.variants:
             result.failures[variant] = f"generation failed: {exc}"
         return result

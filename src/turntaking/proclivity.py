@@ -19,7 +19,6 @@ from .neural import DenseNet, _backward, _forward, init_net, sigmoid
 DEFAULT_DELTA_SCALE = 20.0
 CURVE_DELTA_MIN = 2
 CURVE_DELTA_MAX = 40
-TRAIT_GRID_SIZE = 50
 # A learned proclivity's net runs on blocks of this many gaps (``_run_net``).
 BLOCK_ROWS = 64
 
@@ -185,8 +184,9 @@ class ProclivityCurve:
         object.__setattr__(self, "values", values)
 
 
-def default_trait_grid(low: float = 0.1, high: float = 1.0, size: int = TRAIT_GRID_SIZE) -> np.ndarray:
-    return np.linspace(low, high, size)
+def default_trait_grid() -> np.ndarray:
+    """The 50 traits from 0.1 to 1.0 that a curve's score ratio averages over."""
+    return np.linspace(0.1, 1.0, 50)
 
 
 def rescaled_curve(inherent, memory, proclivity, gaps=None) -> ProclivityCurve:

@@ -96,6 +96,8 @@ class SynthConfig:
             raise ValueError(f"trait interval must sit inside [{TRAIT_LOW}, {TRAIT_HIGH}]")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         by_name(self.proclivity)  # reject unknown names early
 
 

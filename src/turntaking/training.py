@@ -17,7 +17,6 @@ validation gains stall and returns the parameters of its lowest validation loss.
 from __future__ import annotations
 
 import logging
-import operator
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -189,21 +188,15 @@ _Scores = namedtuple("_Scores", "pi d low c pi_spk d_spk nets")
 _Table = namedtuple("_Table", "w w_obs backward")
 
 
-def _same(key: tuple, cached) -> bool:
-    return cached is not None and all(map(operator.is_, key, cached))
-
-
 class _Stacks:
-    """The stacks of one data split, its index vectors, and the model outputs
-    cached on them.
+    """The stacks of one data split and its index vectors: a fixed layout.
 
     Per turn: ``speaker`` is the speaker's row, ``gap_obs`` the gap at its
     cell, ``prev`` the slot of ``c`` to read. Per conversation: ``members``
     lists its rows, padded to the largest group with the row past the last,
-    ``sizes`` counts them, and ``last`` is its last turn. ``gather`` and
-    ``scores`` reuse their result while the same proclivity or score nets
-    come back: those are immutable values, and each cache holds what it was
-    built from, so identity is a safe key.
+    ``sizes`` counts them, and ``last`` is its last turn. A split holds no
+    model output: ``gather`` and ``scores`` build a new table or new scores
+    on every call, and the caller keeps them as long as it needs them.
     """
 
     def __init__(self, pairs):
@@ -241,39 +234,24 @@ class _Stacks:
         self.gap_obs = np.concatenate(gap_obs)
         self.max_gap = max(int(s.gaps.max(initial=0)) for s in self.stacks)
         self.turns = self.speaker.size
-        self._table_key = self._table = self._scores_key = self._scores = None
 
     def gather(self, proclivity, nu=None) -> _Table:
         """The proclivity's table over the split's gaps, zeroed at gap 1: that
         is the previous speaker's cell, which the pass leaves out.
 
-        The table is built once per proclivity, with its backward for the
-        gradient; while a block steps a learned one, ``nu`` is the parameter
-        vector that stands in for its net's.
+        The table comes with its backward for the gradient; ``nu``, a learned
+        proclivity's parameter vector, stands in for its net's.
         """
-        key = (proclivity, nu)
-        if not _same(key, self._table_key):
-            self._table = None  # the old W can go before the new is built
-            table, backward = proclivity._table_and_backward(self.max_gap, nu)
-            table[1:2] = 0.0
-            self._table = _Table([table[s.gaps] for s in self.stacks],
-                                 table.take(self.gap_obs), backward)
-            self._table_key = key
-        return self._table
+        table, backward = proclivity._table_and_backward(self.max_gap, nu)
+        table[1:2] = 0.0
+        return _Table([table[s.gaps] for s in self.stacks], table.take(self.gap_obs), backward)
 
-    def scores(self, bundle: ModelBundle, pair=None) -> _Scores:
-        """The split's ``_Scores`` under the bundle's f and g, or under ``pair``,
-        their stacked parameters while a block steps them. ``nm`` and ``hm``
-        both have no nets; their constant scores are never cached, so the two
-        can never share an entry."""
-        if bundle.variant in FIXED_SCORES:
-            return self.record(*(np.full(len(self.traits), v) for v in FIXED_SCORES[bundle.variant]))
-        key = (bundle.f_net, bundle.g_net) if pair is None else (pair, None)
-        if not _same(key, self._scores_key):
-            pair = bundle.pair if pair is None else pair
-            (pi, d), cache = _forward(bundle.f_net, self.traits, pair)
-            self._scores, self._scores_key = self.record(pi, d, (bundle.f_net, pair, cache)), key
-        return self._scores
+    def scores(self, f_net: DenseNet, pair: np.ndarray) -> _Scores:
+        """The split's ``_Scores`` under ``pair``, f's and g's parameters as
+        the rows of one (2, P) array, run on ``f_net``'s layout as one
+        stacked forward."""
+        (pi, d), acts = _forward(f_net, self.traits, pair)
+        return self.record(pi, d, (f_net, pair, acts))
 
     def record(self, pi: np.ndarray, d: np.ndarray, nets=None) -> _Scores:
         """``_Scores`` of per-member ``pi`` and ``d`` over the split's rows."""
@@ -321,9 +299,9 @@ def _pass(stacks: _Stacks, sc: _Scores, tab: _Table):
                               np.concatenate(w_floored), cells)
 
 
-def _mean_nll(bundle: ModelBundle, stacks: _Stacks) -> float:
+def _mean_nll(stacks: _Stacks, sc: _Scores, tab: _Table) -> float:
     """Mean per-turn NLL over every stack of a split; no gradients."""
-    totals, observed, _ = _pass(stacks, stacks.scores(bundle), stacks.gather(bundle.proclivity))
+    totals, observed, _ = _pass(stacks, sc, tab)
     nll = np.log(totals, out=totals).sum() - np.log(observed, out=observed).sum()
     return float(nll) / stacks.turns
 
@@ -394,18 +372,6 @@ def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarra
     return tab.backward(dtable)
 
 
-def _nll_gradients(bundle: ModelBundle, stacks: _Stacks, block: str) -> dict:
-    """Gradients of the mean per-turn NLL for one block, as vectors laid out
-    like each net's ``params`` and keyed "f", "g" or "nu"; empty when the
-    block holds no learnable parameters."""
-    sc, tab = stacks.scores(bundle), stacks.gather(bundle.proclivity)
-    if block == BLOCK_SCORES and bundle.variant in LEARNABLE_VARIANTS:
-        return dict(zip("fg", _score_gradient(stacks, sc, tab)))
-    if block == BLOCK_PROCLIVITY and bundle.learns_proclivity:
-        return {"nu": _proclivity_gradient(stacks, sc, tab)}
-    return {}
-
-
 def conversation_nll_gradients(bundle: ModelBundle, roster: Roster, conversation: Conversation,
                                block: str) -> dict:
     """Exact gradients of one conversation's mean per-turn NLL.
@@ -415,31 +381,17 @@ def conversation_nll_gradients(bundle: ModelBundle, roster: Roster, conversation
     "nu", to a vector shaped like that net's ``params``. Variants without
     learnable parameters in the block yield an empty dict.
     """
-    if block not in (BLOCK_SCORES, BLOCK_PROCLIVITY):
+    learns = {BLOCK_SCORES: bundle.variant in LEARNABLE_VARIANTS,
+              BLOCK_PROCLIVITY: bundle.learns_proclivity}
+    if block not in learns:
         raise ValueError(f"unknown block {block!r}")
-    return _nll_gradients(bundle, _Stacks([(roster, conversation)]), block)
-
-
-def _descend_scores(bundle: ModelBundle, stacks, cfg: FitConfig, state):
-    """``score_epochs`` Adam steps on f and g as one stacked pair, with one
-    Adam state (``None`` at first); the two nets are built once, at the end."""
-    tab, pair = stacks.gather(bundle.proclivity), None
-    for _ in range(cfg.score_epochs):
-        sc = stacks.scores(bundle, pair)
-        pair, state = _adam(sc.nets[1], _score_gradient(stacks, sc, tab), state, cfg.step)
-    f_net, g_net = (bundle.f_net._with_params(params) for params in pair)
-    return replace(bundle, f_net=f_net, g_net=g_net), state
-
-
-def _descend_proclivity(bundle: ModelBundle, stacks, cfg: FitConfig, state):
-    """``proclivity_epochs`` Adam steps on nu's parameter vector (``state`` is
-    the block's, ``None`` at first); the proclivity is built once, at the end."""
-    sc, prox, nu = stacks.scores(bundle), bundle.proclivity, None
-    for _ in range(cfg.proclivity_epochs):
-        grads = _proclivity_gradient(stacks, sc, stacks.gather(prox, nu))
-        nu, state = _adam(prox.net.params if nu is None else nu, grads, state, cfg.step)
-    net = prox.net._with_params(nu)
-    return replace(bundle, proclivity=prox.with_net(net)), state
+    if not learns[block]:
+        return {}
+    stacks = _Stacks([(roster, conversation)])
+    sc, tab = stacks.scores(bundle.f_net, bundle.pair), stacks.gather(bundle.proclivity)
+    if block == BLOCK_SCORES:
+        return dict(zip("fg", _score_gradient(stacks, sc, tab)))
+    return {"nu": _proclivity_gradient(stacks, sc, tab)}
 
 
 def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None = None) -> FitResult:
@@ -451,37 +403,48 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     after ``patience`` iterations in a row without a gain over the best
     validation loss of more than ``MIN_GAIN`` of it, and returns the snapshot
     of the lowest. ``nm`` and ``hm`` have nothing to fit and come back as is.
+
+    The loop carries the parameters, f's and g's as one (2, P) ``pair`` and
+    nu's vector (``None`` for ``exp``), with the train split's scores and
+    table under them: each step rebuilds the one its block moved, and the
+    nets are built once, from the best snapshot, at the end.
     """
     cfg = config or FitConfig()
     if bundle.variant not in LEARNABLE_VARIANTS:
         return FitResult(bundle=bundle, history=[])
 
-    train_stacks = _Stacks(training_set.train)
-    val_stacks = _Stacks(training_set.val) if training_set.val else None
+    train = _Stacks(training_set.train)
+    val = _Stacks(training_set.val) if training_set.val else None
+    f_net, prox = bundle.f_net, bundle.proclivity
+    pair, nu = bundle.pair, prox.net.params if bundle.learns_proclivity else None
+    sc, tab = train.scores(f_net, pair), train.gather(prox, nu)
 
-    def losses(b: ModelBundle):
-        train = _mean_nll(b, train_stacks)
-        val = _mean_nll(b, val_stacks) if val_stacks else train
-        return train, val
+    def losses(sc, tab, pair, nu):
+        now = _mean_nll(train, sc, tab)
+        return now, _mean_nll(val, val.scores(f_net, pair), val.gather(prox, nu)) if val else now
 
-    train_loss, val_loss = losses(bundle)
+    train_loss, val_loss = losses(sc, tab, pair, nu)
     history = [(0, train_loss, val_loss)]
-    best_bundle, best_val, best_outer = bundle, val_loss, 0
+    best, best_val, best_outer = (pair, nu), val_loss, 0
     stall, stop_reason = 0, "max_outer"
     score_state = prox_state = None
 
     for outer in range(1, cfg.max_outer + 1):
-        bundle, score_state = _descend_scores(bundle, train_stacks, cfg, score_state)
-        if bundle.learns_proclivity:
-            bundle, prox_state = _descend_proclivity(bundle, train_stacks, cfg, prox_state)
-        train_loss, val_loss = losses(bundle)
+        for _ in range(cfg.score_epochs):
+            pair, score_state = _adam(pair, _score_gradient(train, sc, tab), score_state, cfg.step)
+            sc = train.scores(f_net, pair)
+        if nu is not None:
+            for _ in range(cfg.proclivity_epochs):
+                nu, prox_state = _adam(nu, _proclivity_gradient(train, sc, tab), prox_state, cfg.step)
+                tab = train.gather(prox, nu)
+        train_loss, val_loss = losses(sc, tab, pair, nu)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise FitDivergenceError(f"non-finite loss at outer iteration {outer} "
                                      f"(train={train_loss}, val={val_loss})")
         history.append((outer, train_loss, val_loss))
         gained = best_val - val_loss > MIN_GAIN * abs(best_val)
         if val_loss < best_val:
-            best_bundle, best_val, best_outer = bundle, val_loss, outer
+            best, best_val, best_outer = (pair, nu), val_loss, outer
         stall = 0 if gained else stall + 1
         if stall >= cfg.patience:
             stop_reason = "patience"
@@ -493,6 +456,11 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
             "was still improving (best %.6g at the last iteration); it has not converged",
             bundle.variant, cfg.max_outer, best_val,
         )
+    pair, nu = best
+    f_net, g_net = (f_net._with_params(params) for params in pair)
+    if nu is not None:
+        prox = prox.with_net(prox.net._with_params(nu))
     return FitResult(
-        bundle=best_bundle, history=history, best_outer=best_outer, stop_reason=stop_reason
+        bundle=replace(bundle, f_net=f_net, g_net=g_net, proclivity=prox),
+        history=history, best_outer=best_outer, stop_reason=stop_reason,
     )

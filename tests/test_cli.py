@@ -136,6 +136,25 @@ def test_experiment_zero_delta_scale_is_usage_error(capsys, tmp_path):
     assert not out.exists()
 
 
+# A bad seed or trial is a setting error, not a numpy traceback (exit 1) or a
+# numeric failure of every trial (exit 4). Trials are numbered from 1.
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [("generate", ["--seed", "-1"], "master_seed must be nonnegative, got -1"),
+     ("generate", ["--trial", "-1"], "--trial must be at least 1, got -1"),
+     ("experiment", ["--seed", "-1"], "master_seed must be nonnegative, got -1")],
+    ids=["generate-seed", "generate-trial", "experiment-seed"],
+)
+def test_negative_seed_or_trial_is_usage_error(capsys, tmp_path, command, flags, message):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(TINY_DATA + "trials=1\nmax_outer=2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, "--config", cfg, "--out", out, *flags)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_experiment_worker_count_below_one_is_usage_error(capsys, tmp_path, workers):
     cfg = tmp_path / "one.cfg"

@@ -292,6 +292,31 @@ def test_programming_error_in_fit_propagates(monkeypatch):
         _run_trial(tiny_experiment_config(variants=("exp",)), trial=1)
 
 
+def test_numeric_failure_of_generation_fails_every_variant(monkeypatch):
+    import turntaking.evaluation as ev
+
+    def degenerate(config, trial):
+        raise ev.DegenerateDistributionError("no eligible speaker")
+
+    monkeypatch.setattr(ev, "generate_dataset", degenerate)
+    result = _run_trial(tiny_experiment_config(variants=("exp", "nm")), trial=1)
+    assert result.failed
+    assert result.failures == {variant: "generation failed: no eligible speaker"
+                               for variant in ("exp", "nm")}
+
+
+def test_programming_error_in_generation_propagates(monkeypatch):
+    # A bug in generation is not a failed trial: it must surface.
+    import turntaking.evaluation as ev
+
+    def broken(config, trial):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(ev, "generate_dataset", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        _run_trial(tiny_experiment_config(variants=("exp",)), trial=1)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(variants=())

@@ -34,10 +34,9 @@ from turntaking.training import (
     BLOCK_SCORES,
     MIN_GAIN,
     _Stacks,
-    _descend_proclivity,
-    _descend_scores,
     _mean_nll,
-    _nll_gradients,
+    _proclivity_gradient,
+    _score_gradient,
     predict_scores,
 )
 
@@ -249,6 +248,15 @@ def test_compact_labels_keep_flat_indices_exact(members, turns):
     assert_gradients_match_finite_differences(bundle, roster, conversation)
 
 
+def split_parts(bundle, stacks):
+    """A split's scores and table under a learnable bundle, as ``fit`` builds them."""
+    return stacks.scores(bundle.f_net, bundle.pair), stacks.gather(bundle.proclivity)
+
+
+def split_loss(bundle, stacks):
+    return _mean_nll(stacks, *split_parts(bundle, stacks))
+
+
 def test_batched_loss_matches_public_path():
     # Checked against the oracle, not evaluate: evaluate runs the same pass.
     rng = np.random.default_rng(45)
@@ -267,7 +275,7 @@ def test_batched_loss_matches_public_path():
                 roster.size,
             )
         )
-    assert _mean_nll(bundle, stacks) == pytest.approx(np.mean(per_group), abs=1e-12)
+    assert split_loss(bundle, stacks) == pytest.approx(np.mean(per_group), abs=1e-12)
 
 
 def mixed_shape_pairs(rng):
@@ -283,25 +291,22 @@ def assert_split_gradients_match_finite_differences(bundle, stacks, h=1e-5):
     """Every parameter's gradient on a split against central differences of its loss."""
     from dataclasses import replace
 
-    def loss(b):
-        return _mean_nll(b, stacks)
-
     attach = {
         "f": lambda n: replace(bundle, f_net=n),
         "g": lambda n: replace(bundle, g_net=n),
         "nu": lambda n: replace(bundle, proclivity=bundle.proclivity.with_net(n)),
     }
     nets = {"f": bundle.f_net, "g": bundle.g_net, "nu": bundle.proclivity.net}
-    for block, names in ((BLOCK_SCORES, ("f", "g")), (BLOCK_PROCLIVITY, ("nu",))):
-        grads = _nll_gradients(bundle, stacks, block)
-        assert set(grads) == set(names)
-        for name in names:
-            net = nets[name]
-            for i in range(net.params.size):
-                hi = loss(attach[name](nudged_net(net, i, h)))
-                lo = loss(attach[name](nudged_net(net, i, -h)))
-                fd = (hi - lo) / (2 * h)
-                assert grads[name][i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+    sc, tab = split_parts(bundle, stacks)
+    grads = {**dict(zip("fg", _score_gradient(stacks, sc, tab))),
+             "nu": _proclivity_gradient(stacks, sc, tab)}
+    for name, net in nets.items():
+        assert grads[name].shape == net.params.shape
+        for i in range(net.params.size):
+            hi = split_loss(attach[name](nudged_net(net, i, h)), stacks)
+            lo = split_loss(attach[name](nudged_net(net, i, -h)), stacks)
+            fd = (hi - lo) / (2 * h)
+            assert grads[name][i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 def test_batched_gradients_match_finite_differences_across_stacks():
@@ -310,18 +315,6 @@ def test_batched_gradients_match_finite_differences_across_stacks():
     stacks = _Stacks(mixed_shape_pairs(rng))
     assert sorted(s.gaps.shape[0] for s in stacks.stacks) == [1, 2]
     assert_split_gradients_match_finite_differences(bundle, stacks)
-
-
-def assert_same_on_fresh_stacks(bundle, stacks, pairs):
-    """Loss and both blocks' gradients on ``stacks`` equal those on a fresh build."""
-    fresh = _Stacks(pairs)
-    assert _mean_nll(bundle, stacks) == _mean_nll(bundle, fresh)
-    for block in (BLOCK_SCORES, BLOCK_PROCLIVITY):
-        grads = _nll_gradients(bundle, stacks, block)
-        ref_grads = _nll_gradients(bundle, fresh, block)
-        assert set(grads) == set(ref_grads)
-        for name in grads:
-            assert np.array_equal(grads[name], ref_grads[name])
 
 
 def test_gathered_table_is_the_proclivity_table_without_gap_one():
@@ -339,113 +332,72 @@ def test_gathered_table_is_the_proclivity_table_without_gap_one():
         assert np.array_equal(tab.w_obs, expected[stacks.gap_obs])
 
 
-def test_reused_stacks_follow_a_changed_proclivity():
+def test_a_split_holds_no_model_output():
+    # A split is a fixed layout, and fit reuses one table across the score
+    # epochs and one set of scores across the proclivity epochs: a pass and
+    # both gradients change none of them.
+    import pickle
+
     rng = np.random.default_rng(57)
     bundle = warmed_bundle(rng)
-    pairs = mixed_shape_pairs(rng)
-    stacks = _Stacks(pairs)
-    before = _mean_nll(bundle, stacks)
+    stacks = _Stacks(mixed_shape_pairs(rng))
+    pickled = pickle.dumps(vars(stacks))
+    sc, tab = split_parts(bundle, stacks)
 
-    moved, _ = _descend_proclivity(bundle, stacks, FitConfig(step=0.5), None)
-    assert moved.proclivity is not bundle.proclivity
-    assert stacks.gather(moved.proclivity) is stacks.gather(moved.proclivity)
-    assert_same_on_fresh_stacks(moved, stacks, pairs)
-    assert stacks.turns == _Stacks(pairs).turns
-    assert _mean_nll(moved, stacks) != before
+    def outputs():
+        return [*sc[:6], *tab.w, tab.w_obs]
 
-
-def test_reused_stacks_follow_changed_score_nets():
-    # The score cache must be rebuilt whenever either net changes, and only
-    # the pair of nets it was built from may hit it.
-    from dataclasses import replace
-
-    rng = np.random.default_rng(58)
-    bundle = warmed_bundle(rng)
-    pairs = mixed_shape_pairs(rng)
-    stacks = _Stacks(pairs)
-    before = _mean_nll(bundle, stacks)
-
-    moved, _ = _descend_scores(bundle, stacks, FitConfig(step=0.5), None)
-    assert moved.f_net is not bundle.f_net and moved.g_net is not bundle.g_net
-    assert stacks.scores(moved) is stacks.scores(moved)
-    # After the first, each step changes one net from the step before: f, f, g, f.
-    for variant in (
-        moved,
-        replace(moved, f_net=bundle.f_net),
-        moved,
-        replace(moved, g_net=bundle.g_net),
-        bundle,
-    ):
-        assert_same_on_fresh_stacks(variant, stacks, pairs)
-    assert _mean_nll(moved, stacks) != before
+    kept = [a.copy() for a in outputs()]
+    _mean_nll(stacks, sc, tab)
+    _score_gradient(stacks, sc, tab)
+    _proclivity_gradient(stacks, sc, tab)
+    assert pickle.dumps(vars(stacks)) == pickled
+    assert all(np.array_equal(a, b) for a, b in zip(outputs(), kept))
 
 
 def test_score_nets_run_once_per_split(monkeypatch):
-    # However many stacks a split holds, a new pair of score nets runs as one
-    # stacked forward and a scores-block gradient as one stacked backward. A
-    # new proclivity runs its net forward once, for its table, and the
-    # proclivity gradient runs its backward from those activations, with no
-    # forward of its own.
-    from collections import Counter
-
+    # However many stacks a split holds, each score epoch of a fit runs one
+    # stacked forward for the new pair, and each proclivity epoch one net
+    # forward for the new table; a validation loss runs one of each. A
+    # gradient runs one backward from the activations it was given and no
+    # forward of its own, and no loss pass runs anything.
     from turntaking import neural, proclivity
 
     rng = np.random.default_rng(63)
-    stacks = _Stacks(mixed_shape_pairs(rng) + [make_pair(rng, members=5, turns=9)])
-    assert len(stacks.stacks) == 3
-    calls = Counter()
-    real_forward, real_backward = neural._forward, neural._backward
+    train = mixed_shape_pairs(rng) + [make_pair(rng, members=5, turns=9)]
+    val = [make_pair(rng, members=3, turns=10), make_pair(rng, members=4, turns=12)]
+    assert len(_Stacks(train).stacks) == 3 and len(_Stacks(val).stacks) == 2
+    events = []
 
-    def kind(params):
-        return "pair" if params is not None and params.ndim == 2 else "net"
+    def spy(module, name, tag=None):
+        # ``tag`` names a call by the parameters it ran on: argument 2 of
+        # ``_forward``, argument 3 of ``_backward``.
+        real = getattr(module, name)
 
-    def forward(net, x, params=None):
-        calls["forward", kind(params)] += 1
-        return real_forward(net, x, params)
+        def call(*args):
+            events.append(f"{name[1:]} {'pair' if args[tag].ndim == 2 else 'net'}"
+                          if tag else name)
+            return real(*args)
 
-    def backward(net, cache, upstream, params=None):
-        calls["backward", kind(params)] += 1
-        return real_backward(net, cache, upstream, params)
+        monkeypatch.setattr(module, name, call)
 
-    bundle = warmed_bundle(rng)
+    bundles = {variant: warmed_bundle(rng, variant=variant) for variant in ("pro", "exp")}
     for module in (neural, proclivity, training):
-        monkeypatch.setattr(module, "_forward", forward)
-        monkeypatch.setattr(module, "_backward", backward)
+        spy(module, "_forward", 2)
+        spy(module, "_backward", 3)
+    for name in ("_adam", "_mean_nll", "_score_gradient", "_proclivity_gradient"):
+        spy(training, name)
 
-    def seen(pair_forward, net_forward, pair_backward, net_backward):
-        return calls == Counter({
-            ("forward", "pair"): pair_forward, ("forward", "net"): net_forward,
-            ("backward", "pair"): pair_backward, ("backward", "net"): net_backward,
-        })
-
-    _nll_gradients(bundle, stacks, BLOCK_SCORES)
-    assert seen(1, 1, 1, 0)
-    _nll_gradients(bundle, stacks, BLOCK_SCORES)
-    assert seen(1, 1, 2, 0)
-    _nll_gradients(bundle, stacks, BLOCK_PROCLIVITY)
-    _mean_nll(bundle, stacks)
-    assert seen(1, 1, 2, 1)
-    moved, _ = _descend_scores(bundle, stacks, FitConfig(score_epochs=1), None)
-    _mean_nll(moved, stacks)
-    assert seen(2, 1, 3, 1)
-    # The second epoch's table is the block's only new one until the end.
-    moved, _ = _descend_proclivity(moved, stacks, FitConfig(proclivity_epochs=2), None)
-    assert seen(2, 2, 3, 3)
-    _mean_nll(moved, stacks)
-    assert seen(2, 3, 3, 3)
-
-
-def test_nm_and_hm_do_not_share_cached_scores():
-    # Both variants have (None, None) nets; each must still score as itself.
-    rng = np.random.default_rng(59)
-    pairs = mixed_shape_pairs(rng)
-    stacks = _Stacks(pairs)
-    nm, hm = ModelBundle.make("nm"), ModelBundle.make("hm")
-    nm_loss = _mean_nll(nm, stacks)
-    hm_loss = _mean_nll(hm, stacks)
-    assert nm_loss == _mean_nll(nm, _Stacks(pairs))
-    assert hm_loss == _mean_nll(hm, _Stacks(pairs))
-    assert nm_loss != hm_loss
+    cfg = FitConfig(step=0.05, max_outer=3, score_epochs=2, proclivity_epochs=3, patience=10)
+    score_epoch = ["_score_gradient", "backward pair", "_adam", "forward pair"]
+    prox_epoch = ["_proclivity_gradient", "backward net", "_adam", "forward net"]
+    for variant, table, epochs in (("pro", ["forward net"], prox_epoch), ("exp", [], [])):
+        events.clear()
+        result = fit(bundles[variant], TrainingSet(train, val), cfg)
+        assert len(result.history) == 4
+        losses = ["_mean_nll", "forward pair", *table, "_mean_nll"]
+        outer = score_epoch * cfg.score_epochs + epochs * cfg.proclivity_epochs + losses
+        assert events == ["forward pair", *table, *losses, *outer * cfg.max_outer]
 
 
 def test_stacks_group_mixed_shapes():
@@ -461,7 +413,7 @@ def test_stacks_group_mixed_shapes():
     per_group = [bundle_loss(bundle, r, c) for r, c in pairs]
     turns = [len(c) for _, c in pairs]
     expected = np.dot(per_group, turns) / sum(turns)
-    assert _mean_nll(bundle, stacks) == pytest.approx(expected, abs=1e-12)
+    assert split_loss(bundle, stacks) == pytest.approx(expected, abs=1e-12)
 
 
 def test_gap_one_marks_exactly_the_previous_speaker():
@@ -582,7 +534,7 @@ def test_split_pass_matches_the_oracle_at_conversation_boundaries():
     groups = [Group(group_id=k, roster=r, scores=None, conversation=c)
               for k, (r, c) in enumerate(pairs)]
     assert evaluate(bundle, groups).nll == pytest.approx(
-        _mean_nll(bundle, _Stacks(pairs)), abs=1e-12
+        split_loss(bundle, _Stacks(pairs)), abs=1e-12
     )
 
 
@@ -670,21 +622,29 @@ def test_fit_exp_never_touches_the_proclivity():
     assert result.bundle.f_net != bundle.f_net
 
 
-def test_descent_blocks_are_isolated():
+def test_descent_blocks_are_isolated(monkeypatch):
+    # The score block steps only the (2, P) pair of f and g, the proclivity
+    # block only nu's vector, each from where its own last step left it and
+    # with its own Adam state.
     rng = np.random.default_rng(53)
     bundle = ModelBundle.make("pro", seed=4, hidden=(6,))
-    stacks = _Stacks([make_pair(rng, turns=30)])
-    cfg = FitConfig(step=0.05)
+    steps, real_adam = [], training._adam
 
-    after_scores, _ = _descend_scores(bundle, stacks, cfg, None)
-    assert after_scores.proclivity is bundle.proclivity
-    assert after_scores.f_net != bundle.f_net
-    assert after_scores.g_net != bundle.g_net
+    def adam(params, grad, state, step):
+        moved, new_state = real_adam(params, grad, state, step)
+        steps.append((params, state, moved, new_state))
+        return moved, new_state
 
-    after_prox, _ = _descend_proclivity(bundle, stacks, cfg, None)
-    assert after_prox.f_net is bundle.f_net
-    assert after_prox.g_net is bundle.g_net
-    assert after_prox.proclivity.net != bundle.proclivity.net
+    monkeypatch.setattr(training, "_adam", adam)
+    cfg = FitConfig(step=0.05, max_outer=2, score_epochs=2, proclivity_epochs=3, patience=5)
+    fit(bundle, TrainingSet([make_pair(rng, turns=30)]), cfg)
+    assert [params.ndim for params, *_ in steps] == [2, 2, 1, 1, 1] * 2
+    for block, start in ((2, bundle.pair), (1, bundle.proclivity.net.params)):
+        own = [step for step in steps if step[0].ndim == block]
+        assert np.array_equal(own[0][0], start) and own[0][1] is None
+        for (params, state, _, _), (_, _, moved, new_state) in zip(own[1:], own):
+            assert params is moved and state is new_state
+        assert [state[0] for *_, state in own] == list(range(1, len(own) + 1))
 
 
 def test_fit_early_stopping_truncates_history(caplog):
@@ -717,11 +677,11 @@ def test_fit_early_stopping_truncates_history(caplog):
 
 
 def scripted_fit(monkeypatch, losses, patience):
-    """``fit`` with one scripted loss per evaluation; also the bundles it scored."""
+    """``fit`` with one scripted loss per evaluation; also the score pairs it scored."""
     scored, script = [], iter(losses)
 
-    def scripted_nll(bundle, stacks):
-        scored.append(bundle)
+    def scripted_nll(stacks, sc, tab):
+        scored.append(sc.nets[1])
         return next(script)
 
     monkeypatch.setattr(training, "_mean_nll", scripted_nll)
@@ -741,7 +701,7 @@ def test_negligible_validation_gains_do_not_reset_patience(monkeypatch, caplog):
     assert len(result.history) == 8
     # The snapshot still follows the lowest loss, the last one.
     assert result.best_outer == 7
-    assert result.bundle is scored[7]
+    assert np.array_equal(result.bundle.pair, scored[7])
     assert caplog.records == []
 
 
@@ -754,7 +714,7 @@ def test_relative_gain_above_min_gain_resets_patience(monkeypatch):
     assert result.stop_reason == "patience"
     assert len(result.history) == 4 + 5 + 1
     assert result.best_outer == 4
-    assert result.bundle is scored[4]
+    assert np.array_equal(result.bundle.pair, scored[4])
 
 
 def test_default_fit_converges_before_the_cap(caplog):

@@ -107,7 +107,6 @@ _KEYS = {
     "proclivity": (str, "synth"),
     "trials": (int, "synth"),
     "seed": (int, "synth"),
-    "step": (float, "fit"),
     "max_outer": (int, "fit"),
     "score_epochs": (int, "fit"),
     "proclivity_epochs": (int, "fit"),
@@ -255,12 +254,14 @@ def cmd_fit(args) -> int:
         _manifest_entries(
             "fit", config, ("seed", *_keys_in("fit"), "hidden", "delta_scale", "activation"),
             {"variant": args.variant, "data": args.data,
-             "best_outer": result.best_outer, "stop_reason": result.stop_reason},
+             "best_outer": result.best_outer, "stop_reason": result.stop_reason,
+             "passes": result.passes},
         ),
     )
     log.info(
-        "fit %s: %d outer iterations (stopped on %s), best validation loss %.6f at iteration %d",
-        args.variant, len(result.history) - 1, result.stop_reason,
+        "fit %s: %d outer iterations (stopped on %s), %d likelihood passes, "
+        "best validation loss %.6f at iteration %d",
+        args.variant, len(result.history) - 1, result.stop_reason, result.passes,
         min(row[2] for row in result.history), result.best_outer,
     )
     return EXIT_OK
@@ -423,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--data", type=Path, required=True, metavar="DIR",
                        help="dataset directory from generate")
     fit_p.add_argument("--variant", required=True, choices=VARIANTS)
-    fit_p.add_argument("--step", type=float, help="Adam learning rate")
     fit_p.add_argument("--max-outer", dest="max_outer", type=int,
                        help="outer iteration cap")
     fit_p.add_argument("--patience", type=int, help="early-stop patience")

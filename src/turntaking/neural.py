@@ -5,12 +5,10 @@ output head, used to map traits to speaking scores and gaps to proclivity
 values. Gradients are computed analytically and are verified against central
 finite differences in the test suite. Networks are treated as values:
 each holds its parameters in one read-only vector, and a gradient is a
-vector of the same layout. Adam (``adam_step``) returns a fresh network and
-never mutates its input; it works element by element, so it runs on that
-one vector per net. Nets of one layout also run as a stack: their vectors
-are the rows of one (K, P) array, each layer's weights a (K, out, in) view,
-and one batched forward and backward serve all K on a shared input; Adam
-steps the whole array.
+vector of the same layout; ``training.fit`` steps such vectors and builds
+new nets from them. Nets of one layout also run as a stack: their vectors are the
+rows of one (K, P) array, each layer's weights a (K, out, in) view, and one
+batched forward and backward serve all K on a shared input.
 """
 
 from __future__ import annotations
@@ -198,44 +196,3 @@ def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:
             dz = da * act_prime(acts[l])
     return grads
 
-
-def _adam(params: np.ndarray, grad: np.ndarray, state, step: float):
-    """``adam_step`` on a parameter array of any shape: ``(new_params, new_state)``.
-    It works element by element, so a (K, P) stack of nets steps as its K
-    nets would one by one. The new parameters come back read-only."""
-    if not np.isfinite(step):
-        raise ValueError("step size must be finite")
-    b1, b2, eps = 0.9, 0.999, 1e-8  # fixed, not settings
-    t, m, v = state or (0, np.zeros_like(grad), np.zeros_like(grad))
-    t += 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = b1 * m + (1.0 - b1) * grad
-        v = b2 * v + (1.0 - b2) * (grad * grad)
-    # v is finite exactly when every gradient so far was finite and squared
-    # without overflow, and m is a running mean of those same gradients.
-    if not np.isfinite(v).all():
-        raise FloatingPointError("non-finite or overflowing gradient in an Adam step")
-    root_c2 = np.sqrt(1.0 - b2**t)
-    direction = m / (np.sqrt(v) + eps * root_c2)
-    # An overflow is reported by the check below, not by numpy's warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        moved = params - step * root_c2 / (1.0 - b1**t) * direction
-    if not np.isfinite(moved).all():
-        raise FloatingPointError("gradient step produced non-finite parameters")
-    moved.flags.writeable = False
-    return moved, (t, m, v)
-
-
-def adam_step(net: DenseNet, grad: np.ndarray, state, step: float):
-    """One Adam step (Kingma & Ba, arXiv:1412.6980); returns ``(new_net, new_state)``.
-
-    ``grad`` is a vector laid out as the net's ``params``. ``state`` is
-    ``None`` at first, then the ``(t, m, v)`` the last call returned: the
-    step count and the two moment vectors, laid out the same way. Nothing
-    passed in is mutated. Folding the bias corrections into ``step`` and eps
-    is exact. Raises FloatingPointError when a gradient is not finite or too
-    large to square, or when a parameter leaves the finite range, so a
-    diverging fit is told apart from invalid input.
-    """
-    params, state = _adam(net.params, grad, state, step)
-    return net._with_params(params), state

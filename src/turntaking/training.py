@@ -7,23 +7,25 @@ Four variants share one evaluation interface:
 * ``nm``: no memory; every member scores 1 with a zero proclivity.
 * ``hm``: high memory; inherent 0.01, memory 1, fixed exp(-gap/2) proclivity.
 
-Fitting alternates Adam epochs on the score networks (f, g) with Adam
-epochs on the proclivity network, which sidesteps the unstable gradients of
-their product. Every epoch uses full-batch gradients of the mean per-turn
-negative log-likelihood over all training conversations; the fit stops when
-validation gains stall and returns the parameters of its lowest validation loss.
+Fitting alternates limited-memory BFGS steps on the score networks (f, g)
+with L-BFGS steps on the proclivity network, which sidesteps the unstable
+gradients of their product. Every step runs on the full-batch mean per-turn
+negative log-likelihood over all training conversations, with an Armijo
+backtracking line search (Liu & Nocedal 1989; Nocedal & Wright 2006, Alg. 7.4
+and 3.1); the fit stops when validation gains stall and returns the
+parameters of its lowest validation loss.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import EPS_FLOOR, Conversation, Roster, ScoreParams, gap_matrix
-from .neural import DenseNet, _adam, _backward, _forward, init_net
+from .neural import DenseNet, _backward, _forward, init_net
 from .proclivity import DEFAULT_DELTA_SCALE, LearnedProclivity, by_name
 
 log = logging.getLogger(__name__)
@@ -43,6 +45,17 @@ BLOCK_PROCLIVITY = "proclivity"
 
 # Relative gain over the best validation loss that resets the patience count.
 MIN_GAIN = 1e-4
+
+# The L-BFGS block steps; fixed, not settings. A block keeps its last MEMORY
+# (s, y) pairs. No trial moves a parameter by more than MAX_MOVE. A trial is
+# accepted on Armijo's sufficient decrease with constant ARMIJO, and the line
+# search halves the step at most MAX_TRIALS times. A block ends once a step
+# gains less than BLOCK_GAIN of the train loss.
+MEMORY = 10
+MAX_MOVE = 0.3
+ARMIJO = 1e-4
+MAX_TRIALS = 30
+BLOCK_GAIN = MIN_GAIN / 10
 
 
 class FitDivergenceError(RuntimeError):
@@ -118,17 +131,14 @@ def predict_scores(bundle: ModelBundle, roster: Roster) -> ScoreParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the block coordinate descent fit; ``step`` is the Adam learning rate."""
+    """Knobs for the block coordinate descent fit; an epoch is one L-BFGS step."""
 
-    step: float = 0.01
     max_outer: int = 200
     score_epochs: int = 5
     proclivity_epochs: int = 5
     patience: int = 20
 
     def __post_init__(self):
-        if not 0 < self.step < np.inf:
-            raise ValueError(f"step must be positive and finite, got {self.step}")
         if min(self.max_outer, self.score_epochs, self.proclivity_epochs) <= 0:
             raise ValueError("max_outer and epoch counts must be positive")
         if self.patience < 1:
@@ -153,13 +163,15 @@ class FitResult:
 
     ``stop_reason`` says why the fit ended: ``"patience"`` when validation
     stopped improving, ``"max_outer"`` at the iteration cap, and ``None``
-    for the variants that have nothing to fit.
+    for the variants that have nothing to fit. ``passes`` counts the
+    likelihood passes the fit ran, train and validation together.
     """
 
     bundle: ModelBundle
     history: list
     best_outer: int = 0
     stop_reason: str | None = None
+    passes: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +311,26 @@ def _pass(stacks: _Stacks, sc: _Scores, tab: _Table):
                               np.concatenate(w_floored), cells)
 
 
+def _nll(stacks: _Stacks, passed) -> float:
+    """Mean per-turn NLL from a split's ``_pass``, which it leaves as it was."""
+    totals, observed, _ = passed
+    return float(np.log(totals).sum() - np.log(observed).sum()) / stacks.turns
+
+
 def _mean_nll(stacks: _Stacks, sc: _Scores, tab: _Table) -> float:
     """Mean per-turn NLL over every stack of a split; no gradients."""
-    totals, observed, _ = _pass(stacks, sc, tab)
-    nll = np.log(totals, out=totals).sum() - np.log(observed, out=observed).sum()
-    return float(nll) / stacks.turns
+    return _nll(stacks, _pass(stacks, sc, tab))
 
 
-def _slopes(stacks: _Stacks, sc: _Scores, tab: _Table):
-    """``(1/total, 1/observed, floored)`` per turn: each eligible cell's score
-    has slope ``1/total``, less ``1/observed`` at the observed speaker's cell.
+def _slopes(passed):
+    """``(1/total, 1/observed, floored)`` per turn from a ``_pass``, computed
+    in its arrays: each eligible cell's score has slope ``1/total``, less
+    ``1/observed`` at the observed speaker's cell.
 
     A floored score is a constant: the observed speaker's loses its
     1/observed here, and every floored cell the 1/total of its turn.
     """
-    totals, observed, floored = _pass(stacks, sc, tab)
+    totals, observed, floored = passed
     lost = observed <= EPS_FLOOR if floored is not None else None
     inv_observed = np.divide(1.0, observed, out=observed)
     if lost is not None:
@@ -321,9 +338,13 @@ def _slopes(stacks: _Stacks, sc: _Scores, tab: _Table):
     return np.divide(1.0, totals, out=totals), inv_observed, floored
 
 
-def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarray:
-    """(2, P) gradient of the mean per-turn NLL in f's and g's parameters."""
-    inv_totals, inv_observed, floored = _slopes(stacks, sc, tab)
+def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table, passed=None) -> np.ndarray:
+    """(2, P) gradient of the mean per-turn NLL in f's and g's parameters.
+
+    ``passed`` is the ``_pass`` at ``(sc, tab)`` if one already ran; the
+    gradient uses up its arrays.
+    """
+    inv_totals, inv_observed, floored = _slopes(passed or _pass(stacks, sc, tab))
     upstream = np.empty((2, stacks.traits.size))
     dpi, dd = upstream
     conv_sums = np.empty(stacks.sizes.size)
@@ -351,13 +372,14 @@ def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarray:
     return _backward(net, cache, upstream, pair)
 
 
-def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table) -> np.ndarray:
+def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table, passed=None) -> np.ndarray:
     """Gradient of the mean per-turn NLL in the proclivity net's parameters.
 
     The backward runs from the activations of the table's forward pass;
-    gap 1 (the previous speaker) adds nothing.
+    gap 1 (the previous speaker) adds nothing. ``passed`` is as for
+    ``_score_gradient``.
     """
-    inv_totals, inv_observed, floored = _slopes(stacks, sc, tab)
+    inv_totals, inv_observed, floored = _slopes(passed or _pass(stacks, sc, tab))
     dtable = np.zeros(stacks.max_gap + 1)
     for i, s in enumerate(stacks.stacks):
         B, N, T = s.gaps.shape
@@ -394,20 +416,101 @@ def conversation_nll_gradients(bundle: ModelBundle, roster: Roster, conversation
     return {"nu": _proclivity_gradient(stacks, sc, tab)}
 
 
+def _direction(memory: deque, grad: np.ndarray) -> np.ndarray:
+    """The L-BFGS direction ``-H g`` from a block's (s, y) pairs, oldest first.
+
+    The two-loop recursion (Nocedal & Wright, Alg. 7.4) starts from ``H0``
+    scaled by ``s.y / y.y`` of the newest pair. With no pairs, or when
+    ``-H g`` does not descend (the pairs are then dropped), it is steepest
+    descent scaled so that its largest entry is ``MAX_MOVE``.
+    """
+    if memory:
+        q, alphas = grad.copy(), []
+        for s, y in reversed(memory):
+            alphas.append(np.vdot(s, q) / np.vdot(s, y))
+            q -= alphas[-1] * y
+        s, y = memory[-1]
+        q *= np.vdot(s, y) / np.vdot(y, y)
+        for (s, y), alpha in zip(memory, reversed(alphas)):
+            q += (alpha - np.vdot(y, q) / np.vdot(s, y)) * s
+        if np.vdot(grad, q) > 0:
+            return -q
+        memory.clear()
+    return grad * (-MAX_MOVE / np.abs(grad).max())
+
+
+def _checked(gradient) -> np.ndarray:
+    """A gradient from its thunk, which must come out finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grad = gradient()
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient at an accepted point")
+    return grad
+
+
+def _block(x: np.ndarray, at, memory: deque, steps: int, build, measure):
+    """Up to ``steps`` L-BFGS steps on one block's parameters ``x``.
+
+    ``at`` is the model output at ``x`` that the likelihood pass reads (the
+    split's scores, or its table); ``build(x)`` runs the forward for a new
+    ``x``, and ``measure(at)`` runs the pass: the loss there and a thunk for
+    the gradient from that same pass. Each step runs an Armijo backtracking
+    search (Nocedal & Wright, Alg. 3.1) whose first trial moves no parameter
+    by more than ``MAX_MOVE``; a trial whose forward raises
+    ``FloatingPointError`` or whose loss is not finite is too long a step.
+    The block ends at the step cap, when no trial passes, or once a step
+    gains less than ``BLOCK_GAIN`` of the loss. Returns ``(x, at, loss)`` at
+    the last accepted point; ``memory`` keeps the block's (s, y) pairs.
+    """
+    loss, gradient = measure(at)
+    grad = _checked(gradient)
+    for _ in range(steps):
+        if not grad.any():
+            break
+        direction = _direction(memory, grad)
+        slope = np.vdot(grad, direction)
+        step = min(1.0, MAX_MOVE / np.abs(direction).max())
+        for _ in range(MAX_TRIALS):
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    trial = x + step * direction
+                    trial_at = build(trial)
+                    trial_loss, gradient = measure(trial_at)
+            except FloatingPointError:
+                trial_loss = np.nan
+            if np.isfinite(trial_loss) and trial_loss <= loss + ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        trial_grad = _checked(gradient)
+        s, y = trial - x, trial_grad - grad
+        if np.vdot(s, y) > 0:
+            memory.append((s, y))
+        stalled = loss - trial_loss < BLOCK_GAIN * abs(loss)
+        x, at, grad, loss = trial, trial_at, trial_grad, trial_loss
+        if stalled:
+            break
+    return x, at, loss
+
+
 def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None = None) -> FitResult:
     """Fit f, g (and the proclivity for ``pro``) by block coordinate descent.
 
-    Each outer iteration runs ``score_epochs`` Adam steps on (f, g), then
-    ``proclivity_epochs`` on the proclivity network (each block keeps its
-    Adam state across iterations), then scores the validation split. Stops
-    after ``patience`` iterations in a row without a gain over the best
-    validation loss of more than ``MIN_GAIN`` of it, and returns the snapshot
-    of the lowest. ``nm`` and ``hm`` have nothing to fit and come back as is.
+    Each outer iteration runs up to ``score_epochs`` L-BFGS steps on (f, g),
+    then up to ``proclivity_epochs`` on the proclivity network (each block
+    keeps its (s, y) pairs across iterations, see ``_block``), then scores
+    the validation split. Stops after ``patience`` iterations in a row
+    without a gain over the best validation loss of more than ``MIN_GAIN``
+    of it, and returns the snapshot of the lowest. ``nm`` and ``hm`` have
+    nothing to fit and come back as is.
 
     The loop carries the parameters, f's and g's as one (2, P) ``pair`` and
     nu's vector (``None`` for ``exp``), with the train split's scores and
-    table under them: each step rebuilds the one its block moved, and the
-    nets are built once, from the best snapshot, at the end.
+    table under them: each trial builds the one its block moves, and the
+    nets are built once, from the best snapshot, at the end. A history row's
+    train loss is the loss at the last accepted point, from the pass that
+    scored it.
     """
     cfg = config or FitConfig()
     if bundle.variant not in LEARNABLE_VARIANTS:
@@ -418,26 +521,37 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     f_net, prox = bundle.f_net, bundle.proclivity
     pair, nu = bundle.pair, prox.net.params if bundle.learns_proclivity else None
     sc, tab = train.scores(f_net, pair), train.gather(prox, nu)
+    passes = 0
 
-    def losses(sc, tab, pair, nu):
-        now = _mean_nll(train, sc, tab)
-        return now, _mean_nll(val, val.scores(f_net, pair), val.gather(prox, nu)) if val else now
+    def measured(gradient, sc, tab):
+        nonlocal passes
+        passes += 1
+        passed = _pass(train, sc, tab)
+        return _nll(train, passed), lambda: gradient(train, sc, tab, passed)
 
-    train_loss, val_loss = losses(sc, tab, pair, nu)
+    def val_loss_at(pair, nu, train_loss):
+        nonlocal passes
+        if val is None:
+            return train_loss
+        passes += 1
+        return _mean_nll(val, val.scores(f_net, pair), val.gather(prox, nu))
+
+    train_loss = measured(_score_gradient, sc, tab)[0]
+    val_loss = val_loss_at(pair, nu, train_loss)
     history = [(0, train_loss, val_loss)]
     best, best_val, best_outer = (pair, nu), val_loss, 0
     stall, stop_reason = 0, "max_outer"
-    score_state = prox_state = None
+    score_memory, prox_memory = deque(maxlen=MEMORY), deque(maxlen=MEMORY)
 
     for outer in range(1, cfg.max_outer + 1):
-        for _ in range(cfg.score_epochs):
-            pair, score_state = _adam(pair, _score_gradient(train, sc, tab), score_state, cfg.step)
-            sc = train.scores(f_net, pair)
+        pair, sc, train_loss = _block(pair, sc, score_memory, cfg.score_epochs,
+                                      lambda pair: train.scores(f_net, pair),
+                                      lambda sc: measured(_score_gradient, sc, tab))
         if nu is not None:
-            for _ in range(cfg.proclivity_epochs):
-                nu, prox_state = _adam(nu, _proclivity_gradient(train, sc, tab), prox_state, cfg.step)
-                tab = train.gather(prox, nu)
-        train_loss, val_loss = losses(sc, tab, pair, nu)
+            nu, tab, train_loss = _block(nu, tab, prox_memory, cfg.proclivity_epochs,
+                                         lambda nu: train.gather(prox, nu),
+                                         lambda tab: measured(_proclivity_gradient, sc, tab))
+        val_loss = val_loss_at(pair, nu, train_loss)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise FitDivergenceError(f"non-finite loss at outer iteration {outer} "
                                      f"(train={train_loss}, val={val_loss})")
@@ -462,5 +576,5 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
         prox = prox.with_net(prox.net._with_params(nu))
     return FitResult(
         bundle=replace(bundle, f_net=f_net, g_net=g_net, proclivity=prox),
-        history=history, best_outer=best_outer, stop_reason=stop_reason,
+        history=history, best_outer=best_outer, stop_reason=stop_reason, passes=passes,
     )

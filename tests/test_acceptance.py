@@ -2,7 +2,7 @@
 
 The two full-scale recovery tests (exponential and sigmoid-plateau worlds)
 each run the complete ten-trial protocol at the default settings and take
-about ten seconds apiece on two cores; everything else is fast.
+about three seconds apiece on two cores; everything else is fast.
 """
 
 import math

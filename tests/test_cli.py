@@ -101,11 +101,12 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
 NOT_POSITIVE = "must be positive and finite"
 
 
-# clip_norm is not a config key: a config that sets it names an unknown key.
+# step and clip_norm are not config keys: a config that sets one names an
+# unknown key.
 @pytest.mark.parametrize(
     "flags, setting, message",
-    [(["--step", "nan"], "", f"step {NOT_POSITIVE}"),
-     (["--step", "inf"], "", f"step {NOT_POSITIVE}"),
+    [([], "step=nan", "unknown key 'step'"),
+     ([], "step=inf", "unknown key 'step'"),
      ([], "clip_norm=nan", "unknown key 'clip_norm'"),
      ([], "delta_scale=-5", f"delta_scale {NOT_POSITIVE}"),
      ([], "delta_scale=0", f"delta_scale {NOT_POSITIVE}")],
@@ -596,7 +597,7 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
     assert "variant=exp conflicts with variant=pro" in err
 
 
-FIT_KEYS = ["seed", "step", "max_outer", "score_epochs", "proclivity_epochs", "patience",
+FIT_KEYS = ["seed", "max_outer", "score_epochs", "proclivity_epochs", "patience",
             "hidden", "delta_scale", "activation"]
 
 
@@ -614,8 +615,9 @@ def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_pa
     fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
     block = read_manifest(fit_dir)[-1]
     assert list(block) == ["command", "version", *FIT_KEYS,
-                           "variant", "data", "best_outer", "stop_reason"]
+                           "variant", "data", "best_outer", "stop_reason", "passes"]
     assert block["hidden"] == "6" and block["seed"] == "0"
+    assert int(block["passes"]) > 0
 
 
 def test_eval_and_curve_manifests_record_no_net_settings(capsys, tmp_path, tiny_config):
@@ -682,7 +684,7 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
     assert lines[1:] == [
         "command=experiment", f"version={__version__}", "groups_total=3", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "trait_low=0.1",
-        "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "step=0.01", "max_outer=3",
+        "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "max_outer=3",
         "score_epochs=5", "proclivity_epochs=5", "patience=2", "hidden=4",
         "delta_scale=20.0", "activation=tanh", "variants=exp,nm,hm", "curve_lo=2",
         "curve_hi=40", "parallel_trials=1", "curve_files=12",

@@ -1,11 +1,13 @@
-"""Dense nets: initialization, forward pass, analytic gradients, updates."""
+"""Dense nets: initialization, forward pass, analytic gradients, stacks."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from turntaking.neural import DenseNet, _adam, _backward, _forward, adam_step, init_net, sigmoid
+from turntaking.neural import DenseNet, _backward, _forward, init_net, sigmoid
+from turntaking.training import MEMORY, _block
 
 
 def net_loss(net, x, upstream):
@@ -287,7 +289,14 @@ def test_dense_net_holds_one_read_only_copy_of_its_parameters():
         net.biases[0][0] = 0.0
 
 
-# ---------------------------------------------------------------------- adam
+# ----------------------------------------------------------------- updates
+
+# The three ``apply_update`` tests keep the names they had when a plain
+# gradient step was the parameter update. The fit's L-BFGS block step
+# (``training._block``) is now the only one, and on a net's parameter vector
+# it keeps the same contract: a new net, the input untouched, and a
+# non-finite gradient at an accepted point a FloatingPointError with no numpy
+# warning ahead of it.
 
 
 def copied(net):
@@ -298,154 +307,55 @@ def copied(net):
     )
 
 
-def test_adam_first_step_moves_by_step_times_gradient_sign():
-    net = random_net(np.random.default_rng(32), (1, 5, 3, 1))
-    grad = net_gradient(net, np.array([0.1, 0.6, 1.3]), np.array([1.0, -0.4, 0.7]))
-    moved, state = adam_step(net, grad, None, 0.01)
-    np.testing.assert_allclose(moved.params - net.params, -0.01 * grad / (np.abs(grad) + 1e-8),
-                               rtol=0, atol=1e-15)
-    assert state[0] == 1
+def net_block(net, x, upstream, steps, gradient=net_gradient):
+    """Up to ``steps`` block steps on ``net`` for ``net_loss``; the net it ends at."""
+    def measure(n):
+        return net_loss(n, x, upstream), lambda: gradient(n, x, upstream)
 
-
-def test_adam_step_mutates_neither_net_nor_state():
-    rng = np.random.default_rng(33)
-    net = random_net(rng, (1, 4, 1))
-    before = copied(net)
-    grad = net_gradient(net, rng.uniform(size=4), rng.normal(size=4))
-    net2, state = adam_step(net, grad, None, 0.05)
-    assert net == before and net2 != net
-    assert not net2.params.flags.writeable
-    before_net = copied(net2)
-    t, m, v = state
-    before_m, before_v = m.copy(), v.copy()
-    adam_step(net2, net_gradient(net2, 0.5, 1.0), state, 0.05)
-    assert net2 == before_net
-    assert state[0] == t == 1
-    assert np.array_equal(m, before_m) and np.array_equal(v, before_v)
-
-
-def test_adam_zero_gradient_leaves_net_equal():
-    net = random_net(np.random.default_rng(34), (1, 3, 1))
-    moved, _ = adam_step(net, np.zeros_like(net.params), None, 0.1)
-    assert moved == net
-
-
-def test_adam_step_noop_cases():
-    net = random_net(np.random.default_rng(28), (1, 3, 1))
-    moved, state = adam_step(net, net_gradient(net, 0.4, 1.0), None, 0.0)
-    assert moved == net and state[0] == 1
-
-
-def test_adam_steps_lower_convex_toy_loss():
-    # L(net) = (net(x) - 0.9)^2, convex in the one weight.
-    net = DenseNet(weights=(np.array([[0.2]]),), biases=(np.zeros(1),))
-    x, target = 1.0, 0.9
-
-    def loss(n):
-        return (n.forward(x) - target) ** 2
-
-    losses, state = [loss(net)], None
-    for _ in range(30):
-        grad = net_gradient(net, x, 2 * (net.forward(x) - target))
-        net, state = adam_step(net, grad, state, 0.05)
-        losses.append(loss(net))
-    # Each step lowers the loss until the weight nears the optimum.
-    assert all(b < a for a, b in zip(losses[:25], losses[1:26]))
-    assert losses[-1] < 1e-2 * losses[0]
-
-
-def test_adam_step_rejects_non_finite_step():
-    net = random_net(np.random.default_rng(30), (1, 2, 1))
-    for step in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            adam_step(net, np.zeros_like(net.params), None, step)
-
-
-def test_adam_step_to_non_finite_parameter_is_floating_point_error():
-    net = random_net(np.random.default_rng(35), (1, 2, 1))
-    grad = np.zeros_like(net.params)
-    grad[0] = np.nan
-    with pytest.raises(FloatingPointError):
-        adam_step(net, grad, None, 0.1)
-
-
-# The three ``apply_update`` tests below keep the names they had when a plain
-# gradient step was the parameter update; the Adam step is now the only one,
-# and it keeps the same contract: a new net, the input untouched, and any
-# non-finite result a FloatingPointError.
+    _, moved, _ = _block(net.params, net, deque(maxlen=MEMORY), steps, net._with_params, measure)
+    return moved
 
 
 def test_apply_update_returns_new_net_and_preserves_input():
     rng = np.random.default_rng(27)
     net = random_net(rng, (1, 3, 3, 1))
     before = copied(net)
-    moved, _ = adam_step(net, net_gradient(net, rng.uniform(size=2), rng.normal(size=2)),
-                         None, 0.1)
+    moved = net_block(net, rng.uniform(size=2), rng.normal(size=2), 3)
     assert net == before
     assert moved != net
     assert not np.shares_memory(moved.params, net.params)
+    assert not moved.params.flags.writeable
     assert all(a.shape == b.shape for a, b in zip(moved.weights, net.weights))
 
 
 def test_apply_update_reports_divergence_as_floating_point_error():
-    # A NaN in an output bias's gradient, a few steps into a run: the step
-    # raises rather than return a net, and the net passed in is untouched.
+    # A NaN in an output bias's gradient at the first accepted trial: the
+    # block raises rather than return a net, and the net passed in is untouched.
     rng = np.random.default_rng(31)
-    net, state = random_net(rng, (1, 2, 1)), None
-    for _ in range(3):
-        net, state = adam_step(net, net_gradient(net, 0.4, 1.0), state, 0.1)
+    net = random_net(rng, (1, 2, 1))
     before = copied(net)
-    grad = net_gradient(net, 0.4, 1.0)
-    grad[-1] = np.nan  # biases[-1][0]
-    with pytest.raises(FloatingPointError):
-        adam_step(net, grad, state, 0.1)
+
+    def diverging(n, x, upstream):
+        grad = net_gradient(n, x, upstream)
+        if n is not net:
+            grad[-1] = np.nan  # biases[-1][0]
+        return grad
+
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        net_block(net, 0.4, 1.0, 3, diverging)
     assert net == before
 
 
 def test_apply_update_overflow_is_floating_point_error_without_warning():
-    # A first Adam step moves each parameter by about ``step``: -1e308 less
-    # 1e308 overflows; the only outcome is the FloatingPointError.
+    # The weight's gradient is the slope 1e200 times the input 1e200, which
+    # overflows at the start point; the only outcome is the FloatingPointError.
     import warnings
 
-    net = DenseNet(weights=(np.array([[-1e308]]),), biases=(np.zeros(1),))
+    net = DenseNet(weights=(np.array([[1e-300]]),), biases=(np.zeros(1),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError):
-            adam_step(net, np.array([1.0, 0.0]), None, 1e308)
-
-
-@pytest.mark.parametrize("bad", [1e200, np.inf])
-def test_adam_step_on_huge_or_non_finite_gradient_is_floating_point_error(bad):
-    # 1e200 squares to inf: the second moment would pin that parameter at a
-    # zero step forever. Each case raises FloatingPointError, with no numpy
-    # warning ahead of it, and leaves the state passed in untouched.
-    import warnings
-
-    rng = np.random.default_rng(37)
-    net = random_net(rng, (1, 3, 1))
-    net, state = adam_step(net, net_gradient(net, 0.3, 1.0), None, 0.01)
-    before = [state[1].copy(), state[2].copy()]
-    grad = net_gradient(net, 0.7, -1.0)
-    grad[1] = bad  # weights[0][1, 0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError):
-            adam_step(net, grad, state, 0.01)
-    assert np.array_equal(state[1], before[0]) and np.array_equal(state[2], before[1])
-
-
-def test_adam_runs_are_bit_identical():
-    def run():
-        rng = np.random.default_rng(36)
-        net, state = random_net(rng, (1, 4, 4, 1)), None
-        for _ in range(5):
-            grad = net_gradient(net, rng.uniform(size=3), rng.normal(size=3))
-            net, state = adam_step(net, grad, state, 0.02)
-        return net, state
-
-    (a, (ta, ma, va)), (b, (tb, mb, vb)) = run(), run()
-    assert a == b and ta == tb == 5
-    assert np.array_equal(ma, mb) and np.array_equal(va, vb)
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            net_block(net, 1e200, 1e200, 1)
 
 
 # ------------------------------------------------------------------ stacks
@@ -458,8 +368,8 @@ def same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_stacked_pair_matches_two_nets_bit_for_bit(activation):
-    # f and g as the rows of one (2, P) array: one batched forward, one
-    # backward and one Adam step give each net's own bits.
+    # f and g as the rows of one (2, P) array: one batched forward and one
+    # backward give each net's own bits.
     rng = np.random.default_rng(39)
     nets = [random_net(rng, (1, 16, 16, 1), activation=activation) for _ in range(2)]
     pair = np.stack([net.params for net in nets])
@@ -471,15 +381,6 @@ def test_stacked_pair_matches_two_nets_bit_for_bit(activation):
         for k, net in enumerate(nets):
             assert same_bits(out[k], net.forward(x))
             assert same_bits(grads[k], net_gradient(net, x, upstream[k]))
-    state, states = None, [None, None]
-    for _ in range(50):
-        grads = rng.normal(size=pair.shape)
-        pair, state = _adam(pair, grads, state, 0.01)
-        for k, net in enumerate(nets):
-            nets[k], states[k] = adam_step(net, grads[k], states[k], 0.01)
-    for k, net in enumerate(nets):
-        assert same_bits(pair[k], net.params)
-        assert same_bits(state[1][k], states[k][1]) and same_bits(state[2][k], states[k][2])
 
 
 def test_one_input_layer_broadcast_matches_the_k1_matmul():

@@ -1,6 +1,8 @@
-"""Variant bundles, likelihood gradients, and the block coordinate fit."""
+"""Variant bundles, likelihood gradients, the L-BFGS block steps and the block coordinate fit."""
 
 import logging
+import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -32,7 +34,11 @@ from turntaking.proclivity import ZeroProclivity
 from turntaking.training import (
     BLOCK_PROCLIVITY,
     BLOCK_SCORES,
+    MAX_MOVE,
+    MEMORY,
     MIN_GAIN,
+    _block,
+    _direction,
     _Stacks,
     _mean_nll,
     _proclivity_gradient,
@@ -356,11 +362,12 @@ def test_a_split_holds_no_model_output():
 
 
 def test_score_nets_run_once_per_split(monkeypatch):
-    # However many stacks a split holds, each score epoch of a fit runs one
-    # stacked forward for the new pair, and each proclivity epoch one net
-    # forward for the new table; a validation loss runs one of each. A
-    # gradient runs one backward from the activations it was given and no
-    # forward of its own, and no loss pass runs anything.
+    # However many stacks a split holds, each trial of a score step runs one
+    # stacked forward for the new pair, and each trial of a proclivity step
+    # one net forward for the new table, then one pass; an accepted trial
+    # takes its gradient from that pass, one backward from the activations
+    # it was given and no forward of its own. A block starts with one pass
+    # and one gradient; a validation loss runs one forward of each and a pass.
     from turntaking import neural, proclivity
 
     rng = np.random.default_rng(63)
@@ -385,19 +392,28 @@ def test_score_nets_run_once_per_split(monkeypatch):
     for module in (neural, proclivity, training):
         spy(module, "_forward", 2)
         spy(module, "_backward", 3)
-    for name in ("_adam", "_mean_nll", "_score_gradient", "_proclivity_gradient"):
+    for name in ("_pass", "_score_gradient", "_proclivity_gradient"):
         spy(training, name)
+    letters = {"_pass": "P", "_score_gradient": "S", "_proclivity_gradient": "G",
+               "forward pair": "f", "forward net": "t", "backward pair": "b", "backward net": "n"}
 
-    cfg = FitConfig(step=0.05, max_outer=3, score_epochs=2, proclivity_epochs=3, patience=10)
-    score_epoch = ["_score_gradient", "backward pair", "_adam", "forward pair"]
-    prox_epoch = ["_proclivity_gradient", "backward net", "_adam", "forward net"]
-    for variant, table, epochs in (("pro", ["forward net"], prox_epoch), ("exp", [], [])):
+    cfg = FitConfig(max_outer=3, score_epochs=2, proclivity_epochs=3, patience=10)
+    # A block: its start's pass and gradient, then trials, each a forward and
+    # a pass, an accepted one with its gradient and backward.
+    score_block, prox_block = r"PSb(?:fP(?:Sb)?)*", r"PGn(?:tP(?:Gn)?)*"
+    for variant, table, block in (("pro", "t", prox_block), ("exp", "", "")):
         events.clear()
         result = fit(bundles[variant], TrainingSet(train, val), cfg)
         assert len(result.history) == 4
-        losses = ["_mean_nll", "forward pair", *table, "_mean_nll"]
-        outer = score_epoch * cfg.score_epochs + epochs * cfg.proclivity_epochs + losses
-        assert events == ["forward pair", *table, *losses, *outer * cfg.max_outer]
+        trace = "".join(letters[event] for event in events)
+        outer = f"(?:{score_block}{block}f{table}P)"
+        assert re.fullmatch(f"f{table}Pf{table}P{outer}{{{cfg.max_outer}}}", trace), trace
+        # Each block takes at most its epoch count of accepted steps.
+        for start, accepted, epochs in (("PSb", "Sb", cfg.score_epochs),
+                                        ("PGn", "Gn", cfg.proclivity_epochs)):
+            runs = re.findall(f"{start}((?:[ft]P(?:{accepted})?)*)", trace)
+            assert len(runs) == (cfg.max_outer if table or start == "PSb" else 0)
+            assert all(run.count(accepted) <= epochs for run in runs)
 
 
 def test_stacks_group_mixed_shapes():
@@ -545,6 +561,130 @@ def test_stacks_reject_mismatched_roster():
         _Stacks([(roster, conversation)])
 
 
+# ------------------------------------------------------------ L-BFGS blocks
+
+
+def quadratic(A, minimum):
+    """``measure`` of ``0.5 (x - minimum)' A (x - minimum)``, with ``x`` its own output."""
+    def measure(x):
+        r = x - minimum
+        return 0.5 * r @ A @ r, lambda: A @ r
+
+    return measure
+
+
+def dense_inverse_hessian(pairs, n):
+    """The BFGS inverse Hessian from ``pairs``, oldest first, as one matrix."""
+    s, y = pairs[-1]
+    H = np.eye(n) * (s @ y) / (y @ y)
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        V = np.eye(n) - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    return H
+
+
+def test_two_loop_direction_is_the_dense_bfgs_step():
+    rng = np.random.default_rng(70)
+    n = 6
+    root = rng.normal(size=(n, n))
+    A = root @ root.T + n * np.eye(n)
+    pairs = [(s, A @ s) for s in rng.normal(size=(n, n))]
+    grad = rng.normal(size=n)
+    memory = deque(pairs, maxlen=MEMORY)
+    got = _direction(memory, grad)
+    np.testing.assert_allclose(got, -dense_inverse_hessian(pairs, n) @ grad, rtol=1e-12)
+    assert got @ grad < 0 and len(memory) == n
+
+
+def test_direction_falls_back_to_steepest_descent_scaled_to_max_move():
+    grad = np.array([[0.5, -2.0, 1.0], [0.25, 0.0, -1.5]])
+    want = grad * (-MAX_MOVE / 2.0)
+    assert np.array_equal(_direction(deque(maxlen=MEMORY), grad), want)
+    assert np.abs(want).max() == MAX_MOVE
+    # A pair with s.y < 0 gives a negative H0, so -Hg climbs: the pairs go.
+    s = np.ones_like(grad)
+    memory = deque([(s, -s)], maxlen=MEMORY)
+    assert np.array_equal(_direction(memory, grad), want)
+    assert not memory
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_minimises_a_convex_quadratic_within_reach(seed):
+    # Armijo's unit steps do not end a quadratic in n steps the way exact line
+    # searches do, so the quadratic is well conditioned (eigenvalues in
+    # [1, 2]) and its minimum within a few MAX_MOVE steps of the start.
+    rng = np.random.default_rng(seed)
+    n = 6
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = Q @ np.diag(rng.uniform(1.0, 2.0, n)) @ Q.T
+    start = np.zeros(n)
+    x, at, loss = _block(start, start, deque(maxlen=MEMORY), n + 1, lambda x: x,
+                         quadratic(A, rng.uniform(-0.1, 0.1, n)))
+    assert loss <= 1e-10 and at is x
+    assert not start.any()
+
+
+@pytest.mark.parametrize("failure", ["raises", "inf", "nan"])
+def test_block_backtracks_a_failed_trial(failure):
+    # The first trial moves x by MAX_MOVE to 0.3; past 0.2 the forward raises
+    # FloatingPointError or the loss is not finite. Both halve the step.
+    measure = quadratic(np.eye(1), np.array([0.3]))
+
+    def build(x):
+        if failure == "raises" and x[0] > 0.2:
+            raise FloatingPointError("non-finite value in forward pass")
+        return x
+
+    def failing(x):
+        loss, gradient = measure(x)
+        return (float(failure) if failure != "raises" and x[0] > 0.2 else loss), gradient
+
+    x, _, _ = _block(np.zeros(1), np.zeros(1), deque(maxlen=MEMORY), 1, build, failing)
+    assert x.tolist() == [0.15]
+
+
+def test_block_with_no_passing_trial_ends_without_moving():
+    def build(x):
+        raise FloatingPointError("non-finite value in forward pass")
+
+    start = np.array([1.0, -1.0])
+    measure = quadratic(np.eye(2), np.zeros(2))
+    x, at, loss = _block(start, start, deque(maxlen=MEMORY), 5, build, measure)
+    assert x is start and at is start and loss == 1.0
+
+
+def test_block_ends_once_a_step_gains_too_little():
+    # Far above its minimum, each step gains well under BLOCK_GAIN of the
+    # loss: the block stops after its first accepted step.
+    gradients = []
+    measure = quadratic(np.eye(2), np.zeros(2))
+
+    def offset(x):
+        loss, gradient = measure(x)
+        return 1e6 + loss, lambda: gradients.append(x) or gradient()
+
+    x, _, loss = _block(np.array([0.5, 0.5]), np.array([0.5, 0.5]), deque(maxlen=MEMORY), 5,
+                        lambda x: x, offset)
+    assert len(gradients) == 2 and loss < 1e6 + 0.25
+
+
+@pytest.mark.parametrize("bad", [np.inf, 1e200])
+def test_non_finite_gradient_at_an_accepted_point_is_floating_point_error(bad):
+    # The first accepted trial's gradient is not finite: 1e200 squared
+    # overflows, with no numpy warning ahead of the FloatingPointError. The
+    # start point is left untouched. A NaN is the same error, see
+    # test_neural's test_apply_update_reports_divergence_as_floating_point_error.
+    def measure(x):
+        scale = (bad, bad) if x[0] < 1.0 else (1.0, 1.0)
+        return float(x @ x), lambda: 2.0 * x * scale[0] * scale[1]
+
+    start = np.array([1.0, 0.5])
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        _block(start, start, deque(maxlen=MEMORY), 3, lambda x: x, measure)
+    assert start.tolist() == [1.0, 0.5]
+
+
 # ----------------------------------------------------------------------- fit
 
 
@@ -564,17 +704,31 @@ def test_fit_returns_nm_and_hm_unchanged():
         assert result.stop_reason is None
 
 
-def test_fit_training_loss_non_increasing_with_small_step(caplog):
+def test_fit_train_loss_never_rises():
+    # Each accepted step lowers the loss, and a block starts where the last
+    # one ended, so a default fit's train losses never rise.
     rng = np.random.default_rng(48)
     ts = toy_training_set(rng, turns=80)
-    cfg = FitConfig(step=0.01, max_outer=15, patience=50)
+    result = fit(ModelBundle.make("pro", seed=0, hidden=(8,)), ts)
+    train = [row[1] for row in result.history]
+    assert len(train) > 2
+    assert np.all(np.diff(train) <= 0)
+
+
+def test_fit_training_loss_non_increasing_with_small_step(monkeypatch, caplog):
+    # With the move cap cut to 0.01, the fit creeps: its train losses still
+    # never rise, and it is still improving at the cap, so it says it has
+    # not converged.
+    monkeypatch.setattr(training, "MAX_MOVE", 0.01)
+    rng = np.random.default_rng(48)
+    ts = toy_training_set(rng, turns=80)
+    cfg = FitConfig(max_outer=15, patience=50)
     with caplog.at_level(logging.WARNING, logger="turntaking.training"):
         result = fit(ModelBundle.make("pro", seed=0, hidden=(8,)), ts, cfg)
     train = [row[1] for row in result.history]
     assert len(train) == 16
-    assert np.all(np.diff(train) <= 1e-6)
+    assert np.all(np.diff(train) <= 0)
     assert result.stop_reason == "max_outer"
-    # Still improving at the cap: the fit says it has not converged.
     assert result.best_outer == 15
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "max_outer=15" in caplog.records[0].getMessage()
@@ -583,7 +737,7 @@ def test_fit_training_loss_non_increasing_with_small_step(caplog):
 def test_fit_history_is_reproducible():
     rng1 = np.random.default_rng(49)
     rng2 = np.random.default_rng(49)
-    cfg = FitConfig(step=0.05, max_outer=6, patience=10)
+    cfg = FitConfig(max_outer=6, patience=10)
     r1 = fit(ModelBundle.make("pro", seed=5, hidden=(6,)), toy_training_set(rng1), cfg)
     r2 = fit(ModelBundle.make("pro", seed=5, hidden=(6,)), toy_training_set(rng2), cfg)
     assert r1.history == r2.history
@@ -595,7 +749,7 @@ def test_fit_keeps_best_validation_snapshot():
     rng = np.random.default_rng(50)
     train = [make_pair(rng, turns=40) for _ in range(2)]
     val = [make_pair(rng, turns=40)]
-    cfg = FitConfig(step=0.05, max_outer=25, patience=5)
+    cfg = FitConfig(max_outer=25, patience=5)
     result = fit(ModelBundle.make("pro", seed=1, hidden=(6,)), TrainingSet(train, val), cfg)
     val_losses = [row[2] for row in result.history]
     assert result.history[result.best_outer][2] == min(val_losses)
@@ -625,26 +779,27 @@ def test_fit_exp_never_touches_the_proclivity():
 def test_descent_blocks_are_isolated(monkeypatch):
     # The score block steps only the (2, P) pair of f and g, the proclivity
     # block only nu's vector, each from where its own last step left it and
-    # with its own Adam state.
+    # with its own L-BFGS memory, kept for the whole fit.
     rng = np.random.default_rng(53)
     bundle = ModelBundle.make("pro", seed=4, hidden=(6,))
-    steps, real_adam = [], training._adam
+    calls, real_block = [], training._block
 
-    def adam(params, grad, state, step):
-        moved, new_state = real_adam(params, grad, state, step)
-        steps.append((params, state, moved, new_state))
-        return moved, new_state
+    def block(x, at, memory, steps, build, measure):
+        moved = real_block(x, at, memory, steps, build, measure)
+        calls.append((x, memory, steps, moved[0]))
+        return moved
 
-    monkeypatch.setattr(training, "_adam", adam)
-    cfg = FitConfig(step=0.05, max_outer=2, score_epochs=2, proclivity_epochs=3, patience=5)
+    monkeypatch.setattr(training, "_block", block)
+    cfg = FitConfig(max_outer=2, score_epochs=2, proclivity_epochs=3, patience=5)
     fit(bundle, TrainingSet([make_pair(rng, turns=30)]), cfg)
-    assert [params.ndim for params, *_ in steps] == [2, 2, 1, 1, 1] * 2
-    for block, start in ((2, bundle.pair), (1, bundle.proclivity.net.params)):
-        own = [step for step in steps if step[0].ndim == block]
-        assert np.array_equal(own[0][0], start) and own[0][1] is None
-        for (params, state, _, _), (_, _, moved, new_state) in zip(own[1:], own):
-            assert params is moved and state is new_state
-        assert [state[0] for *_, state in own] == list(range(1, len(own) + 1))
+    assert [(x.ndim, steps) for x, _, steps, _ in calls] == [(2, 2), (1, 3)] * 2
+    assert calls[0][1] is not calls[1][1]
+    for ndim, start in ((2, bundle.pair), (1, bundle.proclivity.net.params)):
+        own = [call for call in calls if call[0].ndim == ndim]
+        assert np.array_equal(own[0][0], start)
+        assert all(memory is own[0][1] for _, memory, _, _ in own)
+        for (x, *_), (*_, moved) in zip(own[1:], own):
+            assert x is moved
 
 
 def test_fit_early_stopping_truncates_history(caplog):
@@ -659,7 +814,7 @@ def test_fit_early_stopping_truncates_history(caplog):
         40,
         np.random.default_rng(55),
     )
-    cfg = FitConfig(step=0.1, max_outer=500, patience=3)
+    cfg = FitConfig(max_outer=500, patience=3)
     with caplog.at_level(logging.WARNING, logger="turntaking.training"):
         result = fit(
             ModelBundle.make("pro", seed=6, hidden=(4,)),
@@ -677,16 +832,19 @@ def test_fit_early_stopping_truncates_history(caplog):
 
 
 def scripted_fit(monkeypatch, losses, patience):
-    """``fit`` with one scripted loss per evaluation; also the score pairs it scored."""
+    """``fit`` with one scripted validation loss per outer iteration, from
+    row 0 on; also the score pairs it scored."""
     scored, script = [], iter(losses)
 
     def scripted_nll(stacks, sc, tab):
         scored.append(sc.nets[1])
         return next(script)
 
+    # The validation split is scored through _mean_nll, once per row; the
+    # train losses come from the blocks' own passes.
     monkeypatch.setattr(training, "_mean_nll", scripted_nll)
-    # No validation split: each evaluation scores the train split once.
-    ts = toy_training_set(np.random.default_rng(60), turns=20)
+    rng = np.random.default_rng(60)
+    ts = TrainingSet([make_pair(rng, turns=20)], [make_pair(rng, turns=20)])
     cfg = FitConfig(max_outer=100, patience=patience)
     return fit(ModelBundle.make("exp", seed=0, hidden=(3,)), ts, cfg), scored
 
@@ -717,13 +875,71 @@ def test_relative_gain_above_min_gain_resets_patience(monkeypatch):
     assert np.array_equal(result.bundle.pair, scored[4])
 
 
-def test_default_fit_converges_before_the_cap(caplog):
-    # A small exp world: the default fit must stop on patience, not at max_outer.
+def default_fit_world(trial=1):
     synth = SynthConfig(groups_total=6, train_groups=4, val_groups=2, test_groups=1,
                         members=4, turns=300)
-    data = generate_dataset(synth, trial=1)
-    ts = TrainingSet([(g.roster, g.conversation) for g in data.train],
-                     [(g.roster, g.conversation) for g in data.val])
+    data = generate_dataset(synth, trial=trial)
+    return TrainingSet([(g.roster, g.conversation) for g in data.train],
+                       [(g.roster, g.conversation) for g in data.val])
+
+
+def test_accepted_steps_move_no_parameter_past_max_move(monkeypatch):
+    # The points each block takes a gradient at are its start and its
+    # accepted trials: no two in a row differ by more than MAX_MOVE in any
+    # parameter, so a fit's parameters stay finite.
+    moves, real_block = [], training._block
+
+    def block(x, at, memory, steps, build, measure):
+        accepted = []
+
+        def measured(point):
+            loss, gradient = measure(point[1])
+            return loss, lambda: accepted.append(point[0]) or gradient()
+
+        x, (_, at), loss = real_block(x, (x, at), memory, steps,
+                                      lambda x: (x, build(x)), measured)
+        moves.extend(np.abs(b - a).max() for a, b in zip(accepted, accepted[1:]))
+        return x, at, loss
+
+    monkeypatch.setattr(training, "_block", block)
+    ts = default_fit_world()
+    for variant in ("pro", "exp"):
+        fit(ModelBundle.make(variant, seed=0), ts)
+    assert len(moves) > 100
+    assert MAX_MOVE / 2 < max(moves) <= MAX_MOVE + 1e-12
+
+
+def test_history_train_loss_is_the_mean_nll_at_the_returned_parameters():
+    ts = default_fit_world(trial=2)
+    stacks = _Stacks(ts.train)
+    for variant in ("pro", "exp"):
+        result = fit(ModelBundle.make(variant, seed=1), ts, FitConfig(max_outer=30))
+        assert result.best_outer > 0
+        assert result.history[result.best_outer][1] == split_loss(result.bundle, stacks)
+
+
+def test_passes_count_every_likelihood_pass(monkeypatch):
+    calls, real_pass = [], training._pass
+
+    def counted(*args):
+        calls.append(args[0])
+        return real_pass(*args)
+
+    monkeypatch.setattr(training, "_pass", counted)
+    rng = np.random.default_rng(71)
+    train, val = [make_pair(rng, turns=30) for _ in range(2)], [make_pair(rng, turns=30)]
+    for variant in ("pro", "exp"):
+        for ts in (TrainingSet(train, val), TrainingSet(train)):
+            calls.clear()
+            result = fit(ModelBundle.make(variant, seed=2, hidden=(4,)), ts,
+                         FitConfig(max_outer=5))
+            assert result.passes == len(calls) > 0
+    assert fit(ModelBundle.make("nm"), TrainingSet(train)).passes == 0
+
+
+def test_default_fit_converges_before_the_cap(caplog):
+    # A small exp world: the default fit must stop on patience, not at max_outer.
+    ts = default_fit_world()
     cfg = FitConfig()
     with caplog.at_level(logging.WARNING, logger="turntaking.training"):
         result = fit(ModelBundle.make("pro", seed=0), ts, cfg)
@@ -734,7 +950,7 @@ def test_default_fit_converges_before_the_cap(caplog):
 
 def test_fit_config_validation():
     with pytest.raises(ValueError):
-        FitConfig(step=0.0)
+        FitConfig(score_epochs=0)
     with pytest.raises(ValueError):
         FitConfig(patience=0)
     with pytest.raises(ValueError):
@@ -744,13 +960,10 @@ def test_fit_config_validation():
 @pytest.mark.parametrize("setting", [{"step": np.nan}, {"step": np.inf}, {"clip_norm": np.nan},
                                      {"clip_norm": np.inf}])
 def test_fit_config_rejects_non_finite_step_and_clip_norm(setting):
-    # clip_norm is not a FitConfig field, so any value of it is refused.
+    # Neither step nor clip_norm is a FitConfig field, so any value of either
+    # is refused.
     (name,) = setting
-    error, message = (
-        (TypeError, "clip_norm") if name == "clip_norm"
-        else (ValueError, f"{name} must be positive and finite")
-    )
-    with pytest.raises(error, match=message):
+    with pytest.raises(TypeError, match=name):
         FitConfig(**setting)
 
 

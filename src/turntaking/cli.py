@@ -228,11 +228,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _nonempty_split(data, split: str, command: str) -> list:
+    """A split that ``command`` needs at least one group of."""
+    groups = read_split(data, split)
+    if not groups:
+        raise DataFormatError(f"{data}: the {split} split has no groups; {command} needs one")
+    return groups
+
+
 def cmd_fit(args) -> int:
     if args.variant not in LEARNABLE_VARIANTS:
         raise ConfigError(f"variant {args.variant!r} has no learnable parameters; nothing to fit")
     config = experiment_config(resolve_settings(args))
-    train = read_split(args.data, "train")
+    train = _nonempty_split(args.data, "train", "fit")
     val = read_split(args.data, "val")
     training_set = TrainingSet(
         [(g.roster, g.conversation) for g in train],
@@ -304,7 +312,7 @@ def cmd_eval(args) -> int:
                 f"--checkpoint takes VARIANT=DIR with VARIANT in {LEARNABLE_VARIANTS}, got {item!r}"
             )
         checkpoints[variant] = directory
-    test = read_split(args.data, "test")
+    test = _nonempty_split(args.data, "test", "eval")
 
     trial = TrialResult(trial=1)
     if all(g.scores is not None for g in test):

@@ -61,7 +61,6 @@ from .training import (
 
 log = logging.getLogger(__name__)
 
-METRICS = ("nll", "nll_turn")
 TRUE_VARIANT = "true"
 
 # Numeric failures of a fit or an evaluation: a trial records them per
@@ -323,19 +322,22 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> EvalReport:
     """Generate, fit, and evaluate all trials; deterministic per master seed.
 
-    Trials are independent; ``parallel`` > 1 distributes them over worker
-    processes with results assembled in trial order either way. A
-    ``parallel`` below 1 is a ValueError.
+    Trials are independent; ``parallel`` > 1 distributes them over at most
+    one worker process per trial, with results assembled in trial order
+    either way. A ``parallel`` below 1 is a ValueError.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
     trials = range(1, config.synth.trials + 1)
-    if parallel > 1:
+    # A process pool starts all its workers at the first submit, so more
+    # workers than trials would only be processes that never get one.
+    workers = min(parallel, len(trials))
+    if workers > 1:
         # Imported here: the process pool costs import time and memory that
         # sequential runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, [config] * len(trials), trials))
     else:
         results = []

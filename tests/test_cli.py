@@ -311,6 +311,38 @@ def test_fit_missing_data_dir_is_usage_error(capsys, tmp_path, tiny_config):
     assert "i/o failure" in err
 
 
+def _empty_split(data, split):
+    """Leave only the header line in each of a split's three files."""
+    for stem in ("rosters", "conversations", "scores"):
+        path = data / f"{stem}_{split}.csv"
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        path.write_text(header + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, split, flags",
+    [("fit", "train", ["--variant", "exp"]), ("eval", "test", ["--variants", "nm"])],
+)
+def test_an_empty_split_the_command_needs_is_usage_error(
+    capsys, tmp_path, tiny_config, command, split, flags
+):
+    data = make_data(capsys, tmp_path, tiny_config)
+    _empty_split(data, split)
+    code, _, err = run(capsys, command, "--config", tiny_config, "--data", data, *flags,
+                       "--out", tmp_path / "out")
+    assert code == 2, err
+    assert f"{data}: the {split} split has no groups" in err
+
+
+def test_fit_with_an_empty_val_split_runs(capsys, tmp_path, tiny_config):
+    data = make_data(capsys, tmp_path, tiny_config)
+    _empty_split(data, "val")
+    code, _, err = run(capsys, "fit", "--config", tiny_config, "--data", data,
+                       "--variant", "exp", "--out", tmp_path / "fit")
+    assert code == 0, err
+    assert (tmp_path / "fit" / "checkpoint.csv").is_file()
+
+
 # -------------------------------------------------------------------- eval
 
 

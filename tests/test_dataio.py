@@ -23,6 +23,7 @@ from turntaking import (
     traits_to_scores,
 )
 from turntaking.dataio import (
+    CHUNK_ROWS,
     DataFormatError,
     MANIFEST_NAME,
     append_manifest,
@@ -323,6 +324,50 @@ def test_malformed_checkpoint_rejected(tmp_path, lines, message):
     write_lines(path, lines)
     with pytest.raises(DataFormatError, match=message):
         read_checkpoint(path)
+
+
+def _long_conversation(bad_line):
+    """A conversation past one parse chunk whose line ``bad_line`` has a bad speaker."""
+    turns = CHUNK_ROWS + 10
+    lines = ["group_id,turn,speaker"] + [f"1,{t},{1 + t % 2}" for t in range(1, turns + 1)]
+    lines[bad_line - 1] = f"1,{bad_line - 1},x"
+    return lines
+
+
+# One bad cell per file: (reader, lines, what the error says after "path:").
+BAD_CELLS = {
+    "rosters": (read_rosters, ["group_id,member,trait", "1,1,0.5", "1,2,tall"],
+                "3: cannot parse 'tall' as float"),
+    "conversations": (read_conversations, ["group_id,turn,speaker", "1,1,2", "1,two,3"],
+                      "3: cannot parse 'two' as int"),
+    "scores": (read_true_scores, ["group_id,member,pi,d", "1,1,0.5,0.2", "1,2,0.5,-"],
+               "3: cannot parse '-' as float"),
+    "checkpoint": (read_checkpoint, EXP_HEAD + ["f,1,1,0,0.0", "f,one,1,1,0.5"] + G_ROWS,
+                   "5: cannot parse 'one' as int"),
+    "history": (read_history, ["outer_iter,train_loss,val_loss", "0,1.0,1.1", "1,x,1.0"],
+                "3: cannot parse 'x' as float"),
+    "report": (read_report, ["trial,variant,metric,group_id,value", "1,exp,nll,4,0.5",
+                             "1,exp,nll,5,abc"], "3: cannot parse 'abc' as float"),
+    "curve": (read_curve, ["delta,value", "2,1.5", "3.5,1.0"], "3: cannot parse '3.5' as int"),
+    "past-the-first-chunk": (read_conversations, _long_conversation(CHUNK_ROWS + 7),
+                             f"{CHUNK_ROWS + 7}: cannot parse 'x' as int"),
+    "earlier-row-later-column": (read_rosters, ["group_id,member,trait", "1,1,tall", "x,2,0.5"],
+                                 "2: cannot parse 'tall' as float"),
+    "before-a-later-field-count": (read_rosters, ["group_id,member,trait", "1,1,tall", "1,2"],
+                                   "2: cannot parse 'tall' as float"),
+    "after-a-blank-row": (read_conversations, ["group_id,turn,speaker", "1,1,2", "", "1,2,x"],
+                          "4: cannot parse 'x' as int"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CELLS))
+def test_a_bad_cell_names_its_file_and_line(tmp_path, name):
+    reader, lines, message = BAD_CELLS[name]
+    path = tmp_path / "file.csv"
+    write_lines(path, lines)
+    with pytest.raises(DataFormatError) as error:
+        reader(path)
+    assert str(error.value) == f"{path}:{message}"
 
 
 def test_split_coverage_mismatch_rejected(tmp_path, dataset):

@@ -351,6 +351,37 @@ def test_run_experiment_rejects_a_worker_count_below_one(parallel):
         run_experiment(tiny_experiment_config(variants=("nm",)), parallel=parallel)
 
 
+@pytest.mark.parametrize(
+    "trials, parallel, pools", [(3, 5000, [3]), (3, 2, [2]), (1, 5000, [])],
+    ids=["capped-at-trials", "under-trials", "one-trial-runs-sequentially"],
+)
+def test_run_experiment_starts_at_most_one_worker_per_trial(monkeypatch, trials, parallel, pools):
+    # A stand-in pool that records its worker count and maps in this process:
+    # a real pool would start every requested worker at its first submit.
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = tiny_experiment_config(trials=trials, variants=("nm",))
+    report = run_experiment(config, parallel=parallel)
+    assert started == pools
+    assert [t.trial for t in report.trials] == list(range(1, trials + 1))
+
+
 def test_package_import_leaves_the_process_pool_unloaded():
     # Only parallel runs pay for importing the process pool.
     code = "import sys, turntaking; print('concurrent.futures.process' in sys.modules)"

@@ -4,7 +4,8 @@ Settings resolve in three layers: built-in defaults, then a flat key=value
 config file (``--config``), then explicit command-line flags. Every command
 writes into ``--out`` and appends a manifest block recording its artifacts
 and the resolved settings it read: ``generate`` the data keys and ``seed``;
-``fit`` ``seed`` and the fit and network keys; ``eval`` ``proclivity`` (the
+``fit`` ``seed``, the fit and network keys and ``val_groups`` (its validation
+groups; at 0 it stops on the train loss); ``eval`` ``proclivity`` (the
 dataset's) and ``variants``; ``curve`` ``proclivity``, ``curve_lo`` and
 ``curve_hi``; ``experiment`` every key.
 
@@ -108,8 +109,6 @@ _KEYS = {
     "trials": (int, "synth"),
     "seed": (int, "synth"),
     "max_outer": (int, "fit"),
-    "score_epochs": (int, "fit"),
-    "proclivity_epochs": (int, "fit"),
     "patience": (int, "fit"),
     "hidden": (_parse_hidden, None),
     "delta_scale": (float, None),
@@ -261,15 +260,17 @@ def cmd_fit(args) -> int:
         out,
         _manifest_entries(
             "fit", config, ("seed", *_keys_in("fit"), "hidden", "delta_scale", "activation"),
-            {"variant": args.variant, "data": args.data,
+            {"variant": args.variant, "data": args.data, "val_groups": len(val),
              "best_outer": result.best_outer, "stop_reason": result.stop_reason,
              "passes": result.passes},
         ),
     )
+    # With no validation split, the history's val_loss column holds the train loss.
+    scored = "validation loss" if val else "train loss (no validation split)"
     log.info(
         "fit %s: %d outer iterations (stopped on %s), %d likelihood passes, "
-        "best validation loss %.6f at iteration %d",
-        args.variant, len(result.history) - 1, result.stop_reason, result.passes,
+        "best %s %.6f at iteration %d",
+        args.variant, len(result.history) - 1, result.stop_reason, result.passes, scored,
         min(row[2] for row in result.history), result.best_outer,
     )
     return EXIT_OK

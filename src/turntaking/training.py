@@ -46,11 +46,12 @@ BLOCK_PROCLIVITY = "proclivity"
 # Relative gain over the best validation loss that resets the patience count.
 MIN_GAIN = 1e-4
 
-# The L-BFGS block steps; fixed, not settings. A block keeps its last MEMORY
-# (s, y) pairs. No trial moves a parameter by more than MAX_MOVE. A trial is
-# accepted on Armijo's sufficient decrease with constant ARMIJO, and the line
-# search halves the step at most MAX_TRIALS times. A block ends once a step
-# gains less than BLOCK_GAIN of the train loss.
+# The L-BFGS block steps; fixed, not settings. A block takes at most
+# BLOCK_STEPS accepted steps and keeps its last MEMORY (s, y) pairs; no trial
+# moves a parameter by more than MAX_MOVE. Armijo's constant is ARMIJO, the
+# line search halves the step at most MAX_TRIALS times, and a block ends once
+# a step gains less than BLOCK_GAIN of the train loss.
+BLOCK_STEPS = 5
 MEMORY = 10
 MAX_MOVE = 0.3
 ARMIJO = 1e-4
@@ -131,16 +132,14 @@ def predict_scores(bundle: ModelBundle, roster: Roster) -> ScoreParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the block coordinate descent fit; an epoch is one L-BFGS step."""
+    """Knobs for the block coordinate descent fit."""
 
     max_outer: int = 200
-    score_epochs: int = 5
-    proclivity_epochs: int = 5
     patience: int = 20
 
     def __post_init__(self):
-        if min(self.max_outer, self.score_epochs, self.proclivity_epochs) <= 0:
-            raise ValueError("max_outer and epoch counts must be positive")
+        if self.max_outer <= 0:
+            raise ValueError("max_outer must be positive")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
 
@@ -311,40 +310,31 @@ def _pass(stacks: _Stacks, sc: _Scores, tab: _Table):
                               np.concatenate(w_floored), cells)
 
 
-def _nll(stacks: _Stacks, passed) -> float:
-    """Mean per-turn NLL from a split's ``_pass``, which it leaves as it was."""
+def _mean_nll(stacks: _Stacks, passed) -> float:
+    """Mean per-turn NLL over a split from its ``_pass``, which it only reads."""
     totals, observed, _ = passed
     return float(np.log(totals).sum() - np.log(observed).sum()) / stacks.turns
 
 
-def _mean_nll(stacks: _Stacks, sc: _Scores, tab: _Table) -> float:
-    """Mean per-turn NLL over every stack of a split; no gradients."""
-    return _nll(stacks, _pass(stacks, sc, tab))
-
-
 def _slopes(passed):
-    """``(1/total, 1/observed, floored)`` per turn from a ``_pass``, computed
-    in its arrays: each eligible cell's score has slope ``1/total``, less
+    """``(1/total, 1/observed, floored)`` per turn from a ``_pass``, in new
+    arrays: each eligible cell's score has slope ``1/total``, less
     ``1/observed`` at the observed speaker's cell.
 
     A floored score is a constant: the observed speaker's loses its
     1/observed here, and every floored cell the 1/total of its turn.
     """
     totals, observed, floored = passed
-    lost = observed <= EPS_FLOOR if floored is not None else None
-    inv_observed = np.divide(1.0, observed, out=observed)
-    if lost is not None:
-        inv_observed[lost] = 0.0
-    return np.divide(1.0, totals, out=totals), inv_observed, floored
+    inv_observed = 1.0 / observed
+    if floored is not None:
+        inv_observed[observed <= EPS_FLOOR] = 0.0
+    return 1.0 / totals, inv_observed, floored
 
 
-def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table, passed=None) -> np.ndarray:
-    """(2, P) gradient of the mean per-turn NLL in f's and g's parameters.
-
-    ``passed`` is the ``_pass`` at ``(sc, tab)`` if one already ran; the
-    gradient uses up its arrays.
-    """
-    inv_totals, inv_observed, floored = _slopes(passed or _pass(stacks, sc, tab))
+def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table, passed) -> np.ndarray:
+    """(2, P) gradient of the mean per-turn NLL in f's and g's parameters from
+    ``passed``, the ``_pass`` at ``(sc, tab)``, which it leaves as it was."""
+    inv_totals, inv_observed, floored = _slopes(passed)
     upstream = np.empty((2, stacks.traits.size))
     dpi, dd = upstream
     conv_sums = np.empty(stacks.sizes.size)
@@ -372,14 +362,14 @@ def _score_gradient(stacks: _Stacks, sc: _Scores, tab: _Table, passed=None) -> n
     return _backward(net, cache, upstream, pair)
 
 
-def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table, passed=None) -> np.ndarray:
+def _proclivity_gradient(stacks: _Stacks, sc: _Scores, tab: _Table, passed) -> np.ndarray:
     """Gradient of the mean per-turn NLL in the proclivity net's parameters.
 
     The backward runs from the activations of the table's forward pass;
     gap 1 (the previous speaker) adds nothing. ``passed`` is as for
     ``_score_gradient``.
     """
-    inv_totals, inv_observed, floored = _slopes(passed or _pass(stacks, sc, tab))
+    inv_totals, inv_observed, floored = _slopes(passed)
     dtable = np.zeros(stacks.max_gap + 1)
     for i, s in enumerate(stacks.stacks):
         B, N, T = s.gaps.shape
@@ -411,9 +401,10 @@ def conversation_nll_gradients(bundle: ModelBundle, roster: Roster, conversation
         return {}
     stacks = _Stacks([(roster, conversation)])
     sc, tab = stacks.scores(bundle.f_net, bundle.pair), stacks.gather(bundle.proclivity)
+    passed = _pass(stacks, sc, tab)
     if block == BLOCK_SCORES:
-        return dict(zip("fg", _score_gradient(stacks, sc, tab)))
-    return {"nu": _proclivity_gradient(stacks, sc, tab)}
+        return dict(zip("fg", _score_gradient(stacks, sc, tab, passed)))
+    return {"nu": _proclivity_gradient(stacks, sc, tab, passed)}
 
 
 def _direction(memory: deque, grad: np.ndarray) -> np.ndarray:
@@ -439,32 +430,35 @@ def _direction(memory: deque, grad: np.ndarray) -> np.ndarray:
     return grad * (-MAX_MOVE / np.abs(grad).max())
 
 
-def _checked(gradient) -> np.ndarray:
-    """A gradient from its thunk, which must come out finite."""
+def _checked(gradient, at, passed) -> np.ndarray:
+    """The block's gradient read from the pass at ``at``; it must come out finite."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grad = gradient()
+        grad = gradient(at, passed)
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient at an accepted point")
     return grad
 
 
-def _block(x: np.ndarray, at, memory: deque, steps: int, build, measure):
-    """Up to ``steps`` L-BFGS steps on one block's parameters ``x``.
+def _block(x: np.ndarray, at, now, memory: deque, build, run, gradient, grad=None):
+    """Up to ``BLOCK_STEPS`` L-BFGS steps on one block's parameters ``x``.
 
     ``at`` is the model output at ``x`` that the likelihood pass reads (the
-    split's scores, or its table); ``build(x)`` runs the forward for a new
-    ``x``, and ``measure(at)`` runs the pass: the loss there and a thunk for
-    the gradient from that same pass. Each step runs an Armijo backtracking
-    search (Nocedal & Wright, Alg. 3.1) whose first trial moves no parameter
-    by more than ``MAX_MOVE``; a trial whose forward raises
-    ``FloatingPointError`` or whose loss is not finite is too long a step.
-    The block ends at the step cap, when no trial passes, or once a step
-    gains less than ``BLOCK_GAIN`` of the loss. Returns ``(x, at, loss)`` at
-    the last accepted point; ``memory`` keeps the block's (s, y) pairs.
+    split's scores, or its table), and ``now`` is ``(loss, pass)`` there.
+    ``build(x)`` runs the forward for a new ``x``, ``run(at)`` runs the pass
+    and returns its ``(loss, pass)``, and ``gradient(at, pass)`` reads the
+    block's gradient from a pass; ``grad`` is that gradient at ``x``, if it
+    was already read. Each step runs an Armijo backtracking search (Nocedal
+    & Wright, Alg. 3.1) whose first trial moves no parameter by more than
+    ``MAX_MOVE``; a trial whose forward raises ``FloatingPointError`` or
+    whose loss is not finite is too long a step. The block ends at the step
+    cap, when no trial passes, or once a step gains less than ``BLOCK_GAIN``
+    of the loss. Returns ``(x, at, now, grad)`` at the last accepted point;
+    ``memory`` keeps the block's (s, y) pairs.
     """
-    loss, gradient = measure(at)
-    grad = _checked(gradient)
-    for _ in range(steps):
+    loss, passed = now
+    if grad is None:
+        grad = _checked(gradient, at, passed)
+    for _ in range(BLOCK_STEPS):
         if not grad.any():
             break
         direction = _direction(memory, grad)
@@ -475,7 +469,7 @@ def _block(x: np.ndarray, at, memory: deque, steps: int, build, measure):
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     trial = x + step * direction
                     trial_at = build(trial)
-                    trial_loss, gradient = measure(trial_at)
+                    trial_loss, trial_passed = run(trial_at)
             except FloatingPointError:
                 trial_loss = np.nan
             if np.isfinite(trial_loss) and trial_loss <= loss + ARMIJO * step * slope:
@@ -483,34 +477,35 @@ def _block(x: np.ndarray, at, memory: deque, steps: int, build, measure):
             step *= 0.5
         else:
             break
-        trial_grad = _checked(gradient)
+        trial_grad = _checked(gradient, trial_at, trial_passed)
         s, y = trial - x, trial_grad - grad
         if np.vdot(s, y) > 0:
             memory.append((s, y))
         stalled = loss - trial_loss < BLOCK_GAIN * abs(loss)
-        x, at, grad, loss = trial, trial_at, trial_grad, trial_loss
+        x, at, loss, passed, grad = trial, trial_at, trial_loss, trial_passed, trial_grad
         if stalled:
             break
-    return x, at, loss
+    return x, at, (loss, passed), grad
 
 
 def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None = None) -> FitResult:
     """Fit f, g (and the proclivity for ``pro``) by block coordinate descent.
 
-    Each outer iteration runs up to ``score_epochs`` L-BFGS steps on (f, g),
-    then up to ``proclivity_epochs`` on the proclivity network (each block
-    keeps its (s, y) pairs across iterations, see ``_block``), then scores
-    the validation split. Stops after ``patience`` iterations in a row
+    Each outer iteration runs up to ``BLOCK_STEPS`` L-BFGS steps on (f, g),
+    then up to as many on the proclivity network (each block keeps its
+    (s, y) pairs across iterations, see ``_block``), then scores the
+    validation split. Stops after ``patience`` iterations in a row
     without a gain over the best validation loss of more than ``MIN_GAIN``
     of it, and returns the snapshot of the lowest. ``nm`` and ``hm`` have
     nothing to fit and come back as is.
 
     The loop carries the parameters, f's and g's as one (2, P) ``pair`` and
-    nu's vector (``None`` for ``exp``), with the train split's scores and
-    table under them: each trial builds the one its block moves, and the
-    nets are built once, from the best snapshot, at the end. A history row's
-    train loss is the loss at the last accepted point, from the pass that
-    scored it.
+    nu's vector (``None`` for ``exp``), the train split's scores and table
+    under them and the ``(loss, pass)`` there: each trial builds the output
+    its block moves, each block starts from the pass the last one ended on
+    (only row 0 runs its own), and the nets are built once, from the best
+    snapshot. A history row's train loss is the loss at the last accepted
+    point, and with no validation split also its validation loss.
     """
     cfg = config or FitConfig()
     if bundle.variant not in LEARNABLE_VARIANTS:
@@ -523,34 +518,37 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     sc, tab = train.scores(f_net, pair), train.gather(prox, nu)
     passes = 0
 
-    def measured(gradient, sc, tab):
+    def run(split, sc, tab):
         nonlocal passes
         passes += 1
-        passed = _pass(train, sc, tab)
-        return _nll(train, passed), lambda: gradient(train, sc, tab, passed)
+        passed = _pass(split, sc, tab)
+        return _mean_nll(split, passed), passed
 
     def val_loss_at(pair, nu, train_loss):
-        nonlocal passes
         if val is None:
             return train_loss
-        passes += 1
-        return _mean_nll(val, val.scores(f_net, pair), val.gather(prox, nu))
+        return run(val, val.scores(f_net, pair), val.gather(prox, nu))[0]
 
-    train_loss = measured(_score_gradient, sc, tab)[0]
-    val_loss = val_loss_at(pair, nu, train_loss)
-    history = [(0, train_loss, val_loss)]
+    # ``grad``: the score gradient at the current point while only the score block moves it.
+    now, grad = run(train, sc, tab), None
+    val_loss = val_loss_at(pair, nu, now[0])
+    history = [(0, now[0], val_loss)]
     best, best_val, best_outer = (pair, nu), val_loss, 0
     stall, stop_reason = 0, "max_outer"
     score_memory, prox_memory = deque(maxlen=MEMORY), deque(maxlen=MEMORY)
 
     for outer in range(1, cfg.max_outer + 1):
-        pair, sc, train_loss = _block(pair, sc, score_memory, cfg.score_epochs,
-                                      lambda pair: train.scores(f_net, pair),
-                                      lambda sc: measured(_score_gradient, sc, tab))
+        pair, sc, now, grad = _block(
+            pair, sc, now, score_memory, lambda pair: train.scores(f_net, pair),
+            lambda sc: run(train, sc, tab),
+            lambda sc, passed: _score_gradient(train, sc, tab, passed), grad)
         if nu is not None:
-            nu, tab, train_loss = _block(nu, tab, prox_memory, cfg.proclivity_epochs,
-                                         lambda nu: train.gather(prox, nu),
-                                         lambda tab: measured(_proclivity_gradient, sc, tab))
+            nu, tab, now, _ = _block(
+                nu, tab, now, prox_memory, lambda nu: train.gather(prox, nu),
+                lambda tab: run(train, sc, tab),
+                lambda tab, passed: _proclivity_gradient(train, sc, tab, passed))
+            grad = None
+        train_loss = now[0]
         val_loss = val_loss_at(pair, nu, train_loss)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise FitDivergenceError(f"non-finite loss at outer iteration {outer} "

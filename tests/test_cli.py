@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: settings, subcommands, files, and exit codes."""
 
+import logging
 import subprocess
 import sys
 
@@ -101,16 +102,19 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
 NOT_POSITIVE = "must be positive and finite"
 
 
-# step and clip_norm are not config keys: a config that sets one names an
-# unknown key.
+# step, clip_norm, score_epochs and proclivity_epochs are not config keys: a
+# config that sets one names an unknown key.
 @pytest.mark.parametrize(
     "flags, setting, message",
     [([], "step=nan", "unknown key 'step'"),
      ([], "step=inf", "unknown key 'step'"),
      ([], "clip_norm=nan", "unknown key 'clip_norm'"),
+     ([], "score_epochs=5", "unknown key 'score_epochs'"),
+     ([], "proclivity_epochs=5", "unknown key 'proclivity_epochs'"),
      ([], "delta_scale=-5", f"delta_scale {NOT_POSITIVE}"),
      ([], "delta_scale=0", f"delta_scale {NOT_POSITIVE}")],
-    ids=["step-nan", "step-inf", "clip-norm-nan", "delta-scale-negative", "delta-scale-zero"],
+    ids=["step-nan", "step-inf", "clip-norm-nan", "score-epochs", "proclivity-epochs",
+         "delta-scale-negative", "delta-scale-zero"],
 )
 def test_bad_numeric_fit_setting_is_usage_error(
     capsys, tmp_path, tiny_config, flags, setting, message
@@ -334,13 +338,21 @@ def test_an_empty_split_the_command_needs_is_usage_error(
     assert f"{data}: the {split} split has no groups" in err
 
 
-def test_fit_with_an_empty_val_split_runs(capsys, tmp_path, tiny_config):
+def test_fit_with_an_empty_val_split_runs(capsys, caplog, tmp_path, tiny_config):
+    # With no validation group the fit stops on the train loss: the manifest
+    # records val_groups=0, and the log line reports the best train loss.
     data = make_data(capsys, tmp_path, tiny_config)
     _empty_split(data, "val")
-    code, _, err = run(capsys, "fit", "--config", tiny_config, "--data", data,
-                       "--variant", "exp", "--out", tmp_path / "fit")
+    with caplog.at_level(logging.INFO, logger="turntaking.cli"):
+        code, _, err = run(capsys, "fit", "--config", tiny_config, "--data", data,
+                           "--variant", "exp", "--out", tmp_path / "fit")
     assert code == 0, err
     assert (tmp_path / "fit" / "checkpoint.csv").is_file()
+    assert read_manifest(tmp_path / "fit")[-1]["val_groups"] == "0"
+    best_train = min(row[1] for row in read_history(tmp_path / "fit" / "history.csv"))
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit exp")]
+    assert f"best train loss (no validation split) {best_train:.6f}" in line
+    assert "validation loss" not in line
 
 
 # -------------------------------------------------------------------- eval
@@ -629,8 +641,7 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
     assert "variant=exp conflicts with variant=pro" in err
 
 
-FIT_KEYS = ["seed", "max_outer", "score_epochs", "proclivity_epochs", "patience",
-            "hidden", "delta_scale", "activation"]
+FIT_KEYS = ["seed", "max_outer", "patience", "hidden", "delta_scale", "activation"]
 
 
 def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_path, tiny_config):
@@ -647,8 +658,8 @@ def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_pa
     fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
     block = read_manifest(fit_dir)[-1]
     assert list(block) == ["command", "version", *FIT_KEYS,
-                           "variant", "data", "best_outer", "stop_reason", "passes"]
-    assert block["hidden"] == "6" and block["seed"] == "0"
+                           "variant", "data", "val_groups", "best_outer", "stop_reason", "passes"]
+    assert block["hidden"] == "6" and block["seed"] == "0" and block["val_groups"] == "1"
     assert int(block["passes"]) > 0
 
 
@@ -717,7 +728,7 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
         "command=experiment", f"version={__version__}", "groups_total=3", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "trait_low=0.1",
         "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "max_outer=3",
-        "score_epochs=5", "proclivity_epochs=5", "patience=2", "hidden=4",
+        "patience=2", "hidden=4",
         "delta_scale=20.0", "activation=tanh", "variants=exp,nm,hm", "curve_lo=2",
         "curve_hi=40", "parallel_trials=1", "curve_files=12",
     ]

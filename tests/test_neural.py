@@ -307,12 +307,13 @@ def copied(net):
     )
 
 
-def net_block(net, x, upstream, steps, gradient=net_gradient):
-    """Up to ``steps`` block steps on ``net`` for ``net_loss``; the net it ends at."""
-    def measure(n):
-        return net_loss(n, x, upstream), lambda: gradient(n, x, upstream)
+def net_block(net, x, upstream, gradient=net_gradient):
+    """Up to ``BLOCK_STEPS`` block steps on ``net`` for ``net_loss``; the net it ends at."""
+    def run(n):
+        return net_loss(n, x, upstream), None
 
-    _, moved, _ = _block(net.params, net, deque(maxlen=MEMORY), steps, net._with_params, measure)
+    _, moved, _, _ = _block(net.params, net, run(net), deque(maxlen=MEMORY), net._with_params,
+                            run, lambda n, _: gradient(n, x, upstream))
     return moved
 
 
@@ -320,7 +321,7 @@ def test_apply_update_returns_new_net_and_preserves_input():
     rng = np.random.default_rng(27)
     net = random_net(rng, (1, 3, 3, 1))
     before = copied(net)
-    moved = net_block(net, rng.uniform(size=2), rng.normal(size=2), 3)
+    moved = net_block(net, rng.uniform(size=2), rng.normal(size=2))
     assert net == before
     assert moved != net
     assert not np.shares_memory(moved.params, net.params)
@@ -342,7 +343,7 @@ def test_apply_update_reports_divergence_as_floating_point_error():
         return grad
 
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        net_block(net, 0.4, 1.0, 3, diverging)
+        net_block(net, 0.4, 1.0, diverging)
     assert net == before
 
 
@@ -355,7 +356,7 @@ def test_apply_update_overflow_is_floating_point_error_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            net_block(net, 1e200, 1e200, 1)
+            net_block(net, 1e200, 1e200)
 
 
 # ------------------------------------------------------------------ stacks

@@ -47,7 +47,7 @@ from turntaking.training import (
 )
 
 from test_model import random_conversation
-from test_neural import net_gradient, stepped
+from test_neural import net_gradient, same_bits, stepped
 
 
 def bundle_loss(bundle, roster, conversation):
@@ -260,7 +260,7 @@ def split_parts(bundle, stacks):
 
 
 def split_loss(bundle, stacks):
-    return _mean_nll(stacks, *split_parts(bundle, stacks))
+    return _mean_nll(stacks, training._pass(stacks, *split_parts(bundle, stacks)))
 
 
 def test_batched_loss_matches_public_path():
@@ -304,8 +304,9 @@ def assert_split_gradients_match_finite_differences(bundle, stacks, h=1e-5):
     }
     nets = {"f": bundle.f_net, "g": bundle.g_net, "nu": bundle.proclivity.net}
     sc, tab = split_parts(bundle, stacks)
-    grads = {**dict(zip("fg", _score_gradient(stacks, sc, tab))),
-             "nu": _proclivity_gradient(stacks, sc, tab)}
+    passed = training._pass(stacks, sc, tab)
+    grads = {**dict(zip("fg", _score_gradient(stacks, sc, tab, passed))),
+             "nu": _proclivity_gradient(stacks, sc, tab, passed)}
     for name, net in nets.items():
         assert grads[name].shape == net.params.shape
         for i in range(net.params.size):
@@ -340,7 +341,7 @@ def test_gathered_table_is_the_proclivity_table_without_gap_one():
 
 def test_a_split_holds_no_model_output():
     # A split is a fixed layout, and fit reuses one table across the score
-    # epochs and one set of scores across the proclivity epochs: a pass and
+    # steps and one set of scores across the proclivity steps: a pass and
     # both gradients change none of them.
     import pickle
 
@@ -354,9 +355,10 @@ def test_a_split_holds_no_model_output():
         return [*sc[:6], *tab.w, tab.w_obs]
 
     kept = [a.copy() for a in outputs()]
-    _mean_nll(stacks, sc, tab)
-    _score_gradient(stacks, sc, tab)
-    _proclivity_gradient(stacks, sc, tab)
+    passed = training._pass(stacks, sc, tab)
+    _mean_nll(stacks, passed)
+    _score_gradient(stacks, sc, tab, passed)
+    _proclivity_gradient(stacks, sc, tab, passed)
     assert pickle.dumps(vars(stacks)) == pickled
     assert all(np.array_equal(a, b) for a, b in zip(outputs(), kept))
 
@@ -366,54 +368,62 @@ def test_score_nets_run_once_per_split(monkeypatch):
     # stacked forward for the new pair, and each trial of a proclivity step
     # one net forward for the new table, then one pass; an accepted trial
     # takes its gradient from that pass, one backward from the activations
-    # it was given and no forward of its own. A block starts with one pass
-    # and one gradient; a validation loss runs one forward of each and a pass.
+    # it was given and no forward of its own. Only row 0 runs a pass at a
+    # point no trial passed: every block starts from the pass the last one
+    # ended on, reads its gradient there (an exp block after the first is
+    # handed the one its predecessor ended with), and runs no pass. A
+    # validation loss runs one forward of each and a pass.
     from turntaking import neural, proclivity
 
     rng = np.random.default_rng(63)
     train = mixed_shape_pairs(rng) + [make_pair(rng, members=5, turns=9)]
     val = [make_pair(rng, members=3, turns=10), make_pair(rng, members=4, turns=12)]
     assert len(_Stacks(train).stacks) == 3 and len(_Stacks(val).stacks) == 2
+    val_turns = _Stacks(val).turns
+    assert _Stacks(train).turns != val_turns
     events = []
 
-    def spy(module, name, tag=None):
-        # ``tag`` names a call by the parameters it ran on: argument 2 of
-        # ``_forward``, argument 3 of ``_backward``.
+    def spy(module, name, letter):
         real = getattr(module, name)
 
         def call(*args):
-            events.append(f"{name[1:]} {'pair' if args[tag].ndim == 2 else 'net'}"
-                          if tag else name)
+            events.append(letter(*args))
             return real(*args)
 
         monkeypatch.setattr(module, name, call)
 
     bundles = {variant: warmed_bundle(rng, variant=variant) for variant in ("pro", "exp")}
+    # A forward or backward is named by the parameters it ran on (argument 2
+    # of ``_forward``, 3 of ``_backward``): the (2, P) pair, or a net's own.
     for module in (neural, proclivity, training):
-        spy(module, "_forward", 2)
-        spy(module, "_backward", 3)
-    for name in ("_pass", "_score_gradient", "_proclivity_gradient"):
-        spy(training, name)
-    letters = {"_pass": "P", "_score_gradient": "S", "_proclivity_gradient": "G",
-               "forward pair": "f", "forward net": "t", "backward pair": "b", "backward net": "n"}
+        spy(module, "_forward", lambda *args: "f" if args[2].ndim == 2 else "t")
+        spy(module, "_backward", lambda *args: "b" if args[3].ndim == 2 else "n")
+    spy(training, "_pass", lambda stacks, sc, tab: "V" if stacks.turns == val_turns else "P")
+    spy(training, "_score_gradient", lambda *args: "S")
+    spy(training, "_proclivity_gradient", lambda *args: "G")
 
-    cfg = FitConfig(max_outer=3, score_epochs=2, proclivity_epochs=3, patience=10)
-    # A block: its start's pass and gradient, then trials, each a forward and
-    # a pass, an accepted one with its gradient and backward.
-    score_block, prox_block = r"PSb(?:fP(?:Sb)?)*", r"PGn(?:tP(?:Gn)?)*"
-    for variant, table, block in (("pro", "t", prox_block), ("exp", "", "")):
+    monkeypatch.setattr(training, "BLOCK_STEPS", 2)
+    cfg = FitConfig(max_outer=3, patience=10)
+    # A block's trials: each a forward and a pass, an accepted one with its
+    # gradient and backward.
+    score, prox = r"(?:fP(?:Sb)?)*", r"(?:tP(?:Gn)?)*"
+    patterns = {"pro": f"ftPftV(?:Sb{score}Gn{prox}ftV){{3}}",
+                "exp": f"fPfVSb(?:{score}fV){{3}}"}
+    steps = []
+    for variant, pattern in patterns.items():
         events.clear()
         result = fit(bundles[variant], TrainingSet(train, val), cfg)
         assert len(result.history) == 4
-        trace = "".join(letters[event] for event in events)
-        outer = f"(?:{score_block}{block}f{table}P)"
-        assert re.fullmatch(f"f{table}Pf{table}P{outer}{{{cfg.max_outer}}}", trace), trace
-        # Each block takes at most its epoch count of accepted steps.
-        for start, accepted, epochs in (("PSb", "Sb", cfg.score_epochs),
-                                        ("PGn", "Gn", cfg.proclivity_epochs)):
-            runs = re.findall(f"{start}((?:[ft]P(?:{accepted})?)*)", trace)
-            assert len(runs) == (cfg.max_outer if table or start == "PSb" else 0)
-            assert all(run.count(accepted) <= epochs for run in runs)
+        trace = "".join(events)
+        assert re.fullmatch(pattern, trace), trace
+        assert result.passes == trace.count("P") + trace.count("V")
+        # Each block takes at most BLOCK_STEPS accepted steps. The trace
+        # splits at the validation losses: row 0's pass, then each outer
+        # iteration's blocks.
+        outers = trace.split("ftV" if variant == "pro" else "fV")[1:-1]
+        assert len(outers) == cfg.max_outer
+        steps += [outer.count(accepted) for outer in outers for accepted in ("fPSb", "tPGn")]
+    assert max(steps) == training.BLOCK_STEPS
 
 
 def test_stacks_group_mixed_shapes():
@@ -492,10 +502,9 @@ def test_gradients_with_floored_cells_match_finite_differences():
         assert_gradients_match_finite_differences(bundle, roster, conversation)
 
 
-def test_floored_cells_get_no_slope_in_interleaved_stacks():
-    # Each stack writes its score slopes, floor corrections included, into
-    # its own rows of the split's vectors. Stacks of 3, 4 and 3 members with
-    # the floored members at different positions check those offsets.
+def interleaved_floored_split():
+    """``floored_bundle`` and a split of stacks of 3, 4 and 3 members, the
+    floored members at different positions, each straddling the floor."""
     rng = np.random.default_rng(64)
     rosters = [Roster(traits=np.array(t)) for t in
                ([0.2, 0.5, 0.8], [0.8, 0.2, 0.9, 0.7], [0.9, 0.8, 0.5])]
@@ -508,7 +517,33 @@ def test_floored_cells_get_no_slope_in_interleaved_stacks():
         assert_floor_straddled(bundle, roster, conversation)
     stacks = _Stacks(pairs)
     assert [s.gaps.shape for s in stacks.stacks] == [(1, 3, 40), (1, 4, 40), (1, 3, 30)]
-    assert_split_gradients_match_finite_differences(bundle, stacks)
+    return bundle, stacks
+
+
+def test_floored_cells_get_no_slope_in_interleaved_stacks():
+    # Each stack writes its score slopes, floor corrections included, into
+    # its own rows of the split's vectors; the three stacks check those offsets.
+    assert_split_gradients_match_finite_differences(*interleaved_floored_split())
+
+
+def test_gradients_read_a_pass_without_changing_it():
+    # fit hands the pass at a block's last accepted point to the next block,
+    # and in a pro fit both gradients read it. Either gradient, read first or
+    # second from a shared pass, must be the bits it reads from its own fresh
+    # pass, and the pass, floored cells included, must keep its bits.
+    bundle, stacks = interleaved_floored_split()
+    sc, tab = split_parts(bundle, stacks)
+    gradients = (_score_gradient, _proclivity_gradient)
+    fresh = [gradient(stacks, sc, tab, training._pass(stacks, sc, tab)) for gradient in gradients]
+    for order in (gradients, gradients[::-1]):
+        passed = training._pass(stacks, sc, tab)
+        totals, observed, floored = passed
+        assert floored is not None and (observed == EPS_FLOOR).any()
+        arrays = [totals, observed, *floored[:3], *floored[3]]
+        kept = [a.copy() for a in arrays]
+        for gradient in order:
+            assert same_bits(gradient(stacks, sc, tab, passed), fresh[gradients.index(gradient)])
+        assert all(same_bits(a, b) for a, b in zip(arrays, kept))
 
 
 def test_split_pass_matches_the_oracle_at_conversation_boundaries():
@@ -565,12 +600,18 @@ def test_stacks_reject_mismatched_roster():
 
 
 def quadratic(A, minimum):
-    """``measure`` of ``0.5 (x - minimum)' A (x - minimum)``, with ``x`` its own output."""
-    def measure(x):
+    """``run`` and ``gradient`` of ``0.5 (x - minimum)' A (x - minimum)``, with
+    ``x`` its own output and the residual ``x - minimum`` its pass."""
+    def run(x):
         r = x - minimum
-        return 0.5 * r @ A @ r, lambda: A @ r
+        return 0.5 * r @ A @ r, r
 
-    return measure
+    return run, lambda x, r: A @ r
+
+
+def run_block(x, run, gradient, build=lambda x: x):
+    """``_block`` from ``x``, its own output, after a pass there."""
+    return _block(x, x, run(x), deque(maxlen=MEMORY), build, run, gradient)
 
 
 def dense_inverse_hessian(pairs, n):
@@ -610,7 +651,7 @@ def test_direction_falls_back_to_steepest_descent_scaled_to_max_move():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_block_minimises_a_convex_quadratic_within_reach(seed):
+def test_block_minimises_a_convex_quadratic_within_reach(seed, monkeypatch):
     # Armijo's unit steps do not end a quadratic in n steps the way exact line
     # searches do, so the quadratic is well conditioned (eigenvalues in
     # [1, 2]) and its minimum within a few MAX_MOVE steps of the start.
@@ -619,17 +660,17 @@ def test_block_minimises_a_convex_quadratic_within_reach(seed):
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     A = Q @ np.diag(rng.uniform(1.0, 2.0, n)) @ Q.T
     start = np.zeros(n)
-    x, at, loss = _block(start, start, deque(maxlen=MEMORY), n + 1, lambda x: x,
-                         quadratic(A, rng.uniform(-0.1, 0.1, n)))
+    monkeypatch.setattr(training, "BLOCK_STEPS", n + 1)
+    x, at, (loss, _), _ = run_block(start, *quadratic(A, rng.uniform(-0.1, 0.1, n)))
     assert loss <= 1e-10 and at is x
     assert not start.any()
 
 
 @pytest.mark.parametrize("failure", ["raises", "inf", "nan"])
-def test_block_backtracks_a_failed_trial(failure):
+def test_block_backtracks_a_failed_trial(failure, monkeypatch):
     # The first trial moves x by MAX_MOVE to 0.3; past 0.2 the forward raises
     # FloatingPointError or the loss is not finite. Both halve the step.
-    measure = quadratic(np.eye(1), np.array([0.3]))
+    run, gradient = quadratic(np.eye(1), np.array([0.3]))
 
     def build(x):
         if failure == "raises" and x[0] > 0.2:
@@ -637,10 +678,11 @@ def test_block_backtracks_a_failed_trial(failure):
         return x
 
     def failing(x):
-        loss, gradient = measure(x)
-        return (float(failure) if failure != "raises" and x[0] > 0.2 else loss), gradient
+        loss, r = run(x)
+        return (float(failure) if failure != "raises" and x[0] > 0.2 else loss), r
 
-    x, _, _ = _block(np.zeros(1), np.zeros(1), deque(maxlen=MEMORY), 1, build, failing)
+    monkeypatch.setattr(training, "BLOCK_STEPS", 1)
+    x, *_ = run_block(np.zeros(1), failing, gradient, build)
     assert x.tolist() == [0.15]
 
 
@@ -649,24 +691,48 @@ def test_block_with_no_passing_trial_ends_without_moving():
         raise FloatingPointError("non-finite value in forward pass")
 
     start = np.array([1.0, -1.0])
-    measure = quadratic(np.eye(2), np.zeros(2))
-    x, at, loss = _block(start, start, deque(maxlen=MEMORY), 5, build, measure)
-    assert x is start and at is start and loss == 1.0
+    run, gradient = quadratic(np.eye(2), np.zeros(2))
+    begun = run(start)
+    x, at, now, _ = _block(start, start, begun, deque(maxlen=MEMORY), build, run, gradient)
+    assert x is start and at is start and now[0] == 1.0 and now[1] is begun[1]
 
 
 def test_block_ends_once_a_step_gains_too_little():
     # Far above its minimum, each step gains well under BLOCK_GAIN of the
     # loss: the block stops after its first accepted step.
     gradients = []
-    measure = quadratic(np.eye(2), np.zeros(2))
+    run, gradient = quadratic(np.eye(2), np.zeros(2))
 
     def offset(x):
-        loss, gradient = measure(x)
-        return 1e6 + loss, lambda: gradients.append(x) or gradient()
+        loss, r = run(x)
+        return 1e6 + loss, r
 
-    x, _, loss = _block(np.array([0.5, 0.5]), np.array([0.5, 0.5]), deque(maxlen=MEMORY), 5,
-                        lambda x: x, offset)
+    def read(x, r):
+        gradients.append(x)
+        return gradient(x, r)
+
+    _, _, (loss, _), _ = run_block(np.array([0.5, 0.5]), offset, read)
     assert len(gradients) == 2 and loss < 1e6 + 0.25
+
+
+def test_block_ends_on_the_pass_and_gradient_of_its_last_accepted_point():
+    # fit hands both to the next block: the loss and the pass must be the
+    # ones a fresh pass there gives, and a block handed its start gradient
+    # reads none at its start.
+    run, gradient = quadratic(np.diag([1.0, 2.0, 3.0]), np.array([0.1, -0.2, 0.3]))
+    reads = []
+
+    def read(x, r):
+        reads.append(x)
+        return gradient(x, r)
+
+    x, at, (loss, r), grad = run_block(np.zeros(3), run, read)
+    assert len(reads) > 2 and at is x and x is reads[-1]
+    assert loss == run(x)[0] and np.array_equal(r, x - np.array([0.1, -0.2, 0.3]))
+    assert np.array_equal(grad, gradient(x, r))
+    reads.clear()
+    _block(x, at, (loss, r), deque(maxlen=MEMORY), lambda x: x, run, read, grad)
+    assert reads and all(point is not x for point in reads)
 
 
 @pytest.mark.parametrize("bad", [np.inf, 1e200])
@@ -675,13 +741,13 @@ def test_non_finite_gradient_at_an_accepted_point_is_floating_point_error(bad):
     # overflows, with no numpy warning ahead of the FloatingPointError. The
     # start point is left untouched. A NaN is the same error, see
     # test_neural's test_apply_update_reports_divergence_as_floating_point_error.
-    def measure(x):
+    def gradient(x, _):
         scale = (bad, bad) if x[0] < 1.0 else (1.0, 1.0)
-        return float(x @ x), lambda: 2.0 * x * scale[0] * scale[1]
+        return 2.0 * x * scale[0] * scale[1]
 
     start = np.array([1.0, 0.5])
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        _block(start, start, deque(maxlen=MEMORY), 3, lambda x: x, measure)
+        run_block(start, lambda x: (float(x @ x), None), gradient)
     assert start.tolist() == [1.0, 0.5]
 
 
@@ -779,27 +845,30 @@ def test_fit_exp_never_touches_the_proclivity():
 def test_descent_blocks_are_isolated(monkeypatch):
     # The score block steps only the (2, P) pair of f and g, the proclivity
     # block only nu's vector, each from where its own last step left it and
-    # with its own L-BFGS memory, kept for the whole fit.
+    # with its own L-BFGS memory, kept for the whole fit. Each block starts
+    # from the (loss, pass) the block before it ended on.
     rng = np.random.default_rng(53)
     bundle = ModelBundle.make("pro", seed=4, hidden=(6,))
     calls, real_block = [], training._block
 
-    def block(x, at, memory, steps, build, measure):
-        moved = real_block(x, at, memory, steps, build, measure)
-        calls.append((x, memory, steps, moved[0]))
+    def block(x, at, now, memory, *rest):
+        moved = real_block(x, at, now, memory, *rest)
+        calls.append((x, now, memory, moved))
         return moved
 
     monkeypatch.setattr(training, "_block", block)
-    cfg = FitConfig(max_outer=2, score_epochs=2, proclivity_epochs=3, patience=5)
-    fit(bundle, TrainingSet([make_pair(rng, turns=30)]), cfg)
-    assert [(x.ndim, steps) for x, _, steps, _ in calls] == [(2, 2), (1, 3)] * 2
-    assert calls[0][1] is not calls[1][1]
+    monkeypatch.setattr(training, "BLOCK_STEPS", 2)
+    fit(bundle, TrainingSet([make_pair(rng, turns=30)]), FitConfig(max_outer=2, patience=5))
+    assert [x.ndim for x, *_ in calls] == [2, 1] * 2
+    assert calls[0][2] is not calls[1][2]
+    for (_, now, *_), (*_, moved) in zip(calls[1:], calls):
+        assert now is moved[2]
     for ndim, start in ((2, bundle.pair), (1, bundle.proclivity.net.params)):
         own = [call for call in calls if call[0].ndim == ndim]
         assert np.array_equal(own[0][0], start)
-        assert all(memory is own[0][1] for _, memory, _, _ in own)
+        assert all(memory is own[0][2] for _, _, memory, _ in own)
         for (x, *_), (*_, moved) in zip(own[1:], own):
-            assert x is moved
+            assert x is moved[0]
 
 
 def test_fit_early_stopping_truncates_history(caplog):
@@ -835,16 +904,25 @@ def scripted_fit(monkeypatch, losses, patience):
     """``fit`` with one scripted validation loss per outer iteration, from
     row 0 on; also the score pairs it scored."""
     scored, script = [], iter(losses)
-
-    def scripted_nll(stacks, sc, tab):
-        scored.append(sc.nets[1])
-        return next(script)
-
-    # The validation split is scored through _mean_nll, once per row; the
-    # train losses come from the blocks' own passes.
-    monkeypatch.setattr(training, "_mean_nll", scripted_nll)
+    real_scores, real_nll = training._Stacks.scores, training._mean_nll
     rng = np.random.default_rng(60)
     ts = TrainingSet([make_pair(rng, turns=20)], [make_pair(rng, turns=20)])
+
+    def is_val(stacks):
+        return np.array_equal(stacks.traits, ts.val[0][0].traits)
+
+    def scores(stacks, f_net, pair):
+        if is_val(stacks):
+            scored.append(pair)
+        return real_scores(stacks, f_net, pair)
+
+    def scripted_nll(stacks, passed):
+        return next(script) if is_val(stacks) else real_nll(stacks, passed)
+
+    # The validation split is scored once per row, the train split by the
+    # blocks' passes; _mean_nll reads both.
+    monkeypatch.setattr(training._Stacks, "scores", scores)
+    monkeypatch.setattr(training, "_mean_nll", scripted_nll)
     cfg = FitConfig(max_outer=100, patience=patience)
     return fit(ModelBundle.make("exp", seed=0, hidden=(3,)), ts, cfg), scored
 
@@ -889,17 +967,18 @@ def test_accepted_steps_move_no_parameter_past_max_move(monkeypatch):
     # parameter, so a fit's parameters stay finite.
     moves, real_block = [], training._block
 
-    def block(x, at, memory, steps, build, measure):
-        accepted = []
+    def block(x, at, now, memory, build, run, gradient, grad=None):
+        # A handed-in gradient was read at the start point.
+        accepted = [] if grad is None else [x]
 
-        def measured(point):
-            loss, gradient = measure(point[1])
-            return loss, lambda: accepted.append(point[0]) or gradient()
+        def read(point, passed):
+            accepted.append(point[0])
+            return gradient(point[1], passed)
 
-        x, (_, at), loss = real_block(x, (x, at), memory, steps,
-                                      lambda x: (x, build(x)), measured)
+        x, (_, at), now, grad = real_block(x, (x, at), now, memory, lambda x: (x, build(x)),
+                                           lambda point: run(point[1]), read, grad)
         moves.extend(np.abs(b - a).max() for a, b in zip(accepted, accepted[1:]))
-        return x, at, loss
+        return x, at, now, grad
 
     monkeypatch.setattr(training, "_block", block)
     ts = default_fit_world()
@@ -950,7 +1029,7 @@ def test_default_fit_converges_before_the_cap(caplog):
 
 def test_fit_config_validation():
     with pytest.raises(ValueError):
-        FitConfig(score_epochs=0)
+        FitConfig(max_outer=0)
     with pytest.raises(ValueError):
         FitConfig(patience=0)
     with pytest.raises(ValueError):
@@ -958,9 +1037,11 @@ def test_fit_config_validation():
 
 
 @pytest.mark.parametrize("setting", [{"step": np.nan}, {"step": np.inf}, {"clip_norm": np.nan},
-                                     {"clip_norm": np.inf}])
+                                     {"clip_norm": np.inf}, {"score_epochs": 2},
+                                     {"proclivity_epochs": 2}])
 def test_fit_config_rejects_non_finite_step_and_clip_norm(setting):
-    # Neither step nor clip_norm is a FitConfig field, so any value of either
+    # None of step, clip_norm and the old per-block step caps is a FitConfig
+    # field (a block's cap is the constant BLOCK_STEPS), so any value of one
     # is refused.
     (name,) = setting
     with pytest.raises(TypeError, match=name):

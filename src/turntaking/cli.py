@@ -265,13 +265,13 @@ def cmd_fit(args) -> int:
              "passes": result.passes},
         ),
     )
-    # With no validation split, the history's val_loss column holds the train loss.
+    # With no validation split, the history's val_loss cells are empty.
     scored = "validation loss" if val else "train loss (no validation split)"
     log.info(
         "fit %s: %d outer iterations (stopped on %s), %d likelihood passes, "
         "best %s %.6f at iteration %d",
         args.variant, len(result.history) - 1, result.stop_reason, result.passes, scored,
-        min(row[2] for row in result.history), result.best_outer,
+        min(row[2 if val else 1] for row in result.history), result.best_outer,
     )
     return EXIT_OK
 

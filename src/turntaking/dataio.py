@@ -1,7 +1,9 @@
 """CSV readers and writers for every artifact the pipeline exchanges.
 
-All files are UTF-8 with LF line endings and a header row. Floats are
-written with repr, which round-trips exactly, so regenerating an artifact
+All files are UTF-8 with LF line endings and a header row. Every one is
+written by ``_write_table`` and read by ``_read_table``. Rows hold Python
+numbers and strings, never numpy scalars: the csv module writes a Python
+float with repr, which round-trips exactly, so regenerating an artifact
 under the same seed reproduces it byte for byte. Indices (groups, members,
 turns, layers) are 1-based in files regardless of internal representation.
 """
@@ -44,25 +46,20 @@ class DataFormatError(ValueError):
     """A data file failed structural or numeric validation."""
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _write_table(path, header, rows, meta: dict | None = None) -> None:
+    """``# key=value`` lines from ``meta``, the header, then ``rows``: ``_read_table``'s twin.
 
-
-@contextlib.contextmanager
-def _open_writer(path):
-    """A CSV writer whose file replaces ``path`` only once it is complete.
-
-    Rows go to a temp file in the same directory, which ``os.replace``
-    moves into place when the block exits normally. If the block raises,
-    the temp file is removed and any previous file at ``path`` is left
-    as it was, so an interrupted run never leaves a truncated artifact.
+    It goes to a temp file that ``os.replace`` moves onto ``path`` once complete: if
+    ``rows`` raises, the temp file is removed and a previous file at ``path`` stays.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    handle = open(tmp, "w", encoding="utf-8", newline="")
     try:
-        with handle:
-            yield csv.writer(handle, lineterminator="\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerows([f"# {key}={value}"] for key, value in (meta or {}).items())
+            writer.writerow(header)
+            writer.writerows(rows)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -85,8 +82,8 @@ def _read_table(path, header, kinds, meta: dict | None = None):
     column k, parsed by ``kinds[k]`` (``int``, ``float`` or ``str``). The
     file is streamed CHUNK_ROWS rows at a time. The first cell that does not
     parse, in file order, is reported with its line, and before any wrong
-    field count on a later row. Blank rows are skipped. Leading
-    ``# key=value`` lines go into ``meta`` when it is given.
+    field count or line break in a cell on a later row. Blank rows are
+    skipped. Leading ``# key=value`` lines go into ``meta`` when it is given.
     """
     # Line numbers as machine integers: a list would hold an int object per row.
     lines, columns = array.array("q"), [[] for _ in kinds]
@@ -117,16 +114,18 @@ def _read_table(path, header, kinds, meta: dict | None = None):
             width, start = len(header), reader.line_num + 1
             while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
                 numbers = range(start, start + len(chunk))
-                start += len(chunk)
-                if set(map(len, chunk)) != {width}:  # blank rows, or a wrong field count
+                start = reader.line_num + 1
+                # Blank rows, a wrong field count, or a quoted cell that spans lines.
+                if set(map(len, chunk)) != {width} or start != numbers.stop:
                     numbers = list(itertools.compress(numbers, chunk))
                     chunk = list(filter(None, chunk))
                     for k, row in enumerate(chunk):
-                        if len(row) != width:
+                        broken = any("\n" in cell or "\r" in cell for cell in row)
+                        if len(row) != width or broken:
                             add(numbers[:k], chunk[:k])
-                            raise DataFormatError(
-                                f"{path}:{numbers[k]}: expected {width} fields, got {len(row)}"
-                            )
+                            raise DataFormatError(f"{path}:{numbers[k]}: " + (
+                                "a cell holds a line break" if broken
+                                else f"expected {width} fields, got {len(row)}"))
                 add(numbers, chunk)
     except csv.Error as exc:
         raise DataFormatError(f"{path}: malformed CSV ({exc})") from exc
@@ -177,15 +176,20 @@ def _read_groups(path, header, kinds, build, unordered: str) -> dict:
     return out
 
 
+def _write_groups(path, header, groups, values) -> None:
+    """The twin of ``_read_groups``: group id, 1-based index, ``values(group)``'s cells."""
+    _write_table(path, header, itertools.chain.from_iterable(
+        zip(itertools.repeat(group.group_id), itertools.count(1),
+            *(column.tolist() for column in values(group)))
+        for group in groups
+    ))
+
+
 # -- rosters ----------------------------------------------------------------
 
 
 def write_rosters(path, groups) -> None:
-    with _open_writer(path) as writer:
-        writer.writerow(ROSTER_HEADER)
-        for group in groups:
-            for member, trait in enumerate(group.roster.traits, start=1):
-                writer.writerow([group.group_id, member, _fmt(trait)])
+    _write_groups(path, ROSTER_HEADER, groups, lambda group: [group.roster.traits])
 
 
 def read_rosters(path) -> dict:
@@ -196,11 +200,7 @@ def read_rosters(path) -> dict:
 
 
 def write_conversations(path, groups) -> None:
-    with _open_writer(path) as writer:
-        writer.writerow(CONVERSATION_HEADER)
-        for group in groups:
-            for turn, speaker in enumerate(group.conversation.speakers, start=1):
-                writer.writerow([group.group_id, turn, int(speaker)])
+    _write_groups(path, CONVERSATION_HEADER, groups, lambda group: [group.conversation.speakers])
 
 
 def read_conversations(path) -> dict:
@@ -213,14 +213,8 @@ def read_conversations(path) -> dict:
 
 
 def write_true_scores(path, groups) -> None:
-    with _open_writer(path) as writer:
-        writer.writerow(SCORES_HEADER)
-        for group in groups:
-            if group.scores is None:
-                continue
-            pairs = zip(group.scores.inherent, group.scores.memory)
-            for member, (pi, d) in enumerate(pairs, start=1):
-                writer.writerow([group.group_id, member, _fmt(pi), _fmt(d)])
+    _write_groups(path, SCORES_HEADER, (group for group in groups if group.scores is not None),
+                  lambda group: [group.scores.inherent, group.scores.memory])
 
 
 def read_true_scores(path) -> dict:
@@ -305,14 +299,14 @@ def write_checkpoint(path, bundle: ModelBundle) -> None:
     meta = {"variant": bundle.variant, "activation": bundle.f_net.activation}
     if bundle.learns_proclivity:
         nets["nu"] = bundle.proclivity.net
-        meta["delta_scale"] = _fmt(bundle.proclivity.delta_scale)
-    with _open_writer(path) as writer:
-        writer.writerows([f"# {key}={value}"] for key, value in meta.items())
-        writer.writerow(CHECKPOINT_HEADER)
-        for name, net in nets.items():
-            for layer, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
-                for r, row in enumerate(np.column_stack([b, w]), start=1):
-                    writer.writerows([name, layer, r, c, _fmt(v)] for c, v in enumerate(row))
+        meta["delta_scale"] = float(bundle.proclivity.delta_scale)
+    _write_table(path, CHECKPOINT_HEADER, (
+        [name, layer, r, c, v]
+        for name, net in nets.items()
+        for layer, (w, b) in enumerate(zip(net.weights, net.biases), start=1)
+        for r, row in enumerate(np.column_stack([b, w]).tolist(), start=1)
+        for c, v in enumerate(row)
+    ), meta)
 
 
 def _net_from_cells(path, name: str, layers: dict, activation: str) -> DenseNet:
@@ -369,14 +363,19 @@ def read_checkpoint(path) -> ModelBundle:
 
 
 def write_history(path, history) -> None:
-    with _open_writer(path) as writer:
-        writer.writerow(HISTORY_HEADER)
-        for outer, train_loss, val_loss in history:
-            writer.writerow([int(outer), _fmt(train_loss), _fmt(val_loss)])
+    """``FitResult.history``; a ``None`` val_loss (no validation split) is an empty cell."""
+    _write_table(path, HISTORY_HEADER, history)
+
+
+def _loss(raw: str):
+    return float(raw) if raw else None  # empty: no validation split
+
+
+_loss.__name__ = "float"  # what a cell that does not parse is reported as
 
 
 def read_history(path) -> list:
-    _, columns = _read_table(path, HISTORY_HEADER, (int, float, float))
+    _, columns = _read_table(path, HISTORY_HEADER, (int, float, _loss))
     return list(zip(*columns))
 
 
@@ -394,53 +393,31 @@ def write_report(path, report: EvalReport) -> None:
     metric names plus raw across-group sums under *_sum. Failed cells get a
     single row with metric "failed" and the diagnostic as the value.
     """
-    with _open_writer(path) as writer:
-        writer.writerow(REPORT_HEADER)
+    def rows():
         for trial_result in report.trials:
             for variant in _report_variants(report):
+                cell = trial_result.trial, variant
                 if variant in trial_result.failures:
-                    writer.writerow(
-                        [trial_result.trial, variant, "failed", "all",
-                         trial_result.failures[variant]]
-                    )
-                    continue
-                summary = trial_result.losses.get(variant)
-                if summary is None:
-                    continue
-                for metric in ("nll", "nll_turn"):
-                    for row in summary.groups:
-                        writer.writerow(
-                            [trial_result.trial, variant, metric, row.group_id,
-                             _fmt(getattr(row, metric))]
-                        )
-                    writer.writerow(
-                        [trial_result.trial, variant, metric, "all",
-                         _fmt(summary.metric(metric))]
-                    )
-                writer.writerow(
-                    [trial_result.trial, variant, "nll_sum", "all", _fmt(summary.nll_sum)]
-                )
-                writer.writerow(
-                    [trial_result.trial, variant, "nll_turn_sum", "all",
-                     _fmt(summary.nll_turn_sum)]
-                )
+                    yield *cell, "failed", "all", trial_result.failures[variant]
+                elif (summary := trial_result.losses.get(variant)) is not None:
+                    for metric in ("nll", "nll_turn"):
+                        for row in summary.groups:
+                            yield *cell, metric, row.group_id, getattr(row, metric)
+                        yield *cell, metric, "all", summary.metric(metric)
+                    yield *cell, "nll_sum", "all", summary.nll_sum
+                    yield *cell, "nll_turn_sum", "all", summary.nll_turn_sum
+
+    _write_table(path, REPORT_HEADER, rows())
 
 
 def write_summary(path, report: EvalReport) -> None:
     """Boxplot statistics over trial aggregates, failures excluded."""
-    with _open_writer(path) as writer:
-        writer.writerow(SUMMARY_HEADER)
-        for variant in _report_variants(report):
-            for metric in ("nll", "nll_turn"):
-                values = report.trial_values(variant, metric)
-                if not values:
-                    continue
-                stats = boxplot_stats(values)
-                writer.writerow(
-                    [variant, metric, _fmt(stats["median"]), _fmt(stats["q1"]),
-                     _fmt(stats["q3"]), _fmt(stats["lo_whisker"]),
-                     _fmt(stats["hi_whisker"])]
-                )
+    _write_table(path, SUMMARY_HEADER, (
+        [variant, metric, *map(boxplot_stats(values).get, SUMMARY_HEADER[2:])]
+        for variant in _report_variants(report)
+        for metric in ("nll", "nll_turn")
+        if (values := report.trial_values(variant, metric))
+    ))
 
 
 def read_report(path) -> list:
@@ -456,10 +433,7 @@ def read_report(path) -> list:
 
 
 def write_curve(path, curve: ProclivityCurve) -> None:
-    with _open_writer(path) as writer:
-        writer.writerow(CURVE_HEADER)
-        for delta, value in zip(curve.gaps, curve.values):
-            writer.writerow([int(delta), _fmt(value)])
+    _write_table(path, CURVE_HEADER, zip(curve.gaps.tolist(), curve.values.tolist()))
 
 
 def read_curve(path) -> ProclivityCurve:

@@ -158,7 +158,8 @@ class TrainingSet:
 
 @dataclass
 class FitResult:
-    """Fitted bundle plus (outer_iter, train_loss, val_loss) history rows.
+    """Fitted bundle plus (outer_iter, train_loss, val_loss) history rows;
+    ``val_loss`` is None when there is no validation split.
 
     ``stop_reason`` says why the fit ended: ``"patience"`` when validation
     stopped improving, ``"max_outer"`` at the iteration cap, and ``None``
@@ -505,7 +506,8 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     its block moves, each block starts from the pass the last one ended on
     (only row 0 runs its own), and the nets are built once, from the best
     snapshot. A history row's train loss is the loss at the last accepted
-    point, and with no validation split also its validation loss.
+    point. With no validation split its validation loss is None, and the
+    fit stops on the train loss.
     """
     cfg = config or FitConfig()
     if bundle.variant not in LEARNABLE_VARIANTS:
@@ -524,16 +526,19 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
         passed = _pass(split, sc, tab)
         return _mean_nll(split, passed), passed
 
-    def val_loss_at(pair, nu, train_loss):
+    def watched(pair, nu, train_loss):
+        """The loss the fit stops on and the row's val_loss: the validation
+        loss twice, or with no validation split the train loss and None."""
         if val is None:
-            return train_loss
-        return run(val, val.scores(f_net, pair), val.gather(prox, nu))[0]
+            return train_loss, None
+        loss = run(val, val.scores(f_net, pair), val.gather(prox, nu))[0]
+        return loss, loss
 
     # ``grad``: the score gradient at the current point while only the score block moves it.
     now, grad = run(train, sc, tab), None
-    val_loss = val_loss_at(pair, nu, now[0])
+    best_val, val_loss = watched(pair, nu, now[0])
     history = [(0, now[0], val_loss)]
-    best, best_val, best_outer = (pair, nu), val_loss, 0
+    best, best_outer = (pair, nu), 0
     stall, stop_reason = 0, "max_outer"
     score_memory, prox_memory = deque(maxlen=MEMORY), deque(maxlen=MEMORY)
 
@@ -549,14 +554,14 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
                 lambda tab, passed: _proclivity_gradient(train, sc, tab, passed))
             grad = None
         train_loss = now[0]
-        val_loss = val_loss_at(pair, nu, train_loss)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+        loss, val_loss = watched(pair, nu, train_loss)
+        if not (np.isfinite(train_loss) and np.isfinite(loss)):
             raise FitDivergenceError(f"non-finite loss at outer iteration {outer} "
                                      f"(train={train_loss}, val={val_loss})")
         history.append((outer, train_loss, val_loss))
-        gained = best_val - val_loss > MIN_GAIN * abs(best_val)
-        if val_loss < best_val:
-            best, best_val, best_outer = (pair, nu), val_loss, outer
+        gained = best_val - loss > MIN_GAIN * abs(best_val)
+        if loss < best_val:
+            best, best_val, best_outer = (pair, nu), loss, outer
         stall = 0 if gained else stall + 1
         if stall >= cfg.patience:
             stop_reason = "patience"

@@ -340,7 +340,8 @@ def test_an_empty_split_the_command_needs_is_usage_error(
 
 def test_fit_with_an_empty_val_split_runs(capsys, caplog, tmp_path, tiny_config):
     # With no validation group the fit stops on the train loss: the manifest
-    # records val_groups=0, and the log line reports the best train loss.
+    # records val_groups=0, the history's val_loss cells are empty, and the
+    # log line reports the best train loss.
     data = make_data(capsys, tmp_path, tiny_config)
     _empty_split(data, "val")
     with caplog.at_level(logging.INFO, logger="turntaking.cli"):
@@ -349,7 +350,12 @@ def test_fit_with_an_empty_val_split_runs(capsys, caplog, tmp_path, tiny_config)
     assert code == 0, err
     assert (tmp_path / "fit" / "checkpoint.csv").is_file()
     assert read_manifest(tmp_path / "fit")[-1]["val_groups"] == "0"
-    best_train = min(row[1] for row in read_history(tmp_path / "fit" / "history.csv"))
+    history_path = tmp_path / "fit" / "history.csv"
+    history = read_history(history_path)
+    assert [row[2] for row in history] == [None] * len(history) and len(history) > 1
+    lines = history_path.read_text(encoding="utf-8").splitlines()
+    assert all(line.endswith(",") for line in lines[1:])
+    best_train = min(row[1] for row in history)
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit exp")]
     assert f"best train loss (no validation split) {best_train:.6f}" in line
     assert "validation loss" not in line

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from turntaking import (
+    Conversation,
     EvalReport,
     EvalSummary,
     ExpDecayProclivity,
     ExperimentConfig,
     Group,
     GroupLoss,
+    LearnedProclivity,
     ModelBundle,
     ProclivityCurve,
     Roster,
+    ScoreParams,
     SynthConfig,
     SynthDataset,
     TrialResult,
@@ -51,6 +54,7 @@ from turntaking.dataio import (
     write_true_scores,
 )
 from turntaking.evaluation import boxplot_stats
+from turntaking.neural import DenseNet
 
 from test_training import warmed_bundle
 
@@ -214,6 +218,13 @@ def test_history_round_trip_is_exact(tmp_path):
     assert back == [(0, 1.25, 1.5), (1, 1.0 / 3.0, 0.12345678901234568)]
 
 
+def test_history_without_validation_has_empty_val_cells(tmp_path):
+    path = tmp_path / "history.csv"
+    write_history(path, [(0, 1.25, None), (1, 0.5, None)])
+    assert path.read_text(encoding="utf-8") == "outer_iter,train_loss,val_loss\n0,1.25,\n1,0.5,\n"
+    assert read_history(path) == [(0, 1.25, None), (1, 0.5, None)]
+
+
 def test_curve_round_trip_is_exact(tmp_path):
     curve = ProclivityCurve(
         gaps=np.arange(2, 41), values=np.exp(-np.arange(2, 41) / 2.0) * math.pi
@@ -223,6 +234,88 @@ def test_curve_round_trip_is_exact(tmp_path):
     back = read_curve(path)
     np.testing.assert_array_equal(back.gaps, curve.gaps)
     np.testing.assert_array_equal(back.values, curve.values)
+
+
+# -------------------------------------------------------------------- bytes
+
+# Floats that show how each is written: 17 significant digits, a signed zero,
+# and the two exponent forms repr switches to.
+TRICKY = (0.1 + 0.2, -0.0, 1e-05, 1e16)
+
+
+def one_layer_net(w1, b1, w2, b2):
+    """A 1-1-1 net with the given layer-1 and layer-2 weight and bias."""
+    return DenseNet(weights=(np.array([[w1]]), np.array([[w2]])),
+                    biases=(np.array([b1]), np.array([b2])))
+
+
+def pinned_writes():
+    """Each writer with a small fixed input: (write to a path, the whole text it writes)."""
+    groups = [
+        Group(7, Roster(TRICKY), ScoreParams(TRICKY, TRICKY[::-1]), Conversation([1, 4, 2, 4], 4)),
+        Group(8, Roster([0.5, 0.25]), None, Conversation([2, 1], 2)),
+    ]
+    assert groups[0].conversation.speakers.dtype == np.uint8
+    bundle = ModelBundle(
+        "pro", LearnedProclivity(one_layer_net(0.5, -0.25, 2.0, 0.0), delta_scale=5.0),
+        f_net=one_layer_net(*TRICKY), g_net=one_layer_net(*TRICKY[::-1]),
+    )
+
+    def summary(nll, nll_turn):
+        return EvalSummary((GroupLoss(7, nll, nll_turn, 4),), nll, nll_turn, nll, nll_turn)
+
+    report = EvalReport(ExperimentConfig(variants=("exp",)), [
+        TrialResult(1, losses={"true": summary(0.5, 0.25), "exp": summary(TRICKY[0], 1e16)}),
+        TrialResult(2, losses={"true": summary(1.0, -0.0)},
+                    failures={"exp": "fit diverged, at outer 3"}),
+    ])
+    return {
+        "rosters": (lambda path: write_rosters(path, groups),
+                    "group_id,member,trait\n7,1,0.30000000000000004\n7,2,-0.0\n7,3,1e-05\n"
+                    "7,4,1e+16\n8,1,0.5\n8,2,0.25\n"),
+        "conversations": (lambda path: write_conversations(path, groups),
+                          "group_id,turn,speaker\n7,1,1\n7,2,4\n7,3,2\n7,4,4\n8,1,2\n8,2,1\n"),
+        "scores": (lambda path: write_true_scores(path, groups),
+                   "group_id,member,pi,d\n7,1,0.30000000000000004,1e+16\n7,2,-0.0,1e-05\n"
+                   "7,3,1e-05,-0.0\n7,4,1e+16,0.30000000000000004\n"),
+        "checkpoint": (lambda path: write_checkpoint(path, bundle),
+                       "# variant=pro\n# activation=tanh\n# delta_scale=5.0\n"
+                       "net,layer,row,col,value\n"
+                       "f,1,1,0,-0.0\nf,1,1,1,0.30000000000000004\nf,2,1,0,1e+16\nf,2,1,1,1e-05\n"
+                       "g,1,1,0,1e-05\ng,1,1,1,1e+16\ng,2,1,0,0.30000000000000004\ng,2,1,1,-0.0\n"
+                       "nu,1,1,0,-0.25\nnu,1,1,1,0.5\nnu,2,1,0,0.0\nnu,2,1,1,2.0\n"),
+        "history": (lambda path: write_history(path, [(0, TRICKY[0], -0.0), (1, 1e-05, 1e16)]),
+                    "outer_iter,train_loss,val_loss\n0,0.30000000000000004,-0.0\n1,1e-05,1e+16\n"),
+        "report": (lambda path: write_report(path, report),
+                   "trial,variant,metric,group_id,value\n"
+                   "1,true,nll,7,0.5\n1,true,nll,all,0.5\n"
+                   "1,true,nll_turn,7,0.25\n1,true,nll_turn,all,0.25\n"
+                   "1,true,nll_sum,all,0.5\n1,true,nll_turn_sum,all,0.25\n"
+                   "1,exp,nll,7,0.30000000000000004\n1,exp,nll,all,0.30000000000000004\n"
+                   "1,exp,nll_turn,7,1e+16\n1,exp,nll_turn,all,1e+16\n"
+                   "1,exp,nll_sum,all,0.30000000000000004\n1,exp,nll_turn_sum,all,1e+16\n"
+                   "2,true,nll,7,1.0\n2,true,nll,all,1.0\n"
+                   "2,true,nll_turn,7,-0.0\n2,true,nll_turn,all,-0.0\n"
+                   "2,true,nll_sum,all,1.0\n2,true,nll_turn_sum,all,-0.0\n"
+                   '2,exp,failed,all,"fit diverged, at outer 3"\n'),
+        "summary": (lambda path: write_summary(path, report),
+                    "variant,metric,median,q1,q3,lo_whisker,hi_whisker\n"
+                    "true,nll,0.75,0.625,0.875,0.5,1.0\n"
+                    "true,nll_turn,0.125,0.0625,0.1875,-0.0,0.25\n"
+                    "exp,nll,0.30000000000000004,0.30000000000000004,0.30000000000000004,"
+                    "0.30000000000000004,0.30000000000000004\n"
+                    "exp,nll_turn,1e+16,1e+16,1e+16,1e+16,1e+16\n"),
+        "curve": (lambda path: write_curve(path, ProclivityCurve([2, 3, 4, 5], TRICKY)),
+                  "delta,value\n2,0.30000000000000004\n3,-0.0\n4,1e-05\n5,1e+16\n"),
+    }
+
+
+@pytest.mark.parametrize("name", list(pinned_writes()))
+def test_each_writer_writes_these_bytes(tmp_path, name):
+    write, text = pinned_writes()[name]
+    path = tmp_path / f"{name}.csv"
+    write(path)
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 # -------------------------------------------------------------- diagnostics
@@ -357,6 +450,18 @@ BAD_CELLS = {
                                    "2: cannot parse 'tall' as float"),
     "after-a-blank-row": (read_conversations, ["group_id,turn,speaker", "1,1,2", "", "1,2,x"],
                           "4: cannot parse 'x' as int"),
+    # A quoted cell that spans lines is reported at the line its row starts
+    # on, not read as the number before its line break.
+    "a-cell-with-a-line-break": (read_rosters, ["group_id,member,trait", '1,1,"0.5', '"',
+                                                "1,2,0.6", "1,x,0.7"],
+                                 "2: a cell holds a line break"),
+    "before-a-cell-with-a-line-break": (read_rosters, ["group_id,member,trait", "1,y,0.4",
+                                                       '1,2,"0.5', '"'],
+                                        "2: cannot parse 'y' as int"),
+    "history-val-loss": (read_history, ["outer_iter,train_loss,val_loss", "0,1.0,", "1,0.5,x"],
+                         "3: cannot parse 'x' as float"),
+    "history-empty-train-loss": (read_history, ["outer_iter,train_loss,val_loss", "0,,"],
+                                 "2: cannot parse '' as float"),
 }
 
 

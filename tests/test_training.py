@@ -830,8 +830,26 @@ def test_fit_history_row_zero_is_initial_loss():
     result = fit(bundle, TrainingSet([pair]), FitConfig(max_outer=2, patience=5))
     assert result.history[0][0] == 0
     assert result.history[0][1] == pytest.approx(bundle_loss(bundle, *pair), abs=1e-12)
-    # Without a validation split the train loss doubles as the val loss.
-    assert result.history[0][2] == result.history[0][1]
+    # Without a validation split there is no val loss.
+    assert [row[2] for row in result.history] == [None] * 3
+
+
+def test_fit_without_a_validation_split_stops_on_the_train_loss():
+    # With no validation split the fit stops and snapshots as if the train
+    # split were its validation split, but its history holds no val loss.
+    rng = np.random.default_rng(51)
+    train = [make_pair(rng, turns=40) for _ in range(2)]
+    cfg = FitConfig(max_outer=30, patience=3)
+    for variant in ("pro", "exp"):
+        alone, twice = (fit(ModelBundle.make(variant, seed=2, hidden=(6,)), ts, cfg)
+                        for ts in (TrainingSet(train), TrainingSet(train, train)))
+        assert [row[2] for row in alone.history] == [None] * len(alone.history)
+        assert [row[:2] for row in alone.history] == [row[:2] for row in twice.history]
+        assert all(row[1] == row[2] for row in twice.history)
+        assert (alone.best_outer, alone.stop_reason) == (twice.best_outer, twice.stop_reason)
+        assert (alone.bundle.f_net, alone.bundle.g_net) == (twice.bundle.f_net, twice.bundle.g_net)
+        if variant == "pro":
+            assert alone.bundle.proclivity == twice.bundle.proclivity
 
 
 def test_fit_exp_never_touches_the_proclivity():

@@ -4,7 +4,7 @@ Settings resolve in three layers: built-in defaults, then a flat key=value
 config file (``--config``), then explicit command-line flags. Every command
 writes into ``--out`` and appends a manifest block recording its artifacts
 and the resolved settings it read: ``generate`` the data keys and ``seed``;
-``fit`` ``seed``, the fit and network keys and ``val_groups`` (its validation
+``fit`` ``seed``, the fit keys, ``hidden`` and ``val_groups`` (its validation
 groups; at 0 it stops on the train loss); ``eval`` ``proclivity`` (the
 dataset's) and ``variants``; ``curve`` ``proclivity``, ``curve_lo`` and
 ``curve_hi``; ``experiment`` every key.
@@ -111,8 +111,6 @@ _KEYS = {
     "max_outer": (int, "fit"),
     "patience": (int, "fit"),
     "hidden": (_parse_hidden, None),
-    "delta_scale": (float, None),
-    "activation": (str, None),
     "variants": (_parse_variants, None),
     "curve_lo": (int, None),
     "curve_hi": (int, None),
@@ -245,13 +243,7 @@ def cmd_fit(args) -> int:
         [(g.roster, g.conversation) for g in train],
         [(g.roster, g.conversation) for g in val],
     )
-    bundle = ModelBundle.make(
-        args.variant,
-        seed=config.synth.master_seed,
-        hidden=config.hidden,
-        delta_scale=config.delta_scale,
-        activation=config.activation,
-    )
+    bundle = ModelBundle.make(args.variant, seed=config.synth.master_seed, hidden=config.hidden)
     result = fit(bundle, training_set, config.fit)
     out = ensure_out_dir(args.out)
     write_checkpoint(out / CHECKPOINT_NAME, result.bundle)
@@ -259,7 +251,7 @@ def cmd_fit(args) -> int:
     append_manifest(
         out,
         _manifest_entries(
-            "fit", config, ("seed", *_keys_in("fit"), "hidden", "delta_scale", "activation"),
+            "fit", config, ("seed", *_keys_in("fit"), "hidden"),
             {"variant": args.variant, "data": args.data, "val_groups": len(val),
              "best_outer": result.best_outer, "stop_reason": result.stop_reason,
              "passes": result.passes},
@@ -277,15 +269,12 @@ def cmd_fit(args) -> int:
 
 
 def _load_checkpoint(variant: str, directory, settings: dict) -> ModelBundle:
-    """A fit's bundle; the variant and any explicit net setting must match the file."""
+    """A fit's bundle; the variant and an explicit ``hidden`` must match the file."""
     path = Path(directory) / CHECKPOINT_NAME
     if not path.is_file():
         raise ConfigError(f"missing checkpoint file for {variant}: {path}")
     bundle = read_checkpoint(path)
-    recorded = {"variant": bundle.variant, "activation": bundle.f_net.activation,
-                "hidden": bundle.f_net.layer_sizes[1:-1]}
-    if bundle.learns_proclivity:
-        recorded["delta_scale"] = bundle.proclivity.delta_scale
+    recorded = {"variant": bundle.variant, "hidden": bundle.f_net.layer_sizes[1:-1]}
     _agree({**settings, "variant": variant}, recorded, path)
     return bundle
 

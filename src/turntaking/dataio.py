@@ -292,24 +292,23 @@ def read_dataset(directory) -> SynthDataset:
 def write_checkpoint(path, bundle: ModelBundle) -> None:
     """A fitted bundle as one CSV that loads without any other settings.
 
-    ``# key=value`` lines give the variant, the activation and, for ``pro``,
-    ``delta_scale``. One row per parameter follows; column 0 is the bias.
+    One ``# variant=`` line, then one row per parameter; column 0 is the
+    bias. The nets' layout is read from the rows: every net has tanh hidden
+    units, and nu sees the gap over ``GAP_SCALE``.
     """
     nets = {"f": bundle.f_net, "g": bundle.g_net}
-    meta = {"variant": bundle.variant, "activation": bundle.f_net.activation}
     if bundle.learns_proclivity:
         nets["nu"] = bundle.proclivity.net
-        meta["delta_scale"] = float(bundle.proclivity.delta_scale)
     _write_table(path, CHECKPOINT_HEADER, (
         [name, layer, r, c, v]
         for name, net in nets.items()
         for layer, (w, b) in enumerate(zip(net.weights, net.biases), start=1)
         for r, row in enumerate(np.column_stack([b, w]).tolist(), start=1)
         for c, v in enumerate(row)
-    ), meta)
+    ), {"variant": bundle.variant})
 
 
-def _net_from_cells(path, name: str, layers: dict, activation: str) -> DenseNet:
+def _net_from_cells(path, name: str, layers: dict) -> DenseNet:
     if sorted(layers) != list(range(1, len(layers) + 1)):
         raise DataFormatError(f"{path}: net {name} layers are not 1..L")
     weights, biases = [], []
@@ -325,13 +324,18 @@ def _net_from_cells(path, name: str, layers: dict, activation: str) -> DenseNet:
     if [w.shape[1] for w in weights] != sizes[:-1] or sizes[-1] != 1:
         raise DataFormatError(f"{path}: net {name} layer sizes {sizes} do not chain 1 -> 1")
     try:
-        return DenseNet(weights=tuple(weights), biases=tuple(biases), activation=activation)
+        return DenseNet(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:
         raise DataFormatError(f"{path}: net {name}: {exc}") from None
 
 
 def read_checkpoint(path) -> ModelBundle:
-    """The bundle ``write_checkpoint`` wrote; needs no other settings."""
+    """The bundle ``write_checkpoint`` wrote; needs no other settings.
+
+    A header with any key but ``variant`` is refused: an older file names
+    its hidden units' function and its gap scale there, and this code runs
+    tanh and 1/20 only.
+    """
     meta, nets = {}, {}
     lines, columns = _read_table(path, CHECKPOINT_HEADER, (str, int, int, int, float), meta)
     for lineno, name, layer, r, c, value in zip(lines, *columns):
@@ -339,24 +343,16 @@ def read_checkpoint(path) -> ModelBundle:
         if (r, c) in cells:
             raise DataFormatError(f"{path}:{lineno}: repeated cell")
         cells[r, c] = value
-    pro = meta.get("variant") == "pro"
-    keys = {"variant", "activation"} | ({"delta_scale"} if pro else set())
-    names = {"f", "g"} | ({"nu"} if pro else set())
-    if meta.get("variant") not in LEARNABLE_VARIANTS or set(meta) != keys or set(nets) != names:
+    variant = meta.get("variant")
+    names = {"f", "g"} | ({"nu"} if variant == "pro" else set())
+    if variant not in LEARNABLE_VARIANTS or set(meta) != {"variant"} or set(nets) != names:
         raise DataFormatError(
-            f"{path}: expected a pro or exp checkpoint with keys {sorted(keys)} and nets "
+            f"{path}: expected a pro or exp checkpoint with keys ['variant'] and nets "
             f"{sorted(names)}, got {meta} and nets {sorted(nets)}"
         )
-    net = {name: _net_from_cells(path, name, nets[name], meta["activation"]) for name in names}
-    if pro:
-        delta_scale = _parse(path, "header", meta["delta_scale"], float)
-        try:
-            prox = LearnedProclivity(net=net["nu"], delta_scale=delta_scale)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-    else:
-        prox = by_name(PROCLIVITY_KINDS[meta["variant"]])
-    return ModelBundle(variant=meta["variant"], proclivity=prox, f_net=net["f"], g_net=net["g"])
+    net = {name: _net_from_cells(path, name, nets[name]) for name in names}
+    prox = LearnedProclivity(net=net["nu"]) if "nu" in net else by_name(PROCLIVITY_KINDS[variant])
+    return ModelBundle(variant=variant, proclivity=prox, f_net=net["f"], g_net=net["g"])
 
 
 # -- fit history ------------------------------------------------------------

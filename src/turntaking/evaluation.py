@@ -31,7 +31,6 @@ from .model import (
 from .proclivity import (
     CURVE_DELTA_MAX,
     CURVE_DELTA_MIN,
-    DEFAULT_DELTA_SCALE,
     DegenerateRatioError,
     ProclivityCurve,
     by_name,
@@ -207,8 +206,6 @@ class ExperimentConfig:
     curve_lo: int = CURVE_DELTA_MIN
     curve_hi: int = CURVE_DELTA_MAX
     hidden: tuple = DEFAULT_HIDDEN
-    delta_scale: float = DEFAULT_DELTA_SCALE
-    activation: str = "tanh"
 
     def __post_init__(self):
         if not self.variants:
@@ -218,8 +215,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
         if not 1 <= self.curve_lo < self.curve_hi:
             raise ValueError("curve grid must satisfy 1 <= lo < hi")
-        if not 0 < self.delta_scale < np.inf:
-            raise ValueError(f"delta_scale must be positive and finite, got {self.delta_scale}")
 
     @property
     def curve_gaps(self) -> np.ndarray:
@@ -306,8 +301,6 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                     spawn_key=(trial, _VARIANT_CODES.get(variant, 0), STREAM_FIT),
                 ),
                 hidden=config.hidden,
-                delta_scale=config.delta_scale,
-                activation=config.activation,
             )
             if variant in LEARNABLE_VARIANTS:
                 bundle = fit(bundle, training_set, config.fit).bundle

@@ -1,14 +1,15 @@
 """Minimal dense feed-forward networks with analytic backpropagation.
 
-Small scalar-in/scalar-out perceptrons with tanh hidden layers and a sigmoid
-output head, used to map traits to speaking scores and gaps to proclivity
-values. Gradients are computed analytically and are verified against central
-finite differences in the test suite. Networks are treated as values:
-each holds its parameters in one read-only vector, and a gradient is a
-vector of the same layout; ``training.fit`` steps such vectors and builds
-new nets from them. Nets of one layout also run as a stack: their vectors are the
-rows of one (K, P) array, each layer's weights a (K, out, in) view, and one
-batched forward and backward serve all K on a shared input.
+Small scalar-in/scalar-out perceptrons with tanh hidden layers (tanh is the
+only hidden activation) and a sigmoid output head, used to map traits to
+speaking scores and gaps to proclivity values. Gradients are computed
+analytically and are verified against central finite differences in the test
+suite. Networks are treated as values: each holds its parameters in one
+read-only vector, and a gradient is a vector of the same layout;
+``training.fit`` steps such vectors and builds new nets from them. Nets of one
+layout also run as a stack: their vectors are the rows of one (K, P) array,
+each layer's weights a (K, out, in) view, and one batched forward and backward
+serve all K on a shared input.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ def sigmoid(z):
     return float(out) if arr.ndim == 0 else out
 
 
-# Each activation with its derivative, written in terms of the activation's
-# output: a relu output is positive exactly where its input is.
-_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0).astype(float)),
-}
-
-
 def _views(flat: np.ndarray, shapes: tuple) -> tuple:
     """``(weights, biases)``: views of ``flat`` with the given shapes, in order.
 
@@ -56,7 +49,7 @@ def _views(flat: np.ndarray, shapes: tuple) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class DenseNet:
-    """Fully connected layers; tanh (default) hidden units, sigmoid output.
+    """Fully connected layers; tanh hidden units, sigmoid output.
 
     The parameters live in one read-only vector, ``params``: every layer's
     weights, then every layer's biases. ``weights`` and ``biases`` are views
@@ -65,15 +58,12 @@ class DenseNet:
 
     weights: tuple  # weights[l] has shape (n_out, n_in)
     biases: tuple  # biases[l] has shape (n_out,)
-    activation: str = "tanh"
     params: np.ndarray = field(init=False, repr=False)
     shapes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must pair up layer by layer")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.activation!r}")
         for W, b in zip(self.weights, self.biases):
             if W.shape[0] != b.shape[0]:
                 raise ValueError("bias length must match the layer's output size")
@@ -93,7 +83,6 @@ class DenseNet:
     def _with_params(self, params: np.ndarray) -> "DenseNet":
         """A net of this layout holding ``params``, which the caller checked."""
         net = object.__new__(DenseNet)
-        object.__setattr__(net, "activation", self.activation)
         net._hold(params, self.shapes)
         return net
 
@@ -108,14 +97,10 @@ class DenseNet:
     def __eq__(self, other):
         if not isinstance(other, DenseNet):
             return NotImplemented
-        return (
-            self.activation == other.activation
-            and self.shapes == other.shapes
-            and np.array_equal(self.params, other.params)
-        )
+        return self.shapes == other.shapes and np.array_equal(self.params, other.params)
 
 
-def init_net(layer_sizes, seed, activation: str = "tanh") -> DenseNet:
+def init_net(layer_sizes, seed) -> DenseNet:
     """Build a network with the given layer sizes, deterministically per seed.
 
     Hidden weights are zero-mean normal draws scaled by 1/sqrt(fan_in); the
@@ -137,7 +122,7 @@ def init_net(layer_sizes, seed, activation: str = "tanh") -> DenseNet:
             W = rng.normal(size=(n_out, n_in)) / np.sqrt(n_in)
         weights.append(W)
         biases.append(np.zeros(n_out))
-    return DenseNet(weights=tuple(weights), biases=tuple(biases), activation=activation)
+    return DenseNet(weights=tuple(weights), biases=tuple(biases))
 
 
 def _forward(net: DenseNet, x, params=None):
@@ -156,13 +141,12 @@ def _forward(net: DenseNet, x, params=None):
         if weights[0].shape[-1] != 1:
             raise ValueError(f"expected inputs of width {weights[0].shape[-1]}")
         a = a.reshape(-1, 1)
-    act, _ = _ACTIVATIONS[net.activation]
     acts = [a]
     last = len(weights) - 1
     for l, (W, b) in enumerate(zip(weights, biases)):
         z = a * W[..., None, :, 0] if W.shape[-1] == 1 else np.matmul(a, W.swapaxes(-1, -2))
         z += b[..., None, :]
-        a = sigmoid(z) if l == last else act(z)
+        a = sigmoid(z) if l == last else np.tanh(z)
         acts.append(a)
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite value in forward pass")
@@ -182,7 +166,6 @@ def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:
     """
     params = net.params if params is None else params
     weights, _ = _views(params, net.shapes)
-    _, act_prime = _ACTIVATIONS[net.activation]
     y = acts[-1]
     dz = np.asarray(upstream, dtype=float).reshape(y.shape) * y * (1.0 - y)  # sigmoid head
     grads = np.empty(params.shape)
@@ -193,6 +176,6 @@ def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:
         if l > 0:
             W = weights[l]
             da = dz * W[..., None, 0, :] if W.shape[-2] == 1 else np.matmul(dz, W)
-            dz = da * act_prime(acts[l])
+            dz = da * (1.0 - acts[l] * acts[l])  # tanh' from tanh's output
     return grads
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .neural import DenseNet, _backward, _forward, init_net, sigmoid
 
-DEFAULT_DELTA_SCALE = 20.0
+# A learned proclivity's net sees the gap over GAP_SCALE.
+GAP_SCALE = 20.0
 CURVE_DELTA_MIN = 2
 CURVE_DELTA_MAX = 40
 # A learned proclivity's net runs on blocks of this many gaps (``_run_net``).
@@ -28,11 +29,11 @@ def _masked(gaps, values):
     return np.where(gaps >= 1, values, 0.0)
 
 
-def _run_net(net: DenseNet, delta_scale: float, gaps, params=None):
+def _run_net(net: DenseNet, gaps, params=None):
     """A learned proclivity's values at ``gaps`` (0 below gap 1) and the
     activations of the run, each shaped (blocks, BLOCK_ROWS, width).
 
-    The one place the net runs: on the gaps over ``delta_scale``, padded
+    The one place the net runs: on the gaps over ``GAP_SCALE``, padded
     with zeros to whole blocks. A BLAS product can sum a row's terms in
     another order depending on how many rows it holds, so with every block
     the same size a gap has one value however many gaps share its run.
@@ -40,7 +41,7 @@ def _run_net(net: DenseNet, delta_scale: float, gaps, params=None):
     """
     gaps = np.asarray(gaps, dtype=float)
     x = np.zeros(-(-gaps.size // BLOCK_ROWS) * BLOCK_ROWS)
-    np.divide(gaps.reshape(-1), delta_scale, out=x[: gaps.size])
+    np.divide(gaps.reshape(-1), GAP_SCALE, out=x[: gaps.size])
     raw, acts = _forward(net, x.reshape(-1, BLOCK_ROWS, 1), params)
     return _masked(gaps, raw.reshape(-1)[: gaps.size].reshape(gaps.shape)), acts
 
@@ -105,35 +106,29 @@ class ZeroProclivity(Proclivity):
 class LearnedProclivity(Proclivity):
     """Proclivity represented by a network over the normalized gap.
 
-    The raw gap is divided by ``delta_scale`` before entering the network so
-    the plotted range of gaps maps onto the responsive part of the hidden
-    units. Output lies in (0, 1); gaps below 1 are masked to exactly zero
-    outside the network. Every value comes from ``_run_net``.
+    The raw gap is divided by ``GAP_SCALE`` before entering the network so
+    the plotted range of gaps maps onto the responsive part of the tanh
+    hidden units. Output lies in (0, 1); gaps below 1 are masked to exactly
+    zero outside the network. Every value comes from ``_run_net``.
     """
 
     net: DenseNet
-    delta_scale: float = DEFAULT_DELTA_SCALE
 
     name = "learned"
 
-    def __post_init__(self):
-        if not 0 < self.delta_scale < np.inf:
-            raise ValueError(f"delta_scale must be positive and finite, got {self.delta_scale}")
-
     @classmethod
-    def fresh(cls, seed, hidden=(16, 16), delta_scale: float = DEFAULT_DELTA_SCALE,
-              activation: str = "tanh"):
-        return cls(net=init_net((1, *hidden, 1), seed, activation), delta_scale=delta_scale)
+    def fresh(cls, seed, hidden=(16, 16)):
+        return cls(net=init_net((1, *hidden, 1), seed))
 
     def values(self, gaps) -> np.ndarray:
-        return _run_net(self.net, self.delta_scale, gaps)[0]
+        return _run_net(self.net, gaps)[0]
 
     def _table_and_backward(self, max_gap: int, params=None):
         """The table under ``params`` (nu's vector in place of the net's,
         while a block steps it), and the backward from this run's
         activations, its blocks flattened to rows."""
         size = max_gap + 1
-        table, acts = _run_net(self.net, self.delta_scale, np.arange(size), params)
+        table, acts = _run_net(self.net, np.arange(size), params)
         acts = [a.reshape(-1, a.shape[-1]) for a in acts]
         params = self.net.params if params is None else params
 
@@ -145,7 +140,7 @@ class LearnedProclivity(Proclivity):
         return table, backward
 
     def with_net(self, net: DenseNet) -> "LearnedProclivity":
-        return LearnedProclivity(net=net, delta_scale=self.delta_scale)
+        return LearnedProclivity(net=net)
 
 
 # The fixed kinds by config name: ``by_name`` and the CLI's choices.

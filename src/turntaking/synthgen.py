@@ -159,11 +159,6 @@ def _make_groups(config: SynthConfig, trial: int, group_ids) -> list:
     ]
 
 
-def make_group(config: SynthConfig, trial: int, group_id: int) -> Group:
-    """Generate one group from its own substreams."""
-    return _make_groups(config, trial, [group_id])[0]
-
-
 def generate_dataset(config: SynthConfig, trial: int = 1) -> SynthDataset:
     """All groups for one trial; ids run 1..groups_total+test_groups."""
     n_fit = config.groups_total

@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import EPS_FLOOR, Conversation, Roster, ScoreParams, gap_matrix
 from .neural import DenseNet, _backward, _forward, init_net
-from .proclivity import DEFAULT_DELTA_SCALE, LearnedProclivity, by_name
+from .proclivity import LearnedProclivity, by_name
 
 log = logging.getLogger(__name__)
 
@@ -85,18 +85,11 @@ class ModelBundle:
         if self.variant in LEARNABLE_VARIANTS and (self.f_net is None or self.g_net is None):
             raise ValueError(f"variant {self.variant!r} needs f and g networks")
         f, g = self.f_net, self.g_net
-        if f is not None and g is not None and (f.shapes, f.activation) != (g.shapes, g.activation):
+        if f is not None and g is not None and f.shapes != g.shapes:
             raise ValueError("f and g networks must share one layout: they run as one stack")
 
     @classmethod
-    def make(
-        cls,
-        variant: str,
-        seed=0,
-        hidden=DEFAULT_HIDDEN,
-        delta_scale: float = DEFAULT_DELTA_SCALE,
-        activation: str = "tanh",
-    ) -> "ModelBundle":
+    def make(cls, variant: str, seed=0, hidden=DEFAULT_HIDDEN) -> "ModelBundle":
         """Construct a variant; networks are seeded deterministically.
 
         ``seed`` may be an int or a numpy SeedSequence.
@@ -108,8 +101,8 @@ class ModelBundle:
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         f_seed, g_seed, nu_seed = seed.spawn(3)
-        f_net, g_net = (init_net((1, *hidden, 1), s, activation) for s in (f_seed, g_seed))
-        prox = (LearnedProclivity.fresh(nu_seed, hidden, delta_scale, activation)
+        f_net, g_net = (init_net((1, *hidden, 1), s) for s in (f_seed, g_seed))
+        prox = (LearnedProclivity.fresh(nu_seed, hidden)
                 if variant == "pro" else by_name(PROCLIVITY_KINDS[variant]))
         return cls(variant=variant, proclivity=prox, f_net=f_net, g_net=g_net)
 
@@ -556,8 +549,9 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
         train_loss = now[0]
         loss, val_loss = watched(pair, nu, train_loss)
         if not (np.isfinite(train_loss) and np.isfinite(loss)):
+            seen = "no validation split" if val is None else f"val={val_loss}"
             raise FitDivergenceError(f"non-finite loss at outer iteration {outer} "
-                                     f"(train={train_loss}, val={val_loss})")
+                                     f"(train={train_loss}, {seen})")
         history.append((outer, train_loss, val_loss))
         gained = best_val - loss > MIN_GAIN * abs(best_val)
         if loss < best_val:
@@ -569,9 +563,11 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
 
     if stop_reason == "max_outer" and best_outer == cfg.max_outer:
         log.warning(
-            "fit of %s stopped at the iteration cap max_outer=%d while validation loss "
-            "was still improving (best %.6g at the last iteration); it has not converged",
-            bundle.variant, cfg.max_outer, best_val,
+            "fit of %s stopped at the iteration cap max_outer=%d while %s was still "
+            "improving (best %.6g at the last iteration); it has not converged",
+            bundle.variant, cfg.max_outer,
+            "validation loss" if val is not None else "train loss (no validation split)",
+            best_val,
         )
     pair, nu = best
     f_net, g_net = (f_net._with_params(params) for params in pair)

@@ -99,11 +99,9 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
     assert "train_groups + val_groups" in err
 
 
-NOT_POSITIVE = "must be positive and finite"
-
-
-# step, clip_norm, score_epochs and proclivity_epochs are not config keys: a
-# config that sets one names an unknown key.
+# step, clip_norm, score_epochs, proclivity_epochs, delta_scale and activation
+# are not config keys: a config that sets one names an unknown key. Hidden
+# units are always tanh, and a learned proclivity always sees the gap over 20.
 @pytest.mark.parametrize(
     "flags, setting, message",
     [([], "step=nan", "unknown key 'step'"),
@@ -111,10 +109,12 @@ NOT_POSITIVE = "must be positive and finite"
      ([], "clip_norm=nan", "unknown key 'clip_norm'"),
      ([], "score_epochs=5", "unknown key 'score_epochs'"),
      ([], "proclivity_epochs=5", "unknown key 'proclivity_epochs'"),
-     ([], "delta_scale=-5", f"delta_scale {NOT_POSITIVE}"),
-     ([], "delta_scale=0", f"delta_scale {NOT_POSITIVE}")],
+     ([], "delta_scale=-5", "unknown key 'delta_scale'"),
+     ([], "delta_scale=0", "unknown key 'delta_scale'"),
+     ([], "delta_scale=5", "unknown key 'delta_scale'"),
+     ([], "activation=relu", "unknown key 'activation'")],
     ids=["step-nan", "step-inf", "clip-norm-nan", "score-epochs", "proclivity-epochs",
-         "delta-scale-negative", "delta-scale-zero"],
+         "delta-scale-negative", "delta-scale-zero", "delta-scale-five", "activation-relu"],
 )
 def test_bad_numeric_fit_setting_is_usage_error(
     capsys, tmp_path, tiny_config, flags, setting, message
@@ -131,13 +131,14 @@ def test_bad_numeric_fit_setting_is_usage_error(
 
 
 def test_experiment_zero_delta_scale_is_usage_error(capsys, tmp_path):
-    # Not a numeric failure of every pro fit: the setting itself is wrong.
+    # Not a numeric failure of every pro fit, nor a run under another gap
+    # scale: delta_scale is no setting at all.
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(TINY_DATA + "trials=1\nmax_outer=2\ndelta_scale=0\n", encoding="utf-8")
     out = tmp_path / "exp"
     code, _, err = run(capsys, "experiment", "--config", cfg, "--out", out)
     assert code == 2
-    assert "delta_scale must be positive and finite" in err
+    assert "unknown key 'delta_scale'" in err
     assert not out.exists()
 
 
@@ -280,7 +281,7 @@ def test_fit_exp_has_no_proclivity_checkpoint(capsys, tmp_path, tiny_config):
     assert code == 0
     assert {p.name for p in out.iterdir()} == {"checkpoint.csv", "history.csv", "manifest.txt"}
     text = (out / "checkpoint.csv").read_text(encoding="utf-8")
-    assert "delta_scale" not in text and "\nnu," not in text
+    assert text.startswith("# variant=exp\nnet,layer,row,col,value\n") and "\nnu," not in text
     bundle = read_checkpoint(out / "checkpoint.csv")
     assert bundle.variant == "exp" and not bundle.learns_proclivity
 
@@ -550,15 +551,19 @@ def eval_report(capsys, tmp_path, data, variant, fit_dir, *config):
 
 
 def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, tiny_config):
-    # A fit under relu and delta_scale=5 scores the same, bit for bit, with
-    # its config, with only the data settings, and with no config at all.
+    # A fit under hidden=4,3 scores the same, bit for bit, with its config,
+    # with only the data settings, and with no config at all (whose default
+    # hidden=16,16 is no explicit setting, so it yields to the checkpoint).
     data = make_data(capsys, tmp_path, tiny_config)
-    relu = tmp_path / "relu.cfg"
-    relu.write_text(TINY_DATA + TINY_FIT + "activation=relu\ndelta_scale=5\n", encoding="utf-8")
-    fit_dir = fit_into(capsys, tmp_path, relu, data, "pro", tmp_path / "fit")
+    deep = tmp_path / "deep.cfg"
+    deep.write_text(TINY_DATA + TINY_FIT + "hidden=4,3\n", encoding="utf-8")
+    data_only = tmp_path / "data.cfg"
+    data_only.write_text(TINY_DATA, encoding="utf-8")
+    fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
+    assert read_checkpoint(fit_dir / "checkpoint.csv").f_net.layer_sizes == (1, 4, 3, 1)
     reports = [
         eval_report(capsys, tmp_path, data, "pro", fit_dir, *config)
-        for config in (("--config", relu), ("--config", tiny_config), ())
+        for config in (("--config", deep), ("--config", data_only), ())
     ]
     assert reports[1] == reports[0] and reports[2] == reports[0]
     (got,) = [r[4] for r in read_report(tmp_path / "eval" / "report.csv")
@@ -566,7 +571,7 @@ def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, 
     test = read_split(data, "test")
     assert got == evaluate(read_checkpoint(fit_dir / "checkpoint.csv"), test).nll
     curves = []
-    for config in (("--config", relu), ()):
+    for config in (("--config", deep), ()):
         out = tmp_path / f"curve{len(curves)}"
         code, _, _ = run(capsys, "curve", *config, "--variant", "pro",
                          "--checkpoint", fit_dir, "--out", out)
@@ -575,22 +580,52 @@ def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, 
     assert curves[0] == curves[1]
 
 
-@pytest.mark.parametrize("setting", ["activation=tanh", "delta_scale=20", "hidden=4"])
+# hidden is the one net setting, and the checkpoint's layout holds it: an
+# explicit value must match it, the default spelled out included.
+@pytest.mark.parametrize("setting", ["hidden=4", "hidden=3,4", "hidden=16,16"])
 def test_setting_conflicting_with_checkpoint_is_usage_error(capsys, tmp_path, tiny_config, setting):
     data = make_data(capsys, tmp_path, tiny_config)
-    relu = tmp_path / "relu.cfg"
-    relu.write_text(TINY_DATA + TINY_FIT + "activation=relu\ndelta_scale=5\n", encoding="utf-8")
-    fit_dir = fit_into(capsys, tmp_path, relu, data, "pro", tmp_path / "fit")
+    deep = tmp_path / "deep.cfg"
+    deep.write_text(TINY_DATA + TINY_FIT + "hidden=4,3\n", encoding="utf-8")
+    fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
     clash = tmp_path / "clash.cfg"
     clash.write_text(setting + "\n", encoding="utf-8")
     code, _, err = run(capsys, "eval", "--config", clash, "--data", data, "--variants", "pro",
                        "--checkpoint", f"pro={fit_dir}", "--out", tmp_path / "eval")
     assert code == 2
-    assert "conflicts" in err and setting.split("=")[0] in err
+    assert f"{setting} conflicts with hidden=4,3 recorded in" in err
     code, _, err = run(capsys, "curve", "--config", clash, "--variant", "pro",
                        "--checkpoint", fit_dir, "--out", tmp_path / "curve")
     assert code == 2
-    assert "conflicts" in err
+    assert f"{setting} conflicts with hidden=4,3 recorded in" in err
+
+
+@pytest.mark.parametrize("variant, old_head", [
+    ("pro", "# variant=pro\n# activation=tanh\n# delta_scale=20.0\n"),
+    ("exp", "# variant=exp\n# activation=tanh\n"),
+], ids=["pro", "exp"])
+def test_checkpoint_naming_its_activation_or_gap_scale_is_refused(
+    capsys, tmp_path, tiny_config, variant, old_head
+):
+    # A checkpoint written when the hidden activation and the gap scale were
+    # settings records them in its header. It is refused, never read as tanh
+    # and 20: a relu or delta_scale=5 fit would score wrongly without a word.
+    data = make_data(capsys, tmp_path, tiny_config)
+    fit_dir = fit_into(capsys, tmp_path, tiny_config, data, variant, tmp_path / "fit")
+    path = fit_dir / "checkpoint.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(old_head + text.split("\n", 1)[1], encoding="utf-8")
+    extra = ["'activation': 'tanh'"] + (["'delta_scale': '20.0'"] if variant == "pro" else [])
+    for command in (["eval", "--config", tiny_config, "--data", data, "--variants", variant],
+                    ["curve", "--variant", variant]):
+        out = tmp_path / command[0]
+        code, _, err = run(capsys, *command, "--checkpoint",
+                           f"{variant}={fit_dir}" if command[0] == "eval" else fit_dir,
+                           "--out", out)
+        assert code == 2
+        assert f"error: {path}: expected a pro or exp checkpoint with keys ['variant']" in err
+        assert all(key in err for key in extra)
+        assert not out.exists()
 
 
 def test_conflict_message_names_values_in_config_syntax(capsys, tmp_path, tiny_config):
@@ -647,7 +682,7 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
     assert "variant=exp conflicts with variant=pro" in err
 
 
-FIT_KEYS = ["seed", "max_outer", "patience", "hidden", "delta_scale", "activation"]
+FIT_KEYS = ["seed", "max_outer", "patience", "hidden"]
 
 
 def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_path, tiny_config):
@@ -673,9 +708,9 @@ def test_eval_and_curve_manifests_record_no_net_settings(capsys, tmp_path, tiny_
     # eval and curve take the nets' settings from the checkpoint, not from
     # the config, so their manifests record none of them.
     data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
-    relu = tmp_path / "relu.cfg"
-    relu.write_text(TINY_DATA + TINY_FIT + "activation=relu\ndelta_scale=5\n", encoding="utf-8")
-    fit_dir = fit_into(capsys, tmp_path, relu, data, "pro", tmp_path / "fit")
+    deep = tmp_path / "deep.cfg"
+    deep.write_text(TINY_DATA + TINY_FIT + "hidden=4,3\n", encoding="utf-8")
+    fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
     eval_report(capsys, tmp_path, data, "pro", fit_dir)
     block = read_manifest(tmp_path / "eval")[-1]
     assert list(block) == ["command", "version", "proclivity", "variants", "data", "checkpoints"]
@@ -734,9 +769,8 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
         "command=experiment", f"version={__version__}", "groups_total=3", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "trait_low=0.1",
         "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "max_outer=3",
-        "patience=2", "hidden=4",
-        "delta_scale=20.0", "activation=tanh", "variants=exp,nm,hm", "curve_lo=2",
-        "curve_hi=40", "parallel_trials=1", "curve_files=12",
+        "patience=2", "hidden=4", "variants=exp,nm,hm", "curve_lo=2", "curve_hi=40",
+        "parallel_trials=1", "curve_files=12",
     ]
 
 

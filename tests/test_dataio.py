@@ -150,26 +150,19 @@ def test_read_split_without_scores_yields_none(tmp_path, dataset):
 
 
 def test_net_round_trip_is_exact(tmp_path):
-    # A checkpoint brings back every net bit for bit, with the variant,
-    # activation and delta_scale it was written under and nothing else given.
+    # A checkpoint brings back every net bit for bit, with the variant it
+    # was written under and nothing else given.
     rng = np.random.default_rng(0)
-    for variant, activation, delta_scale in [
-        ("pro", "tanh", 20.0), ("pro", "relu", 5.0), ("exp", "relu", 20.0),
-    ]:
-        bundle = warmed_bundle(
-            rng, hidden=(4, 3), seed=8, variant=variant, activation=activation,
-            delta_scale=delta_scale,
-        )
-        path = tmp_path / f"{variant}_{activation}.csv"
+    for variant, hidden in [("pro", (4, 3)), ("pro", (8,)), ("exp", (4, 3))]:
+        bundle = warmed_bundle(rng, hidden=hidden, seed=8, variant=variant)
+        path = tmp_path / f"{variant}_{len(hidden)}.csv"
         write_checkpoint(path, bundle)
         back = read_checkpoint(path)
         assert back.variant == variant
         assert (back.f_net, back.g_net) == (bundle.f_net, bundle.g_net)
-        assert back.f_net.layer_sizes == (1, 4, 3, 1)
-        assert back.f_net.activation == activation
+        assert back.f_net.layer_sizes == (1, *hidden, 1)
         if variant == "pro":
             assert back.proclivity == bundle.proclivity
-            assert back.proclivity.delta_scale == delta_scale
         else:
             assert type(back.proclivity) is ExpDecayProclivity
         write_checkpoint(tmp_path / "again.csv", back)
@@ -178,20 +171,17 @@ def test_net_round_trip_is_exact(tmp_path):
 
 def test_checkpoint_layout(tmp_path):
     path = tmp_path / "checkpoint.csv"
-    bundle = warmed_bundle(np.random.default_rng(0), hidden=(4, 3), activation="relu",
-                           delta_scale=5.0)
+    bundle = warmed_bundle(np.random.default_rng(0), hidden=(4, 3))
     write_checkpoint(path, bundle)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[:4] == [
-        "# variant=pro", "# activation=relu", "# delta_scale=5.0", "net,layer,row,col,value",
-    ]
+    assert lines[:2] == ["# variant=pro", "net,layer,row,col,value"]
     # Layers of (1, 4, 3, 1) nets: rows x (1 bias + inputs) cells each.
-    assert len(lines) == 4 + 3 * (4 * 2 + 3 * 5 + 1 * 4)
+    assert len(lines) == 2 + 3 * (4 * 2 + 3 * 5 + 1 * 4)
     bias, weight = bundle.f_net.biases[0][0], bundle.f_net.weights[0][0, 0]
-    assert lines[4:6] == [f"f,1,1,0,{float(bias)!r}", f"f,1,1,1,{float(weight)!r}"]
+    assert lines[2:4] == [f"f,1,1,0,{float(bias)!r}", f"f,1,1,1,{float(weight)!r}"]
     write_checkpoint(path, ModelBundle.make("exp"))
     text = path.read_text(encoding="utf-8")
-    assert text.startswith("# variant=exp\n# activation=tanh\nnet,layer,row,col,value\n")
+    assert text.startswith("# variant=exp\nnet,layer,row,col,value\n")
     assert "\nnu," not in text
 
 
@@ -257,7 +247,7 @@ def pinned_writes():
     ]
     assert groups[0].conversation.speakers.dtype == np.uint8
     bundle = ModelBundle(
-        "pro", LearnedProclivity(one_layer_net(0.5, -0.25, 2.0, 0.0), delta_scale=5.0),
+        "pro", LearnedProclivity(one_layer_net(0.5, -0.25, 2.0, 0.0)),
         f_net=one_layer_net(*TRICKY), g_net=one_layer_net(*TRICKY[::-1]),
     )
 
@@ -279,8 +269,7 @@ def pinned_writes():
                    "group_id,member,pi,d\n7,1,0.30000000000000004,1e+16\n7,2,-0.0,1e-05\n"
                    "7,3,1e-05,-0.0\n7,4,1e+16,0.30000000000000004\n"),
         "checkpoint": (lambda path: write_checkpoint(path, bundle),
-                       "# variant=pro\n# activation=tanh\n# delta_scale=5.0\n"
-                       "net,layer,row,col,value\n"
+                       "# variant=pro\nnet,layer,row,col,value\n"
                        "f,1,1,0,-0.0\nf,1,1,1,0.30000000000000004\nf,2,1,0,1e+16\nf,2,1,1,1e-05\n"
                        "g,1,1,0,1e-05\ng,1,1,1,1e+16\ng,2,1,0,0.30000000000000004\ng,2,1,1,-0.0\n"
                        "nu,1,1,0,-0.25\nnu,1,1,1,0.5\nnu,2,1,0,0.0\nnu,2,1,1,2.0\n"),
@@ -360,7 +349,8 @@ def test_non_contiguous_turns_rejected(tmp_path):
         read_conversations(path)
 
 
-EXP_HEAD = ["# variant=exp", "# activation=tanh", "net,layer,row,col,value"]
+EXP_HEAD = ["# variant=exp", "net,layer,row,col,value"]
+F_ROWS = ["f,1,1,0,0.0", "f,1,1,1,0.5"]
 G_ROWS = ["g,1,1,0,0.0", "g,1,1,1,0.5"]
 
 
@@ -390,27 +380,35 @@ def test_net_layer_numbering_rejected(tmp_path):
         read_checkpoint(path)
 
 
+# A checkpoint from before tanh and the gap scale of 20 became constants
+# names them in its header: it is refused, never read as tanh and 20.
+OLD_PRO_HEAD = ["# variant=pro", "# activation=tanh", "# delta_scale=20.0"]
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
-        (EXP_HEAD[1:] + ["f,1,1,0,0.0", "f,1,1,1,0.5"] + G_ROWS, "pro or exp checkpoint"),
+        (EXP_HEAD[1:] + F_ROWS + G_ROWS, "pro or exp checkpoint"),
         (["# variant=nm"] + EXP_HEAD[1:] + G_ROWS, "pro or exp checkpoint"),
         (EXP_HEAD[:1] + ["# delta_scale=20.0"] + EXP_HEAD[1:] + G_ROWS, "pro or exp checkpoint"),
-        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,0.5"] + G_ROWS + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"],
+        (EXP_HEAD + F_ROWS + G_ROWS + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"],
          "pro or exp checkpoint"),
         (EXP_HEAD + G_ROWS, "pro or exp checkpoint"),
-        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,0.5", "f,1,1,1,0.5"] + G_ROWS, ":6: repeated cell"),
-        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,two,0.5"] + G_ROWS, r":5: cannot parse 'two'"),
-        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,0.5", "f,1,1,2,0.5"] + G_ROWS, "do not chain"),
-        (["# variant=exp", "# activation=gelu"] + EXP_HEAD[2:] + ["f,1,1,0,0.0", "f,1,1,1,0.5"]
-         + G_ROWS, "unknown hidden activation"),
-        (["# variant=pro", "# activation=tanh", "# delta_scale=0.0"] + EXP_HEAD[2:]
-         + ["f,1,1,0,0.0", "f,1,1,1,0.5"] + G_ROWS + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"],
-         "delta_scale must be positive"),
+        (EXP_HEAD + F_ROWS + ["f,1,1,1,0.5"] + G_ROWS, ":5: repeated cell"),
+        (EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,two,0.5"] + G_ROWS, r":4: cannot parse 'two'"),
+        (EXP_HEAD + F_ROWS + ["f,1,1,2,0.5"] + G_ROWS, "do not chain"),
+        (["# variant=exp", "# activation=gelu"] + EXP_HEAD[1:] + F_ROWS + G_ROWS,
+         r"keys \['variant'\] .* got \{'variant': 'exp', 'activation': 'gelu'\}"),
+        (["# variant=pro", "# delta_scale=0.0"] + EXP_HEAD[1:] + F_ROWS + G_ROWS
+         + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"], "pro or exp checkpoint"),
+        (["# variant=exp", "# activation=tanh"] + EXP_HEAD[1:] + F_ROWS + G_ROWS,
+         "pro or exp checkpoint"),
+        (OLD_PRO_HEAD + EXP_HEAD[1:] + F_ROWS + G_ROWS + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"],
+         r"got \{'variant': 'pro', 'activation': 'tanh', 'delta_scale': '20.0'\}"),
     ],
     ids=["no-variant", "variant-nm", "exp-with-delta-scale", "exp-with-nu", "missing-f",
          "repeated-cell", "bad-value-line", "sizes-do-not-chain", "bad-activation",
-         "zero-delta-scale"],
+         "zero-delta-scale", "exp-with-activation", "pro-with-activation-and-delta-scale"],
 )
 def test_malformed_checkpoint_rejected(tmp_path, lines, message):
     path = tmp_path / "checkpoint.csv"
@@ -436,7 +434,7 @@ BAD_CELLS = {
     "scores": (read_true_scores, ["group_id,member,pi,d", "1,1,0.5,0.2", "1,2,0.5,-"],
                "3: cannot parse '-' as float"),
     "checkpoint": (read_checkpoint, EXP_HEAD + ["f,1,1,0,0.0", "f,one,1,1,0.5"] + G_ROWS,
-                   "5: cannot parse 'one' as int"),
+                   "4: cannot parse 'one' as int"),
     "history": (read_history, ["outer_iter,train_loss,val_loss", "0,1.0,1.1", "1,x,1.0"],
                 "3: cannot parse 'x' as float"),
     "report": (read_report, ["trial,variant,metric,group_id,value", "1,exp,nll,4,0.5",

@@ -66,9 +66,7 @@ def test_aggregate_is_turn_weighted_mean():
     _, data = small_dataset(turns=30)
     # Mix in a longer test conversation so the weighting actually matters.
     long_config = SynthConfig(turns=90)
-    from turntaking.synthgen import make_group
-
-    groups = data.test + [make_group(long_config, trial=9, group_id=21)]
+    groups = data.test + generate_dataset(long_config, trial=9).test[:1]
     summary = evaluate(ModelBundle.make("hm"), groups)
     turns = np.array([r.turns for r in summary.groups], dtype=float)
     nlls = np.array([r.nll for r in summary.groups])
@@ -326,12 +324,6 @@ def test_experiment_config_validation():
         ExperimentConfig(curve_lo=5, curve_hi=5)
     config = ExperimentConfig(curve_lo=3, curve_hi=6)
     assert config.curve_gaps.tolist() == [3, 4, 5, 6]
-
-
-@pytest.mark.parametrize("delta_scale", [0.0, -5.0, np.nan, np.inf])
-def test_experiment_config_rejects_bad_delta_scale(delta_scale):
-    with pytest.raises(ValueError, match="delta_scale must be positive and finite"):
-        ExperimentConfig(delta_scale=delta_scale)
 
 
 def test_parallel_trials_match_sequential():

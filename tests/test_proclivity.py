@@ -14,7 +14,7 @@ from turntaking import (
     by_name,
 )
 from turntaking.model import NEVER
-from turntaking.proclivity import ZeroProclivity, default_trait_grid, rescaled_curve
+from turntaking.proclivity import GAP_SCALE, ZeroProclivity, default_trait_grid, rescaled_curve
 
 ALL_KINDS = [
     ExpDecayProclivity(),
@@ -122,33 +122,23 @@ def test_learned_fresh_is_deterministic_per_seed():
     a = LearnedProclivity.fresh(seed=9)
     b = LearnedProclivity.fresh(seed=9)
     assert a.net == b.net
-    assert a.delta_scale == b.delta_scale == 20.0
 
 
 def test_learned_uses_scaled_gap_as_input():
-    kind = LearnedProclivity.fresh(seed=4, hidden=(6,), delta_scale=20.0)
+    kind = LearnedProclivity.fresh(seed=4, hidden=(6,))
+    assert GAP_SCALE == 20.0
     assert kind(7) == pytest.approx(kind.net.forward(7 / 20.0), abs=1e-15)
 
 
-@pytest.mark.parametrize("delta_scale", [0.0, -5.0, math.nan, math.inf])
-def test_learned_rejects_bad_delta_scale(delta_scale):
-    net = LearnedProclivity.fresh(seed=4).net
-    with pytest.raises(ValueError, match="delta_scale must be positive and finite"):
-        LearnedProclivity(net=net, delta_scale=delta_scale)
-    with pytest.raises(ValueError, match="delta_scale must be positive and finite"):
-        LearnedProclivity.fresh(seed=4, delta_scale=delta_scale)
-
-
 def perturbed_nets():
-    """Eight learned proclivities, tanh and relu, every parameter moved off
-    its fresh value so that the outputs vary from gap to gap."""
+    """Six learned proclivities, every parameter moved off its fresh value so
+    that the outputs vary from gap to gap."""
     rng = np.random.default_rng(71)
     kinds = []
-    for activation in ("tanh", "relu"):
-        for seed, hidden in enumerate(((16, 16), (16, 16), (8,), (4, 3))):
-            kind = LearnedProclivity.fresh(seed=seed, hidden=hidden, activation=activation)
-            params = kind.net.params + rng.normal(scale=0.7, size=kind.net.params.size)
-            kinds.append(kind.with_net(kind.net._with_params(params)))
+    for seed, hidden in enumerate(((16, 16), (16, 16), (8,), (4, 3), (16,), (3, 5, 2))):
+        kind = LearnedProclivity.fresh(seed=seed, hidden=hidden)
+        params = kind.net.params + rng.normal(scale=0.7, size=kind.net.params.size)
+        kinds.append(kind.with_net(kind.net._with_params(params)))
     return kinds
 
 

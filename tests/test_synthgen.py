@@ -16,8 +16,8 @@ from turntaking import (
 from turntaking.synthgen import (
     STREAM_CONV,
     STREAM_TRAITS,
+    _make_groups,
     d_of_trait,
-    make_group,
     pi_of_trait,
     sample_traits,
 )
@@ -188,15 +188,14 @@ def test_pairs_view():
 
 def test_make_group_uses_per_group_streams():
     config = SynthConfig(turns=30)
-    g1 = make_group(config, trial=1, group_id=1)
-    g2 = make_group(config, trial=1, group_id=2)
+    g1, g2 = _make_groups(config, trial=1, group_ids=[1, 2])
     assert not np.array_equal(g1.roster.traits, g2.roster.traits)
-    regen = make_group(config, trial=1, group_id=1)
+    [regen] = _make_groups(config, trial=1, group_ids=[1])
     np.testing.assert_array_equal(g1.roster.traits, regen.roster.traits)
     np.testing.assert_array_equal(g1.conversation.speakers, regen.conversation.speakers)
     # A dataset samples its groups in lockstep; each equals the group alone.
     for g in generate_dataset(config, trial=1).all_groups:
-        alone = make_group(config, trial=1, group_id=g.group_id)
+        [alone] = _make_groups(config, trial=1, group_ids=[g.group_id])
         np.testing.assert_array_equal(g.roster.traits, alone.roster.traits)
         np.testing.assert_array_equal(g.conversation.speakers, alone.conversation.speakers)
 

@@ -12,6 +12,7 @@ from turntaking import (
     Conversation,
     ExpDecayProclivity,
     FitConfig,
+    FitDivergenceError,
     Group,
     LearnedProclivity,
     ModelBundle,
@@ -75,11 +76,8 @@ def weight_count(net) -> int:
     return sum(W.size for W in net.weights)
 
 
-def warmed_bundle(rng, hidden=(4,), seed=0, variant="pro", **settings):
-    """A bundle nudged off its neutral start so every output varies.
-
-    ``settings`` (``activation``, ``delta_scale``) go to ``ModelBundle.make``.
-    """
+def warmed_bundle(rng, hidden=(4,), seed=0, variant="pro"):
+    """A bundle nudged off its neutral start so every output varies."""
     from dataclasses import replace
 
     def warmed(net):
@@ -87,7 +85,7 @@ def warmed_bundle(rng, hidden=(4,), seed=0, variant="pro", **settings):
             net = stepped(net, net_gradient(net, rng.uniform(0.1, 1.0, 6), rng.normal(size=6)), 0.8)
         return net
 
-    bundle = ModelBundle.make(variant, seed=seed, hidden=hidden, **settings)
+    bundle = ModelBundle.make(variant, seed=seed, hidden=hidden)
     bundle = replace(bundle, f_net=warmed(bundle.f_net), g_net=warmed(bundle.g_net))
     if bundle.learns_proclivity:
         bundle = replace(bundle, proclivity=bundle.proclivity.with_net(warmed(bundle.proclivity.net)))
@@ -329,7 +327,7 @@ def test_gathered_table_is_the_proclivity_table_without_gap_one():
     stacks = _Stacks(mixed_shape_pairs(rng) + [make_pair(rng, members=6, turns=600)])
     assert stacks.max_gap > 64
     for proclivity in (warmed_bundle(rng, hidden=(16, 16)).proclivity,
-                       warmed_bundle(rng, activation="relu").proclivity,
+                       warmed_bundle(rng, hidden=(4, 3)).proclivity,
                        ExpDecayProclivity(), SigmoidProclivity(), ZeroProclivity()):
         expected = proclivity.table(stacks.max_gap)
         expected[1] = 0.0
@@ -467,7 +465,7 @@ def floored_bundle(traits):
 
     bundle = ModelBundle(
         variant="pro",
-        proclivity=LearnedProclivity(net(-8.0, 2.0), delta_scale=20.0),
+        proclivity=LearnedProclivity(net(-8.0, 2.0)),
         f_net=net(7.0, -22.2),
         g_net=net(2.0, -18.5),
     )
@@ -850,6 +848,32 @@ def test_fit_without_a_validation_split_stops_on_the_train_loss():
         assert (alone.bundle.f_net, alone.bundle.g_net) == (twice.bundle.f_net, twice.bundle.g_net)
         if variant == "pro":
             assert alone.bundle.proclivity == twice.bundle.proclivity
+
+
+def test_fit_without_a_validation_split_names_the_train_loss(monkeypatch, caplog):
+    # The iteration-cap warning and the divergence error name the loss the
+    # fit watched: with no validation split, the train loss.
+    rng = np.random.default_rng(53)
+    train = TrainingSet([make_pair(rng, turns=40) for _ in range(2)])
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        result = fit(ModelBundle.make("exp", seed=2, hidden=(6,)), train, FitConfig(max_outer=2))
+    assert (result.stop_reason, result.best_outer) == ("max_outer", 2)
+    [record] = caplog.records
+    message = record.getMessage()
+    assert "max_outer=2 while train loss (no validation split) was still improving" in message
+    assert "validation loss" not in message
+
+    block = training._block
+
+    def diverging(*args):
+        x, at, (_, passed), grad = block(*args)
+        return x, at, (float("nan"), passed), grad
+
+    monkeypatch.setattr(training, "_block", diverging)
+    with pytest.raises(FitDivergenceError) as caught:
+        fit(ModelBundle.make("exp", seed=2, hidden=(6,)), train, FitConfig(max_outer=2))
+    assert str(caught.value) == ("non-finite loss at outer iteration 1 "
+                                 "(train=nan, no validation split)")
 
 
 def test_fit_exp_never_touches_the_proclivity():

@@ -6,8 +6,8 @@ writes into ``--out`` and appends a manifest block recording its artifacts
 and the resolved settings it read: ``generate`` the data keys and ``seed``;
 ``fit`` ``seed``, the fit keys, ``hidden`` and ``val_groups`` (its validation
 groups; at 0 it stops on the train loss); ``eval`` ``proclivity`` (the
-dataset's) and ``variants``; ``curve`` ``proclivity``, ``curve_lo`` and
-``curve_hi``; ``experiment`` every key.
+dataset's) and ``variants``; ``curve`` ``proclivity``; ``experiment`` every
+key. A key set twice in one config file is an error.
 
 Exit codes: 0 success, 2 usage or config problem, 3 I/O failure,
 4 numeric failure (divergent fit or degenerate probabilities).
@@ -103,8 +103,6 @@ _KEYS = {
     "test_groups": (int, "synth"),
     "members": (int, "synth"),
     "turns": (int, "synth"),
-    "trait_low": (float, "synth"),
-    "trait_high": (float, "synth"),
     "proclivity": (str, "synth"),
     "trials": (int, "synth"),
     "seed": (int, "synth"),
@@ -112,8 +110,6 @@ _KEYS = {
     "patience": (int, "fit"),
     "hidden": (_parse_hidden, None),
     "variants": (_parse_variants, None),
-    "curve_lo": (int, None),
-    "curve_hi": (int, None),
 }
 
 
@@ -127,11 +123,12 @@ def _field(key: str) -> str:
 
 
 def read_config(path) -> dict:
-    """Parse a flat key=value file; unknown keys and bad values are errors."""
+    """Parse a flat key=value file; unknown or repeated keys and bad values are errors."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     settings = {}
+    set_on = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -143,6 +140,11 @@ def read_config(path) -> dict:
             key, raw = key.strip(), raw.strip()
             if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key!r} is set again (first set on line {set_on[key]})"
+                )
+            set_on[key] = lineno
             try:
                 settings[key] = _KEYS[key][0](raw)
             except ConfigError as exc:
@@ -284,7 +286,7 @@ def _with_dataset_proclivity(settings: dict, data) -> dict:
 
     The last ``generate`` block of the manifest names the proclivity the
     true scores were sampled under. An explicit setting must agree with it;
-    without a recorded value the setting (or its default) stands.
+    without a recorded value only an explicit setting gives it.
     """
     generated = [b for b in read_manifest(data) if b.get("command") == "generate"]
     recorded = {"proclivity": b["proclivity"] for b in generated[-1:] if "proclivity" in b}
@@ -301,11 +303,23 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"--checkpoint takes VARIANT=DIR with VARIANT in {LEARNABLE_VARIANTS}, got {item!r}"
             )
+        if variant in checkpoints:
+            raise ConfigError(
+                f"--checkpoint names {variant} twice: {checkpoints[variant]} and {directory}"
+            )
         checkpoints[variant] = directory
+    unused = sorted(set(checkpoints) - set(config.variants))
+    if unused:
+        raise ConfigError(f"--checkpoint given for variants that are not evaluated: {unused}")
     test = _nonempty_split(args.data, "test", "eval")
 
     trial = TrialResult(trial=1)
     if all(g.scores is not None for g in test):
+        if "proclivity" not in settings:
+            raise ConfigError(
+                f"{args.data}: the test split has true scores but no proclivity is recorded "
+                "in its manifest or set in --config, so the true model cannot be scored"
+            )
         truth = true_model(test, by_name(config.synth.proclivity))
         trial.losses[TRUE_VARIANT] = evaluate(truth, test)
     for variant in config.variants:
@@ -371,14 +385,14 @@ def cmd_curve(args) -> int:
         model = TrueModel(scores_by_group={}, proclivity=by_name(config.synth.proclivity))
     else:
         model = ModelBundle.make(args.variant)
-    curve = model_curve(model, gaps=config.curve_gaps)
+    curve = model_curve(model)
     out = ensure_out_dir(args.out)
     path = out / f"curve_{args.variant}.csv"
     write_curve(path, curve)
     append_manifest(
         out,
         _manifest_entries(
-            "curve", config, ("proclivity", "curve_lo", "curve_hi"),
+            "curve", config, ("proclivity",),
             {"variant": args.variant, "artifact": path.name},
         ),
     )

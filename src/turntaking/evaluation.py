@@ -28,17 +28,10 @@ from .model import (
     ZeroLikelihoodError,
     class_weights,
 )
-from .proclivity import (
-    CURVE_DELTA_MAX,
-    CURVE_DELTA_MIN,
-    DegenerateRatioError,
-    ProclivityCurve,
-    by_name,
-    default_trait_grid,
-    rescaled_curve,
-)
+from .proclivity import DegenerateRatioError, ProclivityCurve, by_name, rescaled_curve
 from .synthgen import (
     STREAM_FIT,
+    TRAIT_GRID,
     Group,
     SynthConfig,
     generate_dataset,
@@ -185,26 +178,23 @@ def evaluate(model, groups) -> EvalSummary:
     )
 
 
-def model_curve(model, gaps=None) -> ProclivityCurve:
+def model_curve(model) -> ProclivityCurve:
     """Rescaled proclivity curve for a bundle or the true synthetic model,
-    its score ratio averaged over ``default_trait_grid``."""
-    grid = default_trait_grid()
+    its score ratio averaged over ``TRAIT_GRID``."""
     if isinstance(model, ModelBundle):
-        scores = predict_scores(model, Roster(grid))
+        scores = predict_scores(model, Roster(TRAIT_GRID))
     else:
-        scores = traits_to_scores(grid)
-    return rescaled_curve(scores.inherent, scores.memory, model.proclivity, gaps=gaps)
+        scores = traits_to_scores(TRAIT_GRID)
+    return rescaled_curve(scores.inherent, scores.memory, model.proclivity)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Synthetic-world, fit, variant, and curve settings for one experiment."""
+    """Synthetic-world, fit, variant, and net settings for one experiment."""
 
     synth: SynthConfig = field(default_factory=SynthConfig)
     fit: FitConfig = field(default_factory=FitConfig)
     variants: tuple = VARIANTS
-    curve_lo: int = CURVE_DELTA_MIN
-    curve_hi: int = CURVE_DELTA_MAX
     hidden: tuple = DEFAULT_HIDDEN
 
     def __post_init__(self):
@@ -213,12 +203,9 @@ class ExperimentConfig:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
-        if not 1 <= self.curve_lo < self.curve_hi:
-            raise ValueError("curve grid must satisfy 1 <= lo < hi")
-
-    @property
-    def curve_gaps(self) -> np.ndarray:
-        return np.arange(self.curve_lo, self.curve_hi + 1)
+        repeated = sorted({v for v in self.variants if self.variants.count(v) > 1})
+        if repeated:
+            raise ValueError(f"variants named more than once: {repeated}")
 
 
 @dataclass
@@ -286,11 +273,10 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         return result
 
     training_set = TrainingSet(dataset.pairs("train"), dataset.pairs("val"))
-    gaps = config.curve_gaps
 
     truth = true_model(dataset.all_groups, by_name(config.synth.proclivity))
     result.losses[TRUE_VARIANT] = evaluate(truth, dataset.test)
-    result.curves[TRUE_VARIANT] = model_curve(truth, gaps=gaps)
+    result.curves[TRUE_VARIANT] = model_curve(truth)
 
     for variant in config.variants:
         try:
@@ -305,7 +291,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             if variant in LEARNABLE_VARIANTS:
                 bundle = fit(bundle, training_set, config.fit).bundle
             result.losses[variant] = evaluate(bundle, dataset.test)
-            result.curves[variant] = model_curve(bundle, gaps=gaps)
+            result.curves[variant] = model_curve(bundle)
         except NUMERIC_FAILURES as exc:
             log.warning("trial %d variant %s failed: %s", trial, variant, exc)
             result.failures[variant] = str(exc)

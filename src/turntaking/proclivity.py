@@ -18,8 +18,9 @@ from .neural import DenseNet, _backward, _forward, init_net, sigmoid
 
 # A learned proclivity's net sees the gap over GAP_SCALE.
 GAP_SCALE = 20.0
-CURVE_DELTA_MIN = 2
-CURVE_DELTA_MAX = 40
+# The gaps a rescaled curve is read at.
+CURVE_GAPS = np.arange(2, 41)
+CURVE_GAPS.flags.writeable = False
 # A learned proclivity's net runs on blocks of this many gaps (``_run_net``).
 BLOCK_ROWS = 64
 
@@ -179,26 +180,19 @@ class ProclivityCurve:
         object.__setattr__(self, "values", values)
 
 
-def default_trait_grid() -> np.ndarray:
-    """The 50 traits from 0.1 to 1.0 that a curve's score ratio averages over."""
-    return np.linspace(0.1, 1.0, 50)
-
-
-def rescaled_curve(inherent, memory, proclivity, gaps=None) -> ProclivityCurve:
-    """Proclivity curve scaled by the mean memory-to-inherent score ratio.
+def rescaled_curve(inherent, memory, proclivity) -> ProclivityCurve:
+    """Proclivity curve over ``CURVE_GAPS`` scaled by the mean
+    memory-to-inherent score ratio.
 
     ``inherent`` and ``memory`` are score predictions over a grid of traits;
     the curve at each gap is mean(memory)/mean(inherent) * w(gap), which
     makes differently-scaled models comparable since the turn probabilities
-    only ever see score ratios. ``gaps`` defaults to
-    ``CURVE_DELTA_MIN..CURVE_DELTA_MAX``.
+    only ever see score ratios.
     """
     inherent = np.asarray(inherent, dtype=float)
     memory = np.asarray(memory, dtype=float)
-    if gaps is None:
-        gaps = np.arange(CURVE_DELTA_MIN, CURVE_DELTA_MAX + 1)
     mean_pi = inherent.mean()
     if mean_pi <= 0.0:
         raise DegenerateRatioError("mean inherent score is zero; rescaling ratio is degenerate")
     ratio = memory.mean() / mean_pi
-    return ProclivityCurve(gaps=np.asarray(gaps, dtype=int), values=ratio * proclivity.values(gaps))
+    return ProclivityCurve(gaps=CURVE_GAPS, values=ratio * proclivity.values(CURVE_GAPS))

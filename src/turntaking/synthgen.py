@@ -1,11 +1,12 @@
 """Synthetic conversation worlds with known ground-truth scores.
 
-Each group draws a latent trait per member uniformly from an interval, maps
-traits to inherent and memory scores through fixed nonlinear curves, and
-rolls out a conversation from the generative model. The trait-to-score maps
-are chosen so that talkative members (high inherent score) also hold the
-floor longer (high memory score), with the memory score spanning roughly a
-4x range across the trait interval.
+Each group draws a latent trait per member uniformly from the trait
+interval ``[TRAIT_LOW, TRAIT_HIGH]``, maps traits to inherent and memory
+scores through fixed nonlinear curves, and rolls out a conversation from
+the generative model. The trait-to-score maps are chosen so that
+talkative members (high inherent score) also hold the floor longer (high
+memory score), with the memory score spanning roughly a 4x range across the
+trait interval.
 
 Randomness is split into named substreams keyed by (trial, group, purpose)
 so that, for example, regenerating conversations with a different proclivity
@@ -28,6 +29,9 @@ STREAM_FIT = 2
 
 TRAIT_LOW = 0.1
 TRAIT_HIGH = 1.0
+# The traits a rescaled curve's score ratio averages over.
+TRAIT_GRID = np.linspace(TRAIT_LOW, TRAIT_HIGH, 50)
+TRAIT_GRID.flags.writeable = False
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -69,7 +73,7 @@ def _check_traits(trait: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Sizes, trait interval, proclivity, and seeding of a synthetic world."""
+    """Sizes, proclivity, and seeding of a synthetic world."""
 
     groups_total: int = 15
     train_groups: int = 10
@@ -77,8 +81,6 @@ class SynthConfig:
     test_groups: int = 5
     members: int = 5
     turns: int = 800
-    trait_low: float = TRAIT_LOW
-    trait_high: float = TRAIT_HIGH
     proclivity: str = "exp"
     trials: int = 10
     master_seed: int = 0
@@ -92,8 +94,6 @@ class SynthConfig:
             raise ValueError("groups need at least two members")
         if self.turns < 1:
             raise ValueError("conversations need at least one turn")
-        if not (TRAIT_LOW <= self.trait_low < self.trait_high <= TRAIT_HIGH):
-            raise ValueError(f"trait interval must sit inside [{TRAIT_LOW}, {TRAIT_HIGH}]")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.master_seed < 0:
@@ -132,7 +132,7 @@ class SynthDataset:
 
 
 def sample_traits(config: SynthConfig, rng: np.random.Generator) -> Roster:
-    return Roster(rng.uniform(config.trait_low, config.trait_high, size=config.members))
+    return Roster(rng.uniform(TRAIT_LOW, TRAIT_HIGH, size=config.members))
 
 
 def _make_groups(config: SynthConfig, trial: int, group_ids) -> list:

@@ -16,7 +16,9 @@ from turntaking.dataio import (
     read_manifest,
     read_report,
     read_split,
+    write_dataset,
 )
+from turntaking.synthgen import SynthConfig, generate_dataset
 
 TINY_DATA = """
 groups_total=3
@@ -32,6 +34,9 @@ max_outer=4
 patience=3
 hidden=6
 """
+
+# TINY_FIT with two hidden layers of 4 and 3 units.
+DEEP_FIT = TINY_FIT.replace("hidden=6", "hidden=4,3")
 
 
 @pytest.fixture
@@ -83,6 +88,16 @@ def test_unparsable_config_value_reports_line(capsys, tmp_path):
     assert ":1" in err and "'soon'" in err
 
 
+def test_config_key_set_twice_names_both_lines(capsys, tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("turns=40\n# more turns\nturns=60\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--config", cfg, "--out", out)
+    assert code == 2
+    assert f"{cfg}:3: key 'turns' is set again (first set on line 1)" in err
+    assert not out.exists()
+
+
 def test_config_line_without_equals_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# comment is fine\n\nturns\n", encoding="utf-8")
@@ -99,9 +114,11 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
     assert "train_groups + val_groups" in err
 
 
-# step, clip_norm, score_epochs, proclivity_epochs, delta_scale and activation
-# are not config keys: a config that sets one names an unknown key. Hidden
-# units are always tanh, and a learned proclivity always sees the gap over 20.
+# step, clip_norm, score_epochs, proclivity_epochs, delta_scale, activation,
+# curve_lo, curve_hi, trait_low and trait_high are not config keys: a config
+# that sets one names an unknown key. Hidden units are always tanh, a learned
+# proclivity always sees the gap over 20, curves span gaps 2..40, and traits
+# are drawn from [0.1, 1].
 @pytest.mark.parametrize(
     "flags, setting, message",
     [([], "step=nan", "unknown key 'step'"),
@@ -112,9 +129,14 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
      ([], "delta_scale=-5", "unknown key 'delta_scale'"),
      ([], "delta_scale=0", "unknown key 'delta_scale'"),
      ([], "delta_scale=5", "unknown key 'delta_scale'"),
-     ([], "activation=relu", "unknown key 'activation'")],
+     ([], "activation=relu", "unknown key 'activation'"),
+     ([], "curve_lo=2", "unknown key 'curve_lo'"),
+     ([], "curve_hi=40", "unknown key 'curve_hi'"),
+     ([], "trait_low=0.1", "unknown key 'trait_low'"),
+     ([], "trait_high=1.0", "unknown key 'trait_high'")],
     ids=["step-nan", "step-inf", "clip-norm-nan", "score-epochs", "proclivity-epochs",
-         "delta-scale-negative", "delta-scale-zero", "delta-scale-five", "activation-relu"],
+         "delta-scale-negative", "delta-scale-zero", "delta-scale-five", "activation-relu",
+         "curve-lo", "curve-hi", "trait-low", "trait-high"],
 )
 def test_bad_numeric_fit_setting_is_usage_error(
     capsys, tmp_path, tiny_config, flags, setting, message
@@ -143,13 +165,15 @@ def test_experiment_zero_delta_scale_is_usage_error(capsys, tmp_path):
 
 
 # A bad seed or trial is a setting error, not a numpy traceback (exit 1) or a
-# numeric failure of every trial (exit 4). Trials are numbered from 1.
+# numeric failure of every trial (exit 4). Trials are numbered from 1. So is a
+# variant named twice, which would otherwise be fitted and reported twice.
 @pytest.mark.parametrize(
     "command, flags, message",
     [("generate", ["--seed", "-1"], "master_seed must be nonnegative, got -1"),
      ("generate", ["--trial", "-1"], "--trial must be at least 1, got -1"),
-     ("experiment", ["--seed", "-1"], "master_seed must be nonnegative, got -1")],
-    ids=["generate-seed", "generate-trial", "experiment-seed"],
+     ("experiment", ["--seed", "-1"], "master_seed must be nonnegative, got -1"),
+     ("experiment", ["--variants", "exp,exp,nm"], "variants named more than once: ['exp']")],
+    ids=["generate-seed", "generate-trial", "experiment-seed", "experiment-repeated-variant"],
 )
 def test_negative_seed_or_trial_is_usage_error(capsys, tmp_path, command, flags, message):
     cfg = tmp_path / "one.cfg"
@@ -411,6 +435,36 @@ def test_eval_scores_truth_under_the_dataset_proclivity(capsys, tmp_path, tiny_c
     assert got != pytest.approx(evaluate(true_model(test, ExpDecayProclivity()), test).nll, abs=1e-6)
 
 
+def test_eval_refuses_to_guess_the_truth_proclivity(capsys, tmp_path):
+    # write_dataset records no proclivity. Scoring the true model under the
+    # exp default would report a wrong NLL and record proclivity=exp as if
+    # known, so eval exits 2 until a setting gives it.
+    config = SynthConfig(groups_total=3, train_groups=2, val_groups=1, test_groups=1,
+                         members=3, turns=40, proclivity="sigmoid")
+    data = tmp_path / "data"
+    data.mkdir()
+    write_dataset(data, generate_dataset(config))
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm", "--out", out)
+    assert code == 2
+    assert f"error: {data}: the test split has true scores but no proclivity" in err
+    assert not out.exists()
+    cfg = tmp_path / "sigmoid.cfg"
+    cfg.write_text("proclivity=sigmoid\n", encoding="utf-8")
+    code, _, err = run(capsys, "eval", "--config", cfg, "--data", data, "--variants", "nm",
+                       "--out", out)
+    assert code == 0, err
+    (got,) = [r[4] for r in read_report(out / "report.csv")
+              if r[1] == "true" and r[2] == "nll" and r[3] == "all"]
+    test = read_split(data, "test")
+    assert got == evaluate(true_model(test, SigmoidProclivity()), test).nll
+    # Without true scores there is nothing to score under a proclivity.
+    (data / "scores_test.csv").unlink()
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm",
+                       "--out", tmp_path / "eval_nm")
+    assert code == 0, err
+
+
 def test_eval_truth_scores_for_too_few_members_is_usage_error(capsys, tmp_path, tiny_config):
     data = make_data(capsys, tmp_path, tiny_config, members="4")
     scores = data / "scores_test.csv"
@@ -556,7 +610,7 @@ def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, 
     # hidden=16,16 is no explicit setting, so it yields to the checkpoint).
     data = make_data(capsys, tmp_path, tiny_config)
     deep = tmp_path / "deep.cfg"
-    deep.write_text(TINY_DATA + TINY_FIT + "hidden=4,3\n", encoding="utf-8")
+    deep.write_text(TINY_DATA + DEEP_FIT, encoding="utf-8")
     data_only = tmp_path / "data.cfg"
     data_only.write_text(TINY_DATA, encoding="utf-8")
     fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
@@ -586,7 +640,7 @@ def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, 
 def test_setting_conflicting_with_checkpoint_is_usage_error(capsys, tmp_path, tiny_config, setting):
     data = make_data(capsys, tmp_path, tiny_config)
     deep = tmp_path / "deep.cfg"
-    deep.write_text(TINY_DATA + TINY_FIT + "hidden=4,3\n", encoding="utf-8")
+    deep.write_text(TINY_DATA + DEEP_FIT, encoding="utf-8")
     fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
     clash = tmp_path / "clash.cfg"
     clash.write_text(setting + "\n", encoding="utf-8")
@@ -692,7 +746,7 @@ def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_pa
     block = read_manifest(data)[-1]
     assert list(block) == [
         "command", "version", "groups_total", "train_groups", "val_groups", "test_groups",
-        "members", "turns", "trait_low", "trait_high", "proclivity", "trials", "seed",
+        "members", "turns", "proclivity", "trials", "seed",
         "trial", "artifacts",
     ]
     assert block["turns"] == "60"
@@ -709,7 +763,7 @@ def test_eval_and_curve_manifests_record_no_net_settings(capsys, tmp_path, tiny_
     # the config, so their manifests record none of them.
     data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
     deep = tmp_path / "deep.cfg"
-    deep.write_text(TINY_DATA + TINY_FIT + "hidden=4,3\n", encoding="utf-8")
+    deep.write_text(TINY_DATA + DEEP_FIT, encoding="utf-8")
     fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
     eval_report(capsys, tmp_path, data, "pro", fit_dir)
     block = read_manifest(tmp_path / "eval")[-1]
@@ -718,18 +772,31 @@ def test_eval_and_curve_manifests_record_no_net_settings(capsys, tmp_path, tiny_
     out = tmp_path / "curve"
     assert run(capsys, "curve", "--variant", "pro", "--checkpoint", fit_dir, "--out", out)[0] == 0
     block = read_manifest(out)[-1]
-    assert list(block) == ["command", "version", "proclivity", "curve_lo", "curve_hi",
-                           "variant", "artifact"]
+    assert list(block) == ["command", "version", "proclivity", "variant", "artifact"]
 
 
-def test_eval_bad_checkpoint_syntax_is_usage_error(capsys, tmp_path, tiny_config):
+# A --checkpoint list that does not pair each evaluated learnable variant
+# with one directory is a usage error: before, the last of two repeated
+# entries silently won, and an unused entry was recorded in the manifest.
+@pytest.mark.parametrize(
+    "variants, checkpoints, message",
+    [("nm", ["expdir"], "VARIANT=DIR"),
+     ("nm", ["nm=somewhere"], "VARIANT=DIR"),
+     ("exp", ["exp=a", "exp=b"], "--checkpoint names exp twice: a and b"),
+     ("nm", ["exp=a"], "--checkpoint given for variants that are not evaluated: ['exp']")],
+    ids=["no-variant", "unlearnable-variant", "variant-twice", "variant-not-evaluated"],
+)
+def test_eval_bad_checkpoint_syntax_is_usage_error(
+    capsys, tmp_path, tiny_config, variants, checkpoints, message
+):
     data = make_data(capsys, tmp_path, tiny_config)
-    for bad in ("expdir", "nm=somewhere"):
-        code, _, err = run(capsys, "eval", "--config", tiny_config, "--data", data,
-                           "--variants", "nm", "--checkpoint", bad,
-                           "--out", tmp_path / "eval")
-        assert code == 2
-        assert "VARIANT=DIR" in err
+    flags = [flag for item in checkpoints for flag in ("--checkpoint", item)]
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--config", tiny_config, "--data", data,
+                       "--variants", variants, *flags, "--out", out)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- experiment
@@ -751,6 +818,8 @@ def test_experiment_writes_report_summary_curves(capsys, tmp_path):
     assert (out / "report.csv").is_file()
     assert (out / "summary.csv").is_file()
     curve_names = {p.name for p in (out / "curves").iterdir()}
+    for name in curve_names:
+        assert read_curve(out / "curves" / name).gaps.tolist() == list(range(2, 41))
     assert "curve_true_mean.csv" in curve_names
     assert "curve_exp_trial1.csv" in curve_names
     assert "curve_nm_trial2.csv" in curve_names
@@ -767,10 +836,9 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
     assert lines[0].startswith("# run ")
     assert lines[1:] == [
         "command=experiment", f"version={__version__}", "groups_total=3", "train_groups=2",
-        "val_groups=1", "test_groups=1", "members=3", "turns=40", "trait_low=0.1",
-        "trait_high=1.0", "proclivity=exp", "trials=2", "seed=0", "max_outer=3",
-        "patience=2", "hidden=4", "variants=exp,nm,hm", "curve_lo=2", "curve_hi=40",
-        "parallel_trials=1", "curve_files=12",
+        "val_groups=1", "test_groups=1", "members=3", "turns=40", "proclivity=exp",
+        "trials=2", "seed=0", "max_outer=3", "patience=2", "hidden=4",
+        "variants=exp,nm,hm", "parallel_trials=1", "curve_files=12",
     ]
 
 
@@ -807,6 +875,7 @@ def test_curve_true_uses_generating_maps(capsys, tmp_path):
     code, _, _ = run(capsys, "curve", "--variant", "true", "--out", out)
     assert code == 0
     curve = read_curve(out / "curve_true.csv")
+    assert curve.gaps.tolist() == list(range(2, 41))
     np.testing.assert_allclose(
         curve.values, 19.75129232904011 * np.exp(-curve.gaps / 2.0), rtol=1e-12
     )

@@ -146,11 +146,6 @@ def test_model_curve_fresh_pro_is_half_times_one():
     np.testing.assert_allclose(curve.values, 0.5, rtol=1e-12)
 
 
-def test_model_curve_respects_custom_gaps():
-    curve = model_curve(ModelBundle.make("hm"), gaps=np.arange(3, 9))
-    assert curve.gaps.tolist() == [3, 4, 5, 6, 7, 8]
-
-
 # ------------------------------------------------------------ boxplot stats
 
 
@@ -320,10 +315,8 @@ def test_experiment_config_validation():
         ExperimentConfig(variants=())
     with pytest.raises(ValueError):
         ExperimentConfig(variants=("pro", "mystery"))
-    with pytest.raises(ValueError):
-        ExperimentConfig(curve_lo=5, curve_hi=5)
-    config = ExperimentConfig(curve_lo=3, curve_hi=6)
-    assert config.curve_gaps.tolist() == [3, 4, 5, 6]
+    with pytest.raises(ValueError, match=r"variants named more than once: \['exp'\]"):
+        ExperimentConfig(variants=("exp", "exp", "nm"))
 
 
 def test_parallel_trials_match_sequential():

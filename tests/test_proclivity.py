@@ -14,7 +14,8 @@ from turntaking import (
     by_name,
 )
 from turntaking.model import NEVER
-from turntaking.proclivity import GAP_SCALE, ZeroProclivity, default_trait_grid, rescaled_curve
+from turntaking.proclivity import CURVE_GAPS, GAP_SCALE, ZeroProclivity, rescaled_curve
+from turntaking.synthgen import TRAIT_GRID, TRAIT_HIGH, TRAIT_LOW
 
 ALL_KINDS = [
     ExpDecayProclivity(),
@@ -182,10 +183,13 @@ def test_learned_hidden_sizes_configurable():
 
 def test_default_grids():
     gaps = rescaled_curve(np.ones(3), np.ones(3), ZeroProclivity()).gaps
-    assert gaps[0] == 2 and gaps[-1] == 40 and gaps.size == 39
-    grid = default_trait_grid()
-    assert grid.size == 50
-    assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(1.0)
+    assert gaps.tolist() == list(range(2, 41))
+    assert (TRAIT_LOW, TRAIT_HIGH) == (0.1, 1.0)
+    np.testing.assert_array_equal(TRAIT_GRID, np.linspace(0.1, 1.0, 50))
+    # Shared by every curve, so neither grid can be changed in place.
+    for grid in (CURVE_GAPS, TRAIT_GRID):
+        with pytest.raises(ValueError):
+            grid[0] = 0
 
 
 def test_rescaled_curve_zero_memory_is_flat_zero():
@@ -209,12 +213,6 @@ def test_rescaled_curve_invariant_to_joint_scaling():
     a = rescaled_curve(pi, d, SigmoidProclivity())
     b = rescaled_curve(7.3 * pi, 7.3 * d, SigmoidProclivity())
     np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
-
-
-def test_rescaled_curve_custom_gap_grid():
-    gaps = np.arange(5, 11)
-    curve = rescaled_curve(np.ones(3), np.full(3, 2.0), ExpDecayProclivity(), gaps=gaps)
-    np.testing.assert_allclose(curve.values, 2.0 * np.exp(-gaps / 2.0), rtol=1e-12)
 
 
 def test_rescaled_curve_rejects_zero_mean_inherent():

@@ -221,10 +221,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(turns=0)
     with pytest.raises(ValueError):
-        SynthConfig(trait_low=0.0)
-    with pytest.raises(ValueError):
-        SynthConfig(trait_low=0.9, trait_high=0.2)
-    with pytest.raises(ValueError):
         SynthConfig(proclivity="mystery")
     with pytest.raises(ValueError):
         SynthConfig(trials=0)

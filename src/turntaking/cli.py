@@ -1,16 +1,15 @@
 """Command-line front end for dataset generation, fitting, and experiments.
 
 Settings resolve in three layers: built-in defaults, then a flat key=value
-config file (``--config``), then explicit command-line flags. Every command
-writes into ``--out`` and appends a manifest block recording its artifacts
-and the resolved settings it read: ``generate`` the data keys and ``seed``;
-``fit`` ``seed``, the fit keys, ``hidden`` and ``val_groups`` (its validation
-groups; at 0 it stops on the train loss); ``eval`` ``proclivity`` (the
-dataset's) and ``variants``; ``curve`` ``proclivity``; ``experiment`` every
-key. A key set twice in one config file is an error.
-
-Exit codes: 0 success, 2 usage or config problem, 3 I/O failure,
-4 numeric failure (divergent fit or degenerate probabilities).
+config file (``--config``), then explicit command-line flags. ``_KEYS``
+declares each setting once, with the one parser its config line and its flag
+share; range rules are the config dataclasses'. Every command writes into
+``--out`` and appends a manifest block recording its artifacts and the
+resolved settings it read: ``generate`` the data keys and ``seed``; ``fit``
+``seed``, the fit keys, ``hidden`` and ``val_groups`` (its validation groups;
+at 0 it stops on the train loss); ``eval`` ``proclivity`` (the dataset's) and
+``variants``; ``curve`` ``proclivity``; ``experiment`` every key. A key set
+twice in one config file is an error.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
@@ -74,52 +74,50 @@ class ConfigError(ValueError):
 
 
 def _parse_hidden(raw: str) -> tuple:
-    try:
-        sizes = tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse hidden layer sizes {raw!r}") from None
-    if not sizes or min(sizes) < 1:
-        raise ConfigError(f"hidden layer sizes must be positive: {raw!r}")
-    return sizes
+    return tuple(int(part) for part in raw.split(","))
 
 
 def _parse_variants(raw: str) -> tuple:
-    variants = tuple(part.strip() for part in raw.split(",") if part.strip())
-    unknown = set(variants) - set(VARIANTS)
-    if unknown:
-        raise ConfigError(f"unknown variants: {sorted(unknown)}")
-    if not variants:
-        raise ConfigError("variant list is empty")
-    return variants
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-# Every config key with its parser and the part of ExperimentConfig that holds
-# it ("synth", "fit", or None for the top level), in manifest order. Defaults
-# live in those dataclasses.
+_Key = namedtuple("_Key", "parse part help")
+
+# Every config key with its parser, the part of ExperimentConfig that holds it
+# ("synth", "fit", or None for the top level) and its help text, in manifest
+# order. Defaults and range rules live in those dataclasses.
 _KEYS = {
-    "groups_total": (int, "synth"),
-    "train_groups": (int, "synth"),
-    "val_groups": (int, "synth"),
-    "test_groups": (int, "synth"),
-    "members": (int, "synth"),
-    "turns": (int, "synth"),
-    "proclivity": (str, "synth"),
-    "trials": (int, "synth"),
-    "seed": (int, "synth"),
-    "max_outer": (int, "fit"),
-    "patience": (int, "fit"),
-    "hidden": (_parse_hidden, None),
-    "variants": (_parse_variants, None),
+    "groups_total": _Key(int, "synth", "train plus validation groups"),
+    "train_groups": _Key(int, "synth", "training groups"),
+    "val_groups": _Key(int, "synth", "validation groups"),
+    "test_groups": _Key(int, "synth", "test groups"),
+    "members": _Key(int, "synth", "members per group"),
+    "turns": _Key(int, "synth", "turns per conversation"),
+    "proclivity": _Key(str, "synth", f"generating proclivity: {', '.join(sorted(FIXED_KINDS))}"),
+    "trials": _Key(int, "synth", "number of independent trials"),
+    "seed": _Key(int, "synth", "master seed for all randomness"),
+    "max_outer": _Key(int, "fit", "outer iteration cap"),
+    "patience": _Key(int, "fit", "early-stop patience"),
+    "hidden": _Key(_parse_hidden, None, "comma-separated hidden layer widths"),
+    "variants": _Key(_parse_variants, None, f"comma-separated variants of {', '.join(VARIANTS)}"),
 }
 
 
 def _keys_in(part: str) -> tuple:
-    return tuple(key for key, (_, where) in _KEYS.items() if where == part)
+    return tuple(key for key, spec in _KEYS.items() if spec.part == part)
 
 
 def _field(key: str) -> str:
     """The attribute holding a key within its part of ExperimentConfig."""
     return "master_seed" if key == "seed" else key
+
+
+def _parse(key: str, raw: str, where: str = ""):
+    """A key's value from its text; ``where`` (a config file's ``path:line: ``) leads any error."""
+    try:
+        return _KEYS[key].parse(raw)
+    except ValueError:
+        raise ConfigError(f"{where}cannot parse {raw!r} for key {key!r}") from None
 
 
 def read_config(path) -> dict:
@@ -134,25 +132,19 @@ def read_config(path) -> dict:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
+            where = f"{path}:{lineno}: "
             if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+                raise ConfigError(f"{where}expected key=value, got {stripped!r}")
             key, _, raw = stripped.partition("=")
             key, raw = key.strip(), raw.strip()
             if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ConfigError(f"{where}unknown key {key!r}")
             if key in set_on:
                 raise ConfigError(
-                    f"{path}:{lineno}: key {key!r} is set again (first set on line {set_on[key]})"
+                    f"{where}key {key!r} is set again (first set on line {set_on[key]})"
                 )
             set_on[key] = lineno
-            try:
-                settings[key] = _KEYS[key][0](raw)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: cannot parse {raw!r} for key {key!r}"
-                ) from None
+            settings[key] = _parse(key, raw, where)
     return settings
 
 
@@ -161,17 +153,17 @@ def resolve_settings(args) -> dict:
     settings = {}
     if getattr(args, "config", None) is not None:
         settings.update(read_config(args.config))
-    for key, (parser, _) in _KEYS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = parser(flag) if isinstance(flag, str) else flag
+    for key in _KEYS:
+        raw = getattr(args, key, None)
+        if raw is not None:
+            settings[key] = _parse(key, raw)
     return settings
 
 
 def experiment_config(settings: dict) -> ExperimentConfig:
     parts = {"synth": {}, "fit": {}, None: {}}
     for key, value in settings.items():
-        parts[_KEYS[key][1]][_field(key)] = value
+        parts[_KEYS[key].part][_field(key)] = value
     try:
         return ExperimentConfig(
             synth=SynthConfig(**parts["synth"]), fit=FitConfig(**parts["fit"]), **parts[None]
@@ -189,7 +181,7 @@ def _manifest_entries(command: str, config: ExperimentConfig, keys, extra: dict)
     """The command, the settings it read (``keys``) as ``config`` holds them, then ``extra``."""
     entries = {"command": command, "version": __version__}
     for key in keys:
-        part = _KEYS[key][1]
+        part = _KEYS[key].part
         value = getattr(getattr(config, part) if part else config, _field(key))
         entries[key] = _config_value(value)
     return {**entries, **extra}
@@ -403,14 +395,17 @@ def cmd_curve(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(parser, seed: bool = False) -> None:
-    parser.add_argument("--config", type=Path, metavar="FILE",
-                        help="key=value settings file")
-    if seed:
-        parser.add_argument("--seed", type=int, metavar="N",
-                            help="master seed for all randomness")
-    parser.add_argument("--out", type=Path, required=True, metavar="DIR",
-                        help="output directory")
+# Each subcommand: its function, its help line and the keys it also takes as
+# flags (``--max-outer`` for ``max_outer``); every key can be set in --config.
+_COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic dataset",
+                 ("seed", "proclivity", "members", "turns")),
+    "fit": (cmd_fit, "fit a learnable variant on a dataset", ("seed", "max_outer", "patience")),
+    "eval": (cmd_eval, "evaluate variants on a test split", ("variants",)),
+    "experiment": (cmd_experiment, "full multi-trial generate/fit/eval run",
+                   ("seed", "trials", "turns", "members", "proclivity", "variants")),
+    "curve": (cmd_curve, "export a rescaled proclivity curve", ("proclivity",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,56 +415,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, about, keys) in _COMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        command.set_defaults(func=func)
+        command.add_argument("--config", type=Path, metavar="FILE",
+                             help="key=value settings file")
+        command.add_argument("--out", type=Path, required=True, metavar="DIR",
+                             help="output directory")
+        # Setting flags hold raw text: resolve_settings parses them as config lines.
+        for key in keys:
+            command.add_argument(f"--{key.replace('_', '-')}", help=_KEYS[key].help)
 
-    gen = sub.add_parser("generate", help="write a synthetic dataset")
-    _add_common(gen, seed=True)
-    gen.add_argument("--proclivity", choices=sorted(FIXED_KINDS),
-                     help="generating proclivity")
-    gen.add_argument("--members", type=int, help="members per group")
-    gen.add_argument("--turns", type=int, help="turns per conversation")
-    gen.add_argument("--trial", type=int, default=1,
-                     help="trial index selecting the random substream (default 1)")
-    gen.set_defaults(func=cmd_generate)
-
-    fit_p = sub.add_parser("fit", help="fit a learnable variant on a dataset")
-    _add_common(fit_p, seed=True)
-    fit_p.add_argument("--data", type=Path, required=True, metavar="DIR",
-                       help="dataset directory from generate")
-    fit_p.add_argument("--variant", required=True, choices=VARIANTS)
-    fit_p.add_argument("--max-outer", dest="max_outer", type=int,
-                       help="outer iteration cap")
-    fit_p.add_argument("--patience", type=int, help="early-stop patience")
-    fit_p.set_defaults(func=cmd_fit)
-
-    eval_p = sub.add_parser("eval", help="evaluate variants on a test split")
-    _add_common(eval_p)
-    eval_p.add_argument("--data", type=Path, required=True, metavar="DIR")
-    eval_p.add_argument("--variants", help="comma-separated variants to evaluate")
-    eval_p.add_argument("--checkpoint", action="append", metavar="VARIANT=DIR",
-                        help="fitted checkpoint directory (repeatable)")
-    eval_p.set_defaults(func=cmd_eval)
-
-    exp = sub.add_parser("experiment", help="full multi-trial generate/fit/eval run")
-    _add_common(exp, seed=True)
-    exp.add_argument("--trials", type=int, help="number of independent trials")
-    exp.add_argument("--turns", type=int, help="turns per conversation")
-    exp.add_argument("--members", type=int, help="members per group")
-    exp.add_argument("--proclivity", choices=sorted(FIXED_KINDS),
-                     help="generating proclivity")
-    exp.add_argument("--variants", help="comma-separated variants to fit and evaluate")
-    exp.add_argument("--parallel-trials", type=int, default=1, metavar="N",
-                     help="number of concurrent trial workers (default 1)")
-    exp.set_defaults(func=cmd_experiment)
-
-    curve = sub.add_parser("curve", help="export a rescaled proclivity curve")
-    _add_common(curve)
-    curve.add_argument("--variant", required=True, choices=[*VARIANTS, TRUE_VARIANT])
-    curve.add_argument("--checkpoint", type=Path, metavar="DIR",
-                       help="fit output directory (pro and exp)")
-    curve.add_argument("--proclivity", choices=sorted(FIXED_KINDS),
-                       help="generating proclivity for the true curve")
-    curve.set_defaults(func=cmd_curve)
-
+    parsers = sub.choices
+    parsers["generate"].add_argument("--trial", type=int, default=1,
+                                     help="trial index selecting the random substream (default 1)")
+    parsers["fit"].add_argument("--data", type=Path, required=True, metavar="DIR",
+                                help="dataset directory from generate")
+    parsers["fit"].add_argument("--variant", required=True, choices=VARIANTS)
+    parsers["eval"].add_argument("--data", type=Path, required=True, metavar="DIR")
+    parsers["eval"].add_argument("--checkpoint", action="append", metavar="VARIANT=DIR",
+                                 help="fitted checkpoint directory (repeatable)")
+    parsers["experiment"].add_argument("--parallel-trials", type=int, default=1, metavar="N",
+                                       help="number of concurrent trial workers (default 1)")
+    parsers["curve"].add_argument("--variant", required=True, choices=[*VARIANTS, TRUE_VARIANT])
+    parsers["curve"].add_argument("--checkpoint", type=Path, metavar="DIR",
+                                  help="fit output directory (pro and exp)")
     return parser
 
 

@@ -51,11 +51,18 @@ def _write_table(path, header, rows, meta: dict | None = None) -> None:
 
     It goes to a temp file that ``os.replace`` moves onto ``path`` once complete: if
     ``rows`` raises, the temp file is removed and a previous file at ``path`` stays.
+    A missing directory is reported by its own name, not the temp file's.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+        handle = open(tmp, "w", encoding="utf-8", newline="")
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise type(exc)(
+            exc.errno, f"no directory to write {path.name} into", str(path.parent)
+        ) from None
+    try:
+        with handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerows([f"# {key}={value}"] for key, value in (meta or {}).items())
             writer.writerow(header)

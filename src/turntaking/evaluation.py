@@ -28,6 +28,7 @@ from .model import (
     ZeroLikelihoodError,
     class_weights,
 )
+from .neural import DEFAULT_HIDDEN
 from .proclivity import DegenerateRatioError, ProclivityCurve, by_name, rescaled_curve
 from .synthgen import (
     STREAM_FIT,
@@ -38,7 +39,6 @@ from .synthgen import (
     traits_to_scores,
 )
 from .training import (
-    DEFAULT_HIDDEN,
     FitConfig,
     FitDivergenceError,
     LEARNABLE_VARIANTS,
@@ -206,6 +206,10 @@ class ExperimentConfig:
         repeated = sorted({v for v in self.variants if self.variants.count(v) > 1})
         if repeated:
             raise ValueError(f"variants named more than once: {repeated}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(
+                f"hidden needs at least one layer, each of positive width, got {list(self.hidden)}"
+            )
 
 
 @dataclass

@@ -19,6 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The hidden layer widths of every net unless a caller names others: the score
+# nets f and g and a fresh learned proclivity alike.
+DEFAULT_HIDDEN = (16, 16)
+
+
 def sigmoid(z):
     """Logistic function, evaluated piecewise to stay finite for large |z|.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import DenseNet, _backward, _forward, init_net, sigmoid
+from .neural import DEFAULT_HIDDEN, DenseNet, _backward, _forward, init_net, sigmoid
 
 # A learned proclivity's net sees the gap over GAP_SCALE.
 GAP_SCALE = 20.0
@@ -118,7 +118,7 @@ class LearnedProclivity(Proclivity):
     name = "learned"
 
     @classmethod
-    def fresh(cls, seed, hidden=(16, 16)):
+    def fresh(cls, seed, hidden=DEFAULT_HIDDEN):
         return cls(net=init_net((1, *hidden, 1), seed))
 
     def values(self, gaps) -> np.ndarray:
@@ -144,7 +144,7 @@ class LearnedProclivity(Proclivity):
         return LearnedProclivity(net=net)
 
 
-# The fixed kinds by config name: ``by_name`` and the CLI's choices.
+# The fixed kinds by config name: ``by_name`` and the CLI's help list them.
 FIXED_KINDS = {kind.name: kind for kind in (ExpDecayProclivity, SigmoidProclivity, ZeroProclivity)}
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import EPS_FLOOR, Conversation, Roster, ScoreParams, gap_matrix
-from .neural import DenseNet, _backward, _forward, init_net
+from .neural import DEFAULT_HIDDEN, DenseNet, _backward, _forward, init_net
 from .proclivity import LearnedProclivity, by_name
 
 log = logging.getLogger(__name__)
@@ -37,8 +37,6 @@ LEARNABLE_VARIANTS = ("pro", "exp")
 
 # Constant (inherent, memory) scores of the variants without score nets.
 FIXED_SCORES = {"nm": (1.0, 0.0), "hm": (1e-2, 1.0)}
-
-DEFAULT_HIDDEN = (16, 16)
 
 BLOCK_SCORES = "scores"
 BLOCK_PROCLIVITY = "proclivity"

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: settings, subcommands, files, and exit codes."""
 
+import argparse
 import logging
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from turntaking import ExpDecayProclivity, SigmoidProclivity, __version__, evaluate, true_model
-from turntaking.cli import main
+from turntaking.cli import build_parser, main
 from turntaking.dataio import (
     read_checkpoint,
     read_curve,
@@ -182,6 +184,42 @@ def test_negative_seed_or_trial_is_usage_error(capsys, tmp_path, command, flags,
     code, _, err = run(capsys, command, "--config", cfg, "--out", out, *flags)
     assert code == 2
     assert message in err
+    assert not out.exists()
+
+
+# A flag and a config line go through one parser per key, and the range
+# rules are the config dataclasses': the same value gives the same message
+# from either source, a parse error from a config file led by its file:line.
+# hidden has no flag.
+SETTING_ERRORS = [
+    ("turns", "x", "cannot parse 'x' for key 'turns'"),
+    ("seed", "1.5", "cannot parse '1.5' for key 'seed'"),
+    ("proclivity", "bogus",
+     "unknown proclivity 'bogus'; expected one of ['exp', 'sigmoid', 'zero']"),
+    ("variants", "exp,bogus", "unknown variants: ['bogus']"),
+    ("hidden", "0", "hidden needs at least one layer, each of positive width, got [0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, key, value, message",
+    [pytest.param(source, *case, id=f"{source}-{case[0]}")
+     for source in ("flag", "config") for case in SETTING_ERRORS
+     if (source, case[0]) != ("flag", "hidden")],
+)
+def test_flag_and_config_line_give_one_message(capsys, tmp_path, source, key, value, message):
+    cfg = tmp_path / "one.cfg"
+    out = tmp_path / "out"
+    if source == "flag":
+        argv = ["experiment", "--out", out, f"--{key}", value]
+    else:
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        argv = ["experiment", "--config", cfg, "--out", out]
+        if message.startswith("cannot parse"):
+            message = f"{cfg}:1: {message}"
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -705,6 +743,37 @@ def test_seed_flag_is_refused_by_commands_that_read_no_seed(capsys, tmp_path, co
     assert exited.value.code == 2
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Each subcommand's option strings: the setting flags come from cli._COMMANDS,
+# and none may appear or vanish.
+OPTIONS = {
+    "generate": {"--config", "--out", "--seed", "--proclivity", "--members", "--turns",
+                 "--trial"},
+    "fit": {"--config", "--out", "--seed", "--max-outer", "--patience", "--data",
+            "--variant"},
+    "eval": {"--config", "--out", "--variants", "--data", "--checkpoint"},
+    "experiment": {"--config", "--out", "--seed", "--trials", "--turns", "--members",
+                   "--proclivity", "--variants", "--parallel-trials"},
+    "curve": {"--config", "--out", "--proclivity", "--variant", "--checkpoint"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(OPTIONS)
+    for name, sub in commands.choices.items():
+        taken = {s for action in sub._actions for s in action.option_strings}
+        assert taken == OPTIONS[name] | {"-h", "--help"}, name
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment", "curve"])
+def test_help_names_the_generating_proclivities(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert {"exp", "sigmoid", "zero"} <= set(re.findall(r"\w+", capsys.readouterr().out))
 
 
 def test_refit_into_the_same_directory_leaves_no_stale_parts(capsys, tmp_path, tiny_config):

@@ -200,6 +200,17 @@ def test_failed_write_keeps_the_previous_file(tmp_path, dataset):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_writing_into_a_missing_directory_names_the_directory(tmp_path, dataset):
+    # The error names the directory and the file asked for, never the temp file.
+    missing = tmp_path / "nope"
+    with pytest.raises(FileNotFoundError) as raised:
+        write_dataset(missing, dataset)
+    assert raised.value.filename == str(missing)
+    assert "rosters_train.csv" in str(raised.value)
+    assert ".tmp" not in str(raised.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_history_round_trip_is_exact(tmp_path):
     history = [(0, 1.25, 1.5), (1, 1.0 / 3.0, 0.1234567890123456789)]
     path = tmp_path / "history.csv"

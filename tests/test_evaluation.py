@@ -317,6 +317,12 @@ def test_experiment_config_validation():
         ExperimentConfig(variants=("pro", "mystery"))
     with pytest.raises(ValueError, match=r"variants named more than once: \['exp'\]"):
         ExperimentConfig(variants=("exp", "exp", "nm"))
+    # Caught before any trial generates data, not by init_net, and no net
+    # without a hidden layer.
+    with pytest.raises(ValueError, match=r"hidden needs at least one layer.*got \[0\]"):
+        ExperimentConfig(hidden=(0,))
+    with pytest.raises(ValueError, match=r"hidden needs at least one layer.*got \[\]"):
+        ExperimentConfig(hidden=())
 
 
 def test_parallel_trials_match_sequential():

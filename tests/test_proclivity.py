@@ -9,6 +9,7 @@ from turntaking import (
     DegenerateRatioError,
     ExpDecayProclivity,
     LearnedProclivity,
+    ModelBundle,
     ProclivityCurve,
     SigmoidProclivity,
     by_name,
@@ -123,6 +124,13 @@ def test_learned_fresh_is_deterministic_per_seed():
     a = LearnedProclivity.fresh(seed=9)
     b = LearnedProclivity.fresh(seed=9)
     assert a.net == b.net
+
+
+def test_fresh_learned_proclivity_has_the_score_nets_layout():
+    # One default layout for every net: nu's matches the pro bundle's f.
+    for seed in (0, 5):
+        fresh = LearnedProclivity.fresh(seed)
+        assert fresh.net.layer_sizes == ModelBundle.make("pro", seed=seed).f_net.layer_sizes
 
 
 def test_learned_uses_scaled_gap_as_input():

@@ -87,7 +87,6 @@ _Key = namedtuple("_Key", "parse part help")
 # ("synth", "fit", or None for the top level) and its help text, in manifest
 # order. Defaults and range rules live in those dataclasses.
 _KEYS = {
-    "groups_total": _Key(int, "synth", "train plus validation groups"),
     "train_groups": _Key(int, "synth", "training groups"),
     "val_groups": _Key(int, "synth", "validation groups"),
     "test_groups": _Key(int, "synth", "test groups"),
@@ -355,11 +354,13 @@ def cmd_experiment(args) -> int:
             {"parallel_trials": args.parallel_trials, "curve_files": len(curve_files)},
         ),
     )
+    # A trial fails as a whole only when its data generation fails; a failed
+    # fit is one report cell, logged by the trial.
     failed = [t.trial for t in report.trials if t.failed]
     if failed:
-        log.warning("trials with no successful fits: %s", failed)
+        log.warning("trials whose data generation failed: %s", failed)
     if len(failed) == len(report.trials):
-        print("error: every trial failed", file=sys.stderr)
+        print("error: data generation failed in every trial", file=sys.stderr)
         return EXIT_NUMERIC
     log.info("experiment complete: %d/%d trials ok, outputs in %s",
              len(report.trials) - len(failed), len(report.trials), out)

@@ -145,13 +145,10 @@ def _read_table(path, header, kinds, meta: dict | None = None):
 
 @contextlib.contextmanager
 def _group_values(path, gid):
-    """Report a group's file values that a model type rejects as a format error.
-
-    ``OverflowError`` is an integer too wide for numpy to hold.
-    """
+    """Report a group's file values that a model type rejects as a format error."""
     try:
         yield
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise DataFormatError(f"{path}: group {gid}: {exc}") from None
 
 
@@ -162,24 +159,41 @@ def _parse(path, lineno, raw, kind):
         raise DataFormatError(f"{path}:{lineno}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
+def _arrays(path, lines, columns, kinds) -> list:
+    """Each column as one array of its kind; an integer past int64 is reported at its line."""
+    try:
+        return [np.array(column, dtype=kind) for column, kind in zip(columns, kinds)]
+    except OverflowError:
+        wide = np.iinfo(np.int64)
+        for lineno, row in zip(lines, zip(*columns)):
+            for cell in row:
+                if isinstance(cell, int) and not wide.min <= cell <= wide.max:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: group {row[0]}: {cell} does not fit in a 64-bit integer"
+                    ) from None
+        raise
+
+
 def _read_groups(path, header, kinds, build, unordered: str) -> dict:
-    """``build`` over each group's value columns, in the order of its rows' indices.
+    """``build`` over each group's slice of the value columns, groups in file order.
 
     Column 0 is the group id and column 1 the row's 1-based index in its
-    group; ``unordered`` ends the error for a group whose indices are not
-    1..n. Groups come in the order of their first row.
+    group. Each group must be one run of rows in index order, as
+    ``_write_groups`` writes it; the first row out of place is reported at
+    its line, ``unordered`` saying what its group's indices are not.
     """
-    _, (gids, index, *values) = _read_table(path, header, kinds)
-    rows: dict = {}
-    for gid, run in itertools.groupby(range(len(gids)), gids.__getitem__):
-        rows.setdefault(gid, []).extend(run)
+    lines, columns = _read_table(path, header, kinds)
+    gids, index, *values = _arrays(path, lines, columns, kinds)
+    starts = np.flatnonzero(np.diff(gids, prepend=~gids[:1]))  # ~g != g: row 0 starts a run
+    bounds = [*starts.tolist(), gids.size]
     out = {}
-    for gid, ks in rows.items():
-        ks.sort(key=index.__getitem__)
-        if list(map(index.__getitem__, ks)) != list(range(1, len(ks) + 1)):
-            raise DataFormatError(f"{path}: group {gid} {unordered}")
+    for gid, start, stop in zip(gids[starts].tolist(), bounds, bounds[1:]):
+        wrong = np.flatnonzero(index[start:stop] != np.arange(1, stop - start + 1))
+        if gid in out or wrong.size:
+            line = lines[start if gid in out else start + wrong[0]]
+            raise DataFormatError(f"{path}:{line}: group {gid} {unordered} in one run")
         with _group_values(path, gid):
-            out[gid] = build(*(np.array(list(map(column.__getitem__, ks))) for column in values))
+            out[gid] = build(*(column[start:stop] for column in values))
     return out
 
 

@@ -223,6 +223,7 @@ class TrialResult:
 
     @property
     def failed(self) -> bool:
+        """Whether data generation failed: the true model is scored right after it."""
         return not self.losses
 
 

@@ -15,7 +15,7 @@ reuses the exact same rosters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -73,9 +73,14 @@ def _check_traits(trait: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Sizes, proclivity, and seeding of a synthetic world."""
+    """Sizes, proclivity, and seeding of a synthetic world.
 
-    groups_total: int = 15
+    ``train_groups``, ``val_groups`` and ``test_groups`` are the only split
+    counts: a trial fits on ``train_groups + val_groups`` groups. For
+    callers that still pass it, the keyword ``groups_total`` is accepted
+    when it equals that sum; it is neither stored nor read.
+    """
+
     train_groups: int = 10
     val_groups: int = 5
     test_groups: int = 5
@@ -84,11 +89,12 @@ class SynthConfig:
     proclivity: str = "exp"
     trials: int = 10
     master_seed: int = 0
+    groups_total: InitVar[int | None] = None
 
-    def __post_init__(self):
-        if self.train_groups + self.val_groups != self.groups_total:
+    def __post_init__(self, groups_total):
+        if groups_total is not None and groups_total != self.train_groups + self.val_groups:
             raise ValueError("train_groups + val_groups must equal groups_total")
-        if min(self.groups_total, self.train_groups, self.val_groups, self.test_groups) < 1:
+        if min(self.train_groups, self.val_groups, self.test_groups) < 1:
             raise ValueError("every split needs at least one group")
         if self.members < 2:
             raise ValueError("groups need at least two members")
@@ -160,11 +166,8 @@ def _make_groups(config: SynthConfig, trial: int, group_ids) -> list:
 
 
 def generate_dataset(config: SynthConfig, trial: int = 1) -> SynthDataset:
-    """All groups for one trial; ids run 1..groups_total+test_groups."""
-    n_fit = config.groups_total
+    """All groups for one trial: train, then validation, then test groups,
+    with ids 1..train_groups+val_groups+test_groups in that order."""
+    n_train, n_fit = config.train_groups, config.train_groups + config.val_groups
     groups = _make_groups(config, trial, range(1, n_fit + config.test_groups + 1))
-    return SynthDataset(
-        train=groups[: config.train_groups],
-        val=groups[config.train_groups : n_fit],
-        test=groups[n_fit:],
-    )
+    return SynthDataset(train=groups[:n_train], val=groups[n_train:n_fit], test=groups[n_fit:])

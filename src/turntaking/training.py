@@ -509,6 +509,8 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     f_net, prox = bundle.f_net, bundle.proclivity
     pair, nu = bundle.pair, prox.net.params if bundle.learns_proclivity else None
     sc, tab = train.scores(f_net, pair), train.gather(prox, nu)
+    # A fixed proclivity's validation table never changes: gather it once.
+    val_tab = val.gather(prox) if val is not None and nu is None else None
     passes = 0
 
     def run(split, sc, tab):
@@ -522,7 +524,7 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
         loss twice, or with no validation split the train loss and None."""
         if val is None:
             return train_loss, None
-        loss = run(val, val.scores(f_net, pair), val.gather(prox, nu))[0]
+        loss = run(val, val.scores(f_net, pair), val_tab if nu is None else val.gather(prox, nu))[0]
         return loss, loss
 
     # ``grad``: the score gradient at the current point while only the score block moves it.

@@ -23,7 +23,6 @@ from turntaking.dataio import (
 from turntaking.synthgen import SynthConfig, generate_dataset
 
 TINY_DATA = """
-groups_total=3
 train_groups=2
 val_groups=1
 test_groups=1
@@ -109,11 +108,15 @@ def test_config_line_without_equals_rejected(capsys, tmp_path):
 
 
 def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
+    # The fit-group total is train_groups + val_groups, so a config cannot
+    # state another one: groups_total is no config key.
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("groups_total=5\ntrain_groups=2\nval_groups=1\n", encoding="utf-8")
-    code, _, err = run(capsys, "generate", "--config", cfg, "--out", tmp_path / "out")
+    cfg.write_text("train_groups=2\nval_groups=1\ngroups_total=5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--config", cfg, "--out", out)
     assert code == 2
-    assert "train_groups + val_groups" in err
+    assert f"{cfg}:3: unknown key 'groups_total'" in err
+    assert not out.exists()
 
 
 # step, clip_norm, score_epochs, proclivity_epochs, delta_scale, activation,
@@ -477,7 +480,7 @@ def test_eval_refuses_to_guess_the_truth_proclivity(capsys, tmp_path):
     # write_dataset records no proclivity. Scoring the true model under the
     # exp default would report a wrong NLL and record proclivity=exp as if
     # known, so eval exits 2 until a setting gives it.
-    config = SynthConfig(groups_total=3, train_groups=2, val_groups=1, test_groups=1,
+    config = SynthConfig(train_groups=2, val_groups=1, test_groups=1,
                          members=3, turns=40, proclivity="sigmoid")
     data = tmp_path / "data"
     data.mkdir()
@@ -544,6 +547,10 @@ DATA_MUTATIONS = {
     "speaker-above-size": ("conversations", _set_field(5, 2, "4"), "group 4: speaker labels"),
     "speaker-zero": ("conversations", _set_field(5, 2, "0"), "group 4: speaker labels"),
     "speaker-too-wide": ("conversations", _set_field(5, 2, str(10**30)), "group 4: "),
+    "speaker-past-int64": ("conversations", _set_field(5, 2, "9999999999999999999"),
+                           ":6: group 4: 9999999999999999999 does not fit"),
+    "speaker-past-c-long": ("conversations", _set_field(5, 2, str(10**23)),
+                            f":6: group 4: {10**23} does not fit"),
     "repeated-speaker": ("conversations", _copy_field(5, 2, 4), "group 4: consecutive turns"),
     "dropped-turn": ("conversations", lambda lines: lines[:5] + lines[6:], "turns are not 1..T"),
     "negative-true-score": ("scores", _set_field(2, 2, "-0.5"), "group 4: inherent scores"),
@@ -814,7 +821,7 @@ def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_pa
     data = make_data(capsys, tmp_path, tiny_config, turns=60)
     block = read_manifest(data)[-1]
     assert list(block) == [
-        "command", "version", "groups_total", "train_groups", "val_groups", "test_groups",
+        "command", "version", "train_groups", "val_groups", "test_groups",
         "members", "turns", "proclivity", "trials", "seed",
         "trial", "artifacts",
     ]
@@ -904,7 +911,7 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
     lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# run ")
     assert lines[1:] == [
-        "command=experiment", f"version={__version__}", "groups_total=3", "train_groups=2",
+        "command=experiment", f"version={__version__}", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "proclivity=exp",
         "trials=2", "seed=0", "max_outer=3", "patience=2", "hidden=4",
         "variants=exp,nm,hm", "parallel_trials=1", "curve_files=12",
@@ -919,6 +926,57 @@ def test_experiment_reruns_byte_identical(capsys, tmp_path):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
     for path in sorted((a / "curves").iterdir()):
         assert path.read_bytes() == (b / "curves" / path.name).read_bytes()
+
+
+def test_groups_total_is_no_config_key(capsys, tmp_path):
+    # Not even when it states train_groups + val_groups.
+    cfg = tmp_path / "total.cfg"
+    cfg.write_text("groups_total=3\ntrain_groups=2\nval_groups=1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "experiment", "--config", cfg, "--out", out)
+    assert code == 2
+    assert f"{cfg}:1: unknown key 'groups_total'" in err
+    assert not out.exists()
+
+
+def test_one_split_count_is_a_whole_config(capsys, tmp_path):
+    # val_groups and test_groups keep their defaults of 5; no total is stated.
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("train_groups=2\n", encoding="utf-8")
+    data = tmp_path / "data"
+    code, _, err = run(capsys, "generate", "--config", cfg, "--turns", "40", "--out", data)
+    assert code == 0, err
+    assert [len(read_split(data, split)) for split in ("train", "val", "test")] == [2, 5, 5]
+    assert [g.group_id for g in read_split(data, "test")] == [8, 9, 10, 11, 12]
+    out = tmp_path / "exp"
+    code, _, err = run(capsys, "experiment", "--config", cfg, "--turns", "40", "--trials", "1",
+                       "--variants", "exp,nm", "--out", out)
+    assert code == 0, err
+    block = read_manifest(out)[-1]
+    assert (block["train_groups"], block["val_groups"], block["test_groups"]) == ("2", "5", "5")
+    assert "groups_total" not in block
+
+
+def test_experiment_names_the_trials_whose_generation_failed(capsys, caplog, tmp_path,
+                                                             monkeypatch):
+    import turntaking.evaluation as ev
+
+    real_generate = ev.generate_dataset
+
+    def generate(config, trial):
+        if trial == 2:
+            raise ev.DegenerateDistributionError("no eligible speaker")
+        return real_generate(config, trial)
+
+    monkeypatch.setattr(ev, "generate_dataset", generate)
+    with caplog.at_level(logging.WARNING, logger="turntaking.cli"):
+        code, _, err = run(capsys, *experiment_args(tmp_path, tmp_path / "exp"))
+    assert code == 0, err
+    warnings = [r.getMessage() for r in caplog.records if r.name == "turntaking.cli"
+                and r.levelno == logging.WARNING]
+    assert warnings == ["trials whose data generation failed: [2]"]
+    rows = read_report(tmp_path / "exp" / "report.csv")
+    assert {r[4] for r in rows if r[0] == 2} == {"generation failed: no eligible speaker"}
 
 
 def test_experiment_parallel_matches_sequential(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """CSV round trips, format diagnostics, report layout, and manifests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ from test_training import warmed_bundle
 def dataset():
     return generate_dataset(
         SynthConfig(
-            groups_total=3, train_groups=2, val_groups=1, test_groups=1,
+            train_groups=2, val_groups=1, test_groups=1,
             members=3, turns=25,
         ),
         trial=1,
@@ -358,6 +359,55 @@ def test_non_contiguous_turns_rejected(tmp_path):
     write_lines(path, ["group_id,turn,speaker", "1,1,2", "1,3,1"])
     with pytest.raises(DataFormatError, match="not 1..T"):
         read_conversations(path)
+
+
+# The three group files: (reader, header, a row's cells after its group id
+# and index, what an order error says after "group 1 ").
+GROUP_FILES = {
+    "rosters": (read_rosters, "group_id,member,trait", lambda k: "0.5", "members are not 1..N"),
+    "conversations": (read_conversations, "group_id,turn,speaker", lambda k: str(1 + k % 2),
+                      "turns are not 1..T"),
+    "scores": (read_true_scores, "group_id,member,pi,d", lambda k: f"0.5,{k}.0",
+               "members are not 1..N"),
+}
+# Two groups of three rows out of the writer's order: (gid, index) of each
+# row, and the line of the first row out of place.
+ROW_ORDERS = {
+    "split-over-two-runs": ([(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (1, 3)], 7),
+    "two-rows-swapped": ([(1, 1), (1, 3), (1, 2), (2, 1), (2, 2), (2, 3)], 3),
+    "group-comes-back": ([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (1, 1)], 8),
+}
+
+
+@pytest.mark.parametrize("order", list(ROW_ORDERS))
+@pytest.mark.parametrize("stem", list(GROUP_FILES))
+def test_a_group_is_read_as_one_run_in_index_order(tmp_path, stem, order):
+    reader, header, cells, unordered = GROUP_FILES[stem]
+    rows, line = ROW_ORDERS[order]
+    path = tmp_path / f"{stem}.csv"
+    write_lines(path, [header] + [f"{gid},{k},{cells(k)}" for gid, k in rows])
+    with pytest.raises(DataFormatError) as error:
+        reader(path)
+    assert str(error.value) == f"{path}:{line}: group 1 {unordered} in one run"
+    # In the writer's order the same rows read back.
+    write_lines(path, [header] + [f"{gid},{k},{cells(k)}" for gid, k in sorted(set(rows))])
+    assert sorted(reader(path)) == [1, 2]
+
+
+@pytest.mark.parametrize("cell", ["9999999999999999999", str(10**23)])
+def test_an_integer_past_int64_names_its_line(tmp_path, dataset, cell):
+    # Not a numpy cast warning, nor an overflow error without a line.
+    write_dataset(tmp_path, dataset)
+    path = split_paths(tmp_path, "train")["conversations"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + "," + cell
+    write_lines(path, lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError) as error:
+            read_split(tmp_path, "train")
+    gid = lines[7].split(",")[0]
+    assert str(error.value) == f"{path}:8: group {gid}: {cell} does not fit in a 64-bit integer"
 
 
 EXP_HEAD = ["# variant=exp", "net,layer,row,col,value"]

@@ -188,7 +188,6 @@ def test_boxplot_stats_rejects_empty():
 
 def tiny_experiment_config(trials=2, proclivity="exp", variants=("exp", "nm", "hm")):
     synth = SynthConfig(
-        groups_total=3,
         train_groups=2,
         val_groups=1,
         test_groups=2,

@@ -1,5 +1,6 @@
 """Synthetic worlds: trait draws, score maps, dataset assembly, seeding."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -224,3 +225,14 @@ def test_config_validation():
         SynthConfig(proclivity="mystery")
     with pytest.raises(ValueError):
         SynthConfig(trials=0)
+
+
+def test_split_counts_are_the_only_layout():
+    data = generate_dataset(SynthConfig(train_groups=4, turns=5))
+    assert [len(data.train), len(data.val), len(data.test)] == [4, 5, 5]
+    assert [g.group_id for g in data.all_groups] == list(range(1, 15))
+    assert "groups_total" not in {f.name for f in dataclasses.fields(SynthConfig)}
+    # The keyword is still taken when it states the sum, and then forgotten.
+    config = SynthConfig(groups_total=6, train_groups=4, val_groups=2)
+    assert config == SynthConfig(train_groups=4, val_groups=2)
+    assert "groups_total" not in repr(config)

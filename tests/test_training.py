@@ -996,7 +996,7 @@ def test_relative_gain_above_min_gain_resets_patience(monkeypatch):
 
 
 def default_fit_world(trial=1):
-    synth = SynthConfig(groups_total=6, train_groups=4, val_groups=2, test_groups=1,
+    synth = SynthConfig(train_groups=4, val_groups=2, test_groups=1,
                         members=4, turns=300)
     data = generate_dataset(synth, trial=trial)
     return TrainingSet([(g.roster, g.conversation) for g in data.train],
@@ -1056,6 +1056,31 @@ def test_passes_count_every_likelihood_pass(monkeypatch):
                          FitConfig(max_outer=5))
             assert result.passes == len(calls) > 0
     assert fit(ModelBundle.make("nm"), TrainingSet(train)).passes == 0
+
+
+def test_a_fixed_proclivity_gathers_each_table_once(monkeypatch):
+    # exp gathers its train and its validation table once per fit. pro
+    # gathers at every trial nu of its block and scores validation under a
+    # new table at every history row, because nu moves.
+    calls, real_gather = [], _Stacks.gather
+
+    def counted(split, proclivity, nu=None):
+        calls.append(split)
+        return real_gather(split, proclivity, nu)
+
+    monkeypatch.setattr(_Stacks, "gather", counted)
+    rng = np.random.default_rng(72)
+    ts = TrainingSet([make_pair(rng, turns=30) for _ in range(2)], [make_pair(rng, turns=30)])
+    for variant in ("exp", "pro"):
+        calls.clear()
+        result = fit(ModelBundle.make(variant, seed=3, hidden=(4,)), ts, FitConfig(max_outer=6))
+        train, val = calls[0], calls[1]  # the train table comes first, then row 0's
+        counts = [sum(split is s for split in calls) for s in (train, val)]
+        assert len(result.history) == 7 and sum(counts) == len(calls)
+        if variant == "exp":
+            assert counts == [1, 1]
+        else:
+            assert counts[0] >= len(result.history) and counts[1] == len(result.history)
 
 
 def test_default_fit_converges_before_the_cap(caplog):

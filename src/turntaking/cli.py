@@ -6,10 +6,12 @@ declares each setting once, with the one parser its config line and its flag
 share; range rules are the config dataclasses'. Every command writes into
 ``--out`` and appends a manifest block recording its artifacts and the
 resolved settings it read: ``generate`` the data keys and ``seed``; ``fit``
-``seed``, the fit keys, ``hidden`` and ``val_groups`` (its validation groups;
-at 0 it stops on the train loss); ``eval`` ``proclivity`` (the dataset's) and
+``seed``, the fit keys and ``val_groups`` (its validation groups; at 0 it
+stops on the train loss); ``eval`` ``proclivity`` (the dataset's) and
 ``variants``; ``curve`` ``proclivity``; ``experiment`` every key. A key set
-twice in one config file is an error.
+twice in one config file is an error. The nets are not configured: ``fit``
+and ``experiment`` build them at ``neural.DEFAULT_HIDDEN``, and ``eval`` and
+``curve`` take a fit's layout from its checkpoint.
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ class ConfigError(ValueError):
     """A config file or flag combination is invalid."""
 
 
-def _parse_hidden(raw: str) -> tuple:
-    return tuple(int(part) for part in raw.split(","))
-
-
 def _parse_variants(raw: str) -> tuple:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
@@ -97,7 +95,6 @@ _KEYS = {
     "seed": _Key(int, "synth", "master seed for all randomness"),
     "max_outer": _Key(int, "fit", "outer iteration cap"),
     "patience": _Key(int, "fit", "early-stop patience"),
-    "hidden": _Key(_parse_hidden, None, "comma-separated hidden layer widths"),
     "variants": _Key(_parse_variants, None, f"comma-separated variants of {', '.join(VARIANTS)}"),
 }
 
@@ -191,8 +188,7 @@ def _agree(settings: dict, recorded: dict, source) -> dict:
     for key, value in recorded.items():
         if settings.get(key, value) != value:
             raise ConfigError(
-                f"{key}={_config_value(settings[key])} conflicts with "
-                f"{key}={_config_value(value)} recorded in {source}"
+                f"{key}={settings[key]} conflicts with {key}={value} recorded in {source}"
             )
     return {**settings, **recorded}
 
@@ -236,7 +232,7 @@ def cmd_fit(args) -> int:
         [(g.roster, g.conversation) for g in train],
         [(g.roster, g.conversation) for g in val],
     )
-    bundle = ModelBundle.make(args.variant, seed=config.synth.master_seed, hidden=config.hidden)
+    bundle = ModelBundle.make(args.variant, seed=config.synth.master_seed)
     result = fit(bundle, training_set, config.fit)
     out = ensure_out_dir(args.out)
     write_checkpoint(out / CHECKPOINT_NAME, result.bundle)
@@ -244,7 +240,7 @@ def cmd_fit(args) -> int:
     append_manifest(
         out,
         _manifest_entries(
-            "fit", config, ("seed", *_keys_in("fit"), "hidden"),
+            "fit", config, ("seed", *_keys_in("fit")),
             {"variant": args.variant, "data": args.data, "val_groups": len(val),
              "best_outer": result.best_outer, "stop_reason": result.stop_reason,
              "passes": result.passes},
@@ -261,14 +257,13 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(variant: str, directory, settings: dict) -> ModelBundle:
-    """A fit's bundle; the variant and an explicit ``hidden`` must match the file."""
+def _load_checkpoint(variant: str, directory) -> ModelBundle:
+    """A fit's bundle, whose rows give its layout; its variant must be ``variant``."""
     path = Path(directory) / CHECKPOINT_NAME
     if not path.is_file():
         raise ConfigError(f"missing checkpoint file for {variant}: {path}")
     bundle = read_checkpoint(path)
-    recorded = {"variant": bundle.variant, "hidden": bundle.f_net.layer_sizes[1:-1]}
-    _agree({**settings, "variant": variant}, recorded, path)
+    _agree({"variant": variant}, {"variant": bundle.variant}, path)
     return bundle
 
 
@@ -317,7 +312,7 @@ def cmd_eval(args) -> int:
         if variant in LEARNABLE_VARIANTS:
             if variant not in checkpoints:
                 raise ConfigError(f"variant {variant!r} needs --checkpoint {variant}=DIR")
-            bundle = _load_checkpoint(variant, checkpoints[variant], settings)
+            bundle = _load_checkpoint(variant, checkpoints[variant])
         else:
             bundle = ModelBundle.make(variant)
         trial.losses[variant] = evaluate(bundle, test)
@@ -368,12 +363,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    settings = resolve_settings(args)
-    config = experiment_config(settings)
+    config = experiment_config(resolve_settings(args))
     if args.variant in LEARNABLE_VARIANTS:
         if args.checkpoint is None:
             raise ConfigError(f"variant {args.variant!r} needs --checkpoint DIR")
-        model = _load_checkpoint(args.variant, args.checkpoint, settings)
+        model = _load_checkpoint(args.variant, args.checkpoint)
     elif args.variant == TRUE_VARIANT:
         model = TrueModel(scores_by_group={}, proclivity=by_name(config.synth.proclivity))
     else:

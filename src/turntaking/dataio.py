@@ -135,7 +135,7 @@ def _read_table(path, header, kinds, meta: dict | None = None):
                                 else f"expected {width} fields, got {len(row)}"))
                 add(numbers, chunk)
     except csv.Error as exc:
-        raise DataFormatError(f"{path}: malformed CSV ({exc})") from exc
+        raise DataFormatError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(
             f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} cannot be decoded)"

@@ -28,7 +28,6 @@ from .model import (
     ZeroLikelihoodError,
     class_weights,
 )
-from .neural import DEFAULT_HIDDEN
 from .proclivity import DegenerateRatioError, ProclivityCurve, by_name, rescaled_curve
 from .synthgen import (
     STREAM_FIT,
@@ -190,12 +189,14 @@ def model_curve(model) -> ProclivityCurve:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Synthetic-world, fit, variant, and net settings for one experiment."""
+    """Synthetic-world, fit, and variant settings for one experiment.
+
+    No net setting: every trial builds its nets at ``neural.DEFAULT_HIDDEN``.
+    """
 
     synth: SynthConfig = field(default_factory=SynthConfig)
     fit: FitConfig = field(default_factory=FitConfig)
     variants: tuple = VARIANTS
-    hidden: tuple = DEFAULT_HIDDEN
 
     def __post_init__(self):
         if not self.variants:
@@ -206,10 +207,6 @@ class ExperimentConfig:
         repeated = sorted({v for v in self.variants if self.variants.count(v) > 1})
         if repeated:
             raise ValueError(f"variants named more than once: {repeated}")
-        if not self.hidden or min(self.hidden) < 1:
-            raise ValueError(
-                f"hidden needs at least one layer, each of positive width, got {list(self.hidden)}"
-            )
 
 
 @dataclass
@@ -291,7 +288,6 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                     config.synth.master_seed,
                     spawn_key=(trial, _VARIANT_CODES.get(variant, 0), STREAM_FIT),
                 ),
-                hidden=config.hidden,
             )
             if variant in LEARNABLE_VARIANTS:
                 bundle = fit(bundle, training_set, config.fit).bundle

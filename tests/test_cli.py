@@ -9,7 +9,15 @@ import sys
 import numpy as np
 import pytest
 
-from turntaking import ExpDecayProclivity, SigmoidProclivity, __version__, evaluate, true_model
+from turntaking import (
+    ExpDecayProclivity,
+    ModelBundle,
+    SigmoidProclivity,
+    __version__,
+    evaluate,
+    model_curve,
+    true_model,
+)
 from turntaking.cli import build_parser, main
 from turntaking.dataio import (
     read_checkpoint,
@@ -18,9 +26,11 @@ from turntaking.dataio import (
     read_manifest,
     read_report,
     read_split,
+    write_checkpoint,
     write_dataset,
 )
 from turntaking.synthgen import SynthConfig, generate_dataset
+from turntaking.training import FitDivergenceError
 
 TINY_DATA = """
 train_groups=2
@@ -33,11 +43,7 @@ turns=40
 TINY_FIT = """
 max_outer=4
 patience=3
-hidden=6
 """
-
-# TINY_FIT with two hidden layers of 4 and 3 units.
-DEEP_FIT = TINY_FIT.replace("hidden=6", "hidden=4,3")
 
 
 @pytest.fixture
@@ -120,10 +126,11 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
 
 
 # step, clip_norm, score_epochs, proclivity_epochs, delta_scale, activation,
-# curve_lo, curve_hi, trait_low and trait_high are not config keys: a config
-# that sets one names an unknown key. Hidden units are always tanh, a learned
-# proclivity always sees the gap over 20, curves span gaps 2..40, and traits
-# are drawn from [0.1, 1].
+# curve_lo, curve_hi, trait_low, trait_high and hidden are not config keys: a
+# config that sets one names an unknown key at its line. Hidden units are
+# always tanh, a learned proclivity always sees the gap over 20, curves span
+# gaps 2..40, traits are drawn from [0.1, 1], and a fit's nets have the
+# neural.DEFAULT_HIDDEN layout.
 @pytest.mark.parametrize(
     "flags, setting, message",
     [([], "step=nan", "unknown key 'step'"),
@@ -138,10 +145,11 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
      ([], "curve_lo=2", "unknown key 'curve_lo'"),
      ([], "curve_hi=40", "unknown key 'curve_hi'"),
      ([], "trait_low=0.1", "unknown key 'trait_low'"),
-     ([], "trait_high=1.0", "unknown key 'trait_high'")],
+     ([], "trait_high=1.0", "unknown key 'trait_high'"),
+     ([], "hidden=4", "unknown key 'hidden'")],
     ids=["step-nan", "step-inf", "clip-norm-nan", "score-epochs", "proclivity-epochs",
          "delta-scale-negative", "delta-scale-zero", "delta-scale-five", "activation-relu",
-         "curve-lo", "curve-hi", "trait-low", "trait-high"],
+         "curve-lo", "curve-hi", "trait-low", "trait-high", "hidden"],
 )
 def test_bad_numeric_fit_setting_is_usage_error(
     capsys, tmp_path, tiny_config, flags, setting, message
@@ -153,20 +161,23 @@ def test_bad_numeric_fit_setting_is_usage_error(
     code, _, err = run(capsys, "fit", "--config", bad, "--data", data, "--variant", "pro",
                        "--out", out, *flags)
     assert code == 2
-    assert message in err
+    line = len(TINY_FIT.splitlines()) + 1  # the setting follows TINY_FIT's lines
+    assert f"{bad}:{line}: {message}" in err
     assert not out.exists()
 
 
 def test_experiment_zero_delta_scale_is_usage_error(capsys, tmp_path):
     # Not a numeric failure of every pro fit, nor a run under another gap
-    # scale: delta_scale is no setting at all.
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text(TINY_DATA + "trials=1\nmax_outer=2\ndelta_scale=0\n", encoding="utf-8")
-    out = tmp_path / "exp"
-    code, _, err = run(capsys, "experiment", "--config", cfg, "--out", out)
-    assert code == 2
-    assert "unknown key 'delta_scale'" in err
-    assert not out.exists()
+    # scale or net layout: delta_scale and hidden are no settings at all.
+    for key, value in (("delta_scale", 0), ("hidden", 4)):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(TINY_DATA + f"trials=1\nmax_outer=2\n{key}={value}\n", encoding="utf-8")
+        out = tmp_path / "exp"
+        code, _, err = run(capsys, "experiment", "--config", cfg, "--out", out)
+        assert code == 2
+        line = len(TINY_DATA.splitlines()) + 3
+        assert f"{cfg}:{line}: unknown key {key!r}" in err
+        assert not out.exists()
 
 
 # A bad seed or trial is a setting error, not a numpy traceback (exit 1) or a
@@ -193,22 +204,19 @@ def test_negative_seed_or_trial_is_usage_error(capsys, tmp_path, command, flags,
 # A flag and a config line go through one parser per key, and the range
 # rules are the config dataclasses': the same value gives the same message
 # from either source, a parse error from a config file led by its file:line.
-# hidden has no flag.
 SETTING_ERRORS = [
     ("turns", "x", "cannot parse 'x' for key 'turns'"),
     ("seed", "1.5", "cannot parse '1.5' for key 'seed'"),
     ("proclivity", "bogus",
      "unknown proclivity 'bogus'; expected one of ['exp', 'sigmoid', 'zero']"),
     ("variants", "exp,bogus", "unknown variants: ['bogus']"),
-    ("hidden", "0", "hidden needs at least one layer, each of positive width, got [0]"),
 ]
 
 
 @pytest.mark.parametrize(
     "source, key, value, message",
     [pytest.param(source, *case, id=f"{source}-{case[0]}")
-     for source in ("flag", "config") for case in SETTING_ERRORS
-     if (source, case[0]) != ("flag", "hidden")],
+     for source in ("flag", "config") for case in SETTING_ERRORS],
 )
 def test_flag_and_config_line_give_one_message(capsys, tmp_path, source, key, value, message):
     cfg = tmp_path / "one.cfg"
@@ -427,6 +435,35 @@ def test_fit_with_an_empty_val_split_runs(capsys, caplog, tmp_path, tiny_config)
     assert "validation loss" not in line
 
 
+def test_fit_divergence_is_a_numeric_failure(capsys, tmp_path, tiny_config, monkeypatch):
+    def diverge(bundle, training_set, config):
+        raise FitDivergenceError("non-finite loss at outer iteration 1")
+
+    data = make_data(capsys, tmp_path, tiny_config)
+    monkeypatch.setattr("turntaking.cli.fit", diverge)
+    out = tmp_path / "fit"
+    code, _, err = run(capsys, "fit", "--config", tiny_config, "--data", data,
+                       "--variant", "pro", "--out", out)
+    assert code == 4
+    assert "numeric failure: non-finite loss at outer iteration 1" in err
+    assert not out.exists()
+
+
+def test_fit_on_malformed_csv_names_its_line(capsys, tmp_path, tiny_config):
+    # A cell past the csv module's field limit of 131072 characters.
+    data = make_data(capsys, tmp_path, tiny_config)
+    path = data / "rosters_train.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + "1" * 140_000
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "fit"
+    code, _, err = run(capsys, "fit", "--config", tiny_config, "--data", data,
+                       "--variant", "exp", "--out", out)
+    assert code == 2
+    assert f"error: {path}:2: malformed CSV (field larger than field limit (131072))" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- eval
 
 
@@ -612,6 +649,41 @@ def test_eval_proclivity_conflicting_with_dataset_is_usage_error(capsys, tmp_pat
     assert "conflicts" in err
 
 
+def _checkpoint_value_inf(data, fit_dir):
+    path = fit_dir / "checkpoint.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2].startswith("f,1,1,0,")
+    lines[2] = "f,1,1,0,inf"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{path}: net f: parameters must be finite"
+
+
+def _manifest_line_without_equals(data, fit_dir):
+    path = data / "manifest.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# run ")
+    lines.insert(2, "no equals sign")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{path}:3: expected key=value inside a run block"
+
+
+@pytest.mark.parametrize("corrupt", [_checkpoint_value_inf, _manifest_line_without_equals],
+                         ids=["checkpoint-value-inf", "manifest-line-without-equals"])
+def test_a_bad_checkpoint_or_manifest_is_a_data_format_error(capsys, tmp_path, tiny_config,
+                                                             corrupt):
+    data = make_data(capsys, tmp_path, tiny_config)
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    write_checkpoint(fit_dir / "checkpoint.csv", ModelBundle.make("exp"))
+    message = corrupt(data, fit_dir)
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "exp",
+                       "--checkpoint", f"exp={fit_dir}", "--out", out)
+    assert code == 2
+    assert f"error: {message}\n" in err
+    assert not out.exists()
+
+
 def test_eval_learnable_without_checkpoint_is_usage_error(capsys, tmp_path, tiny_config):
     data = make_data(capsys, tmp_path, tiny_config)
     code, _, err = run(capsys, "eval", "--config", tiny_config, "--data", data,
@@ -641,62 +713,33 @@ def fit_into(capsys, tmp_path, config, data, variant, out):
     return out
 
 
-def eval_report(capsys, tmp_path, data, variant, fit_dir, *config):
+def eval_report(capsys, tmp_path, data, variant, fit_dir):
     out = tmp_path / "eval"
-    code, _, err = run(capsys, "eval", *config, "--data", data, "--variants", variant,
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", variant,
                        "--checkpoint", f"{variant}={fit_dir}", "--out", out)
     assert code == 0, err
-    return (out / "report.csv").read_bytes()
+    return read_report(out / "report.csv")
 
 
 def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, tiny_config):
-    # A fit under hidden=4,3 scores the same, bit for bit, with its config,
-    # with only the data settings, and with no config at all (whose default
-    # hidden=16,16 is no explicit setting, so it yields to the checkpoint).
+    # The checkpoint's rows are the one record of its layout: a (1, 4, 3, 1)
+    # pro fit scores and draws exactly as the bundle it was written from.
     data = make_data(capsys, tmp_path, tiny_config)
-    deep = tmp_path / "deep.cfg"
-    deep.write_text(TINY_DATA + DEEP_FIT, encoding="utf-8")
-    data_only = tmp_path / "data.cfg"
-    data_only.write_text(TINY_DATA, encoding="utf-8")
-    fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
+    bundle = ModelBundle.make("pro", seed=3, hidden=(4, 3))
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    write_checkpoint(fit_dir / "checkpoint.csv", bundle)
     assert read_checkpoint(fit_dir / "checkpoint.csv").f_net.layer_sizes == (1, 4, 3, 1)
-    reports = [
-        eval_report(capsys, tmp_path, data, "pro", fit_dir, *config)
-        for config in (("--config", deep), ("--config", data_only), ())
-    ]
-    assert reports[1] == reports[0] and reports[2] == reports[0]
-    (got,) = [r[4] for r in read_report(tmp_path / "eval" / "report.csv")
-              if r[1] == "pro" and r[2] == "nll" and r[3] == "all"]
-    test = read_split(data, "test")
-    assert got == evaluate(read_checkpoint(fit_dir / "checkpoint.csv"), test).nll
-    curves = []
-    for config in (("--config", deep), ()):
-        out = tmp_path / f"curve{len(curves)}"
-        code, _, _ = run(capsys, "curve", *config, "--variant", "pro",
-                         "--checkpoint", fit_dir, "--out", out)
-        assert code == 0
-        curves.append((out / "curve_pro.csv").read_bytes())
-    assert curves[0] == curves[1]
-
-
-# hidden is the one net setting, and the checkpoint's layout holds it: an
-# explicit value must match it, the default spelled out included.
-@pytest.mark.parametrize("setting", ["hidden=4", "hidden=3,4", "hidden=16,16"])
-def test_setting_conflicting_with_checkpoint_is_usage_error(capsys, tmp_path, tiny_config, setting):
-    data = make_data(capsys, tmp_path, tiny_config)
-    deep = tmp_path / "deep.cfg"
-    deep.write_text(TINY_DATA + DEEP_FIT, encoding="utf-8")
-    fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
-    clash = tmp_path / "clash.cfg"
-    clash.write_text(setting + "\n", encoding="utf-8")
-    code, _, err = run(capsys, "eval", "--config", clash, "--data", data, "--variants", "pro",
-                       "--checkpoint", f"pro={fit_dir}", "--out", tmp_path / "eval")
-    assert code == 2
-    assert f"{setting} conflicts with hidden=4,3 recorded in" in err
-    code, _, err = run(capsys, "curve", "--config", clash, "--variant", "pro",
-                       "--checkpoint", fit_dir, "--out", tmp_path / "curve")
-    assert code == 2
-    assert f"{setting} conflicts with hidden=4,3 recorded in" in err
+    got = {(r[2], r[3]): r[4] for r in eval_report(capsys, tmp_path, data, "pro", fit_dir)
+           if r[1] == "pro"}
+    summary = evaluate(bundle, read_split(data, "test"))
+    assert got[("nll", "all")] == summary.nll and got[("nll_turn", "all")] == summary.nll_turn
+    out = tmp_path / "curve"
+    code, _, err = run(capsys, "curve", "--variant", "pro", "--checkpoint", fit_dir, "--out", out)
+    assert code == 0, err
+    curve, expected = read_curve(out / "curve_pro.csv"), model_curve(bundle)
+    assert curve.gaps.tolist() == expected.gaps.tolist()
+    assert curve.values.tolist() == expected.values.tolist()
 
 
 @pytest.mark.parametrize("variant, old_head", [
@@ -725,22 +768,6 @@ def test_checkpoint_naming_its_activation_or_gap_scale_is_refused(
         assert f"error: {path}: expected a pro or exp checkpoint with keys ['variant']" in err
         assert all(key in err for key in extra)
         assert not out.exists()
-
-
-def test_conflict_message_names_values_in_config_syntax(capsys, tmp_path, tiny_config):
-    # The fit used hidden=6; the message must read as config lines, not tuples.
-    data = make_data(capsys, tmp_path, tiny_config)
-    fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
-    clash = tmp_path / "clash.cfg"
-    clash.write_text("hidden=4,3\n", encoding="utf-8")
-    code, _, err = run(capsys, "eval", "--config", clash, "--data", data, "--variants", "pro",
-                       "--checkpoint", f"pro={fit_dir}", "--out", tmp_path / "eval")
-    assert code == 2
-    assert "hidden=4,3 conflicts with hidden=6 recorded in" in err
-    code, _, err = run(capsys, "curve", "--config", clash, "--variant", "pro",
-                       "--checkpoint", fit_dir, "--out", tmp_path / "curve")
-    assert code == 2
-    assert "hidden=4,3 conflicts with hidden=6 recorded in" in err
 
 
 @pytest.mark.parametrize("command", [["eval", "--data", "d"], ["curve", "--variant", "nm"]])
@@ -812,7 +839,7 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
     assert "variant=exp conflicts with variant=pro" in err
 
 
-FIT_KEYS = ["seed", "max_outer", "patience", "hidden"]
+FIT_KEYS = ["seed", "max_outer", "patience"]
 
 
 def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_path, tiny_config):
@@ -830,7 +857,7 @@ def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_pa
     block = read_manifest(fit_dir)[-1]
     assert list(block) == ["command", "version", *FIT_KEYS,
                            "variant", "data", "val_groups", "best_outer", "stop_reason", "passes"]
-    assert block["hidden"] == "6" and block["seed"] == "0" and block["val_groups"] == "1"
+    assert block["seed"] == "0" and block["val_groups"] == "1"
     assert int(block["passes"]) > 0
 
 
@@ -838,9 +865,7 @@ def test_eval_and_curve_manifests_record_no_net_settings(capsys, tmp_path, tiny_
     # eval and curve take the nets' settings from the checkpoint, not from
     # the config, so their manifests record none of them.
     data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
-    deep = tmp_path / "deep.cfg"
-    deep.write_text(TINY_DATA + DEEP_FIT, encoding="utf-8")
-    fit_dir = fit_into(capsys, tmp_path, deep, data, "pro", tmp_path / "fit")
+    fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
     eval_report(capsys, tmp_path, data, "pro", fit_dir)
     block = read_manifest(tmp_path / "eval")[-1]
     assert list(block) == ["command", "version", "proclivity", "variants", "data", "checkpoints"]
@@ -881,7 +906,7 @@ def test_eval_bad_checkpoint_syntax_is_usage_error(
 def experiment_args(tmp_path, out, extra=()):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        TINY_DATA + "trials=2\nmax_outer=3\npatience=2\nhidden=4\nvariants=exp,nm,hm\n",
+        TINY_DATA + "trials=2\nmax_outer=3\npatience=2\nvariants=exp,nm,hm\n",
         encoding="utf-8",
     )
     return ["experiment", "--config", cfg, "--out", out, *extra]
@@ -913,7 +938,7 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
     assert lines[1:] == [
         "command=experiment", f"version={__version__}", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "proclivity=exp",
-        "trials=2", "seed=0", "max_outer=3", "patience=2", "hidden=4",
+        "trials=2", "seed=0", "max_outer=3", "patience=2",
         "variants=exp,nm,hm", "parallel_trials=1", "curve_files=12",
     ]
 
@@ -977,6 +1002,29 @@ def test_experiment_names_the_trials_whose_generation_failed(capsys, caplog, tmp
     assert warnings == ["trials whose data generation failed: [2]"]
     rows = read_report(tmp_path / "exp" / "report.csv")
     assert {r[4] for r in rows if r[0] == 2} == {"generation failed: no eligible speaker"}
+
+
+def test_experiment_whose_every_trial_failed_is_a_numeric_failure(capsys, tmp_path,
+                                                                   monkeypatch):
+    import turntaking.evaluation as ev
+
+    def generate(config, trial):
+        raise ev.DegenerateDistributionError("no eligible speaker")
+
+    monkeypatch.setattr(ev, "generate_dataset", generate)
+    out = tmp_path / "exp"
+    code, _, err = run(capsys, *experiment_args(tmp_path, out))
+    assert code == 4
+    assert "error: data generation failed in every trial" in err
+    # Only the failed cells: one per trial and variant, no true-model row.
+    assert read_report(out / "report.csv") == [
+        (trial, variant, "failed", "all", "generation failed: no eligible speaker")
+        for trial in (1, 2) for variant in ("exp", "nm", "hm")
+    ]
+    assert (out / "summary.csv").read_text(encoding="utf-8") == (
+        "variant,metric,median,q1,q3,lo_whisker,hi_whisker\n"
+    )
+    assert list((out / "curves").iterdir()) == []
 
 
 def test_experiment_parallel_matches_sequential(capsys, tmp_path):

@@ -410,6 +410,20 @@ def test_an_integer_past_int64_names_its_line(tmp_path, dataset, cell):
     assert str(error.value) == f"{path}:8: group {gid}: {cell} does not fit in a 64-bit integer"
 
 
+def test_a_malformed_csv_names_its_line(tmp_path, dataset):
+    # A cell past the csv module's field limit of 131072 characters.
+    write_dataset(tmp_path, dataset)
+    path = split_paths(tmp_path, "train")["rosters"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + "1" * 140_000
+    write_lines(path, lines)
+    with pytest.raises(DataFormatError) as error:
+        read_split(tmp_path, "train")
+    assert str(error.value) == (
+        f"{path}:3: malformed CSV (field larger than field limit (131072))"
+    )
+
+
 EXP_HEAD = ["# variant=exp", "net,layer,row,col,value"]
 F_ROWS = ["f,1,1,0,0.0", "f,1,1,1,0.5"]
 G_ROWS = ["g,1,1,0,0.0", "g,1,1,1,0.5"]

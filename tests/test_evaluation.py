@@ -1,5 +1,6 @@
 """Evaluation summaries, true-model ceilings, curves, and experiment runs."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -198,7 +199,7 @@ def tiny_experiment_config(trials=2, proclivity="exp", variants=("exp", "nm", "h
         master_seed=7,
     )
     fit = FitConfig(max_outer=8, patience=4)
-    return ExperimentConfig(synth=synth, fit=fit, variants=variants, hidden=(6,))
+    return ExperimentConfig(synth=synth, fit=fit, variants=variants)
 
 
 def test_run_trial_produces_all_cells():
@@ -316,12 +317,8 @@ def test_experiment_config_validation():
         ExperimentConfig(variants=("pro", "mystery"))
     with pytest.raises(ValueError, match=r"variants named more than once: \['exp'\]"):
         ExperimentConfig(variants=("exp", "exp", "nm"))
-    # Caught before any trial generates data, not by init_net, and no net
-    # without a hidden layer.
-    with pytest.raises(ValueError, match=r"hidden needs at least one layer.*got \[0\]"):
-        ExperimentConfig(hidden=(0,))
-    with pytest.raises(ValueError, match=r"hidden needs at least one layer.*got \[\]"):
-        ExperimentConfig(hidden=())
+    # The nets' layout is no setting: every trial builds them at DEFAULT_HIDDEN.
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["synth", "fit", "variants"]
 
 
 def test_parallel_trials_match_sequential():

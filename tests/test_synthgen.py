@@ -217,6 +217,8 @@ def test_ground_truth_loss_sits_in_plausible_band():
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(groups_total=15, train_groups=9, val_groups=5)
+    with pytest.raises(ValueError, match="every split needs at least one group"):
+        SynthConfig(test_groups=0)
     with pytest.raises(ValueError):
         SynthConfig(members=1)
     with pytest.raises(ValueError):

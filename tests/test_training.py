@@ -146,8 +146,14 @@ def test_make_is_deterministic_and_seed_sensitive():
 def test_bundle_validation():
     with pytest.raises(ValueError):
         ModelBundle.make("mystery")
+    with pytest.raises(ValueError, match="unknown variant 'mystery'"):
+        ModelBundle(variant="mystery", proclivity=ExpDecayProclivity())
     with pytest.raises(ValueError, match="needs f and g"):
         ModelBundle(variant="exp", proclivity=ExpDecayProclivity())
+    wide, narrow = (ModelBundle.make("exp", hidden=hidden) for hidden in ((4,), (3,)))
+    with pytest.raises(ValueError, match="f and g networks must share one layout"):
+        ModelBundle(variant="exp", proclivity=ExpDecayProclivity(),
+                    f_net=wide.f_net, g_net=narrow.g_net)
 
 
 @pytest.mark.parametrize("variant, proclivity", [

@@ -57,6 +57,7 @@ from .synthgen import SynthConfig, generate_dataset
 from .training import (
     FitConfig,
     LEARNABLE_VARIANTS,
+    MIN_GAIN,
     ModelBundle,
     TrainingSet,
     VARIANTS,
@@ -94,7 +95,8 @@ _KEYS = {
     "trials": _Key(int, "synth", "number of independent trials"),
     "seed": _Key(int, "synth", "master seed for all randomness"),
     "max_outer": _Key(int, "fit", "outer iteration cap"),
-    "patience": _Key(int, "fit", "early-stop patience"),
+    "patience": _Key(int, "fit", "outer iterations without a validation gain above "
+                     f"MIN_GAIN ({MIN_GAIN:g} of the best) before a fit stops"),
     "variants": _Key(_parse_variants, None, f"comma-separated variants of {', '.join(VARIANTS)}"),
 }
 

@@ -108,14 +108,17 @@ class DenseNet:
 def init_net(layer_sizes, seed) -> DenseNet:
     """Build a network with the given layer sizes, deterministically per seed.
 
-    Hidden weights are zero-mean normal draws scaled by 1/sqrt(fan_in); the
-    output layer starts at zero, as do all biases, so a fresh network returns
-    sigmoid(0) = 0.5 for every input. Starting neutral keeps early training
-    steps well-conditioned regardless of the input scale.
+    Every net has at least one hidden layer of tanh units: ``layer_sizes``
+    is (in, hidden..., out), all positive. Hidden weights are zero-mean
+    normal draws scaled by 1/sqrt(fan_in); the output layer starts at zero,
+    as do all biases, so a fresh network returns sigmoid(0) = 0.5 for every
+    input. Starting neutral keeps early training steps well-conditioned
+    regardless of the input scale.
     """
     sizes = list(layer_sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ValueError("layer_sizes needs at least [in, out] with positive sizes")
+    if len(sizes) < 3 or any(s < 1 for s in sizes):
+        raise ValueError(f"layer_sizes needs [in, hidden..., out] with at least one hidden "
+                         f"layer and positive sizes, got {tuple(sizes)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     weights = []
     biases = []

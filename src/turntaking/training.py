@@ -126,7 +126,7 @@ class FitConfig:
     """Knobs for the block coordinate descent fit."""
 
     max_outer: int = 200
-    patience: int = 20
+    patience: int = 10
 
     def __post_init__(self):
         if self.max_outer <= 0:

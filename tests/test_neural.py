@@ -143,6 +143,8 @@ def test_fresh_net_outputs_half_everywhere():
 def test_init_rejects_bad_sizes():
     with pytest.raises(ValueError):
         init_net((1,), seed=0)
+    with pytest.raises(ValueError, match="at least one hidden layer"):
+        init_net((1, 1), seed=0)
     with pytest.raises(ValueError):
         init_net((1, 0, 1), seed=0)
 

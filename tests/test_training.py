@@ -143,6 +143,16 @@ def test_make_is_deterministic_and_seed_sensitive():
     assert a.f_net != a.g_net
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ModelBundle.make("pro", hidden=()),
+    lambda: ModelBundle.make("exp", hidden=()),
+    lambda: LearnedProclivity.fresh(0, hidden=()),
+], ids=["pro", "exp", "proclivity"])
+def test_net_without_hidden_layer_is_refused(build):
+    with pytest.raises(ValueError, match="at least one hidden layer"):
+        build()
+
+
 def test_bundle_validation():
     with pytest.raises(ValueError):
         ModelBundle.make("mystery")
@@ -946,6 +956,26 @@ def test_fit_early_stopping_truncates_history(caplog):
     assert all(v >= best_val for v in tail)
     assert result.stop_reason == "patience"
     assert caplog.records == []
+
+
+def test_patience_only_truncates_the_fit():
+    # patience is read only by the stop rule, so a fit at the default
+    # patience 10 is the first rows of the same fit at patience 20, and its
+    # snapshot is the lowest validation loss of those rows. On this data the
+    # patience-20 fit goes on to a later, lower one.
+    assert FitConfig().patience == 10
+    data = generate_dataset(SynthConfig(train_groups=3, val_groups=2, members=4, turns=120), trial=1)
+    ts = TrainingSet(data.pairs("train"), data.pairs("val"))
+    bundle = ModelBundle.make("pro", seed=2)
+    short, long = (fit(bundle, ts, cfg) for cfg in (FitConfig(), FitConfig(patience=20)))
+    assert short.stop_reason == "patience"
+    assert long.history[: len(short.history)] == short.history
+    assert short.best_outer == int(np.argmin([row[2] for row in short.history]))
+    assert long.best_outer > len(short.history)
+    # The same fit capped at that row returns the same snapshot.
+    capped = fit(bundle, ts, FitConfig(max_outer=short.best_outer, patience=20))
+    assert capped.bundle.pair.tobytes() == short.bundle.pair.tobytes()
+    assert capped.bundle.proclivity.net == short.bundle.proclivity.net
 
 
 def scripted_fit(monkeypatch, losses, patience):

@@ -1,11 +1,14 @@
 """CSV readers and writers for every artifact the pipeline exchanges.
 
 All files are UTF-8 with LF line endings and a header row. Every one is
-written by ``_write_table`` and read by ``_read_table``. Rows hold Python
-numbers and strings, never numpy scalars: the csv module writes a Python
-float with repr, which round-trips exactly, so regenerating an artifact
-under the same seed reproduces it byte for byte. Indices (groups, members,
-turns, layers) are 1-based in files regardless of internal representation.
+written by ``_write_table`` and read by ``_read_table``, except that a
+roster, conversation or score file in exactly the layout the writer gives
+it is parsed by numpy's C reader in one pass (``_parse_plain``), to the
+same arrays. Rows hold Python numbers and strings, never numpy scalars:
+the csv module writes a Python float with repr, which round-trips exactly,
+so regenerating an artifact under the same seed reproduces it byte for
+byte. Indices (groups, members, turns, layers) are 1-based in files
+regardless of internal representation.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import array
 import contextlib
 import csv
 import datetime
+import io
 import itertools
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,12 +78,13 @@ def _write_table(path, header, rows, meta: dict | None = None) -> None:
         raise
 
 
-# Rows parsed per chunk: one ``map`` per column parses a chunk as fast as a
-# loop over its cells, and only one chunk of raw strings is held at a time.
-# Reading 40,000 conversation rows (three splits, 20 groups of 8 x 2000
-# turns) raised the peak RSS by 5.5 MB when each file was parsed whole, by
-# 2.6 MB in chunks of 4096 rows and by 1.9-2.2 MB in chunks of 1024, about
-# what the row-by-row parse it replaced took (1.9-2.0 MB).
+# Rows the general reader parses per chunk: one ``map`` per column parses a
+# chunk as fast as a loop over its cells, and only one chunk of raw strings
+# is held at a time. Reading 40,000 conversation rows (three splits, 20
+# groups of 8 x 2000 turns) this way raised the peak RSS by 5.5 MB when each
+# file was parsed whole, by 2.6 MB in chunks of 4096 rows and by 1.9-2.2 MB
+# in chunks of 1024. A dataset in the writer's layout takes ``_parse_plain``,
+# which holds no per-cell strings.
 CHUNK_ROWS = 1024
 
 
@@ -90,7 +96,8 @@ def _read_table(path, header, kinds, meta: dict | None = None):
     file is streamed CHUNK_ROWS rows at a time. The first cell that does not
     parse, in file order, is reported with its line, and before any wrong
     field count or line break in a cell on a later row. Blank rows are
-    skipped. Leading ``# key=value`` lines go into ``meta`` when it is given.
+    skipped. Leading ``# key=value`` lines, one cell each, go into ``meta``
+    when it is given.
     """
     # Line numbers as machine integers: a list would hold an int object per row.
     lines, columns = array.array("q"), [[] for _ in kinds]
@@ -111,6 +118,10 @@ def _read_table(path, header, kinds, meta: dict | None = None):
             reader = csv.reader(handle)
             first = next(reader, None)
             while meta is not None and first and first[0].startswith("# "):
+                if len(first) != 1:
+                    raise DataFormatError(
+                        f"{path}:{reader.line_num}: expected one '# key=value' cell, "
+                        f"got {len(first)}")
                 key, _, meta[key] = first[0][2:].partition("=")
                 first = next(reader, None)
             if first != header:
@@ -174,16 +185,63 @@ def _arrays(path, lines, columns, kinds) -> list:
         raise
 
 
+# The bytes of a file ``_write_groups`` wrote: printable ASCII but '"', and LF.
+_PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\n"
+
+
+def _parse_plain(path, header, kinds):
+    """A group table's columns as arrays, parsed in one C pass, or None.
+
+    Only a file in the exact layout ``_write_groups`` writes is parsed here:
+    the header line, then at least one row, every line printable ASCII with
+    no '"', no longer than the csv module's field limit and ended by LF, and
+    numpy's parse giving one row per line with no error or warning. Any
+    other file is None, for ``_read_table``, whose values and messages are
+    the reference. Past ASCII numpy would part from Python's int and float:
+    it strips control characters such as \\x1c as spaces and reads some
+    non-ASCII letters as digits.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data.translate(None, _PLAIN) or not data.startswith(f"{','.join(header)}\n".encode()):
+        return None
+    limit, start = csv.field_size_limit(), 0
+    while start + limit < len(data):  # a line past the limit leaves limit + 1 bytes without LF
+        start = data.rfind(b"\n", start, start + limit + 1) + 1
+        if not start:
+            return None
+    rows = data.count(b"\n") - 1
+    if rows < 1:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(data.decode()), dtype=list(zip(header, kinds)),
+                               delimiter=",", comments=None, skiprows=1, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if table.size != rows:  # a blank line, skipped, or a last line without LF
+        return None
+    return [np.ascontiguousarray(table[name]) for name in header]
+
+
 def _read_groups(path, header, kinds, build, unordered: str) -> dict:
     """``build`` over each group's slice of the value columns, groups in file order.
 
     Column 0 is the group id and column 1 the row's 1-based index in its
     group. Each group must be one run of rows in index order, as
     ``_write_groups`` writes it; the first row out of place is reported at
-    its line, ``unordered`` saying what its group's indices are not.
+    its line, ``unordered`` saying what its group's indices are not. The
+    columns come from ``_parse_plain`` when it takes the file, else from
+    ``_read_table``: the same arrays either way.
     """
-    lines, columns = _read_table(path, header, kinds)
-    gids, index, *values = _arrays(path, lines, columns, kinds)
+    columns = _parse_plain(path, header, kinds)
+    if columns is None:
+        lines, columns = _read_table(path, header, kinds)
+        columns = _arrays(path, lines, columns, kinds)
+    else:
+        lines = range(2, 2 + columns[0].size)
+    gids, index, *values = columns
     starts = np.flatnonzero(np.diff(gids, prepend=~gids[:1]))  # ~g != g: row 0 starts a run
     bounds = [*starts.tolist(), gids.size]
     out = {}
@@ -301,10 +359,6 @@ def read_split(directory, split: str) -> list:
             )
         )
     return groups
-
-
-def read_dataset(directory) -> SynthDataset:
-    return SynthDataset(**{split: read_split(directory, split) for split in SPLITS})
 
 
 # -- fit checkpoints --------------------------------------------------------

@@ -1,6 +1,7 @@
 """CSV round trips, format diagnostics, report layout, and manifests."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from turntaking import (
     sample_conversation,
     traits_to_scores,
 )
+from turntaking import dataio
 from turntaking.dataio import (
     CHUNK_ROWS,
     DataFormatError,
@@ -35,7 +37,6 @@ from turntaking.dataio import (
     ensure_out_dir,
     read_conversations,
     read_curve,
-    read_dataset,
     read_checkpoint,
     read_history,
     read_report,
@@ -107,10 +108,9 @@ def test_scores_round_trip_is_exact(tmp_path, dataset):
 def test_dataset_round_trip_is_exact(tmp_path, dataset):
     written = write_dataset(tmp_path, dataset)
     assert len(written) == 9
-    back = read_dataset(tmp_path)
     for split in ("train", "val", "test"):
         groups = getattr(dataset, split)
-        loaded = getattr(back, split)
+        loaded = read_split(tmp_path, split)
         assert [g.group_id for g in loaded] == [g.group_id for g in groups]
         for a, b in zip(loaded, groups):
             np.testing.assert_array_equal(a.roster.traits, b.roster.traits)
@@ -480,10 +480,14 @@ OLD_PRO_HEAD = ["# variant=pro", "# activation=tanh", "# delta_scale=20.0"]
          "pro or exp checkpoint"),
         (OLD_PRO_HEAD + EXP_HEAD[1:] + F_ROWS + G_ROWS + ["nu,1,1,0,0.0", "nu,1,1,1,0.5"],
          r"got \{'variant': 'pro', 'activation': 'tanh', 'delta_scale': '20.0'\}"),
+        # Not read as variant=exp with the second cell dropped.
+        (["# variant=exp,junk"] + EXP_HEAD[1:] + F_ROWS + G_ROWS,
+         r":1: expected one '# key=value' cell, got 2"),
     ],
     ids=["no-variant", "variant-nm", "exp-with-delta-scale", "exp-with-nu", "missing-f",
          "repeated-cell", "bad-value-line", "sizes-do-not-chain", "bad-activation",
-         "zero-delta-scale", "exp-with-activation", "pro-with-activation-and-delta-scale"],
+         "zero-delta-scale", "exp-with-activation", "pro-with-activation-and-delta-scale",
+         "key-value-line-with-two-cells"],
 )
 def test_malformed_checkpoint_rejected(tmp_path, lines, message):
     path = tmp_path / "checkpoint.csv"
@@ -506,6 +510,9 @@ BAD_CELLS = {
                 "3: cannot parse 'tall' as float"),
     "conversations": (read_conversations, ["group_id,turn,speaker", "1,1,2", "1,two,3"],
                       "3: cannot parse 'two' as int"),
+    # numpy before 2.0 parses it through float, with only a DeprecationWarning.
+    "float-in-an-int-column": (read_conversations, ["group_id,turn,speaker", "1,1.0,2"],
+                               "2: cannot parse '1.0' as int"),
     "scores": (read_true_scores, ["group_id,member,pi,d", "1,1,0.5,0.2", "1,2,0.5,-"],
                "3: cannot parse '-' as float"),
     "checkpoint": (read_checkpoint, EXP_HEAD + ["f,1,1,0,0.0", "f,one,1,1,0.5"] + G_ROWS,
@@ -555,6 +562,132 @@ def test_split_coverage_mismatch_rejected(tmp_path, dataset):
     write_rosters(paths["rosters"], extra)
     with pytest.raises(DataFormatError, match="different groups"):
         read_split(tmp_path, "train")
+
+
+# ------------------------------------------------- the C parse of group files
+
+
+def test_every_written_group_file_takes_the_c_parse(tmp_path, dataset, monkeypatch):
+    # With the general reader gone, a dataset the writer wrote still reads back.
+    write_dataset(tmp_path, dataset)
+
+    def general_reader(path, *args, **kwargs):
+        raise AssertionError(f"{path} did not take the C parse")
+
+    monkeypatch.setattr(dataio, "_read_table", general_reader)
+    for split in ("train", "val", "test"):
+        loaded = read_split(tmp_path, split)
+        for a, b in zip(loaded, getattr(dataset, split), strict=True):
+            np.testing.assert_array_equal(a.roster.traits, b.roster.traits)
+            np.testing.assert_array_equal(a.conversation.speakers, b.conversation.speakers)
+            np.testing.assert_array_equal(a.scores.inherent, b.scores.inherent)
+            np.testing.assert_array_equal(a.scores.memory, b.scores.memory)
+
+
+def test_a_warning_from_the_c_parse_leaves_the_file_to_the_general_reader(tmp_path, monkeypatch):
+    # numpy before 2.0 parses '1.0' in an int column through float, with
+    # only a DeprecationWarning.
+    path = tmp_path / "conversations.csv"
+    write_lines(path, ["group_id,turn,speaker", "1,1,2", "1,2,1"])
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("parsed through float", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    assert dataio._parse_plain(path, dataio.CONVERSATION_HEADER, (int, int, int)) is None
+    np.testing.assert_array_equal(read_conversations(path)[1], [2, 1])
+
+
+# Cells the fuzz test writes into a group file: numbers only one of Python and
+# numpy reads (numpy strips a file separator as whitespace and reads some
+# non-ASCII letters as digits), cells neither reads, and a cell past the csv
+# field limit.
+ODD_CELLS = ("0_2", " 1", "１", "1.0", "+1", '"1"', "nan", "\x00", "\x0c", "\x1c", "\u1170",
+             "1" * 140_000)
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """``data`` with one seeded fault: a bit flip, a cut, CRLF, an odd cell or a row change."""
+    if not data:
+        return data
+    lines = data.decode("utf-8", "surrogateescape").split("\n")
+    kind = rng.randrange(9 if len(lines) > 2 else 2)
+    if kind == 0:
+        at = rng.randrange(len(data))
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if kind == 1:
+        return data[:rng.randrange(len(data))]
+    if kind == 2:
+        return data.replace(b"\n", b"\r\n")
+    # Row k and j lie between the header and what follows the last LF.
+    k, j = rng.randrange(1, len(lines) - 1), rng.randrange(1, len(lines) - 1)
+    if kind == 3:
+        cells = lines[k].split(",")
+        c, odd = rng.randrange(len(cells)), rng.choice(ODD_CELLS)
+        cells[c] = rng.choice([odd, odd + cells[c], cells[c] + odd])
+        lines[k] = ",".join(cells)
+    elif kind == 4:
+        lines.insert(k, "")
+    elif kind == 5:
+        lines.insert(k, lines[j])
+    elif kind == 6:
+        del lines[k]
+    else:
+        lines[k], lines[j] = lines[j], lines[k]
+    return "\n".join(lines).encode("utf-8", "surrogateescape")
+
+
+def _read_train(directory):
+    """``read_split``'s groups as exact bytes, or its DataFormatError text."""
+    try:
+        groups = read_split(directory, "train")
+    except DataFormatError as exc:
+        return str(exc)
+    out = []
+    for g in groups:
+        arrays = [g.roster.traits, g.conversation.speakers]
+        if g.scores is not None:
+            arrays += [g.scores.inherent, g.scores.memory]
+        out.append((g.group_id, g.conversation.group_size,
+                    [(a.dtype.str, a.tobytes()) for a in arrays]))
+    return out
+
+
+def test_the_c_parse_matches_the_general_reader_on_mutated_files(tmp_path, dataset, monkeypatch):
+    write_dataset(tmp_path, dataset)
+    files = list(split_paths(tmp_path, "train").values())
+    originals = [path.read_bytes() for path in files]
+    parse_plain, taken = dataio._parse_plain, set()
+
+    def spy(path, *args):
+        columns = parse_plain(path, *args)
+        if columns is not None:
+            taken.add(path)
+        return columns
+
+    rng, diverged, parsed_in_c = random.Random(32), [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(600):
+            f = rng.randrange(len(files))
+            data = originals[f]
+            for _ in range(rng.randint(1, 2)):
+                data = _mutate(rng, data)
+            files[f].write_bytes(data)
+            monkeypatch.setattr(dataio, "_parse_plain", spy)
+            got = _read_train(tmp_path)
+            parsed_in_c += files[f] in taken
+            taken.clear()
+            monkeypatch.setattr(dataio, "_parse_plain", lambda *args: None)
+            want = _read_train(tmp_path)
+            if got != want:
+                diverged.append((trial, files[f].name, got, want))
+            files[f].write_bytes(originals[f])
+    assert diverged == []
+    # A mutation the C parse takes is where the two could part.
+    assert parsed_in_c > 100
 
 
 # ------------------------------------------------------------------ reports

@@ -125,24 +125,29 @@ def read_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     settings = {}
     set_on = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            where = f"{path}:{lineno}: "
-            if "=" not in stripped:
-                raise ConfigError(f"{where}expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _KEYS:
-                raise ConfigError(f"{where}unknown key {key!r}")
-            if key in set_on:
-                raise ConfigError(
-                    f"{where}key {key!r} is set again (first set on line {set_on[key]})"
-                )
-            set_on[key] = lineno
-            settings[key] = _parse(key, raw, where)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} cannot be decoded)"
+        ) from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        where = f"{path}:{lineno}: "
+        if "=" not in stripped:
+            raise ConfigError(f"{where}expected key=value, got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"{where}key {key!r} is set again (first set on line {set_on[key]})"
+            )
+        set_on[key] = lineno
+        settings[key] = _parse(key, raw, where)
     return settings
 
 

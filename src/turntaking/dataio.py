@@ -1,10 +1,12 @@
 """CSV readers and writers for every artifact the pipeline exchanges.
 
-All files are UTF-8 with LF line endings and a header row. Every one is
-written by ``_write_table`` and read by ``_read_table``, except that a
-roster, conversation or score file in exactly the layout the writer gives
-it is parsed by numpy's C reader in one pass (``_parse_plain``), to the
-same arrays. Rows hold Python numbers and strings, never numpy scalars:
+All files are UTF-8 with LF line endings and a header row, and every one is
+written by ``_write_table``. Of those the pipeline reads back, a roster,
+conversation or score file in exactly the layout the writer gives it is
+parsed by numpy's C reader in one pass (``_parse_plain``); every other file,
+a checkpoint included, goes through ``_read_table``, row by row, to the same
+arrays and messages. Reports, summaries, histories and curves are only
+written. Rows hold Python numbers and strings, never numpy scalars:
 the csv module writes a Python float with repr, which round-trips exactly,
 so regenerating an artifact under the same seed reproduces it byte for
 byte. Indices (groups, members, turns, layers) are 1-based in files
@@ -13,7 +15,6 @@ regardless of internal representation.
 
 from __future__ import annotations
 
-import array
 import contextlib
 import csv
 import datetime
@@ -78,80 +79,61 @@ def _write_table(path, header, rows, meta: dict | None = None) -> None:
         raise
 
 
-# Rows the general reader parses per chunk: one ``map`` per column parses a
-# chunk as fast as a loop over its cells, and only one chunk of raw strings
-# is held at a time. Reading 40,000 conversation rows (three splits, 20
-# groups of 8 x 2000 turns) this way raised the peak RSS by 5.5 MB when each
-# file was parsed whole, by 2.6 MB in chunks of 4096 rows and by 1.9-2.2 MB
-# in chunks of 1024. A dataset in the writer's layout takes ``_parse_plain``,
-# which holds no per-cell strings.
-CHUNK_ROWS = 1024
+def _text(path) -> str:
+    """A file's whole text; a file that is not UTF-8 is refused as a whole, at no line."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} cannot be decoded)"
+        ) from None
 
 
 def _read_table(path, header, kinds, meta: dict | None = None):
     """Every data row of a CSV file, parsed column by column: ``(lines, columns)``.
 
     ``lines`` holds each row's line number and ``columns[k]`` its cells of
-    column k, parsed by ``kinds[k]`` (``int``, ``float`` or ``str``). The
-    file is streamed CHUNK_ROWS rows at a time. The first cell that does not
-    parse, in file order, is reported with its line, and before any wrong
-    field count or line break in a cell on a later row. Blank rows are
-    skipped. Leading ``# key=value`` lines, one cell each, go into ``meta``
-    when it is given.
+    column k, parsed by ``kinds[k]`` (``int``, ``float`` or ``str``). Rows
+    are checked in file order, so the fault on the earliest line is the one
+    reported, text the csv module cannot read included: a cell with a line
+    break (at the line its row starts on), then a wrong field count, then a
+    cell that does not parse. Blank rows are skipped. Leading ``# key=value``
+    lines, one cell each, go into ``meta`` when it is given.
     """
-    # Line numbers as machine integers: a list would hold an int object per row.
-    lines, columns = array.array("q"), [[] for _ in kinds]
-
-    def add(numbers, rows):
-        try:
-            for column, kind, cells in zip(columns, kinds, zip(*rows)):
-                column.extend(map(kind, cells))
-        except ValueError:
-            for lineno, row in zip(numbers, rows):
-                for raw, kind in zip(row, kinds):
-                    _parse(path, lineno, raw, kind)
-            raise
-        lines.extend(numbers)
-
+    lines, columns = [], [[] for _ in kinds]
+    reader = csv.reader(io.StringIO(_text(path), newline=""))
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
+        first = next(reader, None)
+        while meta is not None and first and first[0].startswith("# "):
+            if len(first) != 1:
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: expected one '# key=value' cell, got {len(first)}")
+            key, _, meta[key] = first[0][2:].partition("=")
             first = next(reader, None)
-            while meta is not None and first and first[0].startswith("# "):
-                if len(first) != 1:
-                    raise DataFormatError(
-                        f"{path}:{reader.line_num}: expected one '# key=value' cell, "
-                        f"got {len(first)}")
-                key, _, meta[key] = first[0][2:].partition("=")
-                first = next(reader, None)
-            if first != header:
-                got = ",".join(first) if first else "empty file"
-                if got.startswith("\ufeff"):
-                    got = f"{got[1:]} after a UTF-8 byte-order mark; save the file without one"
-                raise DataFormatError(f"{path}: expected header {','.join(header)}, got {got}")
-            width, start = len(header), reader.line_num + 1
-            while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-                numbers = range(start, start + len(chunk))
-                start = reader.line_num + 1
-                # Blank rows, a wrong field count, or a quoted cell that spans lines.
-                if set(map(len, chunk)) != {width} or start != numbers.stop:
-                    numbers = list(itertools.compress(numbers, chunk))
-                    chunk = list(filter(None, chunk))
-                    for k, row in enumerate(chunk):
-                        broken = any("\n" in cell or "\r" in cell for cell in row)
-                        if len(row) != width or broken:
-                            add(numbers[:k], chunk[:k])
-                            raise DataFormatError(f"{path}:{numbers[k]}: " + (
-                                "a cell holds a line break" if broken
-                                else f"expected {width} fields, got {len(row)}"))
-                add(numbers, chunk)
+        if first != header:
+            got = ",".join(first) if first else "empty file"
+            if got.startswith("\ufeff"):
+                got = f"{got[1:]} after a UTF-8 byte-order mark; save the file without one"
+            raise DataFormatError(f"{path}: expected header {','.join(header)}, got {got}")
+        width = len(header)
+        while True:
+            lineno = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                return lines, columns
+            if not row:
+                continue
+            # A row that spans lines, or a quote left open at the end of the file.
+            if reader.line_num != lineno or row[-1].endswith(("\n", "\r")):
+                raise DataFormatError(f"{path}:{lineno}: a cell holds a line break")
+            if len(row) != width:
+                raise DataFormatError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            for column, kind, raw in zip(columns, kinds, row):
+                column.append(_parse(path, lineno, raw, kind))
+            lines.append(lineno)
     except csv.Error as exc:
         raise DataFormatError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} cannot be decoded)"
-        ) from None
-    return lines, columns
 
 
 @contextlib.contextmanager
@@ -427,7 +409,10 @@ def read_checkpoint(path) -> ModelBundle:
         )
     net = {name: _net_from_cells(path, name, nets[name]) for name in names}
     prox = LearnedProclivity(net=net["nu"]) if "nu" in net else by_name(PROCLIVITY_KINDS[variant])
-    return ModelBundle(variant=variant, proclivity=prox, f_net=net["f"], g_net=net["g"])
+    try:
+        return ModelBundle(variant=variant, proclivity=prox, f_net=net["f"], g_net=net["g"])
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # -- fit history ------------------------------------------------------------
@@ -436,18 +421,6 @@ def read_checkpoint(path) -> ModelBundle:
 def write_history(path, history) -> None:
     """``FitResult.history``; a ``None`` val_loss (no validation split) is an empty cell."""
     _write_table(path, HISTORY_HEADER, history)
-
-
-def _loss(raw: str):
-    return float(raw) if raw else None  # empty: no validation split
-
-
-_loss.__name__ = "float"  # what a cell that does not parse is reported as
-
-
-def read_history(path) -> list:
-    _, columns = _read_table(path, HISTORY_HEADER, (int, float, _loss))
-    return list(zip(*columns))
 
 
 # -- experiment reports -----------------------------------------------------
@@ -491,25 +464,11 @@ def write_summary(path, report: EvalReport) -> None:
     ))
 
 
-def read_report(path) -> list:
-    lines, columns = _read_table(path, REPORT_HEADER, (int, str, str, str, str))
-    return [
-        (trial, variant, metric, group_id,
-         raw if metric == "failed" else _parse(path, lineno, raw, float))
-        for lineno, trial, variant, metric, group_id, raw in zip(lines, *columns)
-    ]
-
-
 # -- curves -----------------------------------------------------------------
 
 
 def write_curve(path, curve: ProclivityCurve) -> None:
     _write_table(path, CURVE_HEADER, zip(curve.gaps.tolist(), curve.values.tolist()))
-
-
-def read_curve(path) -> ProclivityCurve:
-    _, (gaps, values) = _read_table(path, CURVE_HEADER, (int, float))
-    return ProclivityCurve(gaps=np.array(gaps), values=np.array(values))
 
 
 def write_curves(directory, report: EvalReport) -> list:
@@ -556,16 +515,15 @@ def read_manifest(directory) -> list:
     if not path.is_file():
         return []
     blocks = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("# run "):
-                blocks.append({})
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not blocks:
-                raise DataFormatError(f"{path}:{lineno}: expected key=value inside a run block")
-            blocks[-1][key] = value
+    for lineno, line in enumerate(io.StringIO(_text(path), newline=""), start=1):
+        line = line.rstrip("\n")
+        if line.startswith("# run "):
+            blocks.append({})
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not blocks:
+            raise DataFormatError(f"{path}:{lineno}: expected key=value inside a run block")
+        blocks[-1][key] = value
     return blocks
 
 

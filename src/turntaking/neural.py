@@ -91,14 +91,6 @@ class DenseNet:
         net._hold(params, self.shapes)
         return net
 
-    @property
-    def layer_sizes(self) -> tuple:
-        return (self.weights[0].shape[1],) + tuple(W.shape[0] for W in self.weights)
-
-    def forward(self, x) -> np.ndarray | float:
-        """Evaluate the network; scalar in, scalar out, or batched over axis 0."""
-        return _forward(self, x)[0]
-
     def __eq__(self, other):
         if not isinstance(other, DenseNet):
             return NotImplemented
@@ -136,15 +128,15 @@ def init_net(layer_sizes, seed) -> DenseNet:
 def _forward(net: DenseNet, x, params=None):
     """Forward pass returning output plus the activations ``_backward`` needs.
 
-    ``params`` runs the net's layout on other parameters: one vector, or a
-    (K, P) stack whose K nets all see ``x``, and then the output and every
-    activation after the input lead with K. A layer with one input runs as
-    a broadcast product, not a K=1 matmul: each output is one product
-    either way, so the bits are the same.
+    ``x`` is a vector of scalar inputs or a (B, width) batch; the output has
+    one value per input row. ``params`` runs the net's layout on other
+    parameters: one vector, or a (K, P) stack whose K nets all see ``x``,
+    and then the output and every activation after the input lead with K. A
+    layer with one input runs as a broadcast product, not a K=1 matmul: each
+    output is one product either way, so the bits are the same.
     """
     weights, biases = (net.weights, net.biases) if params is None else _views(params, net.shapes)
     a = np.asarray(x, dtype=float)
-    scalar = a.ndim == 0
     if a.ndim < 2:
         if weights[0].shape[-1] != 1:
             raise ValueError(f"expected inputs of width {weights[0].shape[-1]}")
@@ -158,10 +150,7 @@ def _forward(net: DenseNet, x, params=None):
         acts.append(a)
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite value in forward pass")
-    out = a[..., 0] if a.shape[-1] == 1 else a
-    if scalar:
-        out = float(out[0])
-    return out, acts
+    return (a[..., 0] if a.shape[-1] == 1 else a), acts
 
 
 def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:

@@ -21,16 +21,15 @@ from turntaking import (
 from turntaking.cli import build_parser, main
 from turntaking.dataio import (
     read_checkpoint,
-    read_curve,
-    read_history,
     read_manifest,
-    read_report,
     read_split,
     write_checkpoint,
     write_dataset,
 )
 from turntaking.synthgen import SynthConfig, generate_dataset
 from turntaking.training import FitDivergenceError
+
+from test_dataio import csv_rows, curve_cells, report_rows
 
 TINY_DATA = """
 train_groups=2
@@ -77,6 +76,16 @@ def test_missing_config_file_is_usage_error(capsys, tmp_path):
                        "--out", tmp_path / "out")
     assert code == 2
     assert "config file not found" in err
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"turns=4\xff0\n")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--config", cfg, "--out", out)
+    assert code == 2
+    assert f"error: {cfg}: not UTF-8 text (byte 0xff cannot be decoded)" in err
+    assert not out.exists()
 
 
 def test_unknown_config_key_reports_line(capsys, tmp_path):
@@ -340,9 +349,9 @@ def test_fit_writes_checkpoints_and_history(capsys, tmp_path, tiny_config):
     names = {p.name for p in out.iterdir()}
     assert names == {"checkpoint.csv", "history.csv", "manifest.txt"}
     assert read_checkpoint(out / "checkpoint.csv").learns_proclivity
-    history = read_history(out / "history.csv")
+    history = csv_rows(out / "history.csv")
     assert len(history) == 5  # row 0 plus max_outer=4 iterations
-    assert history[0][0] == 0
+    assert history[0][0] == "0"
     assert read_manifest(out)[-1]["stop_reason"] == "max_outer"
 
 
@@ -425,11 +434,9 @@ def test_fit_with_an_empty_val_split_runs(capsys, caplog, tmp_path, tiny_config)
     assert (tmp_path / "fit" / "checkpoint.csv").is_file()
     assert read_manifest(tmp_path / "fit")[-1]["val_groups"] == "0"
     history_path = tmp_path / "fit" / "history.csv"
-    history = read_history(history_path)
-    assert [row[2] for row in history] == [None] * len(history) and len(history) > 1
-    lines = history_path.read_text(encoding="utf-8").splitlines()
-    assert all(line.endswith(",") for line in lines[1:])
-    best_train = min(row[1] for row in history)
+    history = csv_rows(history_path)
+    assert [row[2] for row in history] == [""] * len(history) and len(history) > 1
+    best_train = min(float(row[1]) for row in history)
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit exp")]
     assert f"best train loss (no validation split) {best_train:.6f}" in line
     assert "validation loss" not in line
@@ -477,7 +484,7 @@ def test_eval_round_trip_with_checkpoints(capsys, tmp_path, tiny_config):
                      "--variants", "exp,nm,hm", "--checkpoint", f"exp={fit_out}",
                      "--out", out)
     assert code == 0
-    rows = read_report(out / "report.csv")
+    rows = report_rows(out / "report.csv")
     variants = {r[1] for r in rows}
     assert variants == {"true", "exp", "nm", "hm"}
     metrics = {r[2] for r in rows}
@@ -495,7 +502,7 @@ def test_eval_without_scores_file_skips_true_variant(capsys, tmp_path, tiny_conf
     code, _, _ = run(capsys, "eval", "--config", tiny_config, "--data", data,
                      "--variants", "nm,hm", "--out", out)
     assert code == 0
-    variants = {r[1] for r in read_report(out / "report.csv")}
+    variants = {r[1] for r in report_rows(out / "report.csv")}
     assert variants == {"nm", "hm"}
 
 
@@ -506,7 +513,7 @@ def test_eval_scores_truth_under_the_dataset_proclivity(capsys, tmp_path, tiny_c
     out = tmp_path / "eval"
     code, _, _ = run(capsys, "eval", "--data", data, "--variants", "nm", "--out", out)
     assert code == 0
-    rows = read_report(out / "report.csv")
+    rows = report_rows(out / "report.csv")
     (got,) = [r[4] for r in rows if r[1] == "true" and r[2] == "nll" and r[3] == "all"]
     test = read_split(data, "test")
     assert got == pytest.approx(evaluate(true_model(test, SigmoidProclivity()), test).nll, abs=1e-12)
@@ -532,7 +539,7 @@ def test_eval_refuses_to_guess_the_truth_proclivity(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--config", cfg, "--data", data, "--variants", "nm",
                        "--out", out)
     assert code == 0, err
-    (got,) = [r[4] for r in read_report(out / "report.csv")
+    (got,) = [r[4] for r in report_rows(out / "report.csv")
               if r[1] == "true" and r[2] == "nll" and r[3] == "all"]
     test = read_split(data, "test")
     assert got == evaluate(true_model(test, SigmoidProclivity()), test).nll
@@ -667,8 +674,32 @@ def _manifest_line_without_equals(data, fit_dir):
     return f"{path}:3: expected key=value inside a run block"
 
 
-@pytest.mark.parametrize("corrupt", [_checkpoint_value_inf, _manifest_line_without_equals],
-                         ids=["checkpoint-value-inf", "manifest-line-without-equals"])
+def _checkpoint_f_and_g_layouts_differ(data, fit_dir):
+    # The g rows of a (1, 4, 1) fit spliced into a default one.
+    path = fit_dir / "checkpoint.csv"
+    rows = [line for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("g,")]
+    write_checkpoint(path, ModelBundle.make("exp", hidden=(4,)))
+    rows += [line for line in path.read_text(encoding="utf-8").splitlines()
+             if line.startswith("g,")]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return f"{path}: f and g networks must share one layout: they run as one stack"
+
+
+def _manifest_not_utf8(data, fit_dir):
+    path = data / "manifest.txt"
+    with open(path, "ab") as handle:
+        handle.write(b"\xff\n")
+    return f"{path}: not UTF-8 text (byte 0xff cannot be decoded)"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_checkpoint_value_inf, _checkpoint_f_and_g_layouts_differ, _manifest_line_without_equals,
+     _manifest_not_utf8],
+    ids=["checkpoint-value-inf", "checkpoint-f-and-g-layouts-differ",
+         "manifest-line-without-equals", "manifest-not-utf8"],
+)
 def test_a_bad_checkpoint_or_manifest_is_a_data_format_error(capsys, tmp_path, tiny_config,
                                                              corrupt):
     data = make_data(capsys, tmp_path, tiny_config)
@@ -718,7 +749,7 @@ def eval_report(capsys, tmp_path, data, variant, fit_dir):
     code, _, err = run(capsys, "eval", "--data", data, "--variants", variant,
                        "--checkpoint", f"{variant}={fit_dir}", "--out", out)
     assert code == 0, err
-    return read_report(out / "report.csv")
+    return report_rows(out / "report.csv")
 
 
 def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, tiny_config):
@@ -729,7 +760,7 @@ def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, 
     fit_dir = tmp_path / "fit"
     fit_dir.mkdir()
     write_checkpoint(fit_dir / "checkpoint.csv", bundle)
-    assert read_checkpoint(fit_dir / "checkpoint.csv").f_net.layer_sizes == (1, 4, 3, 1)
+    assert read_checkpoint(fit_dir / "checkpoint.csv").f_net.shapes == bundle.f_net.shapes
     got = {(r[2], r[3]): r[4] for r in eval_report(capsys, tmp_path, data, "pro", fit_dir)
            if r[1] == "pro"}
     summary = evaluate(bundle, read_split(data, "test"))
@@ -737,9 +768,8 @@ def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, 
     out = tmp_path / "curve"
     code, _, err = run(capsys, "curve", "--variant", "pro", "--checkpoint", fit_dir, "--out", out)
     assert code == 0, err
-    curve, expected = read_curve(out / "curve_pro.csv"), model_curve(bundle)
-    assert curve.gaps.tolist() == expected.gaps.tolist()
-    assert curve.values.tolist() == expected.values.tolist()
+    expected = model_curve(bundle)
+    assert curve_cells(out / "curve_pro.csv") == (expected.gaps.tolist(), expected.values.tolist())
 
 
 @pytest.mark.parametrize("variant, old_head", [
@@ -920,11 +950,11 @@ def test_experiment_writes_report_summary_curves(capsys, tmp_path):
     assert (out / "summary.csv").is_file()
     curve_names = {p.name for p in (out / "curves").iterdir()}
     for name in curve_names:
-        assert read_curve(out / "curves" / name).gaps.tolist() == list(range(2, 41))
+        assert curve_cells(out / "curves" / name)[0] == list(range(2, 41))
     assert "curve_true_mean.csv" in curve_names
     assert "curve_exp_trial1.csv" in curve_names
     assert "curve_nm_trial2.csv" in curve_names
-    rows = read_report(out / "report.csv")
+    rows = report_rows(out / "report.csv")
     assert {r[0] for r in rows} == {1, 2}
     manifest = (out / "manifest.txt").read_text(encoding="utf-8")
     assert "command=experiment" in manifest
@@ -1000,7 +1030,7 @@ def test_experiment_names_the_trials_whose_generation_failed(capsys, caplog, tmp
     warnings = [r.getMessage() for r in caplog.records if r.name == "turntaking.cli"
                 and r.levelno == logging.WARNING]
     assert warnings == ["trials whose data generation failed: [2]"]
-    rows = read_report(tmp_path / "exp" / "report.csv")
+    rows = report_rows(tmp_path / "exp" / "report.csv")
     assert {r[4] for r in rows if r[0] == 2} == {"generation failed: no eligible speaker"}
 
 
@@ -1017,7 +1047,7 @@ def test_experiment_whose_every_trial_failed_is_a_numeric_failure(capsys, tmp_pa
     assert code == 4
     assert "error: data generation failed in every trial" in err
     # Only the failed cells: one per trial and variant, no true-model row.
-    assert read_report(out / "report.csv") == [
+    assert report_rows(out / "report.csv") == [
         (trial, variant, "failed", "all", "generation failed: no eligible speaker")
         for trial in (1, 2) for variant in ("exp", "nm", "hm")
     ]
@@ -1041,19 +1071,17 @@ def test_curve_heuristic_memory(capsys, tmp_path):
     out = tmp_path / "curve"
     code, _, _ = run(capsys, "curve", "--variant", "hm", "--out", out)
     assert code == 0
-    curve = read_curve(out / "curve_hm.csv")
-    np.testing.assert_allclose(curve.values, 100 * np.exp(-curve.gaps / 2.0), rtol=1e-12)
+    gaps, values = map(np.array, curve_cells(out / "curve_hm.csv"))
+    np.testing.assert_allclose(values, 100 * np.exp(-gaps / 2.0), rtol=1e-12)
 
 
 def test_curve_true_uses_generating_maps(capsys, tmp_path):
     out = tmp_path / "curve"
     code, _, _ = run(capsys, "curve", "--variant", "true", "--out", out)
     assert code == 0
-    curve = read_curve(out / "curve_true.csv")
-    assert curve.gaps.tolist() == list(range(2, 41))
-    np.testing.assert_allclose(
-        curve.values, 19.75129232904011 * np.exp(-curve.gaps / 2.0), rtol=1e-12
-    )
+    gaps, values = map(np.array, curve_cells(out / "curve_true.csv"))
+    assert gaps.tolist() == list(range(2, 41))
+    np.testing.assert_allclose(values, 19.75129232904011 * np.exp(-gaps / 2.0), rtol=1e-12)
 
 
 def test_curve_pro_needs_checkpoint(capsys, tmp_path):
@@ -1071,6 +1099,6 @@ def test_curve_from_fitted_checkpoint(capsys, tmp_path, tiny_config):
     code, _, _ = run(capsys, "curve", "--config", tiny_config, "--variant", "pro",
                      "--checkpoint", fit_out, "--out", out)
     assert code == 0
-    curve = read_curve(out / "curve_pro.csv")
-    assert curve.gaps.tolist() == list(range(2, 41))
-    assert np.all(curve.values >= 0)
+    gaps, values = curve_cells(out / "curve_pro.csv")
+    assert gaps == list(range(2, 41))
+    assert min(values) >= 0

@@ -1,5 +1,6 @@
 """CSV round trips, format diagnostics, report layout, and manifests."""
 
+import csv
 import math
 import random
 import warnings
@@ -29,17 +30,13 @@ from turntaking import (
 )
 from turntaking import dataio
 from turntaking.dataio import (
-    CHUNK_ROWS,
     DataFormatError,
     MANIFEST_NAME,
     append_manifest,
     read_manifest,
     ensure_out_dir,
     read_conversations,
-    read_curve,
     read_checkpoint,
-    read_history,
-    read_report,
     read_rosters,
     read_split,
     read_true_scores,
@@ -74,6 +71,24 @@ def dataset():
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def csv_rows(path):
+    """A CSV artifact's data rows as the csv module reads them: lists of strings."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))[1:]
+
+
+def report_rows(path):
+    """report.csv's rows: trial an int, value a float unless the cell failed."""
+    return [(int(trial), variant, metric, group_id, raw if metric == "failed" else float(raw))
+            for trial, variant, metric, group_id, raw in csv_rows(path)]
+
+
+def curve_cells(path):
+    """A curve file's gaps and values."""
+    rows = csv_rows(path)
+    return [int(gap) for gap, _ in rows], [float(value) for _, value in rows]
 
 
 # ------------------------------------------------------------- round trips
@@ -161,7 +176,7 @@ def test_net_round_trip_is_exact(tmp_path):
         back = read_checkpoint(path)
         assert back.variant == variant
         assert (back.f_net, back.g_net) == (bundle.f_net, bundle.g_net)
-        assert back.f_net.layer_sizes == (1, *hidden, 1)
+        assert [w.shape[0] for w in back.f_net.weights] == [*hidden, 1]
         if variant == "pro":
             assert back.proclivity == bundle.proclivity
         else:
@@ -216,7 +231,7 @@ def test_history_round_trip_is_exact(tmp_path):
     history = [(0, 1.25, 1.5), (1, 1.0 / 3.0, 0.1234567890123456789)]
     path = tmp_path / "history.csv"
     write_history(path, history)
-    back = read_history(path)
+    back = [(int(outer), float(train), float(val)) for outer, train, val in csv_rows(path)]
     assert back == [(0, 1.25, 1.5), (1, 1.0 / 3.0, 0.12345678901234568)]
 
 
@@ -224,7 +239,6 @@ def test_history_without_validation_has_empty_val_cells(tmp_path):
     path = tmp_path / "history.csv"
     write_history(path, [(0, 1.25, None), (1, 0.5, None)])
     assert path.read_text(encoding="utf-8") == "outer_iter,train_loss,val_loss\n0,1.25,\n1,0.5,\n"
-    assert read_history(path) == [(0, 1.25, None), (1, 0.5, None)]
 
 
 def test_curve_round_trip_is_exact(tmp_path):
@@ -233,9 +247,7 @@ def test_curve_round_trip_is_exact(tmp_path):
     )
     path = tmp_path / "curve.csv"
     write_curve(path, curve)
-    back = read_curve(path)
-    np.testing.assert_array_equal(back.gaps, curve.gaps)
-    np.testing.assert_array_equal(back.values, curve.values)
+    assert curve_cells(path) == (curve.gaps.tolist(), curve.values.tolist())
 
 
 # -------------------------------------------------------------------- bytes
@@ -483,11 +495,14 @@ OLD_PRO_HEAD = ["# variant=pro", "# activation=tanh", "# delta_scale=20.0"]
         # Not read as variant=exp with the second cell dropped.
         (["# variant=exp,junk"] + EXP_HEAD[1:] + F_ROWS + G_ROWS,
          r":1: expected one '# key=value' cell, got 2"),
+        # f has no hidden layer, g one of one unit: they cannot run as one stack.
+        (EXP_HEAD + F_ROWS + G_ROWS + ["g,2,1,0,0.0", "g,2,1,1,0.5"],
+         r"checkpoint\.csv: f and g networks must share one layout"),
     ],
     ids=["no-variant", "variant-nm", "exp-with-delta-scale", "exp-with-nu", "missing-f",
          "repeated-cell", "bad-value-line", "sizes-do-not-chain", "bad-activation",
          "zero-delta-scale", "exp-with-activation", "pro-with-activation-and-delta-scale",
-         "key-value-line-with-two-cells"],
+         "key-value-line-with-two-cells", "f-and-g-layouts-differ"],
 )
 def test_malformed_checkpoint_rejected(tmp_path, lines, message):
     path = tmp_path / "checkpoint.csv"
@@ -497,8 +512,8 @@ def test_malformed_checkpoint_rejected(tmp_path, lines, message):
 
 
 def _long_conversation(bad_line):
-    """A conversation past one parse chunk whose line ``bad_line`` has a bad speaker."""
-    turns = CHUNK_ROWS + 10
+    """A conversation of 1,040 turns whose line ``bad_line`` has a bad speaker."""
+    turns = 1040
     lines = ["group_id,turn,speaker"] + [f"1,{t},{1 + t % 2}" for t in range(1, turns + 1)]
     lines[bad_line - 1] = f"1,{bad_line - 1},x"
     return lines
@@ -517,13 +532,10 @@ BAD_CELLS = {
                "3: cannot parse '-' as float"),
     "checkpoint": (read_checkpoint, EXP_HEAD + ["f,1,1,0,0.0", "f,one,1,1,0.5"] + G_ROWS,
                    "4: cannot parse 'one' as int"),
-    "history": (read_history, ["outer_iter,train_loss,val_loss", "0,1.0,1.1", "1,x,1.0"],
-                "3: cannot parse 'x' as float"),
-    "report": (read_report, ["trial,variant,metric,group_id,value", "1,exp,nll,4,0.5",
-                             "1,exp,nll,5,abc"], "3: cannot parse 'abc' as float"),
-    "curve": (read_curve, ["delta,value", "2,1.5", "3.5,1.0"], "3: cannot parse '3.5' as int"),
-    "past-the-first-chunk": (read_conversations, _long_conversation(CHUNK_ROWS + 7),
-                             f"{CHUNK_ROWS + 7}: cannot parse 'x' as int"),
+    "checkpoint-value": (read_checkpoint, EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,x"] + G_ROWS,
+                         "4: cannot parse 'x' as float"),
+    "past-the-first-chunk": (read_conversations, _long_conversation(1031),
+                             "1031: cannot parse 'x' as int"),
     "earlier-row-later-column": (read_rosters, ["group_id,member,trait", "1,1,tall", "x,2,0.5"],
                                  "2: cannot parse 'tall' as float"),
     "before-a-later-field-count": (read_rosters, ["group_id,member,trait", "1,1,tall", "1,2"],
@@ -538,10 +550,11 @@ BAD_CELLS = {
     "before-a-cell-with-a-line-break": (read_rosters, ["group_id,member,trait", "1,y,0.4",
                                                        '1,2,"0.5', '"'],
                                         "2: cannot parse 'y' as int"),
-    "history-val-loss": (read_history, ["outer_iter,train_loss,val_loss", "0,1.0,", "1,0.5,x"],
-                         "3: cannot parse 'x' as float"),
-    "history-empty-train-loss": (read_history, ["outer_iter,train_loss,val_loss", "0,,"],
-                                 "2: cannot parse '' as float"),
+    # Not read as the number before the line break the file ends on.
+    "a-quote-open-at-the-end": (read_rosters, ["group_id,member,trait", "1,1,0.5", '1,2,"0.6'],
+                                "3: a cell holds a line break"),
+    "an-empty-cell": (read_rosters, ["group_id,member,trait", "1,1,"],
+                      "2: cannot parse '' as float"),
 }
 
 
@@ -553,6 +566,19 @@ def test_a_bad_cell_names_its_file_and_line(tmp_path, name):
     with pytest.raises(DataFormatError) as error:
         reader(path)
     assert str(error.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("late_line", [6, 1101])
+def test_the_earliest_fault_wins_however_far_the_next_lies(tmp_path, late_line):
+    # A bad cell on line 3 and a cell past the csv module's field limit later.
+    path = tmp_path / "rosters.csv"
+    lines = ["group_id,member,trait"] + [f"1,{k},0.5" for k in range(1, 1201)]
+    lines[2] = "1,x,0.5"
+    lines[late_line - 1] = f"1,{late_line - 1}," + "1" * 140_000
+    write_lines(path, lines)
+    with pytest.raises(DataFormatError) as error:
+        read_rosters(path)
+    assert str(error.value) == f"{path}:3: cannot parse 'x' as int"
 
 
 def test_split_coverage_mismatch_rejected(tmp_path, dataset):
@@ -734,7 +760,7 @@ def test_report_rows_cover_groups_aggregates_and_failures(tmp_path):
     report = toy_report()
     path = tmp_path / "report.csv"
     write_report(path, report)
-    rows = read_report(path)
+    rows = report_rows(path)
 
     per_group = [r for r in rows if r == (1, "exp", "nll", "16", 1.0)]
     assert len(per_group) == 1
@@ -784,8 +810,7 @@ def test_write_curves_layout(tmp_path):
         "curve_true_trial2.csv",
     ]
     assert all(p.parent.name == "curves" for p in written)
-    mean_exp = read_curve(tmp_path / "curves" / "curve_exp_mean.csv")
-    assert np.all(mean_exp.values == 2.0)
+    assert curve_cells(tmp_path / "curves" / "curve_exp_mean.csv")[1] == [2.0] * 39
 
 
 # ---------------------------------------------------------------- manifests

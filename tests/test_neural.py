@@ -12,7 +12,7 @@ from turntaking.training import MEMORY, _block
 
 def net_loss(net, x, upstream):
     """The scalar objective whose gradients ``net_gradient`` reports."""
-    out = np.atleast_1d(net.forward(x))
+    out = _forward(net, x)[0]
     return float(np.sum(np.asarray(upstream) * out))
 
 
@@ -114,7 +114,6 @@ def test_init_is_deterministic_per_seed():
 
 def test_init_layer_shapes_and_sizes():
     net = init_net((1, 16, 16, 1), seed=0)
-    assert net.layer_sizes == (1, 16, 16, 1)
     assert [W.shape for W in net.weights] == [(16, 1), (16, 16), (1, 16)]
     assert [b.shape for b in net.biases] == [(16,), (16,), (1,)]
 
@@ -136,8 +135,8 @@ def test_init_hidden_scale_tracks_fan_in():
 
 def test_fresh_net_outputs_half_everywhere():
     net = init_net((1, 16, 16, 1), seed=3)
-    for x in (-100.0, -1.0, 0.0, 0.25, 1.0, 50.0):
-        assert net.forward(x) == 0.5
+    out = _forward(net, [-100.0, -1.0, 0.0, 0.25, 1.0, 50.0])[0]
+    assert out.tolist() == [0.5] * 6
 
 
 def test_init_rejects_bad_sizes():
@@ -154,8 +153,9 @@ def test_init_rejects_bad_sizes():
 
 def test_single_layer_forward_is_sigmoid_affine():
     net = DenseNet(weights=(np.array([[1.2]]),), biases=(np.array([-0.3]),))
-    assert net.forward(0.5) == pytest.approx(sigmoid(1.2 * 0.5 - 0.3), abs=1e-15)
-    assert net.forward(0.5) == pytest.approx(0.574442516811659, abs=1e-15)
+    (out,) = _forward(net, [0.5])[0]
+    assert out == pytest.approx(sigmoid(1.2 * 0.5 - 0.3), abs=1e-15)
+    assert out == pytest.approx(0.574442516811659, abs=1e-15)
 
 
 def test_two_layer_forward_hand_computed():
@@ -164,14 +164,14 @@ def test_two_layer_forward_hand_computed():
         biases=(np.array([0.1, 0.2]), np.array([0.15])),
     )
     # sig(0.5*tanh(0.34) - 0.4*tanh(-0.36) + 0.15), evaluated by hand.
-    assert net.forward(0.8) == pytest.approx(0.611072892598962, abs=1e-12)
+    assert _forward(net, [0.8])[0][0] == pytest.approx(0.611072892598962, abs=1e-12)
 
 
 def test_forward_output_lies_in_unit_interval():
     rng = np.random.default_rng(21)
     for _ in range(10):
         net = random_net(rng, (1, 8, 1))
-        out = np.atleast_1d(net.forward(rng.normal(size=50) * 10))
+        out = _forward(net, rng.normal(size=50) * 10)[0]
         assert np.all(out > 0.0)
         assert np.all(out < 1.0)
 
@@ -180,10 +180,10 @@ def test_batched_forward_matches_scalar_forward():
     rng = np.random.default_rng(22)
     net = random_net(rng, (1, 5, 5, 1))
     xs = rng.normal(size=12)
-    batched = net.forward(xs)
+    batched = _forward(net, xs)[0]
     assert batched.shape == (12,)
     for x, y in zip(xs, batched):
-        assert net.forward(float(x)) == pytest.approx(y, abs=1e-15)
+        assert _forward(net, [x])[0][0] == pytest.approx(y, abs=1e-15)
 
 
 def test_dense_net_validation():
@@ -221,10 +221,11 @@ def test_backward_from_kept_activations_is_bit_identical():
         x = rng.normal(size=(7, sizes[0])) if sizes[0] > 1 else rng.normal(size=7)
         up = rng.normal(size=7)
         out, cache = _forward(net, x)
-        assert np.array_equal(out, net.forward(x))
-        got = _backward(net, cache, up)
         params = net.params.copy()
-        want = _backward(net, _forward(net, x, params)[1], up, params)
+        out_params, cache_params = _forward(net, x, params)
+        assert np.array_equal(out, out_params)
+        got = _backward(net, cache, up)
+        want = _backward(net, cache_params, up, params)
         assert got.shape == want.shape == net.params.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -260,9 +261,9 @@ def test_gradient_step_reduces_convex_toy_loss():
     x, target = 1.0, 0.9
 
     def loss(n):
-        return (n.forward(x) - target) ** 2
+        return (_forward(n, [x])[0][0] - target) ** 2
 
-    grad = net_gradient(net, x, 2 * (net.forward(x) - target))
+    grad = net_gradient(net, [x], 2 * (_forward(net, [x])[0] - target))
     assert loss(stepped(net, grad, 0.5)) < loss(net)
 
 
@@ -366,7 +367,7 @@ def test_stacked_pair_matches_two_nets_bit_for_bit():
         out, cache = _forward(nets[0], x, pair)
         grads = _backward(nets[0], cache, upstream, pair)
         for k, net in enumerate(nets):
-            assert same_bits(out[k], net.forward(x))
+            assert same_bits(out[k], _forward(net, x)[0])
             assert same_bits(grads[k], net_gradient(net, x, upstream[k]))
 
 

@@ -15,6 +15,7 @@ from turntaking import (
     by_name,
 )
 from turntaking.model import NEVER
+from turntaking.neural import _forward
 from turntaking.proclivity import CURVE_GAPS, GAP_SCALE, ZeroProclivity, rescaled_curve
 from turntaking.synthgen import TRAIT_GRID, TRAIT_HIGH, TRAIT_LOW
 
@@ -130,13 +131,13 @@ def test_fresh_learned_proclivity_has_the_score_nets_layout():
     # One default layout for every net: nu's matches the pro bundle's f.
     for seed in (0, 5):
         fresh = LearnedProclivity.fresh(seed)
-        assert fresh.net.layer_sizes == ModelBundle.make("pro", seed=seed).f_net.layer_sizes
+        assert fresh.net.shapes == ModelBundle.make("pro", seed=seed).f_net.shapes
 
 
 def test_learned_uses_scaled_gap_as_input():
     kind = LearnedProclivity.fresh(seed=4, hidden=(6,))
     assert GAP_SCALE == 20.0
-    assert kind(7) == pytest.approx(kind.net.forward(7 / 20.0), abs=1e-15)
+    assert kind(7) == pytest.approx(_forward(kind.net, [7 / 20.0])[0][0], abs=1e-15)
 
 
 def perturbed_nets():
@@ -183,7 +184,7 @@ def test_no_kind_subclasses_another():
 
 def test_learned_hidden_sizes_configurable():
     kind = LearnedProclivity.fresh(seed=2, hidden=(4, 3))
-    assert kind.net.layer_sizes == (1, 4, 3, 1)
+    assert [w.shape for w in kind.net.weights] == [(4, 1), (3, 4), (1, 3)]
 
 
 # -------------------------------------------------------------------- curves

@@ -30,7 +30,7 @@ from turntaking import (
 )
 from turntaking import training
 from turntaking.model import EPS_FLOOR
-from turntaking.neural import DenseNet
+from turntaking.neural import DenseNet, _forward
 from turntaking.proclivity import ZeroProclivity
 from turntaking.training import (
     BLOCK_PROCLIVITY,
@@ -485,7 +485,7 @@ def floored_bundle(traits):
         f_net=net(7.0, -22.2),
         g_net=net(2.0, -18.5),
     )
-    pi = bundle.f_net.forward(traits)
+    pi = _forward(bundle.f_net, traits)[0]
     assert (pi <= EPS_FLOOR).sum() == 2
     return bundle
 

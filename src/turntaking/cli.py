@@ -6,12 +6,12 @@ declares each setting once, with the one parser its config line and its flag
 share; range rules are the config dataclasses'. Every command writes into
 ``--out`` and appends a manifest block recording its artifacts and the
 resolved settings it read: ``generate`` the data keys and ``seed``; ``fit``
-``seed``, the fit keys and ``val_groups`` (its validation groups; at 0 it
+``seed``, ``max_outer`` and ``val_groups`` (its validation groups; at 0 it
 stops on the train loss); ``eval`` ``proclivity`` (the dataset's) and
 ``variants``; ``curve`` ``proclivity``; ``experiment`` every key. A key set
 twice in one config file is an error. The nets are not configured: ``fit``
 and ``experiment`` build them at ``neural.DEFAULT_HIDDEN``, and ``eval`` and
-``curve`` take a fit's layout from its checkpoint.
+``curve`` take a fit's layout from its checkpoint. Nor is ``training.PATIENCE``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .synthgen import SynthConfig, generate_dataset
 from .training import (
     FitConfig,
     LEARNABLE_VARIANTS,
-    MIN_GAIN,
     ModelBundle,
     TrainingSet,
     VARIANTS,
@@ -95,8 +94,6 @@ _KEYS = {
     "trials": _Key(int, "synth", "number of independent trials"),
     "seed": _Key(int, "synth", "master seed for all randomness"),
     "max_outer": _Key(int, "fit", "outer iteration cap"),
-    "patience": _Key(int, "fit", "outer iterations without a validation gain above "
-                     f"MIN_GAIN ({MIN_GAIN:g} of the best) before a fit stops"),
     "variants": _Key(_parse_variants, None, f"comma-separated variants of {', '.join(VARIANTS)}"),
 }
 
@@ -402,7 +399,7 @@ def cmd_curve(args) -> int:
 _COMMANDS = {
     "generate": (cmd_generate, "write a synthetic dataset",
                  ("seed", "proclivity", "members", "turns")),
-    "fit": (cmd_fit, "fit a learnable variant on a dataset", ("seed", "max_outer", "patience")),
+    "fit": (cmd_fit, "fit a learnable variant on a dataset", ("seed", "max_outer")),
     "eval": (cmd_eval, "evaluate variants on a test split", ("variants",)),
     "experiment": (cmd_experiment, "full multi-trial generate/fit/eval run",
                    ("seed", "trials", "turns", "members", "proclivity", "variants")),

@@ -102,7 +102,8 @@ def _read_table(path, header, kinds, meta: dict | None = None):
     lines, one cell each, go into ``meta`` when it is given.
     """
     lines, columns = [], [[] for _ in kinds]
-    reader = csv.reader(io.StringIO(_text(path), newline=""))
+    text = _text(path)  # ended by LF, a quote left open on the last line holds a line break
+    reader = csv.reader(io.StringIO(text if text.endswith("\n") else text + "\n", newline=""))
     try:
         first = next(reader, None)
         while meta is not None and first and first[0].startswith("# "):
@@ -516,7 +517,7 @@ def read_manifest(directory) -> list:
         return []
     blocks = []
     for lineno, line in enumerate(io.StringIO(_text(path), newline=""), start=1):
-        line = line.rstrip("\n")
+        line = line.rstrip("\n").removesuffix("\r")
         if line.startswith("# run "):
             blocks.append({})
             continue

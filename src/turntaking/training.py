@@ -41,8 +41,10 @@ FIXED_SCORES = {"nm": (1.0, 0.0), "hm": (1e-2, 1.0)}
 BLOCK_SCORES = "scores"
 BLOCK_PROCLIVITY = "proclivity"
 
-# Relative gain over the best validation loss that resets the patience count.
+# The stop rule; fixed, not settings. A fit stops after PATIENCE outer
+# iterations in a row that beat the best validation loss by MIN_GAIN of it or less.
 MIN_GAIN = 1e-4
+PATIENCE = 10
 
 # The L-BFGS block steps; fixed, not settings. A block takes at most
 # BLOCK_STEPS accepted steps and keeps its last MEMORY (s, y) pairs; no trial
@@ -123,16 +125,13 @@ def predict_scores(bundle: ModelBundle, roster: Roster) -> ScoreParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the block coordinate descent fit."""
+    """The block coordinate descent fit's one setting: its outer iteration cap."""
 
     max_outer: int = 200
-    patience: int = 10
 
     def __post_init__(self):
         if self.max_outer <= 0:
             raise ValueError("max_outer must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
 
 
 @dataclass
@@ -486,10 +485,10 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     Each outer iteration runs up to ``BLOCK_STEPS`` L-BFGS steps on (f, g),
     then up to as many on the proclivity network (each block keeps its
     (s, y) pairs across iterations, see ``_block``), then scores the
-    validation split. Stops after ``patience`` iterations in a row
+    validation split. Stops after ``PATIENCE`` iterations in a row
     without a gain over the best validation loss of more than ``MIN_GAIN``
-    of it, and returns the snapshot of the lowest. ``nm`` and ``hm`` have
-    nothing to fit and come back as is.
+    of it, or at ``config.max_outer``, and returns the snapshot of the
+    lowest. ``nm`` and ``hm`` have nothing to fit and come back as is.
 
     The loop carries the parameters, f's and g's as one (2, P) ``pair`` and
     nu's vector (``None`` for ``exp``), the train split's scores and table
@@ -557,7 +556,7 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
         if loss < best_val:
             best, best_val, best_outer = (pair, nu), loss, outer
         stall = 0 if gained else stall + 1
-        if stall >= cfg.patience:
+        if stall >= PATIENCE:
             stop_reason = "patience"
             break
 

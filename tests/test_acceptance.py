@@ -339,7 +339,7 @@ def test_ac8_experiment_reruns_are_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "settings.cfg"
     cfg.write_text(
         "train_groups=2\nval_groups=1\ntest_groups=1\n"
-        "members=4\nturns=120\ntrials=2\nmax_outer=3\npatience=2\n",
+        "members=4\nturns=120\ntrials=2\nmax_outer=3\n",
         encoding="utf-8",
     )
     outs = []

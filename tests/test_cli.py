@@ -3,6 +3,7 @@
 import argparse
 import logging
 import re
+import shutil
 import subprocess
 import sys
 
@@ -41,7 +42,6 @@ turns=40
 
 TINY_FIT = """
 max_outer=4
-patience=3
 """
 
 
@@ -135,11 +135,12 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
 
 
 # step, clip_norm, score_epochs, proclivity_epochs, delta_scale, activation,
-# curve_lo, curve_hi, trait_low, trait_high and hidden are not config keys: a
-# config that sets one names an unknown key at its line. Hidden units are
-# always tanh, a learned proclivity always sees the gap over 20, curves span
-# gaps 2..40, traits are drawn from [0.1, 1], and a fit's nets have the
-# neural.DEFAULT_HIDDEN layout.
+# curve_lo, curve_hi, trait_low, trait_high, hidden and patience are not
+# config keys: a config that sets one names an unknown key at its line.
+# Hidden units are always tanh, a learned proclivity always sees the gap over
+# 20, curves span gaps 2..40, traits are drawn from [0.1, 1], a fit's nets
+# have the neural.DEFAULT_HIDDEN layout, and a fit stops after
+# training.PATIENCE stalled outer iterations.
 @pytest.mark.parametrize(
     "flags, setting, message",
     [([], "step=nan", "unknown key 'step'"),
@@ -155,10 +156,11 @@ def test_inconsistent_split_sizes_rejected(capsys, tmp_path):
      ([], "curve_hi=40", "unknown key 'curve_hi'"),
      ([], "trait_low=0.1", "unknown key 'trait_low'"),
      ([], "trait_high=1.0", "unknown key 'trait_high'"),
-     ([], "hidden=4", "unknown key 'hidden'")],
+     ([], "hidden=4", "unknown key 'hidden'"),
+     ([], "patience=3", "unknown key 'patience'")],
     ids=["step-nan", "step-inf", "clip-norm-nan", "score-epochs", "proclivity-epochs",
          "delta-scale-negative", "delta-scale-zero", "delta-scale-five", "activation-relu",
-         "curve-lo", "curve-hi", "trait-low", "trait-high", "hidden"],
+         "curve-lo", "curve-hi", "trait-low", "trait-high", "hidden", "patience"],
 )
 def test_bad_numeric_fit_setting_is_usage_error(
     capsys, tmp_path, tiny_config, flags, setting, message
@@ -646,6 +648,20 @@ def test_dataset_file_encoding(capsys, tmp_path, tiny_config, stem, raw, message
         assert f"{path}" in err and message in err
 
 
+def test_eval_reads_a_manifest_with_crlf_line_ends(capsys, tmp_path, tiny_config):
+    # The true model's proclivity comes from the manifest, CRLF or not.
+    data = make_data(capsys, tmp_path, tiny_config)
+    crlf = tmp_path / "crlf"
+    shutil.copytree(data, crlf)
+    manifest = crlf / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes().replace(b"\n", b"\r\n"))
+    for source, out in ((data, tmp_path / "eval"), (crlf, tmp_path / "eval-crlf")):
+        code, _, err = run(capsys, "eval", "--data", source, "--variants", "nm", "--out", out)
+        assert code == 0, err
+    assert (tmp_path / "eval-crlf" / "report.csv").read_bytes() == \
+        (tmp_path / "eval" / "report.csv").read_bytes()
+
+
 def test_eval_proclivity_conflicting_with_dataset_is_usage_error(capsys, tmp_path, tiny_config):
     data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
     cfg = tmp_path / "exp.cfg"
@@ -809,12 +825,24 @@ def test_seed_flag_is_refused_by_commands_that_read_no_seed(capsys, tmp_path, co
     assert not (tmp_path / "out").exists()
 
 
+def test_patience_flag_is_refused(capsys, tmp_path, tiny_config):
+    # The stop rule's patience is the constant training.PATIENCE, no flag.
+    data = make_data(capsys, tmp_path, tiny_config)
+    out = tmp_path / "fit"
+    with pytest.raises(SystemExit) as exited:
+        main(["fit", "--data", str(data), "--variant", "pro", "--patience", "3",
+              "--out", str(out)])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --patience 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Each subcommand's option strings: the setting flags come from cli._COMMANDS,
 # and none may appear or vanish.
 OPTIONS = {
     "generate": {"--config", "--out", "--seed", "--proclivity", "--members", "--turns",
                  "--trial"},
-    "fit": {"--config", "--out", "--seed", "--max-outer", "--patience", "--data",
+    "fit": {"--config", "--out", "--seed", "--max-outer", "--data",
             "--variant"},
     "eval": {"--config", "--out", "--variants", "--data", "--checkpoint"},
     "experiment": {"--config", "--out", "--seed", "--trials", "--turns", "--members",
@@ -869,7 +897,7 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
     assert "variant=exp conflicts with variant=pro" in err
 
 
-FIT_KEYS = ["seed", "max_outer", "patience"]
+FIT_KEYS = ["seed", "max_outer"]
 
 
 def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_path, tiny_config):
@@ -936,7 +964,7 @@ def test_eval_bad_checkpoint_syntax_is_usage_error(
 def experiment_args(tmp_path, out, extra=()):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        TINY_DATA + "trials=2\nmax_outer=3\npatience=2\nvariants=exp,nm,hm\n",
+        TINY_DATA + "trials=2\nmax_outer=3\nvariants=exp,nm,hm\n",
         encoding="utf-8",
     )
     return ["experiment", "--config", cfg, "--out", out, *extra]
@@ -968,7 +996,7 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
     assert lines[1:] == [
         "command=experiment", f"version={__version__}", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "proclivity=exp",
-        "trials=2", "seed=0", "max_outer=3", "patience=2",
+        "trials=2", "seed=0", "max_outer=3",
         "variants=exp,nm,hm", "parallel_trials=1", "curve_files=12",
     ]
 

@@ -550,9 +550,13 @@ BAD_CELLS = {
     "before-a-cell-with-a-line-break": (read_rosters, ["group_id,member,trait", "1,y,0.4",
                                                        '1,2,"0.5', '"'],
                                         "2: cannot parse 'y' as int"),
-    # Not read as the number before the line break the file ends on.
+    # Not read as the number before the line break the file ends on, nor,
+    # given as the file's exact text, before the end of a file with no final LF.
     "a-quote-open-at-the-end": (read_rosters, ["group_id,member,trait", "1,1,0.5", '1,2,"0.6'],
                                 "3: a cell holds a line break"),
+    "a-quote-open-at-the-end-without-lf": (read_rosters,
+                                           'group_id,member,trait\n1,1,0.5\n1,2,"0.6',
+                                           "3: a cell holds a line break"),
     "an-empty-cell": (read_rosters, ["group_id,member,trait", "1,1,"],
                       "2: cannot parse '' as float"),
 }
@@ -562,7 +566,10 @@ BAD_CELLS = {
 def test_a_bad_cell_names_its_file_and_line(tmp_path, name):
     reader, lines, message = BAD_CELLS[name]
     path = tmp_path / "file.csv"
-    write_lines(path, lines)
+    if isinstance(lines, str):
+        path.write_text(lines, encoding="utf-8")
+    else:
+        write_lines(path, lines)
     with pytest.raises(DataFormatError) as error:
         reader(path)
     assert str(error.value) == f"{path}:{message}"

@@ -198,7 +198,7 @@ def tiny_experiment_config(trials=2, proclivity="exp", variants=("exp", "nm", "h
         trials=trials,
         master_seed=7,
     )
-    fit = FitConfig(max_outer=8, patience=4)
+    fit = FitConfig(max_outer=8)
     return ExperimentConfig(synth=synth, fit=fit, variants=variants)
 
 

@@ -417,7 +417,7 @@ def test_score_nets_run_once_per_split(monkeypatch):
     spy(training, "_proclivity_gradient", lambda *args: "G")
 
     monkeypatch.setattr(training, "BLOCK_STEPS", 2)
-    cfg = FitConfig(max_outer=3, patience=10)
+    cfg = FitConfig(max_outer=3)
     # A block's trials: each a forward and a pass, an accepted one with its
     # gradient and backward.
     score, prox = r"(?:fP(?:Sb)?)*", r"(?:tP(?:Gn)?)*"
@@ -802,7 +802,7 @@ def test_fit_training_loss_non_increasing_with_small_step(monkeypatch, caplog):
     monkeypatch.setattr(training, "MAX_MOVE", 0.01)
     rng = np.random.default_rng(48)
     ts = toy_training_set(rng, turns=80)
-    cfg = FitConfig(max_outer=15, patience=50)
+    cfg = FitConfig(max_outer=15)
     with caplog.at_level(logging.WARNING, logger="turntaking.training"):
         result = fit(ModelBundle.make("pro", seed=0, hidden=(8,)), ts, cfg)
     train = [row[1] for row in result.history]
@@ -817,7 +817,7 @@ def test_fit_training_loss_non_increasing_with_small_step(monkeypatch, caplog):
 def test_fit_history_is_reproducible():
     rng1 = np.random.default_rng(49)
     rng2 = np.random.default_rng(49)
-    cfg = FitConfig(max_outer=6, patience=10)
+    cfg = FitConfig(max_outer=6)
     r1 = fit(ModelBundle.make("pro", seed=5, hidden=(6,)), toy_training_set(rng1), cfg)
     r2 = fit(ModelBundle.make("pro", seed=5, hidden=(6,)), toy_training_set(rng2), cfg)
     assert r1.history == r2.history
@@ -829,7 +829,7 @@ def test_fit_keeps_best_validation_snapshot():
     rng = np.random.default_rng(50)
     train = [make_pair(rng, turns=40) for _ in range(2)]
     val = [make_pair(rng, turns=40)]
-    cfg = FitConfig(max_outer=25, patience=5)
+    cfg = FitConfig(max_outer=25)
     result = fit(ModelBundle.make("pro", seed=1, hidden=(6,)), TrainingSet(train, val), cfg)
     val_losses = [row[2] for row in result.history]
     assert result.history[result.best_outer][2] == min(val_losses)
@@ -841,19 +841,21 @@ def test_fit_history_row_zero_is_initial_loss():
     rng = np.random.default_rng(51)
     pair = make_pair(rng, turns=30)
     bundle = ModelBundle.make("exp", seed=2)
-    result = fit(bundle, TrainingSet([pair]), FitConfig(max_outer=2, patience=5))
+    result = fit(bundle, TrainingSet([pair]), FitConfig(max_outer=2))
     assert result.history[0][0] == 0
     assert result.history[0][1] == pytest.approx(bundle_loss(bundle, *pair), abs=1e-12)
     # Without a validation split there is no val loss.
     assert [row[2] for row in result.history] == [None] * 3
 
 
-def test_fit_without_a_validation_split_stops_on_the_train_loss():
+def test_fit_without_a_validation_split_stops_on_the_train_loss(monkeypatch):
     # With no validation split the fit stops and snapshots as if the train
     # split were its validation split, but its history holds no val loss.
+    # At a patience of 3 the pro fit stops on the rule before the cap.
     rng = np.random.default_rng(51)
     train = [make_pair(rng, turns=40) for _ in range(2)]
-    cfg = FitConfig(max_outer=30, patience=3)
+    cfg = FitConfig(max_outer=30)
+    monkeypatch.setattr(training, "PATIENCE", 3)
     for variant in ("pro", "exp"):
         alone, twice = (fit(ModelBundle.make(variant, seed=2, hidden=(6,)), ts, cfg)
                         for ts in (TrainingSet(train), TrainingSet(train, train)))
@@ -895,7 +897,7 @@ def test_fit_without_a_validation_split_names_the_train_loss(monkeypatch, caplog
 def test_fit_exp_never_touches_the_proclivity():
     rng = np.random.default_rng(52)
     bundle = ModelBundle.make("exp", seed=3)
-    result = fit(bundle, toy_training_set(rng), FitConfig(max_outer=3, patience=5))
+    result = fit(bundle, toy_training_set(rng), FitConfig(max_outer=3))
     assert result.bundle.proclivity is bundle.proclivity
     assert result.bundle.f_net != bundle.f_net
 
@@ -916,7 +918,7 @@ def test_descent_blocks_are_isolated(monkeypatch):
 
     monkeypatch.setattr(training, "_block", block)
     monkeypatch.setattr(training, "BLOCK_STEPS", 2)
-    fit(bundle, TrainingSet([make_pair(rng, turns=30)]), FitConfig(max_outer=2, patience=5))
+    fit(bundle, TrainingSet([make_pair(rng, turns=30)]), FitConfig(max_outer=2))
     assert [x.ndim for x, *_ in calls] == [2, 1] * 2
     assert calls[0][2] is not calls[1][2]
     for (_, now, *_), (*_, moved) in zip(calls[1:], calls):
@@ -929,9 +931,9 @@ def test_descent_blocks_are_isolated(monkeypatch):
             assert x is moved[0]
 
 
-def test_fit_early_stopping_truncates_history(caplog):
+def test_fit_early_stopping_truncates_history(monkeypatch, caplog):
     # A tiny train split overfits quickly against an unrelated validation
-    # conversation, so patience kicks in long before max_outer.
+    # conversation, so at a patience of 3 the fit stops long before max_outer.
     rng = np.random.default_rng(54)
     train = [make_pair(rng, turns=20)]
     val_roster = Roster(traits=np.array([0.15, 0.5, 0.95]))
@@ -941,7 +943,8 @@ def test_fit_early_stopping_truncates_history(caplog):
         40,
         np.random.default_rng(55),
     )
-    cfg = FitConfig(max_outer=500, patience=3)
+    cfg = FitConfig(max_outer=500)
+    monkeypatch.setattr(training, "PATIENCE", 3)
     with caplog.at_level(logging.WARNING, logger="turntaking.training"):
         result = fit(
             ModelBundle.make("pro", seed=6, hidden=(4,)),
@@ -949,7 +952,7 @@ def test_fit_early_stopping_truncates_history(caplog):
             cfg,
         )
     assert len(result.history) < 501
-    # The history ends with exactly `patience` non-improving iterations.
+    # The history ends with exactly PATIENCE non-improving iterations.
     best_val = result.history[result.best_outer][2]
     tail = [row[2] for row in result.history[result.best_outer + 1 :]]
     assert len(tail) == 3
@@ -958,29 +961,31 @@ def test_fit_early_stopping_truncates_history(caplog):
     assert caplog.records == []
 
 
-def test_patience_only_truncates_the_fit():
-    # patience is read only by the stop rule, so a fit at the default
-    # patience 10 is the first rows of the same fit at patience 20, and its
-    # snapshot is the lowest validation loss of those rows. On this data the
-    # patience-20 fit goes on to a later, lower one.
-    assert FitConfig().patience == 10
+def test_patience_only_truncates_the_fit(monkeypatch):
+    # PATIENCE is read only by the stop rule, so a fit at PATIENCE 10 is the
+    # first rows of the same fit at PATIENCE 20, and its snapshot is the
+    # lowest validation loss of those rows. On this data the PATIENCE-20 fit
+    # goes on to a later, lower one.
+    assert training.PATIENCE == 10
     data = generate_dataset(SynthConfig(train_groups=3, val_groups=2, members=4, turns=120), trial=1)
     ts = TrainingSet(data.pairs("train"), data.pairs("val"))
     bundle = ModelBundle.make("pro", seed=2)
-    short, long = (fit(bundle, ts, cfg) for cfg in (FitConfig(), FitConfig(patience=20)))
+    short = fit(bundle, ts)
+    monkeypatch.setattr(training, "PATIENCE", 20)
+    long = fit(bundle, ts)
     assert short.stop_reason == "patience"
     assert long.history[: len(short.history)] == short.history
     assert short.best_outer == int(np.argmin([row[2] for row in short.history]))
     assert long.best_outer > len(short.history)
-    # The same fit capped at that row returns the same snapshot.
-    capped = fit(bundle, ts, FitConfig(max_outer=short.best_outer, patience=20))
+    # The same PATIENCE-20 fit capped at that row returns the same snapshot.
+    capped = fit(bundle, ts, FitConfig(max_outer=short.best_outer))
     assert capped.bundle.pair.tobytes() == short.bundle.pair.tobytes()
     assert capped.bundle.proclivity.net == short.bundle.proclivity.net
 
 
 def scripted_fit(monkeypatch, losses, patience):
-    """``fit`` with one scripted validation loss per outer iteration, from
-    row 0 on; also the score pairs it scored."""
+    """``fit`` at PATIENCE ``patience`` with one scripted validation loss per
+    outer iteration, from row 0 on; also the score pairs it scored."""
     scored, script = [], iter(losses)
     real_scores, real_nll = training._Stacks.scores, training._mean_nll
     rng = np.random.default_rng(60)
@@ -1001,8 +1006,8 @@ def scripted_fit(monkeypatch, losses, patience):
     # blocks' passes; _mean_nll reads both.
     monkeypatch.setattr(training._Stacks, "scores", scores)
     monkeypatch.setattr(training, "_mean_nll", scripted_nll)
-    cfg = FitConfig(max_outer=100, patience=patience)
-    return fit(ModelBundle.make("exp", seed=0, hidden=(3,)), ts, cfg), scored
+    monkeypatch.setattr(training, "PATIENCE", patience)
+    return fit(ModelBundle.make("exp", seed=0, hidden=(3,)), ts, FitConfig(max_outer=100)), scored
 
 
 def test_negligible_validation_gains_do_not_reset_patience(monkeypatch, caplog):
@@ -1134,18 +1139,16 @@ def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(max_outer=0)
     with pytest.raises(ValueError):
-        FitConfig(patience=0)
-    with pytest.raises(ValueError):
         FitConfig(max_outer=-1)
 
 
 @pytest.mark.parametrize("setting", [{"step": np.nan}, {"step": np.inf}, {"clip_norm": np.nan},
                                      {"clip_norm": np.inf}, {"score_epochs": 2},
-                                     {"proclivity_epochs": 2}])
-def test_fit_config_rejects_non_finite_step_and_clip_norm(setting):
-    # None of step, clip_norm and the old per-block step caps is a FitConfig
-    # field (a block's cap is the constant BLOCK_STEPS), so any value of one
-    # is refused.
+                                     {"proclivity_epochs": 2}, {"patience": 10}])
+def test_fit_config_rejects_settings_it_no_longer_has(setting):
+    # None of step, clip_norm, the old per-block step caps and patience is a
+    # FitConfig field (a block's cap is the constant BLOCK_STEPS, the stop
+    # rule's the constant PATIENCE), so any value of one is refused.
     (name,) = setting
     with pytest.raises(TypeError, match=name):
         FitConfig(**setting)

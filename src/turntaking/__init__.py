@@ -46,7 +46,6 @@ from .training import (
 )
 from .evaluation import (
     EvalReport,
-    MissingGroundTruthError,
     EvalSummary,
     ExperimentConfig,
     GroupLoss,
@@ -74,7 +73,6 @@ __all__ = [
     "Group",
     "GroupLoss",
     "LearnedProclivity",
-    "MissingGroundTruthError",
     "ModelBundle",
     "ProclivityCurve",
     "Roster",

@@ -373,7 +373,7 @@ def cmd_curve(args) -> int:
             raise ConfigError(f"variant {args.variant!r} needs --checkpoint DIR")
         model = _load_checkpoint(args.variant, args.checkpoint)
     elif args.variant == TRUE_VARIANT:
-        model = TrueModel(scores_by_group={}, proclivity=by_name(config.synth.proclivity))
+        model = TrueModel(by_name(config.synth.proclivity))
     else:
         model = ModelBundle.make(args.variant)
     curve = model_curve(model)

@@ -148,6 +148,10 @@ def _group_values(path, gid):
 
 def _parse(path, lineno, raw, kind):
     try:
+        # Python's int and float also take "_", whitespace and non-ASCII digits:
+        # no writer writes them.
+        if kind is not str and not (raw.isascii() and raw.strip() == raw and "_" not in raw):
+            raise ValueError
         return kind(raw)
     except ValueError:
         raise DataFormatError(f"{path}:{lineno}: cannot parse {raw!r} as {kind.__name__}") from None
@@ -168,8 +172,9 @@ def _arrays(path, lines, columns, kinds) -> list:
         raise
 
 
-# The bytes of a file ``_write_groups`` wrote: printable ASCII but '"', and LF.
-_PLAIN = bytes(range(32, 127)).replace(b'"', b"") + b"\n"
+# The bytes of a file ``_write_groups`` wrote: printable ASCII but space and '"',
+# and LF. numpy's parse strips spaces around a number, where ``_parse`` refuses them.
+_PLAIN = bytes(range(33, 127)).replace(b'"', b"") + b"\n"
 
 
 def _parse_plain(path, header, kinds):
@@ -177,7 +182,7 @@ def _parse_plain(path, header, kinds):
 
     Only a file in the exact layout ``_write_groups`` writes is parsed here:
     the header line, then at least one row, every line printable ASCII with
-    no '"', no longer than the csv module's field limit and ended by LF, and
+    no space or '"', no longer than the csv module's field limit and ended by LF, and
     numpy's parse giving one row per line with no error or warning. Any
     other file is None, for ``_read_table``, whose values and messages are
     the reference. Past ASCII numpy would part from Python's int and float:
@@ -275,7 +280,12 @@ def read_conversations(path) -> dict:
 
 
 def write_true_scores(path, groups) -> None:
-    _write_groups(path, SCORES_HEADER, (group for group in groups if group.scores is not None),
+    """Every group's true scores, or the header alone when no group has any."""
+    missing = [group.group_id for group in groups if group.scores is None]
+    if missing and len(missing) < len(groups):
+        raise ValueError(f"group {missing[0]} has no true scores but other groups do: "
+                         "a scores file holds every group's or none")
+    _write_groups(path, SCORES_HEADER, [] if missing else groups,
                   lambda group: [group.scores.inherent, group.scores.memory])
 
 
@@ -311,7 +321,8 @@ def write_dataset(directory, dataset: SynthDataset) -> list:
 
 
 def read_split(directory, split: str) -> list:
-    """Groups of one split, reassembled from its three CSVs."""
+    """Groups of one split, reassembled from its three CSVs; a scores file
+    with any rows must cover every group."""
     paths = split_paths(directory, split)
     rosters = read_rosters(paths["rosters"])
     conversations = read_conversations(paths["conversations"])
@@ -320,9 +331,10 @@ def read_split(directory, split: str) -> list:
         raise DataFormatError(
             f"{directory}: {split} rosters and conversations cover different groups"
         )
-    unknown = sorted(set(scores) - set(rosters))
-    if unknown:
-        raise DataFormatError(f"{paths['scores']}: group {unknown[0]} has scores but no roster")
+    if scores and set(scores) != set(rosters):
+        gid = min(set(scores) ^ set(rosters))
+        has = "scores but no roster" if gid in scores else "a roster but no scores"
+        raise DataFormatError(f"{paths['scores']}: group {gid} has {has}")
     groups = []
     for gid in sorted(rosters):
         roster = rosters[gid]
@@ -337,7 +349,7 @@ def read_split(directory, split: str) -> list:
             Group(
                 group_id=gid,
                 roster=roster,
-                scores=scores.get(gid),  # None when ground truth is absent
+                scores=scores.get(gid),  # None when the split has no ground truth
                 conversation=conversation,
             )
         )
@@ -373,14 +385,11 @@ def _net_from_cells(path, name: str, layers: dict) -> DenseNet:
     for layer in sorted(layers):
         cells = layers[layer]
         rows, cols = max(r for r, _ in cells), max(c for _, c in cells)
-        if cols < 1 or set(cells) != {(r, c) for r in range(1, rows + 1) for c in range(cols + 1)}:
+        if set(cells) != {(r, c) for r in range(1, rows + 1) for c in range(cols + 1)}:
             raise DataFormatError(f"{path}: net {name} layer {layer} cells are not 1..R x 0..C")
         matrix = np.array([[cells[r, c] for c in range(cols + 1)] for r in range(1, rows + 1)])
         biases.append(matrix[:, 0].copy())
         weights.append(matrix[:, 1:].copy())
-    sizes = [1] + [w.shape[0] for w in weights]
-    if [w.shape[1] for w in weights] != sizes[:-1] or sizes[-1] != 1:
-        raise DataFormatError(f"{path}: net {name} layer sizes {sizes} do not chain 1 -> 1")
     try:
         return DenseNet(weights=tuple(weights), biases=tuple(biases))
     except ValueError as exc:

@@ -2,9 +2,9 @@
 
 Evaluation scores a model on held-out conversations with two metrics: the
 mean per-turn negative log-likelihood and its class-weighted counterpart.
-A model here is either a fitted ModelBundle or a TrueModel that looks up
-the generating scores, so synthetic experiments can report how close the
-learned variants come to the ceiling.
+A model here is either a fitted ModelBundle or a TrueModel that scores each
+group by the group's own generating scores, so synthetic experiments can
+report how close the learned variants come to the ceiling.
 
 run_experiment drives the full protocol: per trial, generate a synthetic
 dataset, fit the learnable variants on the train/validation splits,
@@ -70,29 +70,24 @@ NUMERIC_FAILURES = (
 _VARIANT_CODES = {name: i + 1 for i, name in enumerate(LEARNABLE_VARIANTS)}
 
 
-class MissingGroundTruthError(KeyError):
-    """A TrueModel was asked about a group it has no scores for."""
-
-
 @dataclass(frozen=True)
 class TrueModel:
-    """Evaluator holding the generating scores instead of predictions."""
+    """Evaluator that scores each group by its own ``Group.scores``, not predictions."""
 
-    scores_by_group: dict
     proclivity: object
 
     def scores_for(self, group: Group) -> ScoreParams:
-        try:
-            return self.scores_by_group[group.group_id]
-        except KeyError:
-            raise MissingGroundTruthError(group.group_id) from None
+        if group.scores is None:
+            raise ValueError(f"group {group.group_id} has no true scores")
+        return group.scores
 
 
 def true_model(groups, proclivity) -> TrueModel:
-    return TrueModel(
-        scores_by_group={g.group_id: g.scores for g in groups if g.scores is not None},
-        proclivity=proclivity,
-    )
+    """The true model of ``groups``, each of which must carry its scores."""
+    model = TrueModel(proclivity)
+    for group in groups:
+        model.scores_for(group)
+    return model
 
 
 def _scores_for(model, group: Group) -> ScoreParams:

@@ -56,6 +56,10 @@ def _views(flat: np.ndarray, shapes: tuple) -> tuple:
 class DenseNet:
     """Fully connected layers; tanh hidden units, sigmoid output.
 
+    The layers chain from one input to one output: layer l maps n_l values
+    to n_{l+1}, its weights shaped (n_{l+1}, n_l) and its biases (n_{l+1},),
+    with n_0 = n_L = 1. A net of any other layout is a ValueError.
+
     The parameters live in one read-only vector, ``params``: every layer's
     weights, then every layer's biases. ``weights`` and ``biases`` are views
     of it, so a net is a value that nothing can change after construction.
@@ -69,14 +73,16 @@ class DenseNet:
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must pair up layer by layer")
-        for W, b in zip(self.weights, self.biases):
-            if W.shape[0] != b.shape[0]:
-                raise ValueError("bias length must match the layer's output size")
         arrays = [np.asarray(a, dtype=float) for a in (*self.weights, *self.biases)]
+        shapes, layers = tuple(a.shape for a in arrays), len(self.weights)
+        sizes = [1, *(math.prod(shape) for shape in shapes[layers:])]
+        if sizes[-1] != 1 or shapes != (*zip(sizes[1:], sizes), *((n,) for n in sizes[1:])):
+            raise ValueError(f"layers of weights {list(shapes[:layers])} and biases "
+                             f"{list(shapes[layers:])} do not chain 1 -> 1")
         params = np.concatenate([a.ravel() for a in arrays])
         if not np.isfinite(params).all():
             raise ValueError("parameters must be finite")
-        self._hold(params, tuple(a.shape for a in arrays))
+        self._hold(params, shapes)
 
     def _hold(self, params: np.ndarray, shapes: tuple) -> None:
         params.flags.writeable = False
@@ -97,50 +103,39 @@ class DenseNet:
         return self.shapes == other.shapes and np.array_equal(self.params, other.params)
 
 
-def init_net(layer_sizes, seed) -> DenseNet:
-    """Build a network with the given layer sizes, deterministically per seed.
+def init_net(hidden, seed) -> DenseNet:
+    """Build a network of ``hidden`` layer widths, deterministically per seed.
 
-    Every net has at least one hidden layer of tanh units: ``layer_sizes``
-    is (in, hidden..., out), all positive. Hidden weights are zero-mean
-    normal draws scaled by 1/sqrt(fan_in); the output layer starts at zero,
-    as do all biases, so a fresh network returns sigmoid(0) = 0.5 for every
-    input. Starting neutral keeps early training steps well-conditioned
-    regardless of the input scale.
+    Every net maps one input to one output through at least one hidden layer
+    of tanh units: its layer sizes are (1, *hidden, 1), all positive. Hidden
+    weights are zero-mean normal draws scaled by 1/sqrt(fan_in); the output
+    layer starts at zero, as do all biases, so a fresh network returns
+    sigmoid(0) = 0.5 for every input. Starting neutral keeps early training
+    steps well-conditioned regardless of the input scale.
     """
-    sizes = list(layer_sizes)
-    if len(sizes) < 3 or any(s < 1 for s in sizes):
-        raise ValueError(f"layer_sizes needs [in, hidden..., out] with at least one hidden "
-                         f"layer and positive sizes, got {tuple(sizes)}")
+    if not hidden or any(s < 1 for s in hidden):
+        raise ValueError(f"hidden needs at least one hidden layer and positive widths, "
+                         f"got {tuple(hidden)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    weights = []
-    biases = []
-    last = len(sizes) - 2
-    for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if l == last:
-            W = np.zeros((n_out, n_in))
-        else:
-            W = rng.normal(size=(n_out, n_in)) / np.sqrt(n_in)
-        weights.append(W)
-        biases.append(np.zeros(n_out))
-    return DenseNet(weights=tuple(weights), biases=tuple(biases))
+    weights = [rng.normal(size=(n_out, n_in)) / np.sqrt(n_in)
+               for n_in, n_out in zip((1, *hidden), hidden)]
+    return DenseNet(weights=(*weights, np.zeros((1, hidden[-1]))),
+                    biases=tuple(np.zeros(n) for n in (*hidden, 1)))
 
 
 def _forward(net: DenseNet, x, params=None):
     """Forward pass returning output plus the activations ``_backward`` needs.
 
-    ``x`` is a vector of scalar inputs or a (B, width) batch; the output has
-    one value per input row. ``params`` runs the net's layout on other
-    parameters: one vector, or a (K, P) stack whose K nets all see ``x``,
-    and then the output and every activation after the input lead with K. A
-    layer with one input runs as a broadcast product, not a K=1 matmul: each
-    output is one product either way, so the bits are the same.
+    ``x`` holds scalar inputs in an array of at least one axis, and the
+    output has its shape: each activation appends its layer's width. ``params``
+    runs the net's layout on other parameters: one vector, or a (K, P) stack
+    whose K nets all see ``x``, and then the output and every activation after
+    the input lead with K. A layer with one input runs as a broadcast product,
+    not a K=1 matmul: each output is one product either way, so the bits are
+    the same.
     """
     weights, biases = (net.weights, net.biases) if params is None else _views(params, net.shapes)
-    a = np.asarray(x, dtype=float)
-    if a.ndim < 2:
-        if weights[0].shape[-1] != 1:
-            raise ValueError(f"expected inputs of width {weights[0].shape[-1]}")
-        a = a.reshape(-1, 1)
+    a = np.asarray(x, dtype=float)[..., None]
     acts = [a]
     last = len(weights) - 1
     for l, (W, b) in enumerate(zip(weights, biases)):
@@ -150,7 +145,7 @@ def _forward(net: DenseNet, x, params=None):
         acts.append(a)
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite value in forward pass")
-    return (a[..., 0] if a.shape[-1] == 1 else a), acts
+    return a[..., 0], acts
 
 
 def _backward(net: DenseNet, acts, upstream, params=None) -> np.ndarray:

@@ -43,7 +43,7 @@ def _run_net(net: DenseNet, gaps, params=None):
     gaps = np.asarray(gaps, dtype=float)
     x = np.zeros(-(-gaps.size // BLOCK_ROWS) * BLOCK_ROWS)
     np.divide(gaps.reshape(-1), GAP_SCALE, out=x[: gaps.size])
-    raw, acts = _forward(net, x.reshape(-1, BLOCK_ROWS, 1), params)
+    raw, acts = _forward(net, x.reshape(-1, BLOCK_ROWS), params)
     return _masked(gaps, raw.reshape(-1)[: gaps.size].reshape(gaps.shape)), acts
 
 
@@ -119,7 +119,7 @@ class LearnedProclivity(Proclivity):
 
     @classmethod
     def fresh(cls, seed, hidden=DEFAULT_HIDDEN):
-        return cls(net=init_net((1, *hidden, 1), seed))
+        return cls(net=init_net(hidden, seed))
 
     def values(self, gaps) -> np.ndarray:
         return _run_net(self.net, gaps)[0]
@@ -139,9 +139,6 @@ class LearnedProclivity(Proclivity):
             return _backward(self.net, acts, upstream, params)
 
         return table, backward
-
-    def with_net(self, net: DenseNet) -> "LearnedProclivity":
-        return LearnedProclivity(net=net)
 
 
 # The fixed kinds by config name: ``by_name`` and the CLI's help list them.

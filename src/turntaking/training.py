@@ -101,7 +101,7 @@ class ModelBundle:
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         f_seed, g_seed, nu_seed = seed.spawn(3)
-        f_net, g_net = (init_net((1, *hidden, 1), s) for s in (f_seed, g_seed))
+        f_net, g_net = (init_net(hidden, s) for s in (f_seed, g_seed))
         prox = (LearnedProclivity.fresh(nu_seed, hidden)
                 if variant == "pro" else by_name(PROCLIVITY_KINDS[variant]))
         return cls(variant=variant, proclivity=prox, f_net=f_net, g_net=g_net)
@@ -571,7 +571,7 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     pair, nu = best
     f_net, g_net = (f_net._with_params(params) for params in pair)
     if nu is not None:
-        prox = prox.with_net(prox.net._with_params(nu))
+        prox = LearnedProclivity(net=prox.net._with_params(nu))
     return FitResult(
         bundle=replace(bundle, f_net=f_net, g_net=g_net, proclivity=prox),
         history=history, best_outer=best_outer, stop_reason=stop_reason, passes=passes,

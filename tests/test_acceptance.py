@@ -18,6 +18,7 @@ from turntaking import (
     ExperimentConfig,
     FitConfig,
     Group,
+    LearnedProclivity,
     ModelBundle,
     Roster,
     ScoreParams,
@@ -109,7 +110,7 @@ def fd_bundle_gradients(bundle, roster, conversation, component, h=1e-5):
             return replace(bundle, f_net=net)
         if component == "g":
             return replace(bundle, g_net=net)
-        return replace(bundle, proclivity=bundle.proclivity.with_net(net))
+        return replace(bundle, proclivity=LearnedProclivity(net))
 
     net = {"f": bundle.f_net, "g": bundle.g_net, "nu": bundle.proclivity.net}[component]
     grads = np.empty_like(net.params)

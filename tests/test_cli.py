@@ -564,6 +564,23 @@ def test_eval_truth_scores_for_too_few_members_is_usage_error(capsys, tmp_path, 
     assert "scores for 1 members, its roster 4" in err
 
 
+def test_eval_on_scores_for_only_some_groups_is_usage_error(capsys, tmp_path):
+    # Not scored as if the dataset had no ground truth: the true rows would
+    # vanish from the report without a word.
+    config = tmp_path / "two.cfg"
+    config.write_text(TINY_DATA.replace("test_groups=1", "test_groups=2"), encoding="utf-8")
+    data = make_data(capsys, tmp_path, config, name="partial")
+    scores = data / "scores_test.csv"
+    header, *rows = scores.read_text(encoding="utf-8").splitlines()
+    scores.write_text("\n".join([header, *(r for r in rows if not r.startswith("5,"))]) + "\n",
+                      encoding="utf-8")
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm", "--out", out)
+    assert code == 2
+    assert f"error: {scores}: group 5 has a roster but no scores" in err
+    assert not out.exists()
+
+
 def _set_field(line_index, column, value):
     def edit(lines):
         fields = lines[line_index].split(",")

@@ -1,6 +1,7 @@
 """CSV round trips, format diagnostics, report layout, and manifests."""
 
 import csv
+import dataclasses
 import math
 import random
 import warnings
@@ -165,6 +166,26 @@ def test_read_split_without_scores_yields_none(tmp_path, dataset):
     assert read_true_scores(out / "scores_test.csv") == {}
 
 
+def test_partial_ground_truth_is_refused(tmp_path, dataset):
+    # A scores file holds every group's scores or none: the reader refuses one
+    # that leaves a group out, and the writer never writes one.
+    write_dataset(tmp_path, dataset)
+    path = split_paths(tmp_path, "train")["scores"]
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    first = dataset.train[0].group_id
+    write_lines(path, [header, *(row for row in rows if not row.startswith(f"{first},"))])
+    with pytest.raises(DataFormatError) as error:
+        read_split(tmp_path, "train")
+    assert str(error.value) == f"{path}: group {first} has a roster but no scores"
+    # A header alone still means no scores at all.
+    write_lines(path, [header])
+    assert [g.scores for g in read_split(tmp_path, "train")] == [None, None]
+    bare = dataclasses.replace(dataset.train[0], scores=None)
+    with pytest.raises(ValueError, match=f"group {first} has no true scores"):
+        write_true_scores(path, [bare, *dataset.train[1:]])
+    assert path.read_text(encoding="utf-8") == header + "\n"
+
+
 def test_net_round_trip_is_exact(tmp_path):
     # A checkpoint brings back every net bit for bit, with the variant it
     # was written under and nothing else given.
@@ -289,7 +310,8 @@ def pinned_writes():
                     "7,4,1e+16\n8,1,0.5\n8,2,0.25\n"),
         "conversations": (lambda path: write_conversations(path, groups),
                           "group_id,turn,speaker\n7,1,1\n7,2,4\n7,3,2\n7,4,4\n8,1,2\n8,2,1\n"),
-        "scores": (lambda path: write_true_scores(path, groups),
+        # Group 8 has no scores, so the scores file holds group 7's alone.
+        "scores": (lambda path: write_true_scores(path, groups[:1]),
                    "group_id,member,pi,d\n7,1,0.30000000000000004,1e+16\n7,2,-0.0,1e-05\n"
                    "7,3,1e-05,-0.0\n7,4,1e+16,0.30000000000000004\n"),
         "checkpoint": (lambda path: write_checkpoint(path, bundle),
@@ -559,6 +581,17 @@ BAD_CELLS = {
                                            "3: a cell holds a line break"),
     "an-empty-cell": (read_rosters, ["group_id,member,trait", "1,1,"],
                       "2: cannot parse '' as float"),
+    # Python's int and float take these, no writer here writes them.
+    "an-underscore-in-an-int": (read_conversations, ["group_id,turn,speaker", "1,1,2", "1,0_2,3"],
+                                "3: cannot parse '0_2' as int"),
+    "an-underscore-in-a-float": (read_checkpoint, EXP_HEAD + ["f,1,1,0,0.0", "f,1,1,1,0_5"]
+                                 + G_ROWS, "4: cannot parse '0_5' as float"),
+    "a-space-before-a-float": (read_rosters, ["group_id,member,trait", "1,1, 0.5"],
+                               "2: cannot parse ' 0.5' as float"),
+    "a-space-after-an-int": (read_conversations, ["group_id,turn,speaker", "1,1,2 "],
+                             "2: cannot parse '2 ' as int"),
+    "a-full-width-digit": (read_conversations, ["group_id,turn,speaker", "1,1,\uff12"],
+                           "2: cannot parse '\uff12' as int"),
 }
 
 

@@ -14,7 +14,6 @@ from turntaking import (
     ExpDecayProclivity,
     ExperimentConfig,
     FitConfig,
-    MissingGroundTruthError,
     ModelBundle,
     SynthConfig,
     evaluate,
@@ -99,11 +98,25 @@ def test_evaluate_rejects_empty_groups():
         evaluate(ModelBundle.make("nm"), [])
 
 
-def test_true_model_raises_on_unknown_group():
+def test_a_truth_scores_each_group_by_its_own_scores():
+    # Every trial numbers its groups alike, so a truth built from trial 1's
+    # groups meets trial 2's test groups under the same ids.
+    _, first = small_dataset(turns=40, trial=1)
+    _, second = small_dataset(turns=40, trial=2)
+    assert [g.group_id for g in first.test] == [g.group_id for g in second.test]
+    own = evaluate(true_model(second.all_groups, ExpDecayProclivity()), second.test)
+    assert evaluate(true_model(first.all_groups, ExpDecayProclivity()), second.test) == own
+
+
+def test_a_group_without_scores_is_refused():
     _, data = small_dataset(turns=10)
+    bare = dataclasses.replace(data.test[0], scores=None)
+    message = f"group {bare.group_id} has no true scores"
+    with pytest.raises(ValueError, match=message):
+        true_model([*data.train, bare], ExpDecayProclivity())
     truth = true_model(data.train, ExpDecayProclivity())
-    with pytest.raises(MissingGroundTruthError):
-        evaluate(truth, data.test)
+    with pytest.raises(ValueError, match=message):
+        evaluate(truth, [*data.test[1:], bare])
 
 
 # -------------------------------------------------------------------- curves

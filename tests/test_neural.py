@@ -105,21 +105,21 @@ def test_sigmoid_is_bit_identical_to_the_piecewise_form():
 
 
 def test_init_is_deterministic_per_seed():
-    a = init_net((1, 16, 16, 1), seed=42)
-    b = init_net((1, 16, 16, 1), seed=42)
-    c = init_net((1, 16, 16, 1), seed=43)
+    a = init_net((16, 16), seed=42)
+    b = init_net((16, 16), seed=42)
+    c = init_net((16, 16), seed=43)
     assert a == b
     assert a != c
 
 
 def test_init_layer_shapes_and_sizes():
-    net = init_net((1, 16, 16, 1), seed=0)
+    net = init_net((16, 16), seed=0)
     assert [W.shape for W in net.weights] == [(16, 1), (16, 16), (1, 16)]
     assert [b.shape for b in net.biases] == [(16,), (16,), (1,)]
 
 
 def test_init_biases_and_output_layer_start_at_zero():
-    net = init_net((1, 16, 16, 1), seed=5)
+    net = init_net((16, 16), seed=5)
     for b in net.biases:
         assert np.all(b == 0.0)
     assert np.all(net.weights[-1] == 0.0)
@@ -128,24 +128,24 @@ def test_init_biases_and_output_layer_start_at_zero():
 
 
 def test_init_hidden_scale_tracks_fan_in():
-    net = init_net((1, 400, 400, 1), seed=7)
+    net = init_net((400, 400), seed=7)
     assert float(net.weights[0].std()) == pytest.approx(1.0, abs=0.1)
     assert float(net.weights[1].std()) == pytest.approx(1 / 20, abs=0.005)
 
 
 def test_fresh_net_outputs_half_everywhere():
-    net = init_net((1, 16, 16, 1), seed=3)
+    net = init_net((16, 16), seed=3)
     out = _forward(net, [-100.0, -1.0, 0.0, 0.25, 1.0, 50.0])[0]
     assert out.tolist() == [0.5] * 6
 
 
 def test_init_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        init_net((1,), seed=0)
     with pytest.raises(ValueError, match="at least one hidden layer"):
-        init_net((1, 1), seed=0)
+        init_net((), seed=0)
     with pytest.raises(ValueError):
-        init_net((1, 0, 1), seed=0)
+        init_net((0,), seed=0)
+    with pytest.raises(ValueError):
+        init_net((16, 0), seed=0)
 
 
 # ------------------------------------------------------------------- forward
@@ -193,6 +193,11 @@ def test_dense_net_validation():
         DenseNet(weights=(), biases=())
     with pytest.raises(ValueError):
         DenseNet(weights=(np.array([[np.inf]]),), biases=(np.zeros(1),))
+    # Every net maps one input to one output through layers that chain.
+    with pytest.raises(ValueError, match="do not chain"):
+        DenseNet(weights=(np.ones((1, 2)),), biases=(np.zeros(1),))
+    with pytest.raises(ValueError, match="do not chain"):
+        DenseNet(weights=(np.ones((3, 1)), np.ones((1, 2))), biases=(np.zeros(3), np.zeros(1)))
 
 
 # ------------------------------------------------------------------ backward
@@ -200,12 +205,12 @@ def test_dense_net_validation():
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(23)
-    shapes = [(1, 1), (1, 3, 1), (1, 4, 4, 1), (2, 3, 1)]
+    shapes = [(1, 1), (1, 3, 1), (1, 4, 4, 1), (1, 3, 2, 1)]
     for trial in range(20):
         sizes = shapes[trial % len(shapes)]
         net = random_net(rng, sizes)
         B = int(rng.integers(1, 6))
-        x = rng.normal(size=(B, sizes[0])) if sizes[0] > 1 else rng.normal(size=B)
+        x = rng.normal(size=B)
         upstream = rng.normal(size=B)
         got = net_gradient(net, x, upstream)
         want = fd_gradients(net, x, upstream)
@@ -216,9 +221,9 @@ def test_backward_from_kept_activations_is_bit_identical():
     # The net's own parameters and the same values passed as ``params``
     # give one forward and one backward, bit for bit.
     rng = np.random.default_rng(28)
-    for sizes in ((1, 1), (1, 16, 16, 1), (2, 5, 3, 1)):
+    for sizes in ((1, 1), (1, 16, 16, 1), (1, 5, 3, 1)):
         net = random_net(rng, sizes)
-        x = rng.normal(size=(7, sizes[0])) if sizes[0] > 1 else rng.normal(size=7)
+        x = rng.normal(size=7)
         up = rng.normal(size=7)
         out, cache = _forward(net, x)
         params = net.params.copy()
@@ -234,7 +239,7 @@ def test_backward_single_weight_closed_form():
     w = 0.8
     net = DenseNet(weights=(np.array([[w]]),), biases=(np.zeros(1),))
     x = 1.7
-    grad = net_gradient(net, x, 1.0)
+    grad = net_gradient(net, [x], [1.0])
     y = sigmoid(w * x)
     assert grad.tolist() == pytest.approx([x * y * (1 - y), y * (1 - y)], abs=1e-12)
 
@@ -251,7 +256,7 @@ def test_backward_accumulates_over_batch():
     xs = rng.normal(size=5)
     ups = rng.normal(size=5)
     whole = net_gradient(net, xs, ups)
-    total = sum(net_gradient(net, float(x), float(up)) for x, up in zip(xs, ups))
+    total = sum(net_gradient(net, [x], [up]) for x, up in zip(xs, ups))
     np.testing.assert_allclose(whole, total, rtol=1e-12, atol=1e-14)
 
 
@@ -268,11 +273,12 @@ def test_gradient_step_reduces_convex_toy_loss():
 
 
 def test_dense_net_holds_one_read_only_copy_of_its_parameters():
-    weights, biases = (np.array([[1.0, 2.0]]),), (np.array([3.0]),)
+    weights = (np.array([[1.0], [2.0]]), np.array([[4.0, 5.0]]))
+    biases = (np.array([3.0, 6.0]), np.array([7.0]))
     net = DenseNet(weights=weights, biases=biases)
     weights[0][0, 0] = 9.0
     assert net.weights[0][0, 0] == 1.0
-    assert net.params.tolist() == [1.0, 2.0, 3.0]
+    assert net.params.tolist() == [1.0, 2.0, 4.0, 5.0, 3.0, 6.0, 7.0]
     assert np.shares_memory(net.weights[0], net.params)
     with pytest.raises(ValueError):
         net.biases[0][0] = 0.0
@@ -331,7 +337,7 @@ def test_apply_update_reports_divergence_as_floating_point_error():
         return grad
 
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        net_block(net, 0.4, 1.0, diverging)
+        net_block(net, [0.4], [1.0], diverging)
     assert net == before
 
 
@@ -344,7 +350,7 @@ def test_apply_update_overflow_is_floating_point_error_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            net_block(net, 1e200, 1e200)
+            net_block(net, [1e200], [1e200])
 
 
 # ------------------------------------------------------------------ stacks

@@ -114,7 +114,7 @@ def test_learned_values_lie_in_unit_interval():
     net = kind.net
     for _ in range(5):
         net = stepped(net, net_gradient(net, rng.normal(size=8), rng.normal(size=8)), 0.5)
-    kind = kind.with_net(net)
+    kind = LearnedProclivity(net)
     vals = kind.values(np.arange(1, 80))
     assert np.all(vals > 0.0)
     assert np.all(vals < 1.0)
@@ -148,7 +148,7 @@ def perturbed_nets():
     for seed, hidden in enumerate(((16, 16), (16, 16), (8,), (4, 3), (16,), (3, 5, 2))):
         kind = LearnedProclivity.fresh(seed=seed, hidden=hidden)
         params = kind.net.params + rng.normal(scale=0.7, size=kind.net.params.size)
-        kinds.append(kind.with_net(kind.net._with_params(params)))
+        kinds.append(LearnedProclivity(kind.net._with_params(params)))
     return kinds
 
 

@@ -88,7 +88,7 @@ def warmed_bundle(rng, hidden=(4,), seed=0, variant="pro"):
     bundle = ModelBundle.make(variant, seed=seed, hidden=hidden)
     bundle = replace(bundle, f_net=warmed(bundle.f_net), g_net=warmed(bundle.g_net))
     if bundle.learns_proclivity:
-        bundle = replace(bundle, proclivity=bundle.proclivity.with_net(warmed(bundle.proclivity.net)))
+        bundle = replace(bundle, proclivity=LearnedProclivity(warmed(bundle.proclivity.net)))
     return bundle
 
 
@@ -204,7 +204,7 @@ def assert_gradients_match_finite_differences(bundle, roster, conversation, h=1e
     assert grads["nu"].shape == net.params.shape
     for i in range(weight_count(net), net.params.size):
         fd = central(
-            lambda step: replace(bundle, proclivity=bundle.proclivity.with_net(nudged_net(net, i, step)))
+            lambda step: replace(bundle, proclivity=LearnedProclivity(nudged_net(net, i, step)))
         )
         assert grads["nu"][i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
@@ -314,7 +314,7 @@ def assert_split_gradients_match_finite_differences(bundle, stacks, h=1e-5):
     attach = {
         "f": lambda n: replace(bundle, f_net=n),
         "g": lambda n: replace(bundle, g_net=n),
-        "nu": lambda n: replace(bundle, proclivity=bundle.proclivity.with_net(n)),
+        "nu": lambda n: replace(bundle, proclivity=LearnedProclivity(n)),
     }
     nets = {"f": bundle.f_net, "g": bundle.g_net, "nu": bundle.proclivity.net}
     sc, tab = split_parts(bundle, stacks)

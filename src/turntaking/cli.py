@@ -11,7 +11,9 @@ stops on the train loss); ``eval`` ``proclivity`` (the dataset's) and
 ``variants``; ``curve`` ``proclivity``; ``experiment`` every key. A key set
 twice in one config file is an error. The nets are not configured: ``fit``
 and ``experiment`` build them at ``neural.DEFAULT_HIDDEN``, and ``eval`` and
-``curve`` take a fit's layout from its checkpoint. Nor is ``training.PATIENCE``.
+``curve`` take a fit's layout from its checkpoint. Nor are the stop rules'
+``training.PATIENCE`` and ``training.PLATEAU``. ``experiment`` also writes
+``fits.csv``, how each fit ended, and its manifest names that file.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .dataio import (
     write_curve,
     write_curves,
     write_dataset,
+    write_fits,
     write_history,
     write_report,
     write_summary,
@@ -345,12 +348,14 @@ def cmd_experiment(args) -> int:
     out = ensure_out_dir(args.out)
     write_report(out / "report.csv", report)
     write_summary(out / "summary.csv", report)
+    write_fits(out / "fits.csv", report)
     curve_files = write_curves(out, report)
     append_manifest(
         out,
         _manifest_entries(
             "experiment", config, _KEYS,
-            {"parallel_trials": args.parallel_trials, "curve_files": len(curve_files)},
+            {"parallel_trials": args.parallel_trials, "fits": "fits.csv",
+             "curve_files": len(curve_files)},
         ),
     )
     # A trial fails as a whole only when its data generation fails; a failed

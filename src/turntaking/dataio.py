@@ -5,8 +5,8 @@ written by ``_write_table``. Of those the pipeline reads back, a roster,
 conversation or score file in exactly the layout the writer gives it is
 parsed by numpy's C reader in one pass (``_parse_plain``); every other file,
 a checkpoint included, goes through ``_read_table``, row by row, to the same
-arrays and messages. Reports, summaries, histories and curves are only
-written. Rows hold Python numbers and strings, never numpy scalars:
+arrays and messages. Reports, summaries, fit records, histories and curves
+are only written. Rows hold Python numbers and strings, never numpy scalars:
 the csv module writes a Python float with repr, which round-trips exactly,
 so regenerating an artifact under the same seed reproduces it byte for
 byte. Indices (groups, members, turns, layers) are 1-based in files
@@ -42,6 +42,7 @@ CHECKPOINT_HEADER = ["net", "layer", "row", "col", "value"]
 HISTORY_HEADER = ["outer_iter", "train_loss", "val_loss"]
 REPORT_HEADER = ["trial", "variant", "metric", "group_id", "value"]
 SUMMARY_HEADER = ["variant", "metric", "median", "q1", "q3", "lo_whisker", "hi_whisker"]
+FITS_HEADER = ["trial", "variant", "stop_reason", "best_outer", "outer_iters", "passes"]
 CURVE_HEADER = ["delta", "value"]
 
 MANIFEST_NAME = "manifest.txt"
@@ -471,6 +472,17 @@ def write_summary(path, report: EvalReport) -> None:
         for variant in _report_variants(report)
         for metric in ("nll", "nll_turn")
         if (values := report.trial_values(variant, metric))
+    ))
+
+
+def write_fits(path, report: EvalReport) -> None:
+    """One row per trial and fitted variant: its ``FitRecord``. A fit that
+    raised has no row; the report holds its failure."""
+    _write_table(path, FITS_HEADER, (
+        [trial_result.trial, variant, *trial_result.fits[variant]]
+        for trial_result in report.trials
+        for variant in report.config.variants
+        if variant in trial_result.fits
     ))
 
 

@@ -9,14 +9,16 @@ report how close the learned variants come to the ceiling.
 run_experiment drives the full protocol: per trial, generate a synthetic
 dataset, fit the learnable variants on the train/validation splits,
 evaluate every variant on the test groups, and compute rescaled proclivity
-curves. Numeric failures (see ``NUMERIC_FAILURES``) of a trial's data
-generation or of individual fits are recorded and skipped rather than
-aborting the experiment; any other error propagates.
+curves, and keeps a ``FitRecord`` of each fit. Numeric failures (see
+``NUMERIC_FAILURES``) of a trial's data generation or of individual fits are
+recorded and skipped rather than aborting the experiment; any other error
+propagates.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,14 +206,24 @@ class ExperimentConfig:
             raise ValueError(f"variants named more than once: {repeated}")
 
 
+# How one fit of a trial ended: ``FitResult``'s stop reason, best snapshot
+# and pass count, and its outer iteration count.
+FitRecord = namedtuple("FitRecord", "stop_reason best_outer outer_iters passes")
+
+
 @dataclass
 class TrialResult:
-    """Evaluations and curves for one trial; failures recorded per variant."""
+    """Evaluations and curves for one trial; failures recorded per variant.
+
+    ``fits`` holds a ``FitRecord`` per learnable variant whose fit returned;
+    a fit that raised is only a failure.
+    """
 
     trial: int
     losses: dict = field(default_factory=dict)
     curves: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
+    fits: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -285,7 +297,10 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                 ),
             )
             if variant in LEARNABLE_VARIANTS:
-                bundle = fit(bundle, training_set, config.fit).bundle
+                fitted = fit(bundle, training_set, config.fit)
+                bundle = fitted.bundle
+                result.fits[variant] = FitRecord(fitted.stop_reason, fitted.best_outer,
+                                                 len(fitted.history) - 1, fitted.passes)
             result.losses[variant] = evaluate(bundle, dataset.test)
             result.curves[variant] = model_curve(bundle)
         except NUMERIC_FAILURES as exc:

@@ -12,8 +12,9 @@ with L-BFGS steps on the proclivity network, which sidesteps the unstable
 gradients of their product. Every step runs on the full-batch mean per-turn
 negative log-likelihood over all training conversations, with an Armijo
 backtracking line search (Liu & Nocedal 1989; Nocedal & Wright 2006, Alg. 7.4
-and 3.1); the fit stops when validation gains stall and returns the
-parameters of its lowest validation loss.
+and 3.1). The fit stops when validation gains stall, or once the train loss
+plateaus after its best snapshot, and returns the parameters of its lowest
+validation loss.
 """
 
 from __future__ import annotations
@@ -41,10 +42,13 @@ FIXED_SCORES = {"nm": (1.0, 0.0), "hm": (1e-2, 1.0)}
 BLOCK_SCORES = "scores"
 BLOCK_PROCLIVITY = "proclivity"
 
-# The stop rule; fixed, not settings. A fit stops after PATIENCE outer
-# iterations in a row that beat the best validation loss by MIN_GAIN of it or less.
+# The stop rules; fixed, not settings. A fit stops after PATIENCE outer
+# iterations in a row that beat the best validation loss by MIN_GAIN of it or
+# less, or once past its best snapshot after PLATEAU outer iterations in a row
+# that each lower the train loss by less than BLOCK_GAIN of it.
 MIN_GAIN = 1e-4
 PATIENCE = 10
+PLATEAU = 2
 
 # The L-BFGS block steps; fixed, not settings. A block takes at most
 # BLOCK_STEPS accepted steps and keeps its last MEMORY (s, y) pairs; no trial
@@ -152,8 +156,9 @@ class FitResult:
     ``val_loss`` is None when there is no validation split.
 
     ``stop_reason`` says why the fit ended: ``"patience"`` when validation
-    stopped improving, ``"max_outer"`` at the iteration cap, and ``None``
-    for the variants that have nothing to fit. ``passes`` counts the
+    stopped improving, ``"plateau"`` when the train loss stopped falling
+    after the best snapshot, ``"max_outer"`` at the iteration cap, and
+    ``None`` for the variants that have nothing to fit. ``passes`` counts the
     likelihood passes the fit ran, train and validation together.
     """
 
@@ -487,8 +492,11 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     (s, y) pairs across iterations, see ``_block``), then scores the
     validation split. Stops after ``PATIENCE`` iterations in a row
     without a gain over the best validation loss of more than ``MIN_GAIN``
-    of it, or at ``config.max_outer``, and returns the snapshot of the
-    lowest. ``nm`` and ``hm`` have nothing to fit and come back as is.
+    of it; else, once the current iteration is not the best snapshot, after
+    ``PLATEAU`` iterations in a row that each lower the train loss by less
+    than ``BLOCK_GAIN`` of it; else at ``config.max_outer``. Returns the
+    snapshot of the lowest validation loss. ``nm`` and ``hm`` have nothing
+    to fit and come back as is.
 
     The loop carries the parameters, f's and g's as one (2, P) ``pair`` and
     nu's vector (``None`` for ``exp``), the train split's scores and table
@@ -531,7 +539,7 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
     best_val, val_loss = watched(pair, nu, now[0])
     history = [(0, now[0], val_loss)]
     best, best_outer = (pair, nu), 0
-    stall, stop_reason = 0, "max_outer"
+    stall, flat, stop_reason = 0, 0, "max_outer"
     score_memory, prox_memory = deque(maxlen=MEMORY), deque(maxlen=MEMORY)
 
     for outer in range(1, cfg.max_outer + 1):
@@ -551,13 +559,18 @@ def fit(bundle: ModelBundle, training_set: TrainingSet, config: FitConfig | None
             seen = "no validation split" if val is None else f"val={val_loss}"
             raise FitDivergenceError(f"non-finite loss at outer iteration {outer} "
                                      f"(train={train_loss}, {seen})")
+        last_train = history[-1][1]
         history.append((outer, train_loss, val_loss))
         gained = best_val - loss > MIN_GAIN * abs(best_val)
         if loss < best_val:
             best, best_val, best_outer = (pair, nu), loss, outer
         stall = 0 if gained else stall + 1
+        flat = flat + 1 if last_train - train_loss < BLOCK_GAIN * abs(last_train) else 0
         if stall >= PATIENCE:
             stop_reason = "patience"
+            break
+        if flat >= PLATEAU and best_outer < outer:
+            stop_reason = "plateau"
             break
 
     if stop_reason == "max_outer" and best_outer == cfg.max_outer:

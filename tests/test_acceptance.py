@@ -354,7 +354,7 @@ def test_ac8_experiment_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
     checks = []
-    for rel in ("report.csv", "summary.csv"):
+    for rel in ("report.csv", "summary.csv", "fits.csv"):
         same = (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
         checks.append((f"{rel} differs between reruns", same))
     first_curves = sorted((outs[0] / "curves").iterdir())

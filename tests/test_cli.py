@@ -1003,6 +1003,12 @@ def test_experiment_writes_report_summary_curves(capsys, tmp_path):
     assert {r[0] for r in rows} == {1, 2}
     manifest = (out / "manifest.txt").read_text(encoding="utf-8")
     assert "command=experiment" in manifest
+    # One fit record per trial and fitted variant: nm and hm have none.
+    fits = csv_rows(out / "fits.csv")
+    assert [row[:2] for row in fits] == [["1", "exp"], ["2", "exp"]]
+    for _, _, stop_reason, best_outer, outer_iters, passes in fits:
+        assert stop_reason in ("patience", "plateau", "max_outer")
+        assert int(best_outer) <= int(outer_iters) <= 3 < int(passes)
 
 
 def test_experiment_manifest_records_every_setting(capsys, tmp_path):
@@ -1014,7 +1020,7 @@ def test_experiment_manifest_records_every_setting(capsys, tmp_path):
         "command=experiment", f"version={__version__}", "train_groups=2",
         "val_groups=1", "test_groups=1", "members=3", "turns=40", "proclivity=exp",
         "trials=2", "seed=0", "max_outer=3",
-        "variants=exp,nm,hm", "parallel_trials=1", "curve_files=12",
+        "variants=exp,nm,hm", "parallel_trials=1", "fits=fits.csv", "curve_files=12",
     ]
 
 
@@ -1106,7 +1112,8 @@ def test_experiment_parallel_matches_sequential(capsys, tmp_path):
     seq, par = tmp_path / "seq", tmp_path / "par"
     assert run(capsys, *experiment_args(tmp_path, seq))[0] == 0
     assert run(capsys, *experiment_args(tmp_path, par, ("--parallel-trials", "2")))[0] == 0
-    assert (seq / "report.csv").read_bytes() == (par / "report.csv").read_bytes()
+    for name in ("report.csv", "summary.csv", "fits.csv"):
+        assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
 # ------------------------------------------------------------------- curve

@@ -47,13 +47,14 @@ from turntaking.dataio import (
     write_curves,
     write_dataset,
     write_checkpoint,
+    write_fits,
     write_history,
     write_report,
     write_rosters,
     write_summary,
     write_true_scores,
 )
-from turntaking.evaluation import boxplot_stats
+from turntaking.evaluation import FitRecord, boxplot_stats
 from turntaking.neural import DenseNet
 
 from test_training import warmed_bundle
@@ -300,7 +301,8 @@ def pinned_writes():
         return EvalSummary((GroupLoss(7, nll, nll_turn, 4),), nll, nll_turn, nll, nll_turn)
 
     report = EvalReport(ExperimentConfig(variants=("exp",)), [
-        TrialResult(1, losses={"true": summary(0.5, 0.25), "exp": summary(TRICKY[0], 1e16)}),
+        TrialResult(1, losses={"true": summary(0.5, 0.25), "exp": summary(TRICKY[0], 1e16)},
+                    fits={"exp": FitRecord("plateau", 4, 6, 130)}),
         TrialResult(2, losses={"true": summary(1.0, -0.0)},
                     failures={"exp": "fit diverged, at outer 3"}),
     ])
@@ -333,6 +335,9 @@ def pinned_writes():
                    "2,true,nll_turn,7,-0.0\n2,true,nll_turn,all,-0.0\n"
                    "2,true,nll_sum,all,1.0\n2,true,nll_turn_sum,all,-0.0\n"
                    '2,exp,failed,all,"fit diverged, at outer 3"\n'),
+        # The fit that diverged in trial 2 has no row.
+        "fits": (lambda path: write_fits(path, report),
+                 "trial,variant,stop_reason,best_outer,outer_iters,passes\n1,exp,plateau,4,6,130\n"),
         "summary": (lambda path: write_summary(path, report),
                     "variant,metric,median,q1,q3,lo_whisker,hi_whisker\n"
                     "true,nll,0.75,0.625,0.875,0.5,1.0\n"

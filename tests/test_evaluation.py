@@ -22,7 +22,7 @@ from turntaking import (
     run_experiment,
     true_model,
 )
-from turntaking.evaluation import TRUE_VARIANT, _run_trial, boxplot_stats
+from turntaking.evaluation import TRUE_VARIANT, FitRecord, _run_trial, boxplot_stats
 from turntaking.proclivity import ZeroProclivity
 
 
@@ -229,6 +229,25 @@ def test_run_trial_produces_all_cells():
         assert curve.gaps.tolist() == list(range(2, 41))
 
 
+def test_run_trial_keeps_a_record_of_each_fit(monkeypatch):
+    # One record per learnable variant, read off the FitResult that fit returned.
+    import turntaking.evaluation as ev
+
+    returned, real_fit = {}, ev.fit
+
+    def kept_fit(bundle, training_set, config=None):
+        returned[bundle.variant] = real_fit(bundle, training_set, config)
+        return returned[bundle.variant]
+
+    monkeypatch.setattr(ev, "fit", kept_fit)
+    result = _run_trial(tiny_experiment_config(variants=("pro", "exp", "nm")), trial=1)
+    assert set(result.fits) == set(returned) == {"pro", "exp"}
+    for variant, fitted in returned.items():
+        assert result.fits[variant] == FitRecord(fitted.stop_reason, fitted.best_outer,
+                                                 len(fitted.history) - 1, fitted.passes)
+        assert result.fits[variant].passes > result.fits[variant].outer_iters > 0
+
+
 def test_run_experiment_is_deterministic():
     config = tiny_experiment_config()
     a = run_experiment(config)
@@ -280,6 +299,7 @@ def test_failed_variant_is_recorded_not_fatal(monkeypatch):
     assert "exp" in result.failures
     assert "boom" in result.failures["exp"]
     assert "exp" not in result.losses
+    assert result.fits == {}
     assert "nm" in result.losses
     assert TRUE_VARIANT in result.losses
     assert not result.failed
@@ -335,7 +355,7 @@ def test_experiment_config_validation():
 
 
 def test_parallel_trials_match_sequential():
-    config = tiny_experiment_config(variants=("nm", "hm"))
+    config = tiny_experiment_config(variants=("exp", "nm", "hm"))
     seq = run_experiment(config, parallel=1)
     par = run_experiment(config, parallel=2)
     for ts, tp in zip(seq.trials, par.trials):
@@ -343,6 +363,8 @@ def test_parallel_trials_match_sequential():
         for variant in ts.losses:
             assert ts.losses[variant].nll == tp.losses[variant].nll
             assert ts.losses[variant].nll_turn == tp.losses[variant].nll_turn
+        assert set(ts.fits) == {"exp"}
+        assert ts.fits == tp.fits
 
 
 @pytest.mark.parametrize("parallel", [0, -1])

@@ -983,13 +983,23 @@ def test_patience_only_truncates_the_fit(monkeypatch):
     assert capped.bundle.proclivity.net == short.bundle.proclivity.net
 
 
-def scripted_fit(monkeypatch, losses, patience):
+# Train losses that fall by 1% an outer iteration: never a plateau.
+FALLING = [2.0 * 0.99 ** k for k in range(201)]
+
+
+def scripted_fit(monkeypatch, losses, patience=10, train=FALLING, max_outer=100):
     """``fit`` at PATIENCE ``patience`` with one scripted validation loss per
-    outer iteration, from row 0 on; also the score pairs it scored."""
-    scored, script = [], iter(losses)
-    real_scores, real_nll = training._Stacks.scores, training._mean_nll
+    outer iteration, from row 0 on, and one scripted train loss per row in
+    ``train``; also the score pairs it scored.
+
+    The blocks still step the nets on their real passes, so each row has its
+    own parameters; only the train loss each row ends on is scripted.
+    """
+    scored, script, train_script = [], iter(losses), iter(train)
+    real_scores, real_nll, real_block = training._Stacks.scores, training._mean_nll, training._block
     rng = np.random.default_rng(60)
     ts = TrainingSet([make_pair(rng, turns=20)], [make_pair(rng, turns=20)])
+    blocks = 0
 
     def is_val(stacks):
         return np.array_equal(stacks.traits, ts.val[0][0].traits)
@@ -1000,14 +1010,26 @@ def scripted_fit(monkeypatch, losses, patience):
         return real_scores(stacks, f_net, pair)
 
     def scripted_nll(stacks, passed):
-        return next(script) if is_val(stacks) else real_nll(stacks, passed)
+        if is_val(stacks):
+            return next(script)
+        # Row 0's train pass is the only one before the first block.
+        return real_nll(stacks, passed) if blocks else next(train_script)
+
+    def block(*args):
+        # exp runs one block per outer iteration: it ends on the row's train loss.
+        nonlocal blocks
+        blocks += 1
+        x, at, (_, passed), grad = real_block(*args)
+        return x, at, (next(train_script), passed), grad
 
     # The validation split is scored once per row, the train split by the
     # blocks' passes; _mean_nll reads both.
     monkeypatch.setattr(training._Stacks, "scores", scores)
     monkeypatch.setattr(training, "_mean_nll", scripted_nll)
+    monkeypatch.setattr(training, "_block", block)
     monkeypatch.setattr(training, "PATIENCE", patience)
-    return fit(ModelBundle.make("exp", seed=0, hidden=(3,)), ts, FitConfig(max_outer=100)), scored
+    bundle = ModelBundle.make("exp", seed=0, hidden=(3,))
+    return fit(bundle, ts, FitConfig(max_outer=max_outer)), scored
 
 
 def test_negligible_validation_gains_do_not_reset_patience(monkeypatch, caplog):
@@ -1018,6 +1040,7 @@ def test_negligible_validation_gains_do_not_reset_patience(monkeypatch, caplog):
         result, scored = scripted_fit(monkeypatch, losses, patience=7)
     assert result.stop_reason == "patience"
     assert len(result.history) == 8
+    assert [row[1] for row in result.history] == FALLING[:8]
     # The snapshot still follows the lowest loss, the last one.
     assert result.best_outer == 7
     assert np.array_equal(result.bundle.pair, scored[7])
@@ -1032,8 +1055,78 @@ def test_relative_gain_above_min_gain_resets_patience(monkeypatch):
     result, scored = scripted_fit(monkeypatch, losses, patience=5)
     assert result.stop_reason == "patience"
     assert len(result.history) == 4 + 5 + 1
+    assert [row[1] for row in result.history] == FALLING[:10]
     assert result.best_outer == 4
     assert np.array_equal(result.bundle.pair, scored[4])
+
+
+def test_plateau_is_two_outer_iterations():
+    assert training.PLATEAU == 2
+
+
+def flat_after(falls: int, flats=(), rows=100) -> list:
+    """Train losses that fall by 1% a row up to row ``falls``, then stay put
+    at the rows in ``flats`` and fall by 1% again at the others."""
+    train = FALLING[: falls + 1]
+    for row in range(falls + 1, rows + 1):
+        train.append(train[-1] if row in flats else train[-1] * 0.99)
+    return train
+
+
+# Validation losses whose lowest is at row 3: after it, no new lowest.
+BEST_AT_3 = [2.0 * 0.99 ** k for k in range(4)] + [2.0] * 97
+
+
+def test_two_flat_iterations_after_the_best_snapshot_stop_the_fit(monkeypatch, caplog):
+    # Train gains of just under BLOCK_GAIN count as flat.
+    train = flat_after(3, flats=(4, 5))
+    train[5] = train[4] * (1 - 0.9 * training.BLOCK_GAIN)
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        result, scored = scripted_fit(monkeypatch, BEST_AT_3, train=train)
+    assert result.stop_reason == "plateau"
+    assert len(result.history) == 6
+    assert result.best_outer == 3
+    assert np.array_equal(result.bundle.pair, scored[3])
+    assert caplog.records == []
+
+
+def test_one_flat_iteration_followed_by_a_gain_does_not_stop_the_fit(monkeypatch):
+    result, _ = scripted_fit(monkeypatch, BEST_AT_3, train=flat_after(3, flats=(4, 6, 7)))
+    assert result.stop_reason == "plateau"
+    assert len(result.history) == 8
+
+
+def test_flat_iterations_while_the_current_one_is_best_do_not_stop_the_fit(monkeypatch, caplog):
+    # The train loss is flat from row 1 on. While every row is a new best
+    # validation loss the fit runs to the cap; once one is not, it stops there.
+    improving = [2.0 * 0.99 ** k for k in range(101)]
+    flat = [2.0] * 101
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        result, _ = scripted_fit(monkeypatch, improving, train=flat, max_outer=8)
+    assert (result.stop_reason, len(result.history), result.best_outer) == ("max_outer", 9, 8)
+    assert "max_outer=8" in caplog.records[0].getMessage()
+    monkeypatch.undo()
+    result, scored = scripted_fit(monkeypatch, improving[:6] + [2.0] * 95, train=flat)
+    assert (result.stop_reason, len(result.history), result.best_outer) == ("plateau", 7, 5)
+    assert np.array_equal(result.bundle.pair, scored[5])
+
+
+def test_the_cap_reached_before_a_plateau_is_max_outer(monkeypatch, caplog):
+    train = flat_after(3, flats=(5, 6))
+    uncapped, _ = scripted_fit(monkeypatch, BEST_AT_3, train=train)
+    assert (uncapped.stop_reason, len(uncapped.history)) == ("plateau", 7)
+    monkeypatch.undo()
+    with caplog.at_level(logging.WARNING, logger="turntaking.training"):
+        capped, _ = scripted_fit(monkeypatch, BEST_AT_3, train=train, max_outer=5)
+    assert (capped.stop_reason, len(capped.history), capped.best_outer) == ("max_outer", 6, 3)
+    assert caplog.records == []
+
+
+def test_patience_is_checked_before_the_plateau(monkeypatch):
+    # At row 6 both rules hold: three rows without a new best at patience 3,
+    # and the train loss flat at rows 5 and 6.
+    result, _ = scripted_fit(monkeypatch, BEST_AT_3, patience=3, train=flat_after(3, flats=(5, 6)))
+    assert (result.stop_reason, len(result.history), result.best_outer) == ("patience", 7, 3)
 
 
 def default_fit_world(trial=1):

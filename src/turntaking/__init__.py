@@ -50,7 +50,6 @@ from .evaluation import (
     ExperimentConfig,
     GroupLoss,
     TrialResult,
-    TrueModel,
     evaluate,
     model_curve,
     run_experiment,
@@ -82,7 +81,6 @@ __all__ = [
     "SynthDataset",
     "TrainingSet",
     "TrialResult",
-    "TrueModel",
     "ZeroLikelihoodError",
     "by_name",
     "conversation_nll_gradients",

@@ -7,12 +7,13 @@ share; range rules are the config dataclasses'. Every command writes into
 ``--out`` and appends a manifest block recording its artifacts and the
 resolved settings it read: ``generate`` the data keys and ``seed``; ``fit``
 ``seed``, ``max_outer`` and ``val_groups`` (its validation groups; at 0 it
-stops on the train loss); ``eval`` ``proclivity`` (the dataset's) and
-``variants``; ``curve`` ``proclivity``; ``experiment`` every key. A key set
-twice in one config file is an error. The nets are not configured: ``fit``
-and ``experiment`` build them at ``neural.DEFAULT_HIDDEN``, and ``eval`` and
-``curve`` take a fit's layout from its checkpoint. Nor are the stop rules'
-``training.PATIENCE`` and ``training.PLATEAU``. ``experiment`` also writes
+stops on the train loss); ``eval`` ``proclivity`` (the dataset's),
+``variants`` and ``curve_files``; ``experiment`` every key. A key set twice
+in one config file is an error. The nets are not configured: ``fit`` and
+``experiment`` build them at ``neural.DEFAULT_HIDDEN``, and ``eval`` takes a
+fit's layout from its checkpoint. Nor are the stop rules'
+``training.PATIENCE`` and ``training.PLATEAU``. ``eval`` and ``experiment``
+score a trial alike and write ``curves/``; ``experiment`` also writes
 ``fits.csv``, how each fit ended, and its manifest names that file.
 """
 
@@ -35,7 +36,6 @@ from .dataio import (
     read_manifest,
     read_split,
     write_checkpoint,
-    write_curve,
     write_curves,
     write_dataset,
     write_fits,
@@ -47,12 +47,9 @@ from .evaluation import (
     NUMERIC_FAILURES,
     EvalReport,
     ExperimentConfig,
-    TRUE_VARIANT,
     TrialResult,
-    TrueModel,
-    evaluate,
-    model_curve,
     run_experiment,
+    score_trial,
     true_model,
 )
 from .proclivity import FIXED_KINDS, by_name
@@ -306,7 +303,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--checkpoint given for variants that are not evaluated: {unused}")
     test = _nonempty_split(args.data, "test", "eval")
 
-    trial = TrialResult(trial=1)
+    truth = None
     if all(g.scores is not None for g in test):
         if "proclivity" not in settings:
             raise ConfigError(
@@ -314,29 +311,36 @@ def cmd_eval(args) -> int:
                 "in its manifest or set in --config, so the true model cannot be scored"
             )
         truth = true_model(test, by_name(config.synth.proclivity))
-        trial.losses[TRUE_VARIANT] = evaluate(truth, test)
+    bundles = {}
     for variant in config.variants:
         if variant in LEARNABLE_VARIANTS:
             if variant not in checkpoints:
                 raise ConfigError(f"variant {variant!r} needs --checkpoint {variant}=DIR")
-            bundle = _load_checkpoint(variant, checkpoints[variant])
+            bundles[variant] = _load_checkpoint(variant, checkpoints[variant])
         else:
-            bundle = ModelBundle.make(variant)
-        trial.losses[variant] = evaluate(bundle, test)
+            bundles[variant] = ModelBundle.make(variant)
 
+    trial = score_trial(TrialResult(trial=1), test, truth, bundles)
     report = EvalReport(config=config, trials=[trial])
     out = ensure_out_dir(args.out)
     write_report(out / "report.csv", report)
     write_summary(out / "summary.csv", report)
+    curve_files = write_curves(out, report)
     append_manifest(
         out,
         _manifest_entries(
             "eval", config, ("proclivity", "variants"),
             {"data": args.data,
-             "checkpoints": ",".join(f"{k}={v}" for k, v in sorted(checkpoints.items()))},
+             "checkpoints": ",".join(f"{k}={v}" for k, v in sorted(checkpoints.items())),
+             "curve_files": len(curve_files)},
         ),
     )
-    log.info("wrote report.csv and summary.csv to %s", out)
+    # A variant whose evaluation failed numerically is one failed report cell.
+    if trial.failures:
+        print(f"numeric failure: variants {', '.join(trial.failures)} failed; see report.csv",
+              file=sys.stderr)
+        return EXIT_NUMERIC
+    log.info("wrote report.csv, summary.csv and %d curve files to %s", len(curve_files), out)
     return EXIT_OK
 
 
@@ -371,31 +375,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def cmd_curve(args) -> int:
-    config = experiment_config(resolve_settings(args))
-    if args.variant in LEARNABLE_VARIANTS:
-        if args.checkpoint is None:
-            raise ConfigError(f"variant {args.variant!r} needs --checkpoint DIR")
-        model = _load_checkpoint(args.variant, args.checkpoint)
-    elif args.variant == TRUE_VARIANT:
-        model = TrueModel(by_name(config.synth.proclivity))
-    else:
-        model = ModelBundle.make(args.variant)
-    curve = model_curve(model)
-    out = ensure_out_dir(args.out)
-    path = out / f"curve_{args.variant}.csv"
-    write_curve(path, curve)
-    append_manifest(
-        out,
-        _manifest_entries(
-            "curve", config, ("proclivity",),
-            {"variant": args.variant, "artifact": path.name},
-        ),
-    )
-    log.info("wrote %s", path)
-    return EXIT_OK
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -405,10 +384,9 @@ _COMMANDS = {
     "generate": (cmd_generate, "write a synthetic dataset",
                  ("seed", "proclivity", "members", "turns")),
     "fit": (cmd_fit, "fit a learnable variant on a dataset", ("seed", "max_outer")),
-    "eval": (cmd_eval, "evaluate variants on a test split", ("variants",)),
+    "eval": (cmd_eval, "score variants and write their curves on a test split", ("variants",)),
     "experiment": (cmd_experiment, "full multi-trial generate/fit/eval run",
                    ("seed", "trials", "turns", "members", "proclivity", "variants")),
-    "curve": (cmd_curve, "export a rescaled proclivity curve", ("proclivity",)),
 }
 
 
@@ -441,9 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="fitted checkpoint directory (repeatable)")
     parsers["experiment"].add_argument("--parallel-trials", type=int, default=1, metavar="N",
                                        help="number of concurrent trial workers (default 1)")
-    parsers["curve"].add_argument("--variant", required=True, choices=[*VARIANTS, TRUE_VARIANT])
-    parsers["curve"].add_argument("--checkpoint", type=Path, metavar="DIR",
-                                  help="fit output directory (pro and exp)")
     return parser
 
 

@@ -6,13 +6,14 @@ A model here is either a fitted ModelBundle or a TrueModel that scores each
 group by the group's own generating scores, so synthetic experiments can
 report how close the learned variants come to the ceiling.
 
-run_experiment drives the full protocol: per trial, generate a synthetic
-dataset, fit the learnable variants on the train/validation splits,
-evaluate every variant on the test groups, and compute rescaled proclivity
-curves, and keeps a ``FitRecord`` of each fit. Numeric failures (see
-``NUMERIC_FAILURES``) of a trial's data generation or of individual fits are
-recorded and skipped rather than aborting the experiment; any other error
-propagates.
+score_trial scores one trial: the truth, then every variant on the test
+groups, each with its rescaled proclivity curve. The CLI's ``eval`` calls it
+once on a dataset and checkpoints. run_experiment drives the full protocol:
+per trial, generate a synthetic dataset, fit the learnable variants on the
+train/validation splits, keep a ``FitRecord`` of each fit, and score the
+trial. Numeric failures (see ``NUMERIC_FAILURES``) of a trial's data
+generation, of individual fits or of a variant's evaluation are recorded and
+skipped rather than aborting the experiment; any other error propagates.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ class TrialResult:
 
     @property
     def failed(self) -> bool:
-        """Whether data generation failed: the true model is scored right after it."""
+        """Whether data generation failed: otherwise the true model is scored."""
         return not self.losses
 
 
@@ -272,6 +273,29 @@ def boxplot_stats(values) -> dict:
     }
 
 
+def score_trial(result: TrialResult, test, truth, bundles) -> TrialResult:
+    """Score the truth, when given, then each bundle on ``test``, with curves.
+
+    ``bundles`` maps variant names to ModelBundles. The truth's evaluation
+    is not guarded; a numeric failure of one bundle becomes its failure cell.
+    """
+    if truth is not None:
+        result.losses[TRUE_VARIANT] = evaluate(truth, test)
+        result.curves[TRUE_VARIANT] = model_curve(truth)
+    for variant, bundle in bundles.items():
+        try:
+            result.losses[variant] = evaluate(bundle, test)
+            result.curves[variant] = model_curve(bundle)
+        except NUMERIC_FAILURES as exc:
+            _fail(result, variant, exc)
+    return result
+
+
+def _fail(result: TrialResult, variant: str, exc: Exception) -> None:
+    log.warning("trial %d variant %s failed: %s", result.trial, variant, exc)
+    result.failures[variant] = str(exc)
+
+
 def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     result = TrialResult(trial=trial)
     try:
@@ -281,32 +305,28 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             result.failures[variant] = f"generation failed: {exc}"
         return result
 
-    training_set = TrainingSet(dataset.pairs("train"), dataset.pairs("val"))
-
     truth = true_model(dataset.all_groups, by_name(config.synth.proclivity))
-    result.losses[TRUE_VARIANT] = evaluate(truth, dataset.test)
-    result.curves[TRUE_VARIANT] = model_curve(truth)
-
+    training_set = TrainingSet(dataset.pairs("train"), dataset.pairs("val"))
+    bundles = {}
     for variant in config.variants:
-        try:
-            bundle = ModelBundle.make(
-                variant,
-                seed=np.random.SeedSequence(
-                    config.synth.master_seed,
-                    spawn_key=(trial, _VARIANT_CODES.get(variant, 0), STREAM_FIT),
-                ),
-            )
-            if variant in LEARNABLE_VARIANTS:
+        bundle = ModelBundle.make(
+            variant,
+            seed=np.random.SeedSequence(
+                config.synth.master_seed,
+                spawn_key=(trial, _VARIANT_CODES.get(variant, 0), STREAM_FIT),
+            ),
+        )
+        if variant in LEARNABLE_VARIANTS:
+            try:
                 fitted = fit(bundle, training_set, config.fit)
-                bundle = fitted.bundle
-                result.fits[variant] = FitRecord(fitted.stop_reason, fitted.best_outer,
-                                                 len(fitted.history) - 1, fitted.passes)
-            result.losses[variant] = evaluate(bundle, dataset.test)
-            result.curves[variant] = model_curve(bundle)
-        except NUMERIC_FAILURES as exc:
-            log.warning("trial %d variant %s failed: %s", trial, variant, exc)
-            result.failures[variant] = str(exc)
-    return result
+            except NUMERIC_FAILURES as exc:
+                _fail(result, variant, exc)
+                continue
+            bundle = fitted.bundle
+            result.fits[variant] = FitRecord(fitted.stop_reason, fitted.best_outer,
+                                             len(fitted.history) - 1, fitted.passes)
+        bundles[variant] = bundle
+    return score_trial(result, dataset.test, truth, bundles)
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> EvalReport:

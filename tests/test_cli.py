@@ -15,6 +15,7 @@ from turntaking import (
     ModelBundle,
     SigmoidProclivity,
     __version__,
+    by_name,
     evaluate,
     model_curve,
     true_model,
@@ -25,6 +26,7 @@ from turntaking.dataio import (
     read_manifest,
     read_split,
     write_checkpoint,
+    write_curve,
     write_dataset,
 )
 from turntaking.synthgen import SynthConfig, generate_dataset
@@ -798,11 +800,9 @@ def test_eval_and_curve_read_the_settings_from_the_checkpoint(capsys, tmp_path, 
            if r[1] == "pro"}
     summary = evaluate(bundle, read_split(data, "test"))
     assert got[("nll", "all")] == summary.nll and got[("nll_turn", "all")] == summary.nll_turn
-    out = tmp_path / "curve"
-    code, _, err = run(capsys, "curve", "--variant", "pro", "--checkpoint", fit_dir, "--out", out)
-    assert code == 0, err
     expected = model_curve(bundle)
-    assert curve_cells(out / "curve_pro.csv") == (expected.gaps.tolist(), expected.values.tolist())
+    assert curve_cells(tmp_path / "eval" / "curves" / "curve_pro_trial1.csv") == \
+        (expected.gaps.tolist(), expected.values.tolist())
 
 
 @pytest.mark.parametrize("variant, old_head", [
@@ -821,19 +821,17 @@ def test_checkpoint_naming_its_activation_or_gap_scale_is_refused(
     text = path.read_text(encoding="utf-8")
     path.write_text(old_head + text.split("\n", 1)[1], encoding="utf-8")
     extra = ["'activation': 'tanh'"] + (["'delta_scale': '20.0'"] if variant == "pro" else [])
-    for command in (["eval", "--config", tiny_config, "--data", data, "--variants", variant],
-                    ["curve", "--variant", variant]):
-        out = tmp_path / command[0]
-        code, _, err = run(capsys, *command, "--checkpoint",
-                           f"{variant}={fit_dir}" if command[0] == "eval" else fit_dir,
-                           "--out", out)
-        assert code == 2
-        assert f"error: {path}: expected a pro or exp checkpoint with keys ['variant']" in err
-        assert all(key in err for key in extra)
-        assert not out.exists()
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--config", tiny_config, "--data", data,
+                       "--variants", variant, "--checkpoint", f"{variant}={fit_dir}",
+                       "--out", out)
+    assert code == 2
+    assert f"error: {path}: expected a pro or exp checkpoint with keys ['variant']" in err
+    assert all(key in err for key in extra)
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["eval", "--data", "d"], ["curve", "--variant", "nm"]])
+@pytest.mark.parametrize("command", [["eval", "--data", "d"]])
 def test_seed_flag_is_refused_by_commands_that_read_no_seed(capsys, tmp_path, command):
     with pytest.raises(SystemExit) as exited:
         main([*command, "--seed", "5", "--out", str(tmp_path / "out")])
@@ -864,7 +862,6 @@ OPTIONS = {
     "eval": {"--config", "--out", "--variants", "--data", "--checkpoint"},
     "experiment": {"--config", "--out", "--seed", "--trials", "--turns", "--members",
                    "--proclivity", "--variants", "--parallel-trials"},
-    "curve": {"--config", "--out", "--proclivity", "--variant", "--checkpoint"},
 }
 
 
@@ -877,7 +874,7 @@ def test_each_subcommand_takes_exactly_its_options():
         assert taken == OPTIONS[name] | {"-h", "--help"}, name
 
 
-@pytest.mark.parametrize("command", ["generate", "experiment", "curve"])
+@pytest.mark.parametrize("command", ["generate", "experiment"])
 def test_help_names_the_generating_proclivities(capsys, command):
     with pytest.raises(SystemExit) as exited:
         main([command, "--help"])
@@ -908,10 +905,6 @@ def test_checkpoint_of_another_variant_is_usage_error(capsys, tmp_path, tiny_con
                        "--out", tmp_path / "eval")
     assert code == 2
     assert "variant=exp conflicts with variant=pro" in err
-    code, _, err = run(capsys, "curve", "--variant", "exp", "--checkpoint", fit_dir,
-                       "--out", tmp_path / "curve")
-    assert code == 2
-    assert "variant=exp conflicts with variant=pro" in err
 
 
 FIT_KEYS = ["seed", "max_outer"]
@@ -936,19 +929,18 @@ def test_generate_and_fit_manifests_record_the_settings_they_read(capsys, tmp_pa
     assert int(block["passes"]) > 0
 
 
-def test_eval_and_curve_manifests_record_no_net_settings(capsys, tmp_path, tiny_config):
-    # eval and curve take the nets' settings from the checkpoint, not from
-    # the config, so their manifests record none of them.
+def test_eval_manifest_records_no_net_settings(capsys, tmp_path, tiny_config):
+    # eval takes the nets' settings from the checkpoint, not from the config,
+    # so its manifest records none of them.
     data = make_data(capsys, tmp_path, tiny_config, proclivity="sigmoid")
     fit_dir = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit")
     eval_report(capsys, tmp_path, data, "pro", fit_dir)
     block = read_manifest(tmp_path / "eval")[-1]
-    assert list(block) == ["command", "version", "proclivity", "variants", "data", "checkpoints"]
+    assert list(block) == ["command", "version", "proclivity", "variants", "data", "checkpoints",
+                           "curve_files"]
     assert block["proclivity"] == "sigmoid" and block["variants"] == "pro"
-    out = tmp_path / "curve"
-    assert run(capsys, "curve", "--variant", "pro", "--checkpoint", fit_dir, "--out", out)[0] == 0
-    block = read_manifest(out)[-1]
-    assert list(block) == ["command", "version", "proclivity", "variant", "artifact"]
+    # A trial and a mean curve for each of true and pro.
+    assert block["curve_files"] == "4"
 
 
 # A --checkpoint list that does not pair each evaluated learnable variant
@@ -1116,41 +1108,102 @@ def test_experiment_parallel_matches_sequential(capsys, tmp_path):
         assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
-# ------------------------------------------------------------------- curve
+# ------------------------------------------------------------------ curves
 
 
-def test_curve_heuristic_memory(capsys, tmp_path):
-    out = tmp_path / "curve"
-    code, _, _ = run(capsys, "curve", "--variant", "hm", "--out", out)
-    assert code == 0
-    gaps, values = map(np.array, curve_cells(out / "curve_hm.csv"))
+def eval_curve(out, variant):
+    """The gaps and values of the curve that eval wrote for ``variant``."""
+    return map(np.array, curve_cells(out / "curves" / f"curve_{variant}_trial1.csv"))
+
+
+def test_curve_heuristic_memory(capsys, tmp_path, tiny_config):
+    data = make_data(capsys, tmp_path, tiny_config)
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "hm", "--out", out)
+    assert code == 0, err
+    gaps, values = eval_curve(out, "hm")
     np.testing.assert_allclose(values, 100 * np.exp(-gaps / 2.0), rtol=1e-12)
 
 
-def test_curve_true_uses_generating_maps(capsys, tmp_path):
-    out = tmp_path / "curve"
-    code, _, _ = run(capsys, "curve", "--variant", "true", "--out", out)
-    assert code == 0
-    gaps, values = map(np.array, curve_cells(out / "curve_true.csv"))
+def test_curve_true_uses_generating_maps(capsys, tmp_path, tiny_config):
+    data = make_data(capsys, tmp_path, tiny_config)
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm", "--out", out)
+    assert code == 0, err
+    gaps, values = eval_curve(out, "true")
     assert gaps.tolist() == list(range(2, 41))
     np.testing.assert_allclose(values, 19.75129232904011 * np.exp(-gaps / 2.0), rtol=1e-12)
 
 
-def test_curve_pro_needs_checkpoint(capsys, tmp_path):
-    code, _, err = run(capsys, "curve", "--variant", "pro", "--out", tmp_path / "curve")
-    assert code == 2
-    assert "--checkpoint" in err
-
-
 def test_curve_from_fitted_checkpoint(capsys, tmp_path, tiny_config):
     data = make_data(capsys, tmp_path, tiny_config)
-    fit_out = tmp_path / "fit_pro"
-    run(capsys, "fit", "--config", tiny_config, "--data", data,
-        "--variant", "pro", "--out", fit_out)
-    out = tmp_path / "curve"
-    code, _, _ = run(capsys, "curve", "--config", tiny_config, "--variant", "pro",
-                     "--checkpoint", fit_out, "--out", out)
-    assert code == 0
-    gaps, values = curve_cells(out / "curve_pro.csv")
-    assert gaps == list(range(2, 41))
+    fit_out = fit_into(capsys, tmp_path, tiny_config, data, "pro", tmp_path / "fit_pro")
+    eval_report(capsys, tmp_path, data, "pro", fit_out)
+    gaps, values = eval_curve(tmp_path / "eval", "pro")
+    assert gaps.tolist() == list(range(2, 41))
     assert min(values) >= 0
+
+
+@pytest.mark.parametrize("proclivity", ["exp", "sigmoid"])
+def test_eval_writes_each_variants_curve(capsys, tmp_path, tiny_config, proclivity):
+    # Each curve file holds the bytes write_curve gives for its model's
+    # curve, the true one under the dataset's proclivity; pro's checkpoint
+    # has a (4, 3) hidden layout.
+    data = make_data(capsys, tmp_path, tiny_config, proclivity=proclivity)
+    models = {"true": true_model(read_split(data, "test"), by_name(proclivity)),
+              "pro": ModelBundle.make("pro", seed=3, hidden=(4, 3)),
+              "exp": ModelBundle.make("exp", seed=4),
+              "nm": ModelBundle.make("nm"), "hm": ModelBundle.make("hm")}
+    flags = []
+    for variant in ("pro", "exp"):
+        (tmp_path / variant).mkdir()
+        write_checkpoint(tmp_path / variant / "checkpoint.csv", models[variant])
+        flags += ["--checkpoint", f"{variant}={tmp_path / variant}"]
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "pro,exp,nm,hm", *flags,
+                       "--out", out)
+    assert code == 0, err
+    expected = tmp_path / "expected.csv"
+    for variant, model in models.items():
+        write_curve(expected, model_curve(model))
+        for name in (f"curve_{variant}_trial1.csv", f"curve_{variant}_mean.csv"):
+            assert (out / "curves" / name).read_bytes() == expected.read_bytes(), name
+    assert len(list((out / "curves").iterdir())) == 10
+    assert read_manifest(out)[-1]["curve_files"] == "10"
+
+
+def test_eval_writes_a_variants_numeric_failure_as_its_cell(capsys, tmp_path, tiny_config,
+                                                           monkeypatch):
+    # The report is written with the failed cell, then eval exits 4.
+    import turntaking.evaluation as ev
+
+    real_evaluate = ev.evaluate
+
+    def evaluate(model, groups):
+        if getattr(model, "variant", None) == "hm":
+            raise ev.ZeroLikelihoodError("group 4: non-finite loss inf")
+        return real_evaluate(model, groups)
+
+    monkeypatch.setattr(ev, "evaluate", evaluate)
+    data = make_data(capsys, tmp_path, tiny_config)
+    out = tmp_path / "eval"
+    code, _, err = run(capsys, "eval", "--data", data, "--variants", "nm,hm", "--out", out)
+    assert code == 4
+    assert "numeric failure: variants hm failed; see report.csv" in err
+    rows = report_rows(out / "report.csv")
+    assert [r for r in rows if r[1] == "hm"] == [
+        (1, "hm", "failed", "all", "group 4: non-finite loss inf")]
+    for variant in ("true", "nm"):
+        assert {r[2] for r in rows if r[1] == variant} == {"nll", "nll_turn", "nll_sum",
+                                                          "nll_turn_sum"}
+    assert {p.name for p in (out / "curves").iterdir()} == {
+        f"curve_{v}_{k}.csv" for v in ("true", "nm") for k in ("trial1", "mean")}
+
+
+def test_the_curve_subcommand_is_gone(capsys, tmp_path):
+    # eval writes every curve that curve wrote; the subcommand is refused.
+    with pytest.raises(SystemExit) as exited:
+        main(["curve", "--variant", "nm", "--out", str(tmp_path / "curve")])
+    assert exited.value.code == 2
+    assert "invalid choice: 'curve'" in capsys.readouterr().err
+    assert not (tmp_path / "curve").exists()

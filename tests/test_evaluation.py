@@ -22,7 +22,14 @@ from turntaking import (
     run_experiment,
     true_model,
 )
-from turntaking.evaluation import TRUE_VARIANT, FitRecord, _run_trial, boxplot_stats
+from turntaking.evaluation import (
+    TRUE_VARIANT,
+    FitRecord,
+    TrialResult,
+    _run_trial,
+    boxplot_stats,
+    score_trial,
+)
 from turntaking.proclivity import ZeroProclivity
 
 
@@ -246,6 +253,32 @@ def test_run_trial_keeps_a_record_of_each_fit(monkeypatch):
         assert result.fits[variant] == FitRecord(fitted.stop_reason, fitted.best_outer,
                                                  len(fitted.history) - 1, fitted.passes)
         assert result.fits[variant].passes > result.fits[variant].outer_iters > 0
+
+
+def test_score_trial_records_a_numeric_failure_of_a_variant_not_of_the_truth(monkeypatch):
+    # A variant whose evaluation fails numerically becomes its failure cell
+    # and the others are scored; a failure of the truth propagates.
+    import turntaking.evaluation as ev
+
+    _, dataset = small_dataset()
+    truth = true_model(dataset.test, ExpDecayProclivity())
+    bundles = {variant: ModelBundle.make(variant) for variant in ("nm", "hm")}
+    failing, real_evaluate = [bundles["hm"]], ev.evaluate
+
+    def evaluate(model, groups):
+        if model in failing:
+            raise ev.ZeroLikelihoodError("non-finite loss")
+        return real_evaluate(model, groups)
+
+    monkeypatch.setattr(ev, "evaluate", evaluate)
+    result = score_trial(TrialResult(trial=3), dataset.test, truth, bundles)
+    assert set(result.losses) == set(result.curves) == {TRUE_VARIANT, "nm"}
+    assert result.failures == {"hm": "non-finite loss"}
+    assert result.losses["nm"].nll == real_evaluate(bundles["nm"], dataset.test).nll
+    assert score_trial(TrialResult(trial=3), dataset.test, None, {}).losses == {}
+    failing.append(truth)
+    with pytest.raises(ev.ZeroLikelihoodError):
+        score_trial(TrialResult(trial=3), dataset.test, truth, bundles)
 
 
 def test_run_experiment_is_deterministic():

@@ -494,7 +494,8 @@ def write_curve(path, curve: ProclivityCurve) -> None:
 
 
 def write_curves(directory, report: EvalReport) -> list:
-    """Per-trial and trial-averaged curve files under curves/."""
+    """Per-trial curve files under curves/, and trial-averaged ones when the
+    report holds more than one trial: one trial's mean is its own curve."""
     curve_dir = Path(directory) / "curves"
     curve_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -506,6 +507,8 @@ def write_curves(directory, report: EvalReport) -> list:
             path = curve_dir / f"curve_{variant}_trial{trial_result.trial}.csv"
             write_curve(path, curve)
             written.append(path)
+    if len(report.trials) == 1:
+        return written
     for variant in _report_variants(report):
         if any(variant in t.curves for t in report.trials):
             path = curve_dir / f"curve_{variant}_mean.csv"

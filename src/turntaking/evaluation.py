@@ -9,11 +9,13 @@ report how close the learned variants come to the ceiling.
 score_trial scores one trial: the truth, then every variant on the test
 groups, each with its rescaled proclivity curve. The CLI's ``eval`` calls it
 once on a dataset and checkpoints. run_experiment drives the full protocol:
-per trial, generate a synthetic dataset, fit the learnable variants on the
-train/validation splits, keep a ``FitRecord`` of each fit, and score the
-trial. Numeric failures (see ``NUMERIC_FAILURES``) of a trial's data
-generation, of individual fits or of a variant's evaluation are recorded and
-skipped rather than aborting the experiment; any other error propagates.
+each worker samples the datasets of its chunk of trials in one lockstep call
+(``synthgen.generate_datasets``), then per trial fits the learnable variants
+on the train/validation splits, keeps a ``FitRecord`` of each fit, and
+scores the trial. Numeric failures (see ``NUMERIC_FAILURES``) of a trial's
+data generation, of individual fits or of a variant's evaluation are
+recorded and skipped rather than aborting the experiment; any other error
+propagates.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .synthgen import (
     Group,
     SynthConfig,
     generate_dataset,
+    generate_datasets,
     traits_to_scores,
 )
 from .training import (
@@ -296,14 +299,33 @@ def _fail(result: TrialResult, variant: str, exc: Exception) -> None:
     result.failures[variant] = str(exc)
 
 
-def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
-    result = TrialResult(trial=trial)
+def _run_trials(config: ExperimentConfig, trials) -> list:
+    """Run a contiguous chunk of trials, their data sampled in one call.
+
+    If that call fails numerically, each trial generates its own data, so a
+    failing trial is recorded alone, with the message of its own sampling.
+    """
     try:
-        dataset = generate_dataset(config.synth, trial)
-    except NUMERIC_FAILURES as exc:  # a numeric failure of generation sinks the whole trial
-        for variant in config.variants:
-            result.failures[variant] = f"generation failed: {exc}"
-        return result
+        datasets = generate_datasets(config.synth, trials)
+    except NUMERIC_FAILURES:
+        datasets = [None] * len(trials)
+    results = []
+    for trial, dataset in zip(trials, datasets):
+        results.append(_run_trial(config, trial, dataset))
+        log.info("trial %d/%d done", trial, config.synth.trials)
+    return results
+
+
+def _run_trial(config: ExperimentConfig, trial: int, dataset=None) -> TrialResult:
+    """Fit and score one trial on ``dataset``, or on data generated here if None."""
+    result = TrialResult(trial=trial)
+    if dataset is None:
+        try:
+            dataset = generate_dataset(config.synth, trial)
+        except NUMERIC_FAILURES as exc:  # a numeric failure of generation sinks the whole trial
+            for variant in config.variants:
+                result.failures[variant] = f"generation failed: {exc}"
+            return result
 
     truth = true_model(dataset.all_groups, by_name(config.synth.proclivity))
     training_set = TrainingSet(dataset.pairs("train"), dataset.pairs("val"))
@@ -332,9 +354,11 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> EvalReport:
     """Generate, fit, and evaluate all trials; deterministic per master seed.
 
-    Trials are independent; ``parallel`` > 1 distributes them over at most
-    one worker process per trial, with results assembled in trial order
-    either way. A ``parallel`` below 1 is a ValueError.
+    Trials are independent. Each worker runs a contiguous chunk of trials
+    through ``_run_trials``, so one worker takes the same path as many.
+    ``parallel`` > 1 runs at most one worker process per trial, with results
+    assembled in trial order either way. A ``parallel`` below 1 is a
+    ValueError.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
@@ -342,16 +366,16 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> EvalReport:
     # A process pool starts all its workers at the first submit, so more
     # workers than trials would only be processes that never get one.
     workers = min(parallel, len(trials))
-    if workers > 1:
-        # Imported here: the process pool costs import time and memory that
-        # sequential runs never use.
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        return EvalReport(config=config, trials=_run_trials(config, trials))
+    # The first ``extra`` chunks take one trial more than the rest.
+    size, extra = divmod(len(trials), workers)
+    starts = [k * size + min(k, extra) for k in range(workers + 1)]
+    chunks = [trials[a:b] for a, b in zip(starts, starts[1:])]
+    # Imported here: the process pool costs import time and memory that
+    # sequential runs never use.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, [config] * len(trials), trials))
-    else:
-        results = []
-        for trial in trials:
-            results.append(_run_trial(config, trial))
-            log.info("trial %d/%d done", trial, config.synth.trials)
-    return EvalReport(config=config, trials=results)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = list(pool.map(_run_trials, [config] * workers, chunks))
+    return EvalReport(config=config, trials=[result for chunk in done for result in chunk])

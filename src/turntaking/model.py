@@ -15,8 +15,11 @@ by ``pi`` alone. The next speaker is distributed as ``u / sum(u)``.
 The per-turn negative log-likelihood of observed conversations, which
 ``fit`` minimises and ``evaluate`` reports, is computed in one batched pass
 in ``training.py``. Sampling, in ``sample_conversations``, advances every
-group of a batch of equal-sized groups by one turn per step; a lone group
-runs through a scalar loop that gives the same bits.
+group of a batch of equal-sized groups by one turn per step. The step keeps
+each member's last turn, reads the proclivity at ``t - last``, works in
+preallocated buffers and picks the speaker by counting the first N - 1
+running sums of the normalized scores; a lone group runs through a scalar
+loop that gives the same bits.
 
 Members are labeled 1..N in all public inputs and outputs; vectors are plain
 numpy arrays where position k belongs to member k+1. Gaps are positive
@@ -223,6 +226,12 @@ def sample_conversations(
     ``DegenerateDistributionError`` naming the group if at some turn none of
     its members has a positive score.
 
+    The loop keeps each member's last turn (the gap is ``t - last``) and
+    works in preallocated buffers. The speaker is the count of the first
+    N - 1 running sums at or below the draw: the sums never fall, so that
+    is the count of all N capped at N - 1. One reduction checks the turn
+    totals; the group and turn are found only when it fails.
+
     A single group takes ``_sample_alone``, a loop over Python floats that
     skips numpy's per-call cost on a handful of members and reproduces the
     lockstep loop bit for bit.
@@ -238,31 +247,47 @@ def sample_conversations(
     table = _checked_table(proclivity, length - 1)
     if len(params_list) == 1:
         return [_sample_alone(params_list[0], table, length, rngs[0])]
+    G = len(params_list)
     pi = np.stack([params.inherent for params in params_list])
     d = np.stack([params.memory for params in params_list])
-    draws = np.stack([rng.random(length) for rng in rngs], axis=1)
-    G = len(params_list)
-    rows = np.arange(G)
-    gaps = np.full((G, N), NEVER)
+    draws = np.stack([rng.random(length) for rng in rngs], axis=1)[:, :, None]
+    # A member who has not spoken sits at -length, and every index that
+    # gives, length..2 * length - 1, reads the NEVER value.
+    w = np.concatenate([table, np.full(length, table[NEVER])])
+    last = np.full((G, N), -length)
+    offsets = np.arange(0, G * N, N)  # flat index of each group's member 1
+    flat = np.empty(G, dtype=np.intp)  # flat index of each group's speaker
+    index = np.empty((G, N), dtype=np.intp)
+    u = np.empty((G, N))
+    total = np.empty(G)
+    column = total[:, None]
+    head = u[:, :-1]  # the first N - 1 scores
+    cdf = np.empty((G, N - 1))
+    below = np.empty((G, N - 1), dtype=bool)
     speakers = np.empty((length, G), dtype=np.intp)
     for t in range(length):
-        u = table[gaps] * d + pi
+        np.subtract(t, last, out=index)
+        # Every index is in range; "clip" only spares the copy that the
+        # default mode makes of ``out``.
+        w.take(index, out=u, mode="clip")
+        np.multiply(u, d, out=u)
+        np.add(u, pi, out=u)
         if t:
-            u[rows, speakers[t - 1]] = 0.0  # the previous speaker's gap is 1
+            u.put(flat, 0.0)  # the previous speaker
         # The order of operations below is fixed: it reproduces, bit for
         # bit, one group normalized and searched on its own.
-        total = u.sum(axis=1)
-        positive = total > 0.0
-        if not positive.all():
+        np.add.reduce(u, axis=1, out=total)
+        if not np.minimum.reduce(total) > 0.0:
             raise DegenerateDistributionError(
-                f"group {int(np.argmin(positive))}: all speaking scores are zero at turn {t + 1}"
+                f"group {int(np.argmin(total > 0.0))}: all speaking scores are zero at turn {t + 1}"
             )
-        cdf = np.cumsum(u / total[:, None], axis=1)
-        # Entries of the cdf at or below the draw: searchsorted side="right".
-        picked = np.minimum((cdf <= draws[t, :, None]).sum(axis=1), N - 1)
-        speakers[t] = picked
-        gaps += gaps > 0
-        gaps[rows, picked] = 1
+        np.divide(u, column, out=u)
+        np.add.accumulate(head, axis=1, out=cdf)
+        np.less_equal(cdf, draws[t], out=below)
+        picked = speakers[t]
+        np.add.reduce(below, axis=1, out=picked)
+        np.add(offsets, picked, out=flat)
+        last.put(flat, t)
     return [Conversation(labels + 1, N) for labels in speakers.T]
 
 
@@ -306,9 +331,11 @@ def _sample_alone(
     """One group's conversation, turn by turn over Python floats.
 
     Every operation is the lockstep loop's on one row: a score is
-    ``table[gap] * d + pi``, the previous speaker's is 0, the total is the
-    scores' numpy sum, and the speaker is the count of running ``u / total``
-    sums at or below the turn's draw.
+    ``table[t - last] * d + pi``, the previous speaker's is 0, the total is
+    the scores' numpy sum, and the speaker is the count of running
+    ``u / total`` sums at or below the turn's draw, capped at N - 1. The
+    sums never fall, so the cap gives the lockstep loop's count of the
+    first N - 1 sums.
     """
     pi = params.inherent.tolist()
     d = params.memory.tolist()

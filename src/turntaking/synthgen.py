@@ -10,7 +10,9 @@ trait interval.
 
 Randomness is split into named substreams keyed by (trial, group, purpose)
 so that, for example, regenerating conversations with a different proclivity
-reuses the exact same rosters.
+reuses the exact same rosters, and so that ``generate_datasets`` can sample
+many trials' groups in one lockstep call and give each trial the dataset
+``generate_dataset`` builds for it alone.
 """
 
 from __future__ import annotations
@@ -141,33 +143,48 @@ def sample_traits(config: SynthConfig, rng: np.random.Generator) -> Roster:
     return Roster(rng.uniform(TRAIT_LOW, TRAIT_HIGH, size=config.members))
 
 
-def _make_groups(config: SynthConfig, trial: int, group_ids) -> list:
-    """Generate groups from their own substreams, sampled in lockstep.
+def _make_groups(config: SynthConfig, keys) -> list:
+    """Generate groups from their own substreams, sampled in one lockstep call.
 
-    Each roster comes from its group's traits substream and each
-    conversation from its conv substream, so a group is the same whichever
-    other groups are generated with it.
+    ``keys`` holds a (trial, group id) pair per group. Each roster comes
+    from its group's traits substream and each conversation from its conv
+    substream, so a group is the same whichever other groups, of its own
+    trial or of others, are generated with it.
     """
     rosters = [
         sample_traits(config, substream(config.master_seed, trial, gid, STREAM_TRAITS))
-        for gid in group_ids
+        for trial, gid in keys
     ]
     scores = [traits_to_scores(roster.traits) for roster in rosters]
     conversations = sample_conversations(
         scores,
         by_name(config.proclivity),
         config.turns,
-        [substream(config.master_seed, trial, gid, STREAM_CONV) for gid in group_ids],
+        [substream(config.master_seed, trial, gid, STREAM_CONV) for trial, gid in keys],
     )
     return [
         Group(group_id=gid, roster=roster, scores=params, conversation=conversation)
-        for gid, roster, params, conversation in zip(group_ids, rosters, scores, conversations)
+        for (_, gid), roster, params, conversation in zip(keys, rosters, scores, conversations)
+    ]
+
+
+def generate_datasets(config: SynthConfig, trials) -> list:
+    """Each trial's dataset, in the order of ``trials``, from one lockstep call.
+
+    A trial's dataset equals ``generate_dataset(config, trial)`` group by
+    group. A numeric failure of any trial's sampling raises for the call.
+    """
+    n_train, n_fit = config.train_groups, config.train_groups + config.val_groups
+    n = n_fit + config.test_groups
+    groups = _make_groups(config, [(trial, gid) for trial in trials for gid in range(1, n + 1)])
+    return [
+        SynthDataset(train=groups[k:k + n_train], val=groups[k + n_train:k + n_fit],
+                     test=groups[k + n_fit:k + n])
+        for k in range(0, len(groups), n)
     ]
 
 
 def generate_dataset(config: SynthConfig, trial: int = 1) -> SynthDataset:
     """All groups for one trial: train, then validation, then test groups,
     with ids 1..train_groups+val_groups+test_groups in that order."""
-    n_train, n_fit = config.train_groups, config.train_groups + config.val_groups
-    groups = _make_groups(config, trial, range(1, n_fit + config.test_groups + 1))
-    return SynthDataset(train=groups[:n_train], val=groups[n_train:n_fit], test=groups[n_fit:])
+    return generate_datasets(config, [trial])[0]

@@ -33,6 +33,7 @@ from turntaking.synthgen import SynthConfig, generate_dataset
 from turntaking.training import FitDivergenceError
 
 from test_dataio import csv_rows, curve_cells, report_rows
+from test_evaluation import fail_sampling
 
 TINY_DATA = """
 train_groups=2
@@ -939,8 +940,10 @@ def test_eval_manifest_records_no_net_settings(capsys, tmp_path, tiny_config):
     assert list(block) == ["command", "version", "proclivity", "variants", "data", "checkpoints",
                            "curve_files"]
     assert block["proclivity"] == "sigmoid" and block["variants"] == "pro"
-    # A trial and a mean curve for each of true and pro.
-    assert block["curve_files"] == "4"
+    # One trial's curve for each of true and pro, and no mean of one trial.
+    assert block["curve_files"] == "2"
+    assert sorted(p.name for p in (tmp_path / "eval" / "curves").iterdir()) == [
+        "curve_pro_trial1.csv", "curve_true_trial1.csv"]
 
 
 # A --checkpoint list that does not pair each evaluated learnable variant
@@ -1057,16 +1060,7 @@ def test_one_split_count_is_a_whole_config(capsys, tmp_path):
 
 def test_experiment_names_the_trials_whose_generation_failed(capsys, caplog, tmp_path,
                                                              monkeypatch):
-    import turntaking.evaluation as ev
-
-    real_generate = ev.generate_dataset
-
-    def generate(config, trial):
-        if trial == 2:
-            raise ev.DegenerateDistributionError("no eligible speaker")
-        return real_generate(config, trial)
-
-    monkeypatch.setattr(ev, "generate_dataset", generate)
+    fail_sampling(monkeypatch, {2})
     with caplog.at_level(logging.WARNING, logger="turntaking.cli"):
         code, _, err = run(capsys, *experiment_args(tmp_path, tmp_path / "exp"))
     assert code == 0, err
@@ -1079,12 +1073,7 @@ def test_experiment_names_the_trials_whose_generation_failed(capsys, caplog, tmp
 
 def test_experiment_whose_every_trial_failed_is_a_numeric_failure(capsys, tmp_path,
                                                                    monkeypatch):
-    import turntaking.evaluation as ev
-
-    def generate(config, trial):
-        raise ev.DegenerateDistributionError("no eligible speaker")
-
-    monkeypatch.setattr(ev, "generate_dataset", generate)
+    fail_sampling(monkeypatch, {1, 2})
     out = tmp_path / "exp"
     code, _, err = run(capsys, *experiment_args(tmp_path, out))
     assert code == 4
@@ -1148,7 +1137,7 @@ def test_curve_from_fitted_checkpoint(capsys, tmp_path, tiny_config):
 def test_eval_writes_each_variants_curve(capsys, tmp_path, tiny_config, proclivity):
     # Each curve file holds the bytes write_curve gives for its model's
     # curve, the true one under the dataset's proclivity; pro's checkpoint
-    # has a (4, 3) hidden layout.
+    # has a (4, 3) hidden layout. One trial writes no mean curves.
     data = make_data(capsys, tmp_path, tiny_config, proclivity=proclivity)
     models = {"true": true_model(read_split(data, "test"), by_name(proclivity)),
               "pro": ModelBundle.make("pro", seed=3, hidden=(4, 3)),
@@ -1166,10 +1155,10 @@ def test_eval_writes_each_variants_curve(capsys, tmp_path, tiny_config, proclivi
     expected = tmp_path / "expected.csv"
     for variant, model in models.items():
         write_curve(expected, model_curve(model))
-        for name in (f"curve_{variant}_trial1.csv", f"curve_{variant}_mean.csv"):
-            assert (out / "curves" / name).read_bytes() == expected.read_bytes(), name
-    assert len(list((out / "curves").iterdir())) == 10
-    assert read_manifest(out)[-1]["curve_files"] == "10"
+        name = f"curve_{variant}_trial1.csv"
+        assert (out / "curves" / name).read_bytes() == expected.read_bytes(), name
+    assert len(list((out / "curves").iterdir())) == 5
+    assert read_manifest(out)[-1]["curve_files"] == "5"
 
 
 def test_eval_writes_a_variants_numeric_failure_as_its_cell(capsys, tmp_path, tiny_config,
@@ -1197,7 +1186,7 @@ def test_eval_writes_a_variants_numeric_failure_as_its_cell(capsys, tmp_path, ti
         assert {r[2] for r in rows if r[1] == variant} == {"nll", "nll_turn", "nll_sum",
                                                           "nll_turn_sum"}
     assert {p.name for p in (out / "curves").iterdir()} == {
-        f"curve_{v}_{k}.csv" for v in ("true", "nm") for k in ("trial1", "mean")}
+        f"curve_{v}_trial1.csv" for v in ("true", "nm")}
 
 
 def test_the_curve_subcommand_is_gone(capsys, tmp_path):

@@ -858,6 +858,16 @@ def test_write_curves_layout(tmp_path):
     assert curve_cells(tmp_path / "curves" / "curve_exp_mean.csv")[1] == [2.0] * 39
 
 
+def test_write_curves_of_one_trial_writes_no_mean(tmp_path):
+    # The mean of one trial is that trial's curve, so it is not written again.
+    report = toy_report()
+    report.trials = report.trials[:1]
+    written = write_curves(tmp_path, report)
+    assert sorted(p.name for p in written) == sorted(
+        p.name for p in (tmp_path / "curves").iterdir()) == [
+        "curve_exp_trial1.csv", "curve_nm_trial1.csv", "curve_true_trial1.csv"]
+
+
 # ---------------------------------------------------------------- manifests
 
 

@@ -30,6 +30,7 @@ from turntaking.evaluation import (
     boxplot_stats,
     score_trial,
 )
+from turntaking.model import DegenerateDistributionError
 from turntaking.proclivity import ZeroProclivity
 
 
@@ -207,6 +208,30 @@ def test_boxplot_stats_rejects_empty():
 # --------------------------------------------------------------- experiments
 
 
+def fail_sampling(monkeypatch, trials, error=None):
+    """Make every draw of the given trials' conversations raise ``error``.
+
+    The stand-in replaces the trials' conv substreams, which both a chunk's
+    one lockstep call and trial-by-trial generation read. The default error
+    is a numeric failure with the message "no eligible speaker".
+    """
+    import turntaking.synthgen as sg
+
+    error = error or DegenerateDistributionError("no eligible speaker")
+    real = sg.substream
+
+    class Failing:
+        def random(self, size=None):
+            raise error
+
+    def substream(master_seed, *path):
+        if path[0] in trials and path[-1] == sg.STREAM_CONV:
+            return Failing()
+        return real(master_seed, *path)
+
+    monkeypatch.setattr(sg, "substream", substream)
+
+
 def tiny_experiment_config(trials=2, proclivity="exp", variants=("exp", "nm", "hm")):
     synth = SynthConfig(
         train_groups=2,
@@ -362,6 +387,57 @@ def test_numeric_failure_of_generation_fails_every_variant(monkeypatch):
     assert result.failed
     assert result.failures == {variant: "generation failed: no eligible speaker"
                                for variant in ("exp", "nm")}
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_trial_whose_sampling_fails_is_recorded_alone(monkeypatch, parallel):
+    # Trial 2's sampling fails, so the one lockstep call of its chunk fails
+    # and the chunk generates trial by trial: trial 2 alone is failed, with
+    # the message of its own sampling, and every other trial is scored as in
+    # a run where nothing fails.
+    import concurrent.futures
+
+    chunks = []
+
+    class InProcessPool:
+        # Maps in this process, so the patched substreams hold in the workers.
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, configs, trial_chunks):
+            chunks.extend(list(chunk) for chunk in trial_chunks)
+            return map(fn, configs, trial_chunks)
+
+    config = tiny_experiment_config(trials=3, variants=("nm", "hm"))
+    want = run_experiment(config)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    fail_sampling(monkeypatch, {2})
+    report = run_experiment(config, parallel=parallel)
+    # Two workers take contiguous chunks: trials 1-2, whose call fails, and 3.
+    assert chunks == ([] if parallel == 1 else [[1, 2], [3]])
+    assert [t.trial for t in report.trials] == [1, 2, 3]
+    failed = report.trials[1]
+    assert failed.failed
+    assert failed.failures == {variant: "generation failed: no eligible speaker"
+                               for variant in ("nm", "hm")}
+    for got, ok in zip(report.trials[::2], want.trials[::2]):
+        assert got.failures == {}
+        assert {v: s.nll for v, s in got.losses.items()} == {v: s.nll for v, s in ok.losses.items()}
+        for variant, curve in ok.curves.items():
+            np.testing.assert_array_equal(got.curves[variant].values, curve.values)
+
+
+def test_programming_error_in_batched_generation_propagates(monkeypatch):
+    # Only a numeric failure of the chunk's call falls back to trial by trial.
+    fail_sampling(monkeypatch, {2}, TypeError("unsupported operand"))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_experiment(tiny_experiment_config(variants=("nm",)))
 
 
 def test_programming_error_in_generation_propagates(monkeypatch):

@@ -638,6 +638,34 @@ def test_draws_on_the_cdf_steps_pick_like_the_reference(proclivity):
                 assert [c.speakers.tolist() for c in lockstep] == [want, want], N
 
 
+@pytest.mark.parametrize("proclivity", [W_EXP, W_SIG], ids=["exp", "sigmoid"])
+def test_draws_at_or_above_the_last_running_sum_pick_the_last_member(proclivity):
+    # The lockstep loop counts only the first N - 1 running sums, which is
+    # the count of all N capped at N - 1 because the sums never fall. A draw
+    # at or above the last sum must pick member N in both samplers and in
+    # the reference, also when that sum rounds below 1.
+    rng = np.random.default_rng(24)
+    for N in (3, 7, 9, 129):
+        for _ in range(1000):
+            (params,) = random_score_list(rng, 1, N)
+            u = proclivity.values(np.zeros(N, dtype=int)) * params.memory + params.inherent
+            last = np.cumsum(oracle.speaking_probabilities(u))[-1]
+            if last < 1.0:
+                break
+        assert last < 1.0, N
+        for draw in (last, np.nextafter(last, 1.0), np.nextafter(1.0, 0.0)):
+            want = oracle.sample_speakers(
+                params.inherent, params.memory, proclivity, 1, FixedDraws([draw])
+            )
+            alone = sample_conversation(params, proclivity, 1, FixedDraws([draw]))
+            lockstep = sample_conversations(
+                [params] * 2, proclivity, 1, [FixedDraws([draw]), FixedDraws([draw])]
+            )
+            assert want == [N], (N, draw)
+            assert alone.speakers.tolist() == want, (N, draw)
+            assert [c.speakers.tolist() for c in lockstep] == [want, want], (N, draw)
+
+
 def test_pairwise_sum_equals_numpy_reduction():
     # The scalar sampler's turn totals must carry numpy's rounding: in order
     # below 8 terms, eight running sums up to 128, halves above.

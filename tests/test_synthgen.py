@@ -19,6 +19,7 @@ from turntaking.synthgen import (
     STREAM_TRAITS,
     _make_groups,
     d_of_trait,
+    generate_datasets,
     pi_of_trait,
     sample_traits,
 )
@@ -189,16 +190,35 @@ def test_pairs_view():
 
 def test_make_group_uses_per_group_streams():
     config = SynthConfig(turns=30)
-    g1, g2 = _make_groups(config, trial=1, group_ids=[1, 2])
+    g1, g2 = _make_groups(config, [(1, 1), (1, 2)])
     assert not np.array_equal(g1.roster.traits, g2.roster.traits)
-    [regen] = _make_groups(config, trial=1, group_ids=[1])
+    [regen] = _make_groups(config, [(1, 1)])
     np.testing.assert_array_equal(g1.roster.traits, regen.roster.traits)
     np.testing.assert_array_equal(g1.conversation.speakers, regen.conversation.speakers)
     # A dataset samples its groups in lockstep; each equals the group alone.
     for g in generate_dataset(config, trial=1).all_groups:
-        [alone] = _make_groups(config, trial=1, group_ids=[g.group_id])
+        [alone] = _make_groups(config, [(1, g.group_id)])
         np.testing.assert_array_equal(g.roster.traits, alone.roster.traits)
         np.testing.assert_array_equal(g.conversation.speakers, alone.conversation.speakers)
+
+
+def test_datasets_sampled_together_equal_each_trial_alone():
+    # One lockstep call over several trials gives each trial the groups it
+    # gets alone: same ids, traits, scores and speakers, split for split.
+    config = SynthConfig(train_groups=3, val_groups=2, test_groups=2, turns=90)
+    trials = [4, 1, 7]
+    together = generate_datasets(config, trials)
+    assert len(together) == len(trials)
+    for trial, dataset in zip(trials, together):
+        alone = generate_dataset(config, trial)
+        for split in ("train", "val", "test"):
+            got, want = getattr(dataset, split), getattr(alone, split)
+            assert [g.group_id for g in got] == [g.group_id for g in want]
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.roster.traits, w.roster.traits)
+                np.testing.assert_array_equal(g.scores.inherent, w.scores.inherent)
+                np.testing.assert_array_equal(g.scores.memory, w.scores.memory)
+                np.testing.assert_array_equal(g.conversation.speakers, w.conversation.speakers)
 
 
 def test_ground_truth_loss_sits_in_plausible_band():
